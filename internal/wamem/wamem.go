@@ -229,10 +229,34 @@ func (m *Memory) pageForWrite(idx int) []byte {
 }
 
 func (m *Memory) check(off uint32, n int) error {
-	// n is small and positive for typed accesses; end computed in 64 bits to
-	// avoid overflow.
-	if int64(off)+int64(n) > int64(m.Size()) {
+	// A negative length is out of bounds. The end and the size are computed
+	// in 64 bits: a full 65536-page memory is 4 GiB, which Size's uint32
+	// cannot express.
+	if n < 0 || int64(off)+int64(n) > int64(len(m.pages))<<pageShift {
 		return ErrOutOfBounds
+	}
+	return nil
+}
+
+// ReadablePage and WritablePage are the VM's load/store fast path: they
+// return the PageSize-byte backing of page idx (guest address >> 16) when a
+// typed access can go straight to it, and nil when it cannot — the page is
+// out of range or still an untouched zero page, or (for writes) must first
+// be copied out of a snapshot. A nil result is not an error: the caller
+// falls back to the checked accessors (ReadU64, WriteU64, ...), which also
+// handle accesses that straddle a page boundary. Both are small enough to
+// inline into the interpreter loop.
+func (m *Memory) ReadablePage(idx uint64) []byte {
+	if idx < uint64(len(m.pages)) {
+		return m.pages[idx].buf
+	}
+	return nil
+}
+
+// WritablePage is ReadablePage for stores; see there.
+func (m *Memory) WritablePage(idx uint64) []byte {
+	if idx < uint64(len(m.pages)) && !m.pages[idx].cow {
+		return m.pages[idx].buf
 	}
 	return nil
 }
@@ -400,9 +424,6 @@ func (m *Memory) write(off uint32, src []byte) error {
 
 // ReadBytes returns a copy of n bytes at off.
 func (m *Memory) ReadBytes(off uint32, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, ErrOutOfBounds
-	}
 	if err := m.check(off, n); err != nil {
 		return nil, err
 	}
@@ -421,27 +442,70 @@ func (m *Memory) WriteBytes(off uint32, src []byte) error {
 	return m.write(off, src)
 }
 
-// Zero clears n bytes at off.
-func (m *Memory) Zero(off uint32, n int) error {
+// Fill sets n bytes at off to val (the memory.fill instruction). The range
+// is bounds-checked before anything is touched or allocated, and filling
+// with zero leaves untouched zero pages unmaterialised.
+func (m *Memory) Fill(off uint32, val byte, n int) error {
 	if err := m.check(off, n); err != nil {
 		return err
 	}
 	for n > 0 {
 		idx := int(off >> pageShift)
 		po := int(off & pageMask)
-		c := PageSize - po
-		if c > n {
-			c = n
-		}
-		p := &m.pages[idx]
-		if p.buf != nil || p.seg != nil {
-			buf := m.pageForWrite(idx)
-			for i := po; i < po+c; i++ {
-				buf[i] = 0
+		c := min(PageSize-po, n)
+		if p := &m.pages[idx]; val != 0 || p.buf != nil {
+			buf := m.pageForWrite(idx)[po : po+c]
+			for i := range buf {
+				buf[i] = val
 			}
 		}
 		n -= c
 		off += uint32(c)
+	}
+	return nil
+}
+
+// Copy moves n bytes from src to dst inside the memory with memmove
+// semantics (the memory.copy instruction): the ranges may overlap. It works
+// a page-bounded chunk at a time, front to back when dst is below src and
+// back to front otherwise, so no temporary is needed and an overlapping
+// source is never overwritten before it is read.
+func (m *Memory) Copy(dst, src uint32, n int) error {
+	if err := m.check(src, n); err != nil {
+		return err
+	}
+	if err := m.check(dst, n); err != nil {
+		return err
+	}
+	backward := dst > src
+	for n > 0 {
+		// The chunk ends at the nearer page boundary of the two ranges, taken
+		// from whichever end the copy is working from.
+		var c int
+		if backward {
+			c = min(n, int((src+uint32(n)-1)&pageMask)+1, int((dst+uint32(n)-1)&pageMask)+1)
+		} else {
+			c = min(n, PageSize-int(src&pageMask), PageSize-int(dst&pageMask))
+		}
+		so, do := src, dst
+		if backward {
+			so, do = src+uint32(n-c), dst+uint32(n-c)
+		} else {
+			src, dst = src+uint32(c), dst+uint32(c)
+		}
+		n -= c
+		si, di := int(so>>pageShift), int(do>>pageShift)
+		if m.pages[si].buf == nil && m.pages[di].buf == nil {
+			continue // zero page onto zero page
+		}
+		// Materialise the destination first: if both ranges share a
+		// copy-on-write page, the source must be read from the fresh copy.
+		to := m.pageForWrite(di)[do&pageMask:][:c]
+		if from := m.pageForRead(si); from != nil {
+			copy(to, from[so&pageMask:][:c])
+		} else {
+			clear(to)
+		}
 	}
 	return nil
 }
@@ -453,9 +517,6 @@ func (m *Memory) Zero(off uint32, n int) error {
 // range is materialised for writing. Returns ErrOutOfBounds if the range is
 // not contiguous in the backing store.
 func (m *Memory) View(off uint32, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, ErrOutOfBounds
-	}
 	if err := m.check(off, n); err != nil {
 		return nil, err
 	}

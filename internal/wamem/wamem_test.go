@@ -2,6 +2,7 @@ package wamem
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -362,31 +363,143 @@ func TestSnapshotOfRestoredMemory(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
+func TestFill(t *testing.T) {
 	m := MustNew(2, 0)
-	data := make([]byte, 3000)
-	for i := range data {
-		data[i] = 0xff
-	}
-	if err := m.WriteBytes(PageSize-1500, data); err != nil {
+	if err := m.Fill(PageSize-1500, 0xff, 3000); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Zero(PageSize-1500, 3000); err != nil {
+	got, _ := m.ReadBytes(PageSize-1501, 3002)
+	for i, b := range got {
+		want := byte(0xff)
+		if i == 0 || i == len(got)-1 {
+			want = 0
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x after fill, want %#x", i, b, want)
+		}
+	}
+	if err := m.Fill(PageSize-1500, 0, 3000); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := m.ReadBytes(PageSize-1500, 3000)
+	got, _ = m.ReadBytes(PageSize-1500, 3000)
 	for i, b := range got {
 		if b != 0 {
 			t.Fatalf("byte %d not zeroed", i)
 		}
 	}
-	// Zero on untouched pages must not materialise them.
+	// A zero fill of untouched pages must not materialise them.
 	m2 := MustNew(1, 0)
-	if err := m2.Zero(0, PageSize); err != nil {
+	if err := m2.Fill(0, 0, PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Footprint() != 0 {
-		t.Fatal("Zero materialised an untouched page")
+		t.Fatal("zero fill materialised an untouched page")
+	}
+	// Out of range is refused before anything is written or allocated.
+	if err := m2.Fill(PageSize-1, 7, 2); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("fill past the end: %v", err)
+	}
+	if err := m2.Fill(0, 7, 1<<32-1); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("4 GiB fill of a one-page memory: %v", err)
+	}
+	if m2.Footprint() != 0 {
+		t.Fatal("refused fill materialised a page")
+	}
+	// A fill of a restored page copies it; the snapshot keeps its bytes.
+	m.WriteU8(10, 1)
+	snap := m.Snapshot()
+	r := snap.Restore()
+	if err := r.Fill(0, 9, 20); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := m.ReadU8(10); b != 1 {
+		t.Fatalf("fill leaked through copy-on-write: %d", b)
+	}
+}
+
+// TestCopy checks memory.copy's memmove contract against a flat model for
+// overlapping ranges in both directions, page-straddling ranges, untouched
+// zero pages on either side and copy-on-write pages.
+func TestCopy(t *testing.T) {
+	const size = 3 * PageSize
+	fresh := func() (*Memory, []byte) {
+		m := MustNew(3, 0)
+		model := make([]byte, size)
+		for i := PageSize - 4000; i < PageSize+4000; i++ {
+			model[i] = byte(i*7 + 1)
+		}
+		if err := m.WriteBytes(PageSize-4000, model[PageSize-4000:PageSize+4000]); err != nil {
+			t.Fatal(err)
+		}
+		return m, model
+	}
+	cases := []struct{ dst, src, n int }{
+		{PageSize - 3000, PageSize - 3500, 5000},   // overlap, dst above src, straddles
+		{PageSize - 3500, PageSize - 3000, 5000},   // overlap, dst below src, straddles
+		{2*PageSize + 100, PageSize - 2000, 4000},  // into an untouched page
+		{PageSize - 2000, 2*PageSize + 4000, 3000}, // from an untouched zero page
+		{2*PageSize + 10, 2*PageSize + 5000, 100},  // zero page onto zero page
+		{PageSize - 1, PageSize, 1},
+		{0, 0, size}, // whole memory onto itself
+		{5, 900, 0},
+	}
+	for _, snapshotFirst := range []bool{false, true} {
+		for _, c := range cases {
+			m, model := fresh()
+			if snapshotFirst {
+				m = m.Snapshot().Restore()
+			}
+			if err := m.Copy(uint32(c.dst), uint32(c.src), c.n); err != nil {
+				t.Fatalf("copy %+v: %v", c, err)
+			}
+			copy(model[c.dst:c.dst+c.n], model[c.src:c.src+c.n])
+			got, _ := m.ReadBytes(0, size)
+			if !bytes.Equal(got, model) {
+				t.Fatalf("copy %+v (cow=%v) diverged from memmove", c, snapshotFirst)
+			}
+		}
+	}
+	m, _ := fresh()
+	if err := m.Copy(0, size-10, 11); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("copy from past the end: %v", err)
+	}
+	if err := m.Copy(size-10, 0, 11); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("copy to past the end: %v", err)
+	}
+	owned := m.Footprint()
+	if err := m.Copy(2*PageSize, 2*PageSize+100, 1000); err != nil || m.Footprint() != owned {
+		t.Fatalf("zero-onto-zero copy materialised a page (err %v)", err)
+	}
+}
+
+// TestFastPathPages pins the contract the VM's load/store fast path relies
+// on: a page slice comes back only when a direct access is valid.
+func TestFastPathPages(t *testing.T) {
+	m := MustNew(2, 0)
+	if m.ReadablePage(0) != nil || m.WritablePage(0) != nil {
+		t.Fatal("untouched page offered for direct access")
+	}
+	if m.ReadablePage(2) != nil || m.WritablePage(1<<40) != nil {
+		t.Fatal("out-of-range page offered for direct access")
+	}
+	m.WriteU8(5, 9)
+	if pg := m.ReadablePage(0); len(pg) != PageSize || pg[5] != 9 {
+		t.Fatal("materialised page not readable directly")
+	}
+	if pg := m.WritablePage(0); len(pg) != PageSize {
+		t.Fatal("private page not writable directly")
+	}
+	r := m.Snapshot().Restore()
+	if r.ReadablePage(0) == nil || r.WritablePage(0) != nil || m.WritablePage(0) != nil {
+		t.Fatal("copy-on-write page must be readable but not directly writable")
+	}
+	r.WriteU8(5, 1)
+	if r.WritablePage(0) == nil {
+		t.Fatal("page still not directly writable after its copy")
+	}
+	full := MustNew(65536, 0)
+	if err := full.WriteU32(1<<32-4, 7); err != nil {
+		t.Fatalf("last word of a 4 GiB memory: %v", err)
 	}
 }
 

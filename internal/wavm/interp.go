@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"faasm.dev/faasm/internal/wamem"
 )
@@ -26,17 +25,34 @@ const DefaultMaxCallDepth = 512
 // its host interface and bound to a linear memory.
 type Instance struct {
 	mod     *Module
+	low     *lowered // mod's executable form, shared with its other instances
 	mem     *wamem.Memory
 	globals []uint64
 	table   []int32
 	hosts   []HostFunc
 
-	// Steps counts executed instructions, the VM-level analogue of the CPU
-	// cycle accounting in Table 3; the cgroup layer charges from it.
+	// Steps counts executed source instructions, the VM-level analogue of the
+	// CPU cycle accounting in Table 3; the cgroup layer charges from it. It is
+	// charged a basic block at a time, on entry: exact for every run that does
+	// not trap, and on a trap at most one block (less the trapping
+	// instruction) ahead of the instruction that trapped.
 	Steps uint64
-	// Fuel, when ≥ 0, is decremented per instruction; exhaustion traps. It
-	// implements the CPU quota half of resource isolation.
+	// Fuel, when ≥ 0, is the remaining instruction budget; exhaustion traps.
+	// It implements the CPU quota half of resource isolation. A block is
+	// entered only if the budget covers all of it, so the trap comes at most
+	// one block early, never late.
 	Fuel int64
+
+	// regs is the register file: one contiguous run of frames, each a window
+	// that starts at its caller's argument registers. It is allocated at the
+	// entry function's frame size on the first call and grows on demand.
+	regs []uint64
+	// sp is the first register free for a new entry frame: 0 at rest, and
+	// above the live frames while a host function runs, so a host function
+	// that calls back into the instance cannot clobber them.
+	sp int
+	// frames is the stack of suspended guest callers.
+	frames []lframe
 
 	maxDepth  int
 	skipStart bool
@@ -76,7 +92,16 @@ func Instantiate(mod *Module, imports map[string]HostModule, opts ...InstanceOpt
 	if !mod.Validated {
 		return nil, errors.New("wavm: refusing to instantiate unvalidated module")
 	}
-	inst := &Instance{mod: mod, Fuel: -1, maxDepth: DefaultMaxCallDepth}
+	low := mod.low
+	if low == nil {
+		// Not a product of Validate or DecodeObject: lower a private copy
+		// rather than publish one on a module other goroutines may share.
+		var err error
+		if low, err = lower(mod); err != nil {
+			return nil, err
+		}
+	}
+	inst := &Instance{mod: mod, low: low, Fuel: -1, maxDepth: DefaultMaxCallDepth}
 	for _, o := range opts {
 		o(inst)
 	}
@@ -172,366 +197,24 @@ func (i *Instance) CallIndex(idx int, args ...uint64) ([]uint64, error) {
 	if len(args) != len(ft.Params) {
 		return nil, fmt.Errorf("wavm: function %d wants %d args, got %d", idx, len(ft.Params), len(args))
 	}
-	return i.invoke(idx, args, 0)
-}
-
-func (i *Instance) invoke(fidx int, args []uint64, depth int) ([]uint64, error) {
-	if depth > i.maxDepth {
-		return nil, trap(TrapStackOverflow, fidx)
+	if idx < len(i.low.imports) {
+		return i.callHost(idx, args)
 	}
-	if fidx < len(i.mod.Imports) {
-		res, err := i.hosts[fidx](i, args)
-		if err != nil {
-			var t *Trap
-			if errors.As(err, &t) {
-				return nil, err
-			}
-			return nil, &Trap{Kind: TrapHostError, Func: fidx, Wrapped: err}
-		}
-		return res, nil
+	fn := &i.low.funcs[idx-len(i.low.imports)]
+	base := i.sp
+	if need := base + fn.nregs; need > len(i.regs) && !i.growRegs(need) {
+		return nil, trap(TrapStackOverflow, idx)
 	}
-	fn := &i.mod.Funcs[fidx-len(i.mod.Imports)]
-	ft := i.mod.Types[fn.Type]
-	locals := make([]uint64, len(ft.Params)+len(fn.Locals))
-	copy(locals, args)
-	return i.exec(fidx, fn, ft, locals, depth)
-}
-
-// exec runs one function body. The operand stack is pre-sized from the
-// validator's high-water mark so it never reallocates.
-func (i *Instance) exec(fidx int, fn *Function, ft FuncType, locals []uint64, depth int) ([]uint64, error) {
-	stack := make([]uint64, 0, fn.MaxStack)
-	code := fn.Code
-	mem := i.mem
-	pc := 0
-
-	push := func(v uint64) { stack = append(stack, v) }
-	pop := func() uint64 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
+	fr := i.regs[base : base+fn.nregs]
+	copy(fr, args)
+	clear(fr[fn.nparams:fn.nlocals])
+	if err := i.run(fn, base); err != nil {
+		return nil, err
 	}
-
-	for pc < len(code) {
-		in := &code[pc]
-		i.Steps++
-		if i.Fuel >= 0 {
-			if i.Fuel == 0 {
-				return nil, trap(TrapFuelExhausted, fidx)
-			}
-			i.Fuel--
-		}
-		switch in.Op {
-		case OpNop, OpBlock, OpLoop, OpEnd:
-			// Structure resolved at validation; nothing to do at runtime.
-
-		case OpUnreachable:
-			return nil, trap(TrapUnreachable, fidx)
-
-		case OpIf:
-			if pop() == 0 {
-				pc = int(in.A)
-				continue
-			}
-		case OpElse:
-			pc = int(in.A)
-			continue
-
-		case OpBr:
-			stack = branchAdjust(stack, int(in.B), int(in.C))
-			pc = int(in.A)
-			continue
-		case OpBrIf:
-			if pop() != 0 {
-				stack = branchAdjust(stack, int(in.B), int(in.C))
-				pc = int(in.A)
-				continue
-			}
-		case OpBrTable:
-			targets := fn.BrTables[in.A]
-			idx := int(uint32(pop()))
-			if idx >= len(targets)-1 {
-				idx = len(targets) - 1 // final entry is the default
-			}
-			t := targets[idx]
-			stack = branchAdjust(stack, int(t.Arity), int(t.Height))
-			pc = int(t.PC)
-			continue
-
-		case OpReturn:
-			if len(ft.Results) == 1 {
-				return []uint64{pop()}, nil
-			}
-			return nil, nil
-
-		case OpCall:
-			callee := int(in.A)
-			cft, err := i.mod.FuncTypeAt(callee)
-			if err != nil {
-				return nil, err
-			}
-			n := len(cft.Params)
-			args := make([]uint64, n)
-			copy(args, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			res, err := i.invoke(callee, args, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, res...)
-
-		case OpCallIndirect:
-			want := i.mod.Types[in.A]
-			elem := int(uint32(pop()))
-			if elem >= len(i.table) {
-				return nil, trap(TrapUndefinedElement, fidx)
-			}
-			callee := int(i.table[elem])
-			if callee < 0 {
-				return nil, trap(TrapUndefinedElement, fidx)
-			}
-			cft, err := i.mod.FuncTypeAt(callee)
-			if err != nil {
-				return nil, err
-			}
-			if !cft.Equal(want) {
-				return nil, trap(TrapIndirectTypeMismatch, fidx)
-			}
-			n := len(cft.Params)
-			args := make([]uint64, n)
-			copy(args, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			res, err := i.invoke(callee, args, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, res...)
-
-		case OpDrop:
-			pop()
-		case OpSelect:
-			c := pop()
-			b := pop()
-			a := pop()
-			if c != 0 {
-				push(a)
-			} else {
-				push(b)
-			}
-
-		case OpLocalGet:
-			push(locals[in.A])
-		case OpLocalSet:
-			locals[in.A] = pop()
-		case OpLocalTee:
-			locals[in.A] = stack[len(stack)-1]
-		case OpGlobalGet:
-			push(i.globals[in.A])
-		case OpGlobalSet:
-			i.globals[in.A] = pop()
-
-		case OpI32Const, OpF32Const:
-			push(uint64(uint32(in.C)))
-		case OpI64Const, OpF64Const:
-			push(uint64(in.C))
-
-		case OpMemorySize:
-			push(uint64(uint32(mem.Pages())))
-		case OpMemoryGrow:
-			delta := int(int32(uint32(pop())))
-			prev, err := mem.Grow(delta)
-			if err != nil {
-				push(uint64(uint32(0xffffffff))) // -1 on failure
-			} else {
-				push(uint64(uint32(prev)))
-			}
-		case OpMemoryCopy:
-			n := int(uint32(pop()))
-			src := uint32(pop())
-			dst := uint32(pop())
-			b, err := mem.ReadBytes(src, n)
-			if err != nil {
-				return nil, trap(TrapOutOfBounds, fidx)
-			}
-			if err := mem.WriteBytes(dst, b); err != nil {
-				return nil, trap(TrapOutOfBounds, fidx)
-			}
-		case OpMemoryFill:
-			n := int(uint32(pop()))
-			val := byte(uint32(pop()))
-			dst := uint32(pop())
-			if val == 0 {
-				if err := mem.Zero(dst, n); err != nil {
-					return nil, trap(TrapOutOfBounds, fidx)
-				}
-			} else {
-				b := make([]byte, n)
-				for j := range b {
-					b[j] = val
-				}
-				if err := mem.WriteBytes(dst, b); err != nil {
-					return nil, trap(TrapOutOfBounds, fidx)
-				}
-			}
-
-		default:
-			if in.Op >= OpI32Load && in.Op <= OpI64Store32 {
-				if err := i.memAccess(in, &stack, fidx); err != nil {
-					return nil, err
-				}
-			} else if err := i.numeric(in, &stack, fidx); err != nil {
-				return nil, err
-			}
-		}
-		pc++
+	if len(ft.Results) == 0 {
+		return nil, nil
 	}
-	if len(ft.Results) == 1 {
-		return []uint64{stack[len(stack)-1]}, nil
-	}
-	return nil, nil
-}
-
-// branchAdjust implements the wasm branch stack discipline: keep the top
-// arity values, cut the stack back to the label's entry height.
-func branchAdjust(stack []uint64, arity, height int) []uint64 {
-	if arity > 0 {
-		copy(stack[height:], stack[len(stack)-arity:])
-	}
-	return stack[:height+arity]
-}
-
-func (i *Instance) effAddr(in *Instr, dyn uint64, size int) (uint32, error) {
-	ea := dyn + uint64(uint32(in.A))
-	if ea+uint64(size) > uint64(i.mem.Size()) {
-		return 0, wamem.ErrOutOfBounds
-	}
-	return uint32(ea), nil
-}
-
-func (i *Instance) memAccess(in *Instr, stackp *[]uint64, fidx int) error {
-	stack := *stackp
-	oob := func() error { return trap(TrapOutOfBounds, fidx) }
-	switch in.Op {
-	case OpI32Load, OpF32Load:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 4)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU32(addr)
-		if err != nil {
-			return oob()
-		}
-		stack[len(stack)-1] = uint64(v)
-	case OpI64Load, OpF64Load:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 8)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU64(addr)
-		if err != nil {
-			return oob()
-		}
-		stack[len(stack)-1] = v
-	case OpI32Load8U, OpI32Load8S:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 1)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU8(addr)
-		if err != nil {
-			return oob()
-		}
-		if in.Op == OpI32Load8S {
-			stack[len(stack)-1] = uint64(uint32(int32(int8(v))))
-		} else {
-			stack[len(stack)-1] = uint64(v)
-		}
-	case OpI32Load16U, OpI32Load16S:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 2)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU16(addr)
-		if err != nil {
-			return oob()
-		}
-		if in.Op == OpI32Load16S {
-			stack[len(stack)-1] = uint64(uint32(int32(int16(v))))
-		} else {
-			stack[len(stack)-1] = uint64(v)
-		}
-	case OpI64Load32U, OpI64Load32S:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 4)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU32(addr)
-		if err != nil {
-			return oob()
-		}
-		if in.Op == OpI64Load32S {
-			stack[len(stack)-1] = uint64(int64(int32(v)))
-		} else {
-			stack[len(stack)-1] = uint64(v)
-		}
-
-	case OpI32Store, OpF32Store:
-		val := uint32(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 4)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU32(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI64Store, OpF64Store:
-		val := stack[len(stack)-1]
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 8)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU64(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI32Store8:
-		val := byte(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 1)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU8(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI32Store16:
-		val := uint16(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 2)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU16(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI64Store32:
-		val := uint32(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 4)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU32(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	}
-	return nil
+	return []uint64{i.regs[base]}, nil
 }
 
 // Raw value encoding helpers, shared with host-interface thunks.
@@ -553,342 +236,6 @@ func EncodeF32(v float32) uint64 { return uint64(math.Float32bits(v)) }
 
 // DecodeF32 decodes a raw VM value as float32.
 func DecodeF32(v uint64) float32 { return math.Float32frombits(uint32(v)) }
-
-func (i *Instance) numeric(in *Instr, stackp *[]uint64, fidx int) error {
-	stack := *stackp
-	top := len(stack) - 1
-	pushBool := func(b bool) {
-		if b {
-			stack[top-1] = 1
-		} else {
-			stack[top-1] = 0
-		}
-		*stackp = stack[:top]
-	}
-	pushBool1 := func(b bool) {
-		if b {
-			stack[top] = 1
-		} else {
-			stack[top] = 0
-		}
-	}
-	bin := func(v uint64) {
-		stack[top-1] = v
-		*stackp = stack[:top]
-	}
-
-	switch in.Op {
-	// --- i32 ---
-	case OpI32Eqz:
-		pushBool1(uint32(stack[top]) == 0)
-	case OpI32Eq:
-		pushBool(uint32(stack[top-1]) == uint32(stack[top]))
-	case OpI32Ne:
-		pushBool(uint32(stack[top-1]) != uint32(stack[top]))
-	case OpI32LtS:
-		pushBool(int32(stack[top-1]) < int32(stack[top]))
-	case OpI32LtU:
-		pushBool(uint32(stack[top-1]) < uint32(stack[top]))
-	case OpI32GtS:
-		pushBool(int32(stack[top-1]) > int32(stack[top]))
-	case OpI32GtU:
-		pushBool(uint32(stack[top-1]) > uint32(stack[top]))
-	case OpI32LeS:
-		pushBool(int32(stack[top-1]) <= int32(stack[top]))
-	case OpI32LeU:
-		pushBool(uint32(stack[top-1]) <= uint32(stack[top]))
-	case OpI32GeS:
-		pushBool(int32(stack[top-1]) >= int32(stack[top]))
-	case OpI32GeU:
-		pushBool(uint32(stack[top-1]) >= uint32(stack[top]))
-	case OpI32Clz:
-		stack[top] = uint64(uint32(bits.LeadingZeros32(uint32(stack[top]))))
-	case OpI32Ctz:
-		stack[top] = uint64(uint32(bits.TrailingZeros32(uint32(stack[top]))))
-	case OpI32Popcnt:
-		stack[top] = uint64(uint32(bits.OnesCount32(uint32(stack[top]))))
-	case OpI32Add:
-		bin(uint64(uint32(stack[top-1]) + uint32(stack[top])))
-	case OpI32Sub:
-		bin(uint64(uint32(stack[top-1]) - uint32(stack[top])))
-	case OpI32Mul:
-		bin(uint64(uint32(stack[top-1]) * uint32(stack[top])))
-	case OpI32DivS:
-		d := int32(stack[top])
-		n := int32(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt32 && d == -1 {
-			return trap(TrapIntOverflow, fidx)
-		}
-		bin(uint64(uint32(n / d)))
-	case OpI32DivU:
-		d := uint32(stack[top])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(uint64(uint32(stack[top-1]) / d))
-	case OpI32RemS:
-		d := int32(stack[top])
-		n := int32(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt32 && d == -1 {
-			bin(0)
-		} else {
-			bin(uint64(uint32(n % d)))
-		}
-	case OpI32RemU:
-		d := uint32(stack[top])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(uint64(uint32(stack[top-1]) % d))
-	case OpI32And:
-		bin(uint64(uint32(stack[top-1]) & uint32(stack[top])))
-	case OpI32Or:
-		bin(uint64(uint32(stack[top-1]) | uint32(stack[top])))
-	case OpI32Xor:
-		bin(uint64(uint32(stack[top-1]) ^ uint32(stack[top])))
-	case OpI32Shl:
-		bin(uint64(uint32(stack[top-1]) << (uint32(stack[top]) & 31)))
-	case OpI32ShrS:
-		bin(uint64(uint32(int32(stack[top-1]) >> (uint32(stack[top]) & 31))))
-	case OpI32ShrU:
-		bin(uint64(uint32(stack[top-1]) >> (uint32(stack[top]) & 31)))
-	case OpI32Rotl:
-		bin(uint64(bits.RotateLeft32(uint32(stack[top-1]), int(uint32(stack[top])&31))))
-	case OpI32Rotr:
-		bin(uint64(bits.RotateLeft32(uint32(stack[top-1]), -int(uint32(stack[top])&31))))
-
-	// --- i64 ---
-	case OpI64Eqz:
-		pushBool1(stack[top] == 0)
-	case OpI64Eq:
-		pushBool(stack[top-1] == stack[top])
-	case OpI64Ne:
-		pushBool(stack[top-1] != stack[top])
-	case OpI64LtS:
-		pushBool(int64(stack[top-1]) < int64(stack[top]))
-	case OpI64LtU:
-		pushBool(stack[top-1] < stack[top])
-	case OpI64GtS:
-		pushBool(int64(stack[top-1]) > int64(stack[top]))
-	case OpI64GtU:
-		pushBool(stack[top-1] > stack[top])
-	case OpI64LeS:
-		pushBool(int64(stack[top-1]) <= int64(stack[top]))
-	case OpI64LeU:
-		pushBool(stack[top-1] <= stack[top])
-	case OpI64GeS:
-		pushBool(int64(stack[top-1]) >= int64(stack[top]))
-	case OpI64GeU:
-		pushBool(stack[top-1] >= stack[top])
-	case OpI64Clz:
-		stack[top] = uint64(bits.LeadingZeros64(stack[top]))
-	case OpI64Ctz:
-		stack[top] = uint64(bits.TrailingZeros64(stack[top]))
-	case OpI64Popcnt:
-		stack[top] = uint64(bits.OnesCount64(stack[top]))
-	case OpI64Add:
-		bin(stack[top-1] + stack[top])
-	case OpI64Sub:
-		bin(stack[top-1] - stack[top])
-	case OpI64Mul:
-		bin(stack[top-1] * stack[top])
-	case OpI64DivS:
-		d := int64(stack[top])
-		n := int64(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt64 && d == -1 {
-			return trap(TrapIntOverflow, fidx)
-		}
-		bin(uint64(n / d))
-	case OpI64DivU:
-		if stack[top] == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(stack[top-1] / stack[top])
-	case OpI64RemS:
-		d := int64(stack[top])
-		n := int64(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt64 && d == -1 {
-			bin(0)
-		} else {
-			bin(uint64(n % d))
-		}
-	case OpI64RemU:
-		if stack[top] == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(stack[top-1] % stack[top])
-	case OpI64And:
-		bin(stack[top-1] & stack[top])
-	case OpI64Or:
-		bin(stack[top-1] | stack[top])
-	case OpI64Xor:
-		bin(stack[top-1] ^ stack[top])
-	case OpI64Shl:
-		bin(stack[top-1] << (stack[top] & 63))
-	case OpI64ShrS:
-		bin(uint64(int64(stack[top-1]) >> (stack[top] & 63)))
-	case OpI64ShrU:
-		bin(stack[top-1] >> (stack[top] & 63))
-	case OpI64Rotl:
-		bin(bits.RotateLeft64(stack[top-1], int(stack[top]&63)))
-	case OpI64Rotr:
-		bin(bits.RotateLeft64(stack[top-1], -int(stack[top]&63)))
-
-	// --- f64 ---
-	case OpF64Eq:
-		pushBool(DecodeF64(stack[top-1]) == DecodeF64(stack[top]))
-	case OpF64Ne:
-		pushBool(DecodeF64(stack[top-1]) != DecodeF64(stack[top]))
-	case OpF64Lt:
-		pushBool(DecodeF64(stack[top-1]) < DecodeF64(stack[top]))
-	case OpF64Gt:
-		pushBool(DecodeF64(stack[top-1]) > DecodeF64(stack[top]))
-	case OpF64Le:
-		pushBool(DecodeF64(stack[top-1]) <= DecodeF64(stack[top]))
-	case OpF64Ge:
-		pushBool(DecodeF64(stack[top-1]) >= DecodeF64(stack[top]))
-	case OpF64Abs:
-		stack[top] = EncodeF64(math.Abs(DecodeF64(stack[top])))
-	case OpF64Neg:
-		stack[top] = stack[top] ^ (1 << 63)
-	case OpF64Ceil:
-		stack[top] = EncodeF64(math.Ceil(DecodeF64(stack[top])))
-	case OpF64Floor:
-		stack[top] = EncodeF64(math.Floor(DecodeF64(stack[top])))
-	case OpF64Trunc:
-		stack[top] = EncodeF64(math.Trunc(DecodeF64(stack[top])))
-	case OpF64Nearest:
-		stack[top] = EncodeF64(math.RoundToEven(DecodeF64(stack[top])))
-	case OpF64Sqrt:
-		stack[top] = EncodeF64(math.Sqrt(DecodeF64(stack[top])))
-	case OpF64Add:
-		bin(EncodeF64(DecodeF64(stack[top-1]) + DecodeF64(stack[top])))
-	case OpF64Sub:
-		bin(EncodeF64(DecodeF64(stack[top-1]) - DecodeF64(stack[top])))
-	case OpF64Mul:
-		bin(EncodeF64(DecodeF64(stack[top-1]) * DecodeF64(stack[top])))
-	case OpF64Div:
-		bin(EncodeF64(DecodeF64(stack[top-1]) / DecodeF64(stack[top])))
-	case OpF64Min:
-		bin(EncodeF64(wasmMin(DecodeF64(stack[top-1]), DecodeF64(stack[top]))))
-	case OpF64Max:
-		bin(EncodeF64(wasmMax(DecodeF64(stack[top-1]), DecodeF64(stack[top]))))
-	case OpF64Copysign:
-		bin(EncodeF64(math.Copysign(DecodeF64(stack[top-1]), DecodeF64(stack[top]))))
-
-	// --- f32 ---
-	case OpF32Eq:
-		pushBool(DecodeF32(stack[top-1]) == DecodeF32(stack[top]))
-	case OpF32Ne:
-		pushBool(DecodeF32(stack[top-1]) != DecodeF32(stack[top]))
-	case OpF32Lt:
-		pushBool(DecodeF32(stack[top-1]) < DecodeF32(stack[top]))
-	case OpF32Gt:
-		pushBool(DecodeF32(stack[top-1]) > DecodeF32(stack[top]))
-	case OpF32Le:
-		pushBool(DecodeF32(stack[top-1]) <= DecodeF32(stack[top]))
-	case OpF32Ge:
-		pushBool(DecodeF32(stack[top-1]) >= DecodeF32(stack[top]))
-	case OpF32Abs:
-		stack[top] = EncodeF32(float32(math.Abs(float64(DecodeF32(stack[top])))))
-	case OpF32Neg:
-		stack[top] = uint64(uint32(stack[top]) ^ (1 << 31))
-	case OpF32Sqrt:
-		stack[top] = EncodeF32(float32(math.Sqrt(float64(DecodeF32(stack[top])))))
-	case OpF32Add:
-		bin(EncodeF32(DecodeF32(stack[top-1]) + DecodeF32(stack[top])))
-	case OpF32Sub:
-		bin(EncodeF32(DecodeF32(stack[top-1]) - DecodeF32(stack[top])))
-	case OpF32Mul:
-		bin(EncodeF32(DecodeF32(stack[top-1]) * DecodeF32(stack[top])))
-	case OpF32Div:
-		bin(EncodeF32(DecodeF32(stack[top-1]) / DecodeF32(stack[top])))
-	case OpF32Min:
-		bin(EncodeF32(float32(wasmMin(float64(DecodeF32(stack[top-1])), float64(DecodeF32(stack[top]))))))
-	case OpF32Max:
-		bin(EncodeF32(float32(wasmMax(float64(DecodeF32(stack[top-1])), float64(DecodeF32(stack[top]))))))
-
-	// --- conversions ---
-	case OpI32WrapI64:
-		stack[top] = uint64(uint32(stack[top]))
-	case OpI64ExtendI32S:
-		stack[top] = uint64(int64(int32(stack[top])))
-	case OpI64ExtendI32U:
-		stack[top] = uint64(uint32(stack[top]))
-	case OpI32TruncF64S:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(int32(f)))
-	case OpI32TruncF64U:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(f))
-	case OpI64TruncF64S:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 9.223372036854776e18 || f < -9.223372036854776e18 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(int64(f))
-	case OpI64TruncF64U:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 1.8446744073709552e19 || f <= -1 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(f)
-	case OpI32TruncF32S:
-		f := float64(DecodeF32(stack[top]))
-		if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(int32(f)))
-	case OpI32TruncF32U:
-		f := float64(DecodeF32(stack[top]))
-		if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(f))
-	case OpF64ConvertI32S:
-		stack[top] = EncodeF64(float64(int32(stack[top])))
-	case OpF64ConvertI32U:
-		stack[top] = EncodeF64(float64(uint32(stack[top])))
-	case OpF64ConvertI64S:
-		stack[top] = EncodeF64(float64(int64(stack[top])))
-	case OpF64ConvertI64U:
-		stack[top] = EncodeF64(float64(stack[top]))
-	case OpF32ConvertI32S:
-		stack[top] = EncodeF32(float32(int32(stack[top])))
-	case OpF32ConvertI64S:
-		stack[top] = EncodeF32(float32(int64(stack[top])))
-	case OpF64PromoteF32:
-		stack[top] = EncodeF64(float64(DecodeF32(stack[top])))
-	case OpF32DemoteF64:
-		stack[top] = EncodeF32(float32(DecodeF64(stack[top])))
-	case OpI32ReinterpretF32, OpF32ReinterpretI32:
-		stack[top] = uint64(uint32(stack[top]))
-	case OpI64ReinterpretF64, OpF64ReinterpretI64:
-		// Raw encoding is already the reinterpretation.
-
-	default:
-		return fmt.Errorf("wavm: unimplemented opcode %s", in.Op)
-	}
-	return nil
-}
 
 // wasmMin implements the wasm min semantics: NaN-propagating, -0 < +0.
 func wasmMin(a, b float64) float64 {

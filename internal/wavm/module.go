@@ -51,16 +51,13 @@ type Function struct {
 	Code   []Instr
 	// BrTables holds br_table target lists, referenced by Instr.A.
 	BrTables [][]BrTarget
-	// MaxStack is the operand-stack high-water mark computed by the
-	// validator, letting the interpreter pre-allocate exactly.
-	MaxStack int
 	// Name is the optional debug name from the text format.
 	Name string
 }
 
 // Module is a decoded, possibly-validated wavm module. After Validate
-// succeeds, branch immediates hold absolute PCs and the module is
-// executable.
+// succeeds, branch immediates hold absolute PCs and the module carries its
+// executable form.
 type Module struct {
 	Types   []FuncType
 	Imports []Import
@@ -78,6 +75,15 @@ type Module struct {
 	// Validated is set by Validate; Instantiate refuses unvalidated modules,
 	// mirroring the paper's untrusted-compilation / trusted-codegen split.
 	Validated bool
+
+	// low is the register-form code instances execute, built by Validate and
+	// DecodeObject — the two places a module becomes Validated — and shared
+	// read-only by every instance. It is unexported so that it never reaches
+	// an object file: lowered code has its branch targets and register
+	// indices already resolved, and nothing crossing a storage boundary
+	// should be executed on trust. Lowering is linear and cheap; a decoded
+	// object lowers again.
+	low *lowered
 }
 
 // NumImports returns the number of imported functions, which occupy the
@@ -158,6 +164,11 @@ func DecodeObject(b []byte) (*Module, error) {
 	}
 	if !m.Validated {
 		return nil, fmt.Errorf("wavm: object file contains unvalidated module")
+	}
+	// The flag is only a claim: lowering re-derives what it relies on and
+	// refuses code the validator would not have produced.
+	if err := lowerInto(&m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -198,8 +198,8 @@ const (
 	OpF64ReinterpretI64
 )
 
-// Instr is one decoded instruction. Immediates are pre-resolved by the
-// validator (branch targets become absolute PCs), so the interpreter never
+// Instr is one decoded source instruction. Immediates are pre-resolved by
+// the validator (branch targets become absolute PCs), so lowering never
 // re-derives control structure.
 type Instr struct {
 	Op Op

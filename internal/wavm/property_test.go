@@ -7,7 +7,7 @@ import (
 )
 
 // binModule builds a module exposing one binary i32/i64 op.
-func binModule(t *testing.T, ty, op string) *Instance {
+func binModule(t *testing.T, ty, op string) *pair {
 	t.Helper()
 	src := `(module
 	  (func $f (export "f") (param ` + ty + ` ` + ty + `) (result ` + ty + `)

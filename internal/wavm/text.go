@@ -183,6 +183,11 @@ func tokenize(src string) ([]token, error) {
 			for j < len(src) && !strings.ContainsRune(" \t\r\n();\"", rune(src[j])) {
 				j++
 			}
+			if j == i {
+				// A ';' that opens no comment: it is a delimiter, so the scan
+				// above consumed nothing and would never advance.
+				return nil, fmt.Errorf("wavm: line %d: stray ';'", line)
+			}
 			toks = append(toks, token{text: src[i:j], line: line})
 			i = j
 		}

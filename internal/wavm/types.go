@@ -3,15 +3,30 @@
 // execution model. Functions are compiled (from the wat-like text format or
 // the fcc toolchain) into modules, validated exactly once in the trusted
 // code-generation phase (Fig 3 of the paper), linked against host-interface
-// thunks, and interpreted with full software-fault isolation: every memory
+// thunks, and executed with full software-fault isolation: every memory
 // access is bounds-checked against the instance's linear memory and every
 // violation raises a Trap.
 //
-// The paper uses WAVM (an LLVM-based WebAssembly JIT); Go cannot JIT from
-// the standard library, so wavm interprets. The isolation semantics —
-// validated modules, linear memory, typed function tables, traps — are the
-// same, and the evaluation reproduces the paper's *relative* overheads by
-// comparing wavm execution against native execution of identical kernels.
+// The paper uses WAVM (an LLVM-based WebAssembly JIT); Go cannot emit
+// machine code from the standard library, so the code-generation phase
+// stops one step short of it. Validate (validate.go) type-checks the stack
+// code and resolves its control flow; lower (lower.go) then rewrites each
+// function, once, into register-form code — stack slots become frame
+// registers, local.get/const fold into their consumers, block structure
+// disappears, the hot pairs fuse — and Instance.exec (exec.go) is a single
+// switch loop over that code, on one register file per instance, charging
+// Steps and Fuel a basic block at a time. That is the only engine: lowering
+// happens wherever a module becomes Validated (Validate, DecodeObject), its
+// result is shared by all instances of the module and never serialised, and
+// the stack interpreter it replaced survives only in this package's test
+// files as the reference of the differential tests and FuzzLowerVsRef. See
+// "Execution tier" in docs/ARCHITECTURE.md for the frame layout and the
+// Steps/Fuel contract.
+//
+// The isolation semantics — validated modules, linear memory, typed
+// function tables, traps — are the paper's, and the evaluation reproduces
+// its *relative* overheads by comparing wavm execution against native
+// execution of identical kernels.
 package wavm
 
 import "fmt"

@@ -13,11 +13,15 @@ import (
 // binaries arriving from untrusted user toolchains must pass here before
 // they can ever execute.
 //
-// On success the module is marked Validated and its branch instructions
-// carry (target PC, arity, stack height) immediates; the interpreter never
-// re-derives control structure.
+// On success the module is marked Validated, its branch instructions carry
+// (target PC, arity, stack height) immediates, and its executable
+// register-form code has been built from them (lower.go): validation and
+// lowering are the two halves of the one trusted step.
 func Validate(m *Module) error {
 	if m.Validated {
+		if m.low == nil {
+			return lowerInto(m)
+		}
 		return nil
 	}
 	if m.MemMax != 0 && m.MemMax < m.MemMin {
@@ -65,6 +69,16 @@ func Validate(m *Module) error {
 		}
 	}
 	m.Validated = true
+	return lowerInto(m)
+}
+
+// lowerInto attaches m's executable form (see lower.go).
+func lowerInto(m *Module) error {
+	low, err := lower(m)
+	if err != nil {
+		return err
+	}
+	m.low = low
 	return nil
 }
 
@@ -90,12 +104,11 @@ type ctrlFrame struct {
 type tablePatch struct{ table, entry int }
 
 type validator struct {
-	m        *Module
-	fn       *Function
-	locals   []ValueType
-	stack    []ValueType
-	ctrl     []ctrlFrame
-	maxStack int
+	m      *Module
+	fn     *Function
+	locals []ValueType
+	stack  []ValueType
+	ctrl   []ctrlFrame
 }
 
 func validateFunc(m *Module, fi int) error {
@@ -125,8 +138,7 @@ func validateFunc(m *Module, fi int) error {
 		return fmt.Errorf("unbalanced control flow: %d frames open", len(v.ctrl))
 	}
 	// Close the implicit function frame: results must be on the stack, and
-	// branches to it jump past the end of the code (the interpreter's
-	// return point).
+	// branches to it jump past the end of the code (the return point).
 	f := &v.ctrl[0]
 	endPC := int32(len(fn.Code))
 	for _, i := range f.patchInstrs {
@@ -143,16 +155,10 @@ func validateFunc(m *Module, fi int) error {
 			return fmt.Errorf("function leaves %d values on the stack, wants %d", len(v.stack), f.arity)
 		}
 	}
-	fn.MaxStack = v.maxStack + 2 // headroom for the branch-copy slot
 	return nil
 }
 
-func (v *validator) push(t ValueType) {
-	v.stack = append(v.stack, t)
-	if len(v.stack) > v.maxStack {
-		v.maxStack = len(v.stack)
-	}
-}
+func (v *validator) push(t ValueType) { v.stack = append(v.stack, t) }
 
 func (v *validator) pop(want ValueType) error {
 	f := &v.ctrl[len(v.ctrl)-1]

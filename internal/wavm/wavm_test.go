@@ -3,6 +3,7 @@ package wavm
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,13 +21,16 @@ func run(t *testing.T, src, fn string, args ...uint64) []uint64 {
 	return res
 }
 
-func instance(t *testing.T, src string) *Instance {
+// instance assembles src and instantiates it for both engines (diff_test.go):
+// every call a test makes through the result is checked against the
+// reference engine as well as against the test's own expectation.
+func instance(t *testing.T, src string) *pair {
 	t.Helper()
 	mod, err := AssembleAndValidate(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	inst, err := Instantiate(mod, nil)
+	inst, err := newPair(t, mod, nil, nil)
 	if err != nil {
 		t.Fatalf("instantiate: %v", err)
 	}
@@ -395,14 +399,16 @@ func TestFuelExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Instantiate(mod, nil, WithFuel(10000))
+	inst, err := newPair(t, mod, nil, func() []InstanceOption { return []InstanceOption{WithFuel(10000)} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = inst.Call("spin")
 	assertTrap(t, err, TrapFuelExhausted)
-	if inst.Steps == 0 {
-		t.Fatal("steps not counted")
+	// The reference runs 10000 instructions and traps on the next; the
+	// block-granular engine reports the same count.
+	if inst.Steps() != 10001 || inst.low.Fuel != 0 {
+		t.Fatalf("steps %d, fuel %d after exhausting 10000", inst.Steps(), inst.low.Fuel)
 	}
 }
 
@@ -452,13 +458,13 @@ func TestHostImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Instantiate(mod, map[string]HostModule{
+	inst, err := newPair(t, mod, map[string]HostModule{
 		"env": {
 			"mul3": func(_ *Instance, args []uint64) ([]uint64, error) {
 				return []uint64{EncodeI32(DecodeI32(args[0]) * 3)}, nil
 			},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,11 +482,11 @@ func TestHostErrorBecomesTrap(t *testing.T) {
 	  (import "env" "boom" (func $boom))
 	  (func $f (export "f") call $boom))`
 	mod, _ := AssembleAndValidate(src)
-	inst, err := Instantiate(mod, map[string]HostModule{
+	inst, err := newPair(t, mod, map[string]HostModule{
 		"env": {"boom": func(_ *Instance, _ []uint64) ([]uint64, error) {
 			return nil, errors.New("kaboom")
 		}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +584,7 @@ func TestObjectRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Instantiate(back, nil)
+	inst, err := newPair(t, back, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +613,7 @@ func TestWithMemoryBindsRestoredSnapshot(t *testing.T) {
 	mem := wamem.MustNew(1, 0)
 	mem.WriteU32(0, 777)
 	snap := mem.Snapshot()
-	inst, err := Instantiate(mod, nil, WithMemory(snap.Restore()))
+	inst, err := newPair(t, mod, nil, func() []InstanceOption { return []InstanceOption{WithMemory(snap.Restore())} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,6 +702,47 @@ func TestMemoryCopyFill(t *testing.T) {
 	}
 }
 
+// TestMemoryFillChecksBoundsBeforeAllocating: memory.fill with a non-zero
+// byte used to build its n-byte pattern — n chosen by the guest, up to
+// 4 GiB — before checking that the range was in bounds, so one instruction
+// in an uploaded module could make the host allocate 4 GiB to discover a
+// trap. The fill and the copy now check first and work in place.
+func TestMemoryFillChecksBoundsBeforeAllocating(t *testing.T) {
+	mod, err := AssembleAndValidate(`(module
+	  (memory 1)
+	  (func (export "fill") (param $n i32)
+	    i32.const 0 i32.const 171 local.get $n memory.fill)
+	  (func (export "copy") (param $n i32)
+	    i32.const 8 i32.const 0 local.get $n memory.copy))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := Instantiate(mod, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range []string{"fill", "copy"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := inst.Call(fn, EncodeI32(-1)) // n = 0xFFFFFFFF
+		runtime.ReadMemStats(&after)
+		assertTrap(t, err, TrapOutOfBounds)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("an out-of-bounds %s of 4 GiB allocated %d bytes before trapping", fn, grew)
+		}
+	}
+	// In bounds, neither allocates beyond the page it touches.
+	if _, err := inst.Call("fill", EncodeI32(40000)); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		inst.Call("fill", EncodeI32(40000))
+		inst.Call("copy", EncodeI32(40000))
+	}); n > 2 {
+		t.Fatalf("in-place fill and copy cost %v allocations", n)
+	}
+}
+
 func TestRotates(t *testing.T) {
 	src := `(module
 	  (func $rotl (export "rotl") (param i32 i32) (result i32)
@@ -717,7 +764,8 @@ func TestTextErrors(t *testing.T) {
 		`(module (memory))`,
 		`(module (data (i32.const 0) "x"))`, // data without memory
 		`(module (func $f block end end))`,
-		`(module`, // unclosed
+		`(module`,                      // unclosed
+		`(module (func $f nop ; nop))`, // a lone ';' once hung the tokenizer
 	}
 	for i, src := range bad {
 		if _, err := Assemble(src); err == nil {
