@@ -190,6 +190,50 @@ func TestLowered2mmShape(t *testing.T) {
 	}
 }
 
+// TestFusedFormsHaveSites is the admission rule for fused forms: each one
+// the executor carries must be emitted somewhere in the kernels suite, the
+// compute workloads the repo serves. The per-family counts it logs are the
+// census in the Execution tier section of docs/ARCHITECTURE.md.
+func TestFusedFormsHaveSites(t *testing.T) {
+	sites := map[string]int{}
+	for _, k := range kernels.All() {
+		mod, err := kernels.CompileKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		low, err := wavm.Lower(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range low.Stats(mod).Ops {
+			sites[name] += n
+		}
+	}
+	brReg, brImm := 0, 0
+	for name, n := range sites {
+		if strings.HasPrefix(name, "br_if i32.") {
+			if strings.HasSuffix(name, " imm") {
+				brImm += n
+			} else {
+				brReg += n
+			}
+			t.Logf("%4d %s", n, name)
+		}
+	}
+	if brReg == 0 || brImm == 0 {
+		t.Errorf("i32 compare-and-branch: %d register sites, %d immediate sites", brReg, brImm)
+	}
+	for _, name := range []string{
+		"i64.load[idx]", "i32.mul+add", "f64.add+mul",
+		"i32.add imm", "i32.mul imm", "i32.and imm", "f64.add imm", "f64.mul imm", "f64.div imm",
+	} {
+		t.Logf("%4d %s", sites[name], name)
+		if sites[name] == 0 {
+			t.Errorf("%s: no kernel emits it", name)
+		}
+	}
+}
+
 // BenchmarkLower2mm measures the work Validate and DecodeObject took on:
 // lowering time per module, and lowered bytes per source instruction.
 func BenchmarkLower2mm(b *testing.B) {

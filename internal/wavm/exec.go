@@ -1,6 +1,7 @@
 package wavm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -280,21 +281,6 @@ blocks:
 			case lI32AndI:
 				x, y := uint32(fr[in.b]), uint32(in.imm)
 				fr[in.a] = uint64(x & y)
-			case lI32OrI:
-				x, y := uint32(fr[in.b]), uint32(in.imm)
-				fr[in.a] = uint64(x | y)
-			case lI32XorI:
-				x, y := uint32(fr[in.b]), uint32(in.imm)
-				fr[in.a] = uint64(x ^ y)
-			case lI32ShlI:
-				x, y := uint32(fr[in.b]), uint32(in.imm)
-				fr[in.a] = uint64(x << (y & 31))
-			case lI32ShrSI:
-				x, y := uint32(fr[in.b]), uint32(in.imm)
-				fr[in.a] = uint64(uint32(int32(x) >> (y & 31)))
-			case lI32ShrUI:
-				x, y := uint32(fr[in.b]), uint32(in.imm)
-				fr[in.a] = uint64(x >> (y & 31))
 			case lop(OpI64Add):
 				x, y := fr[in.b], fr[in.c]
 				fr[in.a] = x + y
@@ -328,30 +314,6 @@ blocks:
 			case lop(OpI64Rotr):
 				x, y := fr[in.b], fr[in.c]
 				fr[in.a] = bits.RotateLeft64(x, -int(y&63))
-			case lI64AddI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x + y
-			case lI64MulI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x * y
-			case lI64AndI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x & y
-			case lI64OrI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x | y
-			case lI64XorI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x ^ y
-			case lI64ShlI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x << (y & 63)
-			case lI64ShrSI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = uint64(int64(x) >> (y & 63))
-			case lI64ShrUI:
-				x, y := fr[in.b], in.imm
-				fr[in.a] = x >> (y & 63)
 			case lop(OpI32DivS):
 				n, d := int32(fr[in.b]), int32(fr[in.c])
 				if d == 0 {
@@ -432,13 +394,6 @@ blocks:
 					pc++
 				}
 				continue blocks
-			case lBrI64 + 0:
-				if uint64(fr[in.a]) == uint64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpI32Ne):
 				fr[in.a] = b2u(uint32(fr[in.b]) != uint32(fr[in.c]))
 			case lop(OpI64Ne):
@@ -452,13 +407,6 @@ blocks:
 				continue blocks // i32.Ne
 			case lBrI32I + 1:
 				if uint32(fr[in.a]) != uint32(in.c) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrI64 + 1:
-				if uint64(fr[in.a]) != uint64(fr[in.b]) {
 					pc = int(in.imm)
 				} else {
 					pc++
@@ -482,13 +430,6 @@ blocks:
 					pc++
 				}
 				continue blocks
-			case lBrI64 + 2:
-				if int64(fr[in.a]) < int64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpI32LtU):
 				fr[in.a] = b2u(uint32(fr[in.b]) < uint32(fr[in.c]))
 			case lop(OpI64LtU):
@@ -502,13 +443,6 @@ blocks:
 				continue blocks // i32.LtU
 			case lBrI32I + 3:
 				if uint32(fr[in.a]) < uint32(in.c) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrI64 + 3:
-				if uint64(fr[in.a]) < uint64(fr[in.b]) {
 					pc = int(in.imm)
 				} else {
 					pc++
@@ -532,13 +466,6 @@ blocks:
 					pc++
 				}
 				continue blocks
-			case lBrI64 + 4:
-				if int64(fr[in.a]) > int64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpI32GtU):
 				fr[in.a] = b2u(uint32(fr[in.b]) > uint32(fr[in.c]))
 			case lop(OpI64GtU):
@@ -552,13 +479,6 @@ blocks:
 				continue blocks // i32.GtU
 			case lBrI32I + 5:
 				if uint32(fr[in.a]) > uint32(in.c) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrI64 + 5:
-				if uint64(fr[in.a]) > uint64(fr[in.b]) {
 					pc = int(in.imm)
 				} else {
 					pc++
@@ -582,13 +502,6 @@ blocks:
 					pc++
 				}
 				continue blocks
-			case lBrI64 + 6:
-				if int64(fr[in.a]) <= int64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpI32LeU):
 				fr[in.a] = b2u(uint32(fr[in.b]) <= uint32(fr[in.c]))
 			case lop(OpI64LeU):
@@ -602,13 +515,6 @@ blocks:
 				continue blocks // i32.LeU
 			case lBrI32I + 7:
 				if uint32(fr[in.a]) <= uint32(in.c) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrI64 + 7:
-				if uint64(fr[in.a]) <= uint64(fr[in.b]) {
 					pc = int(in.imm)
 				} else {
 					pc++
@@ -632,13 +538,6 @@ blocks:
 					pc++
 				}
 				continue blocks
-			case lBrI64 + 8:
-				if int64(fr[in.a]) >= int64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpI32GeU):
 				fr[in.a] = b2u(uint32(fr[in.b]) >= uint32(fr[in.c]))
 			case lop(OpI64GeU):
@@ -657,121 +556,30 @@ blocks:
 					pc++
 				}
 				continue blocks
-			case lBrI64 + 9:
-				if uint64(fr[in.a]) >= uint64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpF64Eq):
 				fr[in.a] = b2u(f64(fr[in.b]) == f64(fr[in.c]))
 			case lop(OpF32Eq):
 				fr[in.a] = b2u(f32(fr[in.b]) == f32(fr[in.c]))
-			case lBrF64 + 0:
-				if f64(fr[in.a]) == f64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrNotF64 + 0:
-				if !(f64(fr[in.a]) == f64(fr[in.b])) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpF64Ne):
 				fr[in.a] = b2u(f64(fr[in.b]) != f64(fr[in.c]))
 			case lop(OpF32Ne):
 				fr[in.a] = b2u(f32(fr[in.b]) != f32(fr[in.c]))
-			case lBrF64 + 1:
-				if f64(fr[in.a]) != f64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrNotF64 + 1:
-				if !(f64(fr[in.a]) != f64(fr[in.b])) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpF64Lt):
 				fr[in.a] = b2u(f64(fr[in.b]) < f64(fr[in.c]))
 			case lop(OpF32Lt):
 				fr[in.a] = b2u(f32(fr[in.b]) < f32(fr[in.c]))
-			case lBrF64 + 2:
-				if f64(fr[in.a]) < f64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrNotF64 + 2:
-				if !(f64(fr[in.a]) < f64(fr[in.b])) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpF64Gt):
 				fr[in.a] = b2u(f64(fr[in.b]) > f64(fr[in.c]))
 			case lop(OpF32Gt):
 				fr[in.a] = b2u(f32(fr[in.b]) > f32(fr[in.c]))
-			case lBrF64 + 3:
-				if f64(fr[in.a]) > f64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrNotF64 + 3:
-				if !(f64(fr[in.a]) > f64(fr[in.b])) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpF64Le):
 				fr[in.a] = b2u(f64(fr[in.b]) <= f64(fr[in.c]))
 			case lop(OpF32Le):
 				fr[in.a] = b2u(f32(fr[in.b]) <= f32(fr[in.c]))
-			case lBrF64 + 4:
-				if f64(fr[in.a]) <= f64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrNotF64 + 4:
-				if !(f64(fr[in.a]) <= f64(fr[in.b])) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpF64Ge):
 				fr[in.a] = b2u(f64(fr[in.b]) >= f64(fr[in.c]))
 			case lop(OpF32Ge):
 				fr[in.a] = b2u(f32(fr[in.b]) >= f32(fr[in.c]))
-			case lBrF64 + 5:
-				if f64(fr[in.a]) >= f64(fr[in.b]) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
-			case lBrNotF64 + 5:
-				if !(f64(fr[in.a]) >= f64(fr[in.b])) {
-					pc = int(in.imm)
-				} else {
-					pc++
-				}
-				continue blocks
 			case lop(OpI32Eqz):
 				fr[in.a] = b2u(uint32(fr[in.b]) == 0)
 			case lop(OpI64Eqz):
@@ -799,9 +607,6 @@ blocks:
 				fr[in.a] = EncodeF32(x + y)
 			case lop(OpF64Sub):
 				x, y := f64(fr[in.b]), f64(fr[in.c])
-				fr[in.a] = EncodeF64(x - y)
-			case lF64SubI:
-				x, y := f64(fr[in.b]), f64(in.imm)
 				fr[in.a] = EncodeF64(x - y)
 			case lop(OpF32Sub):
 				x, y := f32(fr[in.b]), f32(fr[in.c])
@@ -910,37 +715,16 @@ blocks:
 				fr[in.a] = EncodeF64(float64(f32(fr[in.b])))
 			case lop(OpF32DemoteF64):
 				fr[in.a] = EncodeF32(float32(f64(fr[in.b])))
-			case lop(OpI32Load):
-				ea := uint64(uint32(fr[in.b])) + in.imm
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+4 <= uint64(len(pg)) {
-					b := pg[po : po+4]
-					v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
-				} else if v, ok = i.loadSlow(ea, 4); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = v
+			// The 8-byte accesses are the ones in the kernels' inner loops: they
+			// go straight to the page here. Narrower ones share loadNarrow and
+			// storeNarrow.
 			case lop(OpI64Load):
 				ea := uint64(uint32(fr[in.b])) + in.imm
 				pg := mem.ReadablePage(ea >> 16)
 				v, ok := uint64(0), true
 				if po := ea & 0xffff; po+8 <= uint64(len(pg)) {
-					b := pg[po : po+8]
-					v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-						uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+					v = binary.LittleEndian.Uint64(pg[po : po+8])
 				} else if v, ok = i.loadSlow(ea, 8); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = v
-			case lI32LoadIdx:
-				ea := uint64(uint32(fr[in.b])+uint32(fr[in.c])<<(in.imm>>32)) + in.imm&0xffffffff
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+4 <= uint64(len(pg)) {
-					b := pg[po : po+4]
-					v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
-				} else if v, ok = i.loadSlow(ea, 4); !ok {
 					return trap(TrapOutOfBounds, fn.idx)
 				}
 				fr[in.a] = v
@@ -949,100 +733,65 @@ blocks:
 				pg := mem.ReadablePage(ea >> 16)
 				v, ok := uint64(0), true
 				if po := ea & 0xffff; po+8 <= uint64(len(pg)) {
-					b := pg[po : po+8]
-					v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-						uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+					v = binary.LittleEndian.Uint64(pg[po : po+8])
 				} else if v, ok = i.loadSlow(ea, 8); !ok {
 					return trap(TrapOutOfBounds, fn.idx)
 				}
 				fr[in.a] = v
-			case lop(OpI32Load8U):
-				ea := uint64(uint32(fr[in.b])) + in.imm
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+1 <= uint64(len(pg)) {
-					v = uint64(pg[po])
-				} else if v, ok = i.loadSlow(ea, 1); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = v
-			case lop(OpI32Load8S):
-				ea := uint64(uint32(fr[in.b])) + in.imm
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+1 <= uint64(len(pg)) {
-					v = uint64(pg[po])
-				} else if v, ok = i.loadSlow(ea, 1); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = uint64(uint32(int32(int8(v))))
-			case lop(OpI32Load16U):
-				ea := uint64(uint32(fr[in.b])) + in.imm
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+2 <= uint64(len(pg)) {
-					b := pg[po : po+2]
-					v = uint64(b[0]) | uint64(b[1])<<8
-				} else if v, ok = i.loadSlow(ea, 2); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = v
-			case lop(OpI32Load16S):
-				ea := uint64(uint32(fr[in.b])) + in.imm
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+2 <= uint64(len(pg)) {
-					b := pg[po : po+2]
-					v = uint64(b[0]) | uint64(b[1])<<8
-				} else if v, ok = i.loadSlow(ea, 2); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = uint64(uint32(int32(int16(v))))
-			case lop(OpI64Load32S):
-				ea := uint64(uint32(fr[in.b])) + in.imm
-				pg := mem.ReadablePage(ea >> 16)
-				v, ok := uint64(0), true
-				if po := ea & 0xffff; po+4 <= uint64(len(pg)) {
-					b := pg[po : po+4]
-					v = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
-				} else if v, ok = i.loadSlow(ea, 4); !ok {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
-				fr[in.a] = uint64(int64(int32(v)))
-			case lop(OpI32Store):
-				ea := uint64(uint32(fr[in.a])) + in.imm
-				pg := mem.WritablePage(ea >> 16)
-				if po := ea & 0xffff; po+4 <= uint64(len(pg)) {
-					b, v := pg[po:po+4], fr[in.b]
-					b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-				} else if !i.storeSlow(ea, 4, fr[in.b]) {
-					return trap(TrapOutOfBounds, fn.idx)
-				}
 			case lop(OpI64Store):
 				ea := uint64(uint32(fr[in.a])) + in.imm
 				pg := mem.WritablePage(ea >> 16)
 				if po := ea & 0xffff; po+8 <= uint64(len(pg)) {
-					b, v := pg[po:po+8], fr[in.b]
-					b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-					b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+					binary.LittleEndian.PutUint64(pg[po:po+8], fr[in.b])
 				} else if !i.storeSlow(ea, 8, fr[in.b]) {
 					return trap(TrapOutOfBounds, fn.idx)
 				}
+			case lop(OpI32Load):
+				v, ok := i.loadNarrow(uint64(uint32(fr[in.b]))+in.imm, 4)
+				if !ok {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
+				fr[in.a] = v
+			case lop(OpI32Load8U):
+				v, ok := i.loadNarrow(uint64(uint32(fr[in.b]))+in.imm, 1)
+				if !ok {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
+				fr[in.a] = v
+			case lop(OpI32Load16U):
+				v, ok := i.loadNarrow(uint64(uint32(fr[in.b]))+in.imm, 2)
+				if !ok {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
+				fr[in.a] = v
+			case lop(OpI32Load8S):
+				v, ok := i.loadNarrow(uint64(uint32(fr[in.b]))+in.imm, 1)
+				if !ok {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
+				fr[in.a] = uint64(uint32(int32(int8(v))))
+			case lop(OpI32Load16S):
+				v, ok := i.loadNarrow(uint64(uint32(fr[in.b]))+in.imm, 2)
+				if !ok {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
+				fr[in.a] = uint64(uint32(int32(int16(v))))
+			case lop(OpI64Load32S):
+				v, ok := i.loadNarrow(uint64(uint32(fr[in.b]))+in.imm, 4)
+				if !ok {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
+				fr[in.a] = uint64(int64(int32(v)))
+			case lop(OpI32Store):
+				if !i.storeNarrow(uint64(uint32(fr[in.a]))+in.imm, 4, fr[in.b]) {
+					return trap(TrapOutOfBounds, fn.idx)
+				}
 			case lop(OpI32Store8):
-				ea := uint64(uint32(fr[in.a])) + in.imm
-				pg := mem.WritablePage(ea >> 16)
-				if po := ea & 0xffff; po+1 <= uint64(len(pg)) {
-					pg[po] = byte(fr[in.b])
-				} else if !i.storeSlow(ea, 1, fr[in.b]) {
+				if !i.storeNarrow(uint64(uint32(fr[in.a]))+in.imm, 1, fr[in.b]) {
 					return trap(TrapOutOfBounds, fn.idx)
 				}
 			case lop(OpI32Store16):
-				ea := uint64(uint32(fr[in.a])) + in.imm
-				pg := mem.WritablePage(ea >> 16)
-				if po := ea & 0xffff; po+2 <= uint64(len(pg)) {
-					b, v := pg[po:po+2], fr[in.b]
-					b[0], b[1] = byte(v), byte(v>>8)
-				} else if !i.storeSlow(ea, 2, fr[in.b]) {
+				if !i.storeNarrow(uint64(uint32(fr[in.a]))+in.imm, 2, fr[in.b]) {
 					return trap(TrapOutOfBounds, fn.idx)
 				}
 
@@ -1052,6 +801,43 @@ blocks:
 			pc++
 		}
 	}
+}
+
+// loadNarrow reads the 1, 2 or 4 bytes at effective address ea,
+// zero-extended; ok is false for an address outside memory.
+func (i *Instance) loadNarrow(ea uint64, size int) (v uint64, ok bool) {
+	pg := i.mem.ReadablePage(ea >> 16)
+	po := ea & 0xffff
+	if po+uint64(size) > uint64(len(pg)) {
+		return i.loadSlow(ea, size)
+	}
+	switch b := pg[po:]; size {
+	case 1:
+		return uint64(b[0]), true
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b)), true
+	default:
+		return uint64(binary.LittleEndian.Uint32(b)), true
+	}
+}
+
+// storeNarrow writes the low 1, 2 or 4 bytes of v at effective address ea,
+// and reports false for an address outside memory.
+func (i *Instance) storeNarrow(ea uint64, size int, v uint64) bool {
+	pg := i.mem.WritablePage(ea >> 16)
+	po := ea & 0xffff
+	if po+uint64(size) > uint64(len(pg)) {
+		return i.storeSlow(ea, size, v)
+	}
+	switch b := pg[po:]; size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	}
+	return true
 }
 
 // loadSlow is the load path for what a direct page access cannot serve: an

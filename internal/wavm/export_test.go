@@ -57,8 +57,9 @@ func (l *lowered) Stats(m *Module) LoweredStats {
 
 var lopNames = map[lop]string{
 	lCharge: "charge", lMov: "mov", lConst: "const", lBrZ: "br_z", lBrNZ: "br_nz",
-	lI32LoadIdx: "i32.load[idx]", lI64LoadIdx: "i64.load[idx]",
-	lI32MulAdd: "i32.mul+add", lF64AddMul: "f64.add+mul",
+	lI64LoadIdx: "i64.load[idx]", lI32MulAdd: "i32.mul+add", lF64AddMul: "f64.add+mul",
+	lI32AddI: "i32.add imm", lI32MulI: "i32.mul imm", lI32AndI: "i32.and imm",
+	lF64AddI: "f64.add imm", lF64MulI: "f64.mul imm", lF64DivI: "f64.div imm",
 }
 
 func lopName(op lop) string {
@@ -67,22 +68,10 @@ func lopName(op lop) string {
 		return Op(op).String()
 	case lopNames[op] != "":
 		return lopNames[op]
-	case op >= lI32Imm && op < lI64Imm:
-		return (OpI32Add + Op(op-lI32Imm)).String() + " imm"
-	case op >= lI64Imm && op < lF64Imm:
-		return (OpI64Add + Op(op-lI64Imm)).String() + " imm"
-	case op >= lF64Imm && op < lBrI32:
-		return (OpF64Add + Op(op-lF64Imm)).String() + " imm"
 	case op >= lBrI32 && op < lBrI32I:
 		return "br_if " + (OpI32Eq + Op(op-lBrI32)).String()
-	case op >= lBrI32I && op < lBrI64:
+	case op >= lBrI32I && op < lBrI32I+10:
 		return "br_if " + (OpI32Eq + Op(op-lBrI32I)).String() + " imm"
-	case op >= lBrI64 && op < lBrF64:
-		return "br_if " + (OpI64Eq + Op(op-lBrI64)).String()
-	case op >= lBrF64 && op < lBrNotF64:
-		return "br_if " + (OpF64Eq + Op(op-lBrF64)).String()
-	case op >= lBrNotF64 && op < lBrNotF64+6:
-		return "br_if !" + (OpF64Eq + Op(op-lBrNotF64)).String()
 	}
 	return fmt.Sprintf("lop(%d)", op)
 }

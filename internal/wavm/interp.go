@@ -92,16 +92,12 @@ func Instantiate(mod *Module, imports map[string]HostModule, opts ...InstanceOpt
 	if !mod.Validated {
 		return nil, errors.New("wavm: refusing to instantiate unvalidated module")
 	}
-	low := mod.low
-	if low == nil {
-		// Not a product of Validate or DecodeObject: lower a private copy
-		// rather than publish one on a module other goroutines may share.
-		var err error
-		if low, err = lower(mod); err != nil {
-			return nil, err
-		}
+	if mod.low == nil {
+		// The flag was set by hand: Validate and DecodeObject, the only two
+		// places that lower, both attach the result.
+		return nil, errors.New("wavm: refusing to instantiate a module Validate or DecodeObject did not produce")
 	}
-	inst := &Instance{mod: mod, low: low, Fuel: -1, maxDepth: DefaultMaxCallDepth}
+	inst := &Instance{mod: mod, low: mod.low, Fuel: -1, maxDepth: DefaultMaxCallDepth}
 	for _, o := range opts {
 		o(inst)
 	}

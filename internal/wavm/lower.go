@@ -44,56 +44,32 @@ const (
 	lConst          // a = imm
 	lBrZ            // if a == 0 goto imm (64-bit test: i64.eqz, `if`)
 	lBrNZ           // if a != 0 goto imm (br_if on a plain value)
-	lI32LoadIdx     // a = mem32[b + c<<shift + off]; imm = off | shift<<32
-	lI64LoadIdx     // a = mem64[b + c<<shift + off]
+	lI64LoadIdx     // a = mem64[b + c<<shift + off]; imm = off | shift<<32
 	lI32MulAdd      // a = b*c + reg[imm]
 	lF64AddMul      // a = reg[imm] + b*c (two roundings, operand order kept)
+
+	// Immediate forms, a = b op imm, of the binary operations whose constant
+	// operands the FC compiler puts in loops: index arithmetic and scaling.
+	lI32AddI
+	lI32MulI
+	lI32AndI
+	lF64AddI
+	lF64MulI
+	lF64DivI
 )
 
-// Immediate forms of the binary integer and float operations: a = b op imm.
-// Each family is indexed by the source opcode's offset from its first
-// member; only the members immForm reports are ever emitted.
+// Compare-and-branch on i32, the test of every counted loop: if a <cmp> b
+// goto imm. Each family is indexed by the comparison's offset from OpI32Eq
+// (eq ne lt_s lt_u gt_s gt_u le_s le_u ge_s ge_u); the I form compares
+// register a with the 32-bit immediate in c. A negated comparison is the
+// inverse member. i64 and float comparisons compute a flag and branch on it.
+//
+// Every fused form here has sites in the hot loops of the kernels suite (the
+// census is in the Execution tier section of docs/ARCHITECTURE.md); a form
+// is added when a workload shows it, not before.
 const (
-	lI32Imm lop = 300 // + (op - OpI32Add)
-	lI64Imm lop = 320 // + (op - OpI64Add)
-	lF64Imm lop = 340 // + (op - OpF64Add)
-
-	lI32AddI  = lI32Imm + lop(OpI32Add-OpI32Add)
-	lI32MulI  = lI32Imm + lop(OpI32Mul-OpI32Add)
-	lI32AndI  = lI32Imm + lop(OpI32And-OpI32Add)
-	lI32OrI   = lI32Imm + lop(OpI32Or-OpI32Add)
-	lI32XorI  = lI32Imm + lop(OpI32Xor-OpI32Add)
-	lI32ShlI  = lI32Imm + lop(OpI32Shl-OpI32Add)
-	lI32ShrSI = lI32Imm + lop(OpI32ShrS-OpI32Add)
-	lI32ShrUI = lI32Imm + lop(OpI32ShrU-OpI32Add)
-
-	lI64AddI  = lI64Imm + lop(OpI64Add-OpI64Add)
-	lI64MulI  = lI64Imm + lop(OpI64Mul-OpI64Add)
-	lI64AndI  = lI64Imm + lop(OpI64And-OpI64Add)
-	lI64OrI   = lI64Imm + lop(OpI64Or-OpI64Add)
-	lI64XorI  = lI64Imm + lop(OpI64Xor-OpI64Add)
-	lI64ShlI  = lI64Imm + lop(OpI64Shl-OpI64Add)
-	lI64ShrSI = lI64Imm + lop(OpI64ShrS-OpI64Add)
-	lI64ShrUI = lI64Imm + lop(OpI64ShrU-OpI64Add)
-
-	lF64AddI = lF64Imm + lop(OpF64Add-OpF64Add)
-	lF64SubI = lF64Imm + lop(OpF64Sub-OpF64Add)
-	lF64MulI = lF64Imm + lop(OpF64Mul-OpF64Add)
-	lF64DivI = lF64Imm + lop(OpF64Div-OpF64Add)
-)
-
-// Compare-and-branch: if a <cmp> b goto imm. Each family is indexed by the
-// comparison's offset from the type's eq opcode (eq ne lt_s lt_u gt_s gt_u
-// le_s le_u ge_s ge_u for integers; eq ne lt gt le ge for floats). The I
-// form compares register a with the 32-bit immediate in c. Integer
-// comparisons are negated by picking the inverse member; float comparisons
-// are not invertible under NaN, so they have a branch-if-not family.
-const (
-	lBrI32    lop = 360
-	lBrI32I   lop = 370
-	lBrI64    lop = 380
-	lBrF64    lop = 390
-	lBrNotF64 lop = 396
+	lBrI32  lop = 360
+	lBrI32I lop = 370
 )
 
 // ltarget is one lowered br_table destination: the lowered PC and the
@@ -615,20 +591,9 @@ func (lw *lowerer) cmpBranch(s slot, negate bool, pos int) linstr {
 			return linstr{op: lBrI32I + lop(kind), a: lw.reg(l, pos), c: uint32(r.val)}
 		}
 		return linstr{op: lBrI32 + lop(kind), a: l.reg, b: r.reg}
-	case s.cmp >= OpI64Eq && s.cmp <= OpI64GeU:
-		kind := s.cmp - OpI64Eq
-		if negate {
-			kind = intCmpInverse[kind]
-		}
-		return linstr{op: lBrI64 + lop(kind), a: lw.reg(l, pos), b: lw.reg(r, pos+1)}
-	case s.cmp >= OpF64Eq && s.cmp <= OpF64Ge:
-		op := lBrF64
-		if negate {
-			op = lBrNotF64
-		}
-		return linstr{op: op + lop(s.cmp-OpF64Eq), a: lw.reg(l, pos), b: lw.reg(r, pos+1)}
 	}
-	// f32 comparisons have no fused form: compute the flag, branch on it.
+	// i64 and float comparisons have no fused form: compute the flag, branch
+	// on it.
 	s.neg = false
 	flag := lw.home(pos)
 	lw.emitCmp(pos, s)
@@ -1066,8 +1031,8 @@ func (lw *lowerer) needMemory() error {
 }
 
 // lowerLoad emits a load, folding the address arithmetic the FC compiler
-// produces for a[i] — base + i*size, as (mul|shl by a power of two) then
-// add — into one indexed load.
+// produces for a[i] on an 8-byte element — base + i*8, as a multiply by a
+// power of two then an add — into one indexed load.
 func (lw *lowerer) lowerLoad(in *Instr) error {
 	addr, err := lw.pop()
 	if err != nil {
@@ -1082,11 +1047,7 @@ func (lw *lowerer) lowerLoad(in *Instr) error {
 		op = OpI64Load
 	}
 	off := uint64(uint32(in.A))
-	idx, ok := lI64LoadIdx, op == OpI64Load
-	if op == OpI32Load {
-		idx, ok = lI32LoadIdx, true
-	}
-	if ok && addr.kind == inReg && addr.def == len(lw.code)-1 {
+	if op == OpI64Load && addr.kind == inReg && addr.def == len(lw.code)-1 {
 		if add := lw.code[addr.def]; add.op == lop(OpI32Add) {
 			base, index, shift := add.b, add.c, uint64(0)
 			lw.code = lw.code[:addr.def]
@@ -1099,13 +1060,13 @@ func (lw *lowerer) lowerLoad(in *Instr) error {
 				if last < 0 || index < uint32(lw.nlocals) || lw.code[last].a != index || base == index {
 					continue
 				}
-				if k, ok := scaleShift(lw.code[last]); ok {
-					index, shift = lw.code[last].b, k
+				if mul := lw.code[last]; mul.op == lI32MulI && bits.OnesCount32(uint32(mul.imm)) == 1 {
+					index, shift = mul.b, uint64(bits.TrailingZeros32(uint32(mul.imm)))
 					lw.code = lw.code[:last]
 					break
 				}
 			}
-			lw.pushReg(lw.emit(linstr{op: idx, a: lw.home(pos), b: base, c: index, imm: off | shift<<32}))
+			lw.pushReg(lw.emit(linstr{op: lI64LoadIdx, a: lw.home(pos), b: base, c: index, imm: off | shift<<32}))
 			return nil
 		}
 	}
@@ -1113,40 +1074,23 @@ func (lw *lowerer) lowerLoad(in *Instr) error {
 	return nil
 }
 
-// scaleShift reports whether in multiplies a register by a power of two,
-// and by which.
-func scaleShift(in linstr) (uint64, bool) {
-	switch in.op {
-	case lI32ShlI:
-		return in.imm, true
-	case lI32MulI:
-		if k := uint32(in.imm); bits.OnesCount32(k) == 1 {
-			return uint64(bits.TrailingZeros32(k)), true
-		}
-	}
-	return 0, false
-}
-
 // immForm reports the immediate form of binary operation op, if it has one.
 func immForm(op Op) (lop, bool) {
 	switch op {
-	case OpI32Add, OpI32Mul, OpI32And, OpI32Or, OpI32Xor, OpI32Shl, OpI32ShrS, OpI32ShrU:
-		return lI32Imm + lop(op-OpI32Add), true
-	case OpI64Add, OpI64Mul, OpI64And, OpI64Or, OpI64Xor, OpI64Shl, OpI64ShrS, OpI64ShrU:
-		return lI64Imm + lop(op-OpI64Add), true
-	case OpF64Add, OpF64Sub, OpF64Mul, OpF64Div:
-		return lF64Imm + lop(op-OpF64Add), true
+	case OpI32Add:
+		return lI32AddI, true
+	case OpI32Mul:
+		return lI32MulI, true
+	case OpI32And:
+		return lI32AndI, true
+	case OpF64Add:
+		return lF64AddI, true
+	case OpF64Mul:
+		return lF64MulI, true
+	case OpF64Div:
+		return lF64DivI, true
 	}
 	return 0, false
-}
-
-func commutative(op Op) bool {
-	switch op {
-	case OpI32Add, OpI32Mul, OpI32And, OpI32Or, OpI32Xor,
-		OpI64Add, OpI64Mul, OpI64And, OpI64Or, OpI64Xor:
-		return true
-	}
-	return false
 }
 
 func isCompare(op Op) bool {
@@ -1171,20 +1115,12 @@ func (lw *lowerer) lowerBinary(op Op) error {
 		return nil
 	}
 
-	// x - k is x + (-k) in two's complement; shift counts wrap.
-	switch {
-	case !r.isConst:
-	case op == OpI32Sub:
+	if op == OpI32Sub && r.isConst {
+		// x - k is x + (-k) in two's complement.
 		op, r.val = OpI32Add, uint64(-uint32(r.val))
-	case op == OpI64Sub:
-		op, r.val = OpI64Add, -r.val
-	case op == OpI32Shl || op == OpI32ShrS || op == OpI32ShrU:
-		r.val &= 31
-	case op == OpI64Shl || op == OpI64ShrS || op == OpI64ShrU:
-		r.val &= 63
 	}
-	if l.isConst && !r.isConst && commutative(op) {
-		l, r = r, l
+	if l.isConst && !r.isConst && (op == OpI32Add || op == OpI32Mul || op == OpI32And) {
+		l, r = r, l // commutative, and with an immediate form
 	}
 	if imm, ok := immForm(op); ok && r.isConst {
 		lw.pushReg(lw.emit(linstr{op: imm, a: dst, b: lw.reg(l, pos), imm: r.val}))

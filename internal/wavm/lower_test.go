@@ -25,12 +25,17 @@ func cloneModule(m *Module) *Module {
 	return &c
 }
 
-// runForged instantiates a module nobody validated and, if that is allowed
-// at all, calls its exports. Nothing is expected of the results: the test is
-// that lowering refuses the module or the executor stays inside its frame
-// and its memory — a panic fails the run.
+// runForged lowers a module nobody validated, as DecodeObject would on
+// finding the flag set, and if lowering lets it through calls its exports.
+// Nothing is expected of the results: the test is that lowering refuses the
+// module or the executor stays inside its frame and its memory — a panic
+// fails the run.
 func runForged(t *testing.T, m *Module) {
 	t.Helper()
+	m.Validated = true
+	if lowerInto(m) != nil {
+		return
+	}
 	inst, err := Instantiate(m, diffHosts, WithFuel(3000), WithMaxCallDepth(16))
 	if err != nil {
 		return
@@ -57,7 +62,6 @@ func TestForgedValidatedFlag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		m.Validated = true
 		runForged(t, m)
 	}
 	// The validator's own rejections, forced through.
@@ -75,12 +79,20 @@ func TestForgedValidatedFlag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
+		// The flag alone gets nowhere: only Validate and DecodeObject lower.
 		m.Validated = true
 		if _, err := Instantiate(m, nil); err == nil {
 			t.Errorf("forged module instantiated: %s", src)
 		}
-		if err := Validate(m); err == nil {
-			t.Errorf("Validate vouched for a forged module: %s", src)
+		if _, err := lower(m); err == nil {
+			t.Errorf("forged module lowered: %s", src)
+		}
+		obj, err := EncodeObject(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeObject(obj); err == nil {
+			t.Errorf("forged object decoded: %s", src)
 		}
 	}
 }

@@ -19,9 +19,6 @@ import (
 // lowering are the two halves of the one trusted step.
 func Validate(m *Module) error {
 	if m.Validated {
-		if m.low == nil {
-			return lowerInto(m)
-		}
 		return nil
 	}
 	if m.MemMax != 0 && m.MemMax < m.MemMin {

@@ -41,7 +41,7 @@ check internal/frt 80
 check internal/autoscale 85
 check internal/queue 80
 # wavm: the differential suite (lowered engine vs the reference interpreter)
-# reaches 88.7%; an uncovered lowering rule or executor case is one that was
+# reaches 88.4%; an uncovered lowering rule or executor case is one that was
 # never compared.
 check internal/wavm 83
 
