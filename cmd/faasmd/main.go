@@ -31,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -189,6 +190,26 @@ func main() {
 	log.Fatal(http.ListenAndServe(*listen, mux))
 }
 
+// maxInput caps a call's input; longer bodies are cut off there.
+const maxInput = 32 << 20
+
+// inputPresize is the most a declared Content-Length reserves before any
+// body byte has arrived; a longer body grows the buffer as it comes in.
+const inputPresize = 1 << 20
+
+// readInput reads a call's input from the request body to EOF (or the cap)
+// into a buffer sized from the declared Content-Length, so the common small
+// body is read without regrowing and a client cannot pin memory it has only
+// announced.
+func readInput(r *http.Request) ([]byte, error) {
+	// ContentLength is -1 for a chunked body. The spare MinRead is what
+	// ReadFrom wants free before the read that finds EOF.
+	size := min(max(r.ContentLength, 0), inputPresize) + bytes.MinRead
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxInput))
+	return buf.Bytes(), err
+}
+
 // newMux wires the daemon's HTTP surface over a runtime instance. Factored
 // from main so tests drive the real handlers through httptest. ring is the
 // sharded tier when one is attached (nil otherwise); /status reports its
@@ -199,12 +220,12 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 	mux.Handle("/f/", deployingUploader{up: up, inst: inst, objects: objects})
 	mux.HandleFunc("/invoke/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/invoke/")
-		input, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
+		input, err := readInput(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if r.URL.Query().Get("async") == "1" {
+		if r.URL.RawQuery != "" && r.URL.Query().Get("async") == "1" {
 			id, err := inst.InvokeAsync(name, input)
 			switch {
 			case errors.Is(err, queue.ErrQueueFull):
@@ -230,7 +251,7 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 			http.Error(w, fmt.Sprintf("call failed (ret=%d): %v", ret, err), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("X-Faasm-Return-Code", fmt.Sprintf("%d", ret))
+		w.Header().Set("X-Faasm-Return-Code", strconv.Itoa(int(ret)))
 		w.Write(out)
 	})
 	mux.HandleFunc("/call/", func(w http.ResponseWriter, r *http.Request) {

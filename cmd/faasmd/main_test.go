@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -392,5 +393,35 @@ func TestAsyncDisabledReturns501(t *testing.T) {
 	}
 	if code, _, _ := get(t, srv.URL+"/call/1"); code != http.StatusNotImplemented {
 		t.Fatalf("GET /call without queue = %d, want 501", code)
+	}
+}
+
+// TestInvokeBodyFraming posts inputs with a declared length (read in one
+// sized read), with none (chunked: read to EOF) and empty; each must reach
+// the guest whole and come back with the return-code header.
+func TestInvokeBodyFraming(t *testing.T) {
+	srv, _ := newTestServer(t, -1)
+	big := strings.Repeat("0123456789abcdef", 8192) // 128 KiB
+	for name, body := range map[string]io.Reader{
+		"sized":   strings.NewReader(big),
+		"chunked": struct{ io.Reader }{strings.NewReader(big)}, // hides the length from net/http
+		"empty":   strings.NewReader(""),
+	} {
+		resp, err := http.Post(srv.URL+"/invoke/echo", "application/octet-stream", body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := big
+		if name == "empty" {
+			want = ""
+		}
+		if err != nil || resp.StatusCode != http.StatusOK || string(got) != want {
+			t.Fatalf("%s: status %d, %d bytes back, %v", name, resp.StatusCode, len(got), err)
+		}
+		if rc := resp.Header.Get("X-Faasm-Return-Code"); rc != "0" {
+			t.Fatalf("%s: return-code header %q", name, rc)
+		}
 	}
 }

@@ -11,6 +11,13 @@
 //   - a lifecycle with Proto-Faaslet snapshots (§5.2): ahead-of-time
 //     initialisation, sub-millisecond copy-on-write restores, and a reset
 //     after every call that provably discards all guest-visible residue.
+//
+// Every Faaslet has a reset image (a Proto): the one it was restored from or
+// had installed, or else one New captures — copy-free, by aliasing pages —
+// once data segments are written and the start function has run. Reset
+// restores that image into the live memory and the live VM instance; nothing
+// is rebuilt, and its cost is the page table walk plus the pages the call
+// made private (see wamem.Memory.RestoreFrom, wavm.Instance.Reset).
 package core
 
 import (
@@ -117,9 +124,13 @@ type Faaslet struct {
 	env  *Env
 	mem  *wamem.Memory
 	inst *wavm.Instance // nil for native guests
-	fs   *vfs.FS
-	net  *netns.Interface
-	rng  *rand.Rand
+	// entry is the guest entry point's function index ("main", else
+	// "_start"), resolved when the instance is linked; -1 if the module
+	// exports neither.
+	entry int
+	fs    *vfs.FS
+	net   *netns.Interface
+	rng   *rand.Rand
 
 	// birth anchors the per-user monotonic clock (gettime host call).
 	birth time.Time
@@ -138,8 +149,11 @@ type Faaslet struct {
 	// libs are dlopen'd modules.
 	libs []*library
 
-	// proto is the snapshot used for per-call resets (may be nil until
-	// Snapshot is taken).
+	// chained lists the calls this call has chained (Chained).
+	chained []uint64
+
+	// proto is the reset image: what Reset restores. Never nil once the
+	// Faaslet is built.
 	proto *Proto
 
 	// trace is the current call's span sink (nil when the call is not
@@ -156,6 +170,8 @@ type Faaslet struct {
 
 // New creates a Faaslet for def. For wavm guests this performs the "linking"
 // phase: the host interface thunks are bound into the module's import space.
+// The Faaslet's state once it is built — data segments written, start
+// function run — is captured as its reset image.
 func New(def FuncDef, env *Env) (*Faaslet, error) {
 	if def.Module == nil && def.Native == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoFunction, def.Name)
@@ -165,36 +181,49 @@ func New(def FuncDef, env *Env) (*Faaslet, error) {
 	if limit <= 0 {
 		limit = DefaultMemLimitPages
 	}
-
+	initial := def.InitialPages
 	if def.Module != nil {
-		mem, err := wamem.New(maxInt(def.Module.MemMin, 1), limit)
-		if err != nil {
-			return nil, err
-		}
+		initial = def.Module.MemMin
+	}
+	mem, err := wamem.New(maxInt(initial, 1), limit)
+	if err != nil {
+		return nil, err
+	}
+	f.mem = mem
+	if def.Module != nil {
 		for _, d := range def.Module.Data {
 			if err := mem.WriteBytes(d.Offset, d.Bytes); err != nil {
 				return nil, fmt.Errorf("core: data segment: %w", err)
 			}
 		}
-		f.mem = mem
-		inst, err := wavm.Instantiate(def.Module, f.hostModules(),
-			wavm.WithMemory(mem), wavm.WithFuel(fuelOrUnlimited(def.Fuel)))
-		if err != nil {
-			return nil, fmt.Errorf("core: link %s: %w", def.Name, err)
-		}
-		f.inst = inst
-	} else {
-		initial := def.InitialPages
-		if initial <= 0 {
-			initial = 1
-		}
-		mem, err := wamem.New(initial, limit)
-		if err != nil {
+		if err := f.link(); err != nil {
 			return nil, err
 		}
-		f.mem = mem
+	}
+	if _, err := f.Snapshot(); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// link instantiates the function's module over f.mem, binding the host
+// interface into its import space, and resolves the guest entry point. It
+// runs once per Faaslet; resets reuse the instance.
+func (f *Faaslet) link(opts ...wavm.InstanceOption) error {
+	opts = append(opts, wavm.WithMemory(f.mem), wavm.WithFuel(fuelOrUnlimited(f.def.Fuel)))
+	inst, err := wavm.Instantiate(f.def.Module, f.hostModules(), opts...)
+	if err != nil {
+		return fmt.Errorf("core: link %s: %w", f.def.Name, err)
+	}
+	f.inst = inst
+	f.entry = -1
+	for _, name := range []string{"main", "_start"} {
+		if idx, ok := f.def.Module.ExportedFunc(name); ok {
+			f.entry = idx
+			break
+		}
+	}
+	return nil
 }
 
 // newShell builds a Faaslet's host-side shell: everything except its memory
@@ -315,20 +344,13 @@ func (f *Faaslet) Execute(input []byte) ([]byte, int32, error) {
 	return f.output, ret, nil
 }
 
-// callWavmEntry locates and invokes the guest entry point: "main" or
-// "_start", with signature ()->i32 or ()->().
+// callWavmEntry invokes the guest entry point, whose signature is ()->i32
+// or ()->().
 func (f *Faaslet) callWavmEntry() (int32, error) {
-	name := ""
-	for _, candidate := range []string{"main", "_start"} {
-		if _, ok := f.def.Module.ExportedFunc(candidate); ok {
-			name = candidate
-			break
-		}
-	}
-	if name == "" {
+	if f.entry < 0 {
 		return -1, fmt.Errorf("core: module %s exports no main/_start", f.def.Name)
 	}
-	res, err := f.inst.Call(name)
+	res, err := f.inst.CallIndex(f.entry)
 	if err != nil {
 		return -1, err
 	}
@@ -368,7 +390,7 @@ func (f *Faaslet) releaseGlobalLocks() {
 }
 
 // Reset returns the Faaslet to its pristine state between calls (§5.2):
-// memory restored from the Proto-Faaslet (or zeroed when none exists), file
+// memory and VM instance restored in place from the reset image, file
 // descriptors and local files dropped, sockets closed, state mappings and
 // lock leases released. After Reset, nothing written by the previous call is
 // observable — the multi-tenant reuse guarantee.
@@ -380,44 +402,36 @@ func (f *Faaslet) Reset() error {
 	f.input = nil
 	f.output = nil
 	f.libs = nil
+	f.chained = f.chained[:0]
+	return f.restore()
+}
 
-	if f.proto != nil {
-		return f.restoreFromProto(f.proto)
-	}
-	// No snapshot: rebuild memory from the module image.
-	limit := f.def.MemLimitPages
-	if limit <= 0 {
-		limit = DefaultMemLimitPages
-	}
-	if f.def.Module != nil {
-		mem, err := wamem.New(maxInt(f.def.Module.MemMin, 1), limit)
-		if err != nil {
-			return err
-		}
-		for _, d := range f.def.Module.Data {
-			if err := mem.WriteBytes(d.Offset, d.Bytes); err != nil {
-				return err
-			}
-		}
-		f.mem = mem
-		inst, err := wavm.Instantiate(f.def.Module, f.hostModules(),
-			wavm.WithMemory(mem), wavm.WithFuel(fuelOrUnlimited(f.def.Fuel)))
-		if err != nil {
-			return err
-		}
-		f.inst = inst
-	} else {
-		initial := f.def.InitialPages
-		if initial <= 0 {
-			initial = 1
-		}
-		mem, err := wamem.New(initial, limit)
-		if err != nil {
-			return err
-		}
-		f.mem = mem
+// restore returns memory and instance to the reset image.
+func (f *Faaslet) restore() error {
+	f.mem.RestoreFrom(f.proto.mem)
+	if f.inst != nil {
+		return f.inst.Reset(f.proto.globals)
 	}
 	return nil
+}
+
+// Chained lists the ids of the calls chained during the current call, in
+// order. The runtime owns their records and discards them when the call
+// returns; Reset empties the list.
+func (f *Faaslet) Chained() []uint64 { return f.chained }
+
+// chain is chain_call for both guest kinds: it starts the call and records
+// its id against this one.
+func (f *Faaslet) chain(function string, input []byte) (uint64, error) {
+	if f.env.Chain == nil {
+		return 0, errors.New("core: no chainer configured")
+	}
+	id, err := f.env.Chain.Chain(function, input)
+	if err != nil {
+		return 0, err
+	}
+	f.chained = append(f.chained, id)
+	return id, nil
 }
 
 // Close releases host resources (cgroup, sockets).
@@ -450,10 +464,7 @@ func (c *Ctx) WriteOutput(b []byte) {
 
 // Chain invokes another function (chain_call), returning its call id.
 func (c *Ctx) Chain(function string, input []byte) (uint64, error) {
-	if c.f.env.Chain == nil {
-		return 0, errors.New("core: no chainer configured")
-	}
-	return c.f.env.Chain.Chain(function, input)
+	return c.f.chain(function, input)
 }
 
 // Await blocks until a chained call finishes (await_call).

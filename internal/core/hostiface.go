@@ -130,9 +130,6 @@ func (f *Faaslet) hiWriteCallOutput(_ *wavm.Instance, args []uint64) ([]uint64, 
 
 // chain_call(namePtr, nameLen, inPtr, inLen) -> i32 call id
 func (f *Faaslet) hiChainCall(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	if f.env.Chain == nil {
-		return nil, errors.New("core: no chainer configured")
-	}
 	name, err := f.guestString(args[0], args[1])
 	if err != nil {
 		return nil, err
@@ -141,7 +138,7 @@ func (f *Faaslet) hiChainCall(_ *wavm.Instance, args []uint64) ([]uint64, error)
 	if err != nil {
 		return nil, err
 	}
-	id, err := f.env.Chain.Chain(name, input)
+	id, err := f.chain(name, input)
 	if err != nil {
 		return nil, err
 	}

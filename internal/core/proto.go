@@ -30,6 +30,8 @@ func (p *Proto) StoredBytes() int64 { return p.mem.StoredBytes() }
 // Snapshot captures the Faaslet's current execution state as a Proto and
 // installs it as the Faaslet's reset image. Call it after running
 // initialisation code (e.g. interpreter warm-up), before serving requests.
+// The capture copies nothing: the Proto aliases the memory's pages, and the
+// live memory copies one only when it next writes to it.
 func (f *Faaslet) Snapshot() (*Proto, error) {
 	p := &Proto{
 		Function: f.def.Name,
@@ -42,7 +44,8 @@ func (f *Faaslet) Snapshot() (*Proto, error) {
 	return p, nil
 }
 
-// Proto returns the installed reset snapshot, if any.
+// Proto returns the reset image: the Proto the Faaslet was restored from or
+// had installed, else the one New captured when the Faaslet was built.
 func (f *Faaslet) Proto() *Proto { return f.proto }
 
 // SetProto installs a snapshot (e.g. one restored from the global tier) as
@@ -52,39 +55,32 @@ func (f *Faaslet) SetProto(p *Proto) error {
 		return fmt.Errorf("core: proto for %s cannot restore into %s", p.Function, f.def.Name)
 	}
 	f.proto = p
-	return f.restoreFromProto(p)
-}
-
-// restoreFromProto rebuilds memory (copy-on-write) and globals from p.
-func (f *Faaslet) restoreFromProto(p *Proto) error {
-	f.mem = p.mem.Restore()
-	if f.def.Module != nil {
-		inst, err := wavm.Instantiate(f.def.Module, f.hostModules(),
-			wavm.WithMemory(f.mem),
-			wavm.WithFuel(fuelOrUnlimited(f.def.Fuel)),
-			wavm.WithSkipStart())
-		if err != nil {
-			return fmt.Errorf("core: relink after restore: %w", err)
-		}
-		for i, g := range p.globals {
-			if err := inst.SetGlobalValue(i, g); err != nil {
-				return err
-			}
-		}
-		f.inst = inst
-	}
-	return nil
+	return f.restore()
 }
 
 // NewFromProto creates a fresh Faaslet already restored from p — the warm
 // cold-start path: hundreds of microseconds instead of full initialisation.
+// Its memory aliases p's pages copy-on-write, so Faaslets started from one
+// Proto share every page they do not write.
 func NewFromProto(def FuncDef, env *Env, p *Proto) (*Faaslet, error) {
 	if def.Module == nil && def.Native == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoFunction, def.Name)
 	}
+	if p.Function != def.Name {
+		return nil, fmt.Errorf("core: proto for %s cannot restore into %s", p.Function, def.Name)
+	}
 	f := newShell(def, env)
-	if err := f.SetProto(p); err != nil {
-		return nil, err
+	f.mem = p.mem.Restore()
+	f.proto = p
+	if def.Module != nil {
+		// The image already reflects initialisation: link without running the
+		// start function, then take the image's globals.
+		if err := f.link(wavm.WithSkipStart()); err != nil {
+			return nil, err
+		}
+		if err := f.inst.Reset(p.globals); err != nil {
+			return nil, err
+		}
 	}
 	return f, nil
 }

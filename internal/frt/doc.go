@@ -29,6 +29,23 @@
 //     scheduler's liveness heartbeat and the elastic pool controller are
 //     background goroutines too; neither ever runs inside a call.
 //
+// # Faaslet and call-record lifecycle
+//
+// A pooled Faaslet is reset in place (core.Faaslet.Reset): its memory and VM
+// instance are restored from its reset image, not rebuilt. The first
+// Faaslet cold-started for a function leaves its image on the function's
+// pool, and later cold starts of the same definition restore from it
+// (core.NewFromProto), sharing its clean pages; an explicitly generated
+// Proto-Faaslet takes precedence. Nothing is built at deployment.
+//
+// An asynchronous call is executed by whoever claims its record first
+// (mbus.CallTable.Claim): the dispatch goroutine Invoke/Chain spawned, or
+// the goroutine that Awaits it, which then runs it inline instead of
+// sleeping on work nobody has started. A guest's chained calls are owned by
+// the guest's own call: executeLocal deletes their records when it returns.
+// Records of calls invoked from outside a guest live for the call table's
+// fixed retention window.
+//
 // # Elastic warm pools
 //
 // PoolCap bounds each function's warm pool; by default the pool grows only

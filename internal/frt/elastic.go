@@ -104,19 +104,12 @@ func (i *Instance) prewarm(fn string, n int) {
 			i.shutMu.RUnlock()
 			return
 		}
-		var f *core.Faaslet
-		var err error
-		if proto := i.proto(fn); proto != nil {
-			f, err = core.NewFromProto(def, i.env, proto)
-			i.ProtoStarts.Add(1)
-		} else {
-			f, err = core.New(def, i.env)
-		}
+		p := i.poolFor(fn)
+		f, err := i.coldStart(p, def)
 		if err != nil {
 			i.shutMu.RUnlock()
 			return
 		}
-		p := i.poolFor(fn)
 		p.mu.Lock()
 		if len(p.idle)+p.resetting >= i.cfg.PoolCap {
 			p.mu.Unlock()

@@ -141,6 +141,11 @@ type fnPool struct {
 	idle      []*core.Faaslet
 	resetting int
 	live      int
+	// image is the reset image of the first Faaslet cold-started here, and
+	// imageDef the definition it was built from: later cold starts of that
+	// definition restore from it, sharing its clean pages.
+	image    *core.Proto
+	imageDef core.FuncDef
 
 	// Demand signals for the elastic controller (under mu; no clock reads
 	// on the acquire path — idleness is inferred from the counter).
@@ -587,31 +592,74 @@ func (i *Instance) poolFor(function string) *fnPool {
 	return p.(*fnPool)
 }
 
-// Invoke starts an asynchronous call and returns its id; Await/Output
-// retrieve the result. This is the external entry point and the chain_call
-// implementation. Sampled calls get a trace at creation, so the queue wait
-// between dispatch and execution is attributed.
+// Invoke starts an asynchronous call from outside any guest and returns its
+// id; Await/Output retrieve the result, which stays readable for the call
+// table's retention window. Sampled calls get a trace at creation, so the
+// queue wait between dispatch and execution is attributed.
 func (i *Instance) Invoke(function string, input []byte) (uint64, error) {
+	return i.invoke(function, input, false)
+}
+
+// Chain implements core.Chainer: chain_call. The record belongs to the
+// calling guest's own call, and executeLocal deletes it when that returns;
+// the child runs whether or not the guest ever awaits it.
+func (i *Instance) Chain(function string, input []byte) (uint64, error) {
+	return i.invoke(function, input, true)
+}
+
+func (i *Instance) invoke(function string, input []byte, owned bool) (uint64, error) {
 	if _, ok := i.def(function); !ok {
 		return 0, fmt.Errorf("frt: unknown function %q", function)
 	}
-	id := i.calls.Create(function, input)
+	var id uint64
+	if owned {
+		id = i.calls.CreateOwned(function, input)
+	} else {
+		id = i.calls.Create(function, input)
+	}
 	tr := i.tracer.Start(i.cfg.Host, function)
 	if tr != nil {
 		i.calls.SetTraceID(id, uint64(tr.ID()))
 	}
-	created := i.traceNow(tr)
-	go i.dispatch(id, function, input, tr, created)
+	go i.dispatch(id, tr)
 	return id, nil
 }
 
-// Chain implements core.Chainer.
-func (i *Instance) Chain(function string, input []byte) (uint64, error) {
-	return i.Invoke(function, input)
+// dispatch runs one asynchronous call on its own goroutine — unless its
+// awaiter got to it first.
+func (i *Instance) dispatch(id uint64, tr *obsv.Trace) {
+	if rec, ok := i.calls.Claim(id); ok {
+		i.runClaimed(rec, tr)
+	}
 }
 
-// Await implements core.Chainer.
-func (i *Instance) Await(id uint64) (int32, error) { return i.calls.Await(id) }
+// runClaimed executes a call this goroutine has claimed and parks the result
+// in the table. A record deleted meanwhile (its parent returned without
+// awaiting) makes Complete a no-op.
+func (i *Instance) runClaimed(rec mbus.CallRecord, tr *obsv.Trace) {
+	if tr != nil {
+		i.span(tr, "queue.wait", "", tr.Started(), 0, false)
+	}
+	out, ret, err := i.route(tr, rec.Function, rec.Input)
+	i.tracer.Finish(tr)
+	i.calls.Complete(rec.ID, out, ret, err)
+}
+
+// Await implements core.Chainer: await_call. If nothing has started the call
+// yet it is claimed and run here, on the awaiting goroutine, through the same
+// route a dispatch goroutine would take — the awaiter never sleeps on work
+// nobody has begun, and the dispatch goroutine, finding the call claimed,
+// returns without touching it. Children are therefore not guaranteed to run
+// concurrently with each other or in chain order, only before their Await
+// returns.
+func (i *Instance) Await(id uint64) (int32, error) {
+	if rec, ok := i.calls.Claim(id); ok {
+		// Rejoin the trace Invoke started (nil when the call was unsampled).
+		tr, _ := i.tracer.Join(obsv.TraceID(rec.TraceID), i.cfg.Host, rec.Function)
+		i.runClaimed(rec, tr)
+	}
+	return i.calls.Await(id)
+}
 
 // Output implements core.Chainer.
 func (i *Instance) Output(id uint64) ([]byte, error) { return i.calls.Output(id) }
@@ -641,15 +689,6 @@ func (i *Instance) CallTraced(function string, input []byte) ([]byte, int32, obs
 	out, ret, err := i.route(tr, function, input)
 	i.tracer.Finish(tr)
 	return out, ret, tr.ID(), err
-}
-
-// dispatch runs one asynchronous call, parking its result in the table.
-func (i *Instance) dispatch(id uint64, function string, input []byte, tr *obsv.Trace, created time.Time) {
-	i.calls.Start(id)
-	i.span(tr, "queue.wait", "", created, 0, false)
-	out, ret, err := i.route(tr, function, input)
-	i.tracer.Finish(tr)
-	i.calls.Complete(id, out, ret, err)
 }
 
 // route executes one call per the scheduler's decision: forward to a warm
@@ -766,6 +805,13 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 	i.ExecLatency.Record(dur)
 	i.execHist.Observe(int64(dur))
 	i.Billable.Charge(f.Footprint(), dur)
+	// The call is over: the records of the calls it chained, awaited or not,
+	// have no reader left. A child still running completes into nothing; one
+	// nothing has started yet keeps its record until its dispatch goroutine
+	// has run it (Delete discards results, never work).
+	for _, id := range f.Chained() {
+		i.calls.Delete(id)
+	}
 	i.release(def.Name, f, execErr == nil)
 	return out, ret, execErr
 }
@@ -805,14 +851,7 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 		i.clock.Sleep(i.cfg.ColdStartDelay)
 	}
 	start := i.clock.Now()
-	var f *core.Faaslet
-	var err error
-	if proto := i.proto(def.Name); proto != nil {
-		f, err = core.NewFromProto(def, i.env, proto)
-		i.ProtoStarts.Add(1)
-	} else {
-		f, err = core.New(def, i.env)
-	}
+	f, err := i.coldStart(p, def)
 	if err != nil {
 		return nil, true, err
 	}
@@ -825,6 +864,39 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 	p.mu.Unlock()
 	i.faasletCount.Add(1)
 	return f, true, nil
+}
+
+// coldStart builds a Faaslet of def: restored from the function's
+// Proto-Faaslet if one was generated, else from the reset image of the first
+// Faaslet cold-started into p, else — being that first one — from scratch,
+// leaving its image on p. Nothing happens at deployment: the image costs the
+// first cold start nothing it was not already doing.
+func (i *Instance) coldStart(p *fnPool, def core.FuncDef) (*core.Faaslet, error) {
+	proto := i.proto(def.Name)
+	if proto == nil {
+		p.mu.Lock()
+		if p.image != nil && sameImage(p.imageDef, def) {
+			proto = p.image
+		}
+		p.mu.Unlock()
+	}
+	if proto != nil {
+		i.ProtoStarts.Add(1)
+		return core.NewFromProto(def, i.env, proto)
+	}
+	f, err := core.New(def, i.env)
+	if err == nil {
+		p.mu.Lock()
+		p.image, p.imageDef = f.Proto(), def
+		p.mu.Unlock()
+	}
+	return f, err
+}
+
+// sameImage reports whether Faaslets of a and b start from the same memory
+// image (a function may be redeployed under its name with another body).
+func sameImage(a, b core.FuncDef) bool {
+	return a.Module == b.Module && a.InitialPages == b.InitialPages && a.MemLimitPages == b.MemLimitPages
 }
 
 // release returns the Faaslet to the warm pool, handing its reset (§5.2:

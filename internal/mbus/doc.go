@@ -22,4 +22,19 @@
 //     places a call locally, frt.Instance.Call executes inline and never
 //     creates a table entry — the CallTable only tracks asynchronous
 //     (chained or shared) calls.
+//   - One executor: Claim moves a call pending → running for exactly one of
+//     its concurrent claimants, so a call that both a dispatch goroutine and
+//     its awaiter try to run executes once.
+//
+// # Record lifetime
+//
+// Nothing lives in the table for ever. A guest's chained call is created
+// with CreateOwned and deleted by the runtime when the chaining (parent)
+// call returns, awaited or not. Delete discards a result, not work: an owned
+// call nothing has claimed yet keeps its record, marked, until it has run, and
+// Complete removes it. A call created from outside a guest (Create)
+// stays readable after completion until CompletedRetention further
+// completions evict it — a fixed count, enforced inline by Complete: no
+// clock, no sweeper goroutine, nothing to tune. Pending and running records
+// are never evicted, so Len is bounded by in-flight calls plus the window.
 package mbus

@@ -250,12 +250,27 @@ type CallRecord struct {
 // same shard mutex.
 const callShards = 64
 
+// CompletedRetention bounds the completed records the table keeps for
+// callers outside any guest (Create): exactly this many of the most recently
+// completed ones stay readable, whatever their ids; each further completion
+// evicts the oldest. It is the whole lifetime policy for such records — a
+// count, not a clock, enforced inline by Complete — and sized so that an
+// Invoke → Await → Output sequence, or a batch of a few thousand calls
+// awaited afterwards, never sees its own records evicted. Records with an
+// owner (CreateOwned) are outside the window; pending and running records are
+// never evicted.
+const CompletedRetention = 4096
+
 // callEntry is one tracked call plus its completion signal. done is closed
 // exactly once, when the call reaches a terminal state (or is deleted), so
 // Await wakes only the waiters of THIS call — never the whole table.
 type callEntry struct {
 	rec  CallRecord
 	done chan struct{}
+	// owned marks a record whose creator deletes it (CreateOwned); orphaned,
+	// one its owner deleted before anything had claimed the call. The call
+	// still has to run, so the record stays until Complete, which removes it.
+	owned, orphaned bool
 }
 
 type callShard struct {
@@ -267,9 +282,22 @@ type callShard struct {
 // It is sharded by call id: operations on different calls take different
 // locks, and each call carries its own completion channel, so completing one
 // call wakes exactly its awaiters.
+//
+// Every record has a lifetime. One created for a guest's chain_call
+// (CreateOwned) belongs to the parent call, whose runtime deletes it when
+// the parent returns; one created from outside a guest (Create) stays
+// readable after completion until CompletedRetention later completions have
+// pushed it out. The table's size is therefore in-flight calls plus a
+// constant, whatever the uptime.
 type CallTable struct {
 	shards [callShards]callShard
 	next   atomic.Uint64
+
+	// retained is the table-wide FIFO of completed, un-owned call ids (0 =
+	// empty slot). The n-th such completion takes slot n mod its length and
+	// evicts the id it finds there.
+	retained  [CompletedRetention]atomic.Uint64
+	retainedN atomic.Uint64
 
 	// created/completed/failed count call lifecycle transitions for the
 	// metrics exposition.
@@ -301,8 +329,22 @@ func (t *CallTable) shard(id uint64) *callShard {
 	return &t.shards[id&(callShards-1)]
 }
 
-// Create registers a new pending call, returning its ID.
+// Create registers a new pending call for a caller outside any guest,
+// returning its ID. Once completed the record stays readable for the
+// retention window (CompletedRetention), then is evicted.
 func (t *CallTable) Create(function string, input []byte) uint64 {
+	return t.create(function, input, false)
+}
+
+// CreateOwned registers a new pending call whose creator owns the record and
+// must Delete it — a guest's chained call, discarded when the parent call
+// returns. Owned records are never evicted by the retention window. Someone
+// must still Claim and Complete the call: deleting it does not cancel it.
+func (t *CallTable) CreateOwned(function string, input []byte) uint64 {
+	return t.create(function, input, true)
+}
+
+func (t *CallTable) create(function string, input []byte, owned bool) uint64 {
 	id := t.next.Add(1)
 	e := &callEntry{
 		rec: CallRecord{
@@ -311,7 +353,8 @@ func (t *CallTable) Create(function string, input []byte) uint64 {
 			Input:    append([]byte(nil), input...),
 			Status:   CallPending,
 		},
-		done: make(chan struct{}),
+		done:  make(chan struct{}),
+		owned: owned,
 	}
 	s := t.shard(id)
 	s.mu.Lock()
@@ -331,16 +374,32 @@ func (t *CallTable) SetTraceID(id, trace uint64) {
 	s.mu.Unlock()
 }
 
-// Start marks a call running.
-func (t *CallTable) Start(id uint64) error {
+// Claim takes a pending call for execution: pending → running, returning
+// the record. Of any number of concurrent claimants exactly one is told true
+// and must execute and Complete the call; the others — and a claim on a call
+// that is unknown, already running or finished — get false and must not
+// touch it. The record's Input is the table's copy: read it, do not modify
+// it.
+func (t *CallTable) Claim(id uint64) (CallRecord, bool) {
 	s := t.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.calls[id]
-	if !ok {
-		return fmt.Errorf("mbus: unknown call %d", id)
+	if !ok || e.rec.Status != CallPending {
+		return CallRecord{}, false
 	}
 	e.rec.Status = CallRunning
+	return e.rec, true
+}
+
+// Start is Claim for a call with a single executor, which need not learn
+// whether it won: it fails only when the call is unknown.
+func (t *CallTable) Start(id uint64) error {
+	if _, ok := t.Claim(id); !ok {
+		if _, known := t.Get(id); !known {
+			return fmt.Errorf("mbus: unknown call %d", id)
+		}
+	}
 	return nil
 }
 
@@ -360,12 +419,13 @@ var ErrAlreadyCompleted = errors.New("mbus: call already completed")
 func (t *CallTable) Complete(id uint64, output []byte, ret int32, err error) error {
 	s := t.shard(id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.calls[id]
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("mbus: unknown call %d", id)
 	}
 	if terminal(e.rec.Status) {
+		s.mu.Unlock()
 		return ErrAlreadyCompleted
 	}
 	e.rec.Output = append([]byte(nil), output...)
@@ -377,6 +437,18 @@ func (t *CallTable) Complete(id uint64, output []byte, ret int32, err error) err
 		e.rec.Status = CallSucceeded
 	}
 	close(e.done)
+	if e.orphaned {
+		delete(s.calls, id)
+	}
+	s.mu.Unlock()
+	if !e.owned {
+		// Enter the retention window, evicting the record that completed
+		// CompletedRetention completions ago (if it is still here).
+		slot := (t.retainedN.Add(1) - 1) % CompletedRetention
+		if old := t.retained[slot].Swap(id); old != 0 {
+			t.Delete(old)
+		}
+	}
 	t.completed.Add(1)
 	if err != nil {
 		t.failed.Add(1)
@@ -439,19 +511,30 @@ func (t *CallTable) Get(id uint64) (CallRecord, bool) {
 	return e.rec, true
 }
 
-// Delete discards a call record (GC after chaining completes). Waiters
-// blocked in Await are woken and observe the call as unknown.
+// Delete discards a call record: the owner's duty for a CreateOwned record,
+// optional for others (the retention window evicts those). Waiters blocked
+// in Await on a call that has not finished are woken and observe it as
+// unknown; a later Complete of it finds nothing and reports unknown too.
+//
+// Deleting is not cancelling. An owned call nothing has claimed yet is work
+// its chainer asked for and stopped caring about the result of: its record is
+// only marked, stays claimable, and goes when the call completes.
 func (t *CallTable) Delete(id uint64) {
 	s := t.shard(id)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.calls[id]
-	if ok {
-		delete(s.calls, id)
-		if !terminal(e.rec.Status) {
-			close(e.done)
-		}
+	if !ok {
+		return
 	}
-	s.mu.Unlock()
+	if e.owned && e.rec.Status == CallPending {
+		e.orphaned = true
+		return
+	}
+	delete(s.calls, id)
+	if !terminal(e.rec.Status) {
+		close(e.done)
+	}
 }
 
 // Len reports the number of live records.

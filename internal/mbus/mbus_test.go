@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -392,5 +393,165 @@ func TestSendBlockedThenUnregisterReturnsClosed(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("blocked sender not released by unregister")
+	}
+}
+
+// TestClaimHasOneWinner: of many concurrent claimants of a pending call
+// exactly one is told to run it, and it gets the record; a call that is
+// running, finished, deleted or unknown cannot be claimed.
+func TestClaimHasOneWinner(t *testing.T) {
+	ct := NewCallTable()
+	for round := 0; round < 200; round++ {
+		id := ct.CreateOwned("fn", []byte{byte(round)})
+		var wins atomic.Int32
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rec, ok := ct.Claim(id); ok {
+					wins.Add(1)
+					if rec.ID != id || rec.Function != "fn" || rec.Status != CallRunning || rec.Input[0] != byte(round) {
+						t.Errorf("claimed record %+v", rec)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if wins.Load() != 1 {
+			t.Fatalf("round %d: %d claimants won", round, wins.Load())
+		}
+		if err := ct.Start(id); err != nil { // Start on a claimed call is a no-op, not an error
+			t.Fatal(err)
+		}
+		ct.Complete(id, nil, 0, nil)
+		if _, ok := ct.Claim(id); ok {
+			t.Fatal("claimed a finished call")
+		}
+		if rec, _ := ct.Get(id); rec.Status != CallSucceeded {
+			t.Fatalf("a late claim or start changed a finished call to %v", rec.Status)
+		}
+		ct.Delete(id)
+		if _, ok := ct.Claim(id); ok {
+			t.Fatal("claimed a deleted call")
+		}
+	}
+	if ct.Len() != 0 {
+		t.Fatalf("%d records left", ct.Len())
+	}
+}
+
+// TestRetentionWindow: completed records of Create stay readable until
+// CompletedRetention later completions, then go, oldest first; owned records
+// and records still in flight are never evicted.
+func TestRetentionWindow(t *testing.T) {
+	ct := NewCallTable()
+	owned := ct.CreateOwned("fn", nil)
+	ct.Complete(owned, []byte("mine"), 0, nil)
+	pending := ct.Create("fn", nil)
+	running := ct.Create("fn", nil)
+	ct.Start(running)
+
+	var ids []uint64
+	for n := 0; n < 3*CompletedRetention; n++ {
+		id := ct.Create("fn", nil)
+		ids = append(ids, id)
+		if err := ct.Complete(id, []byte{byte(n)}, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := ct.Output(id); err != nil || out[0] != byte(n) {
+			t.Fatalf("call %d unreadable right after completing: %v", n, err)
+		}
+		if live := ct.Len(); live > CompletedRetention+3 {
+			t.Fatalf("%d records live after %d completions", live, n+1)
+		}
+	}
+	// The most recent window is intact, everything older is gone.
+	for n, id := range ids {
+		_, err := ct.Output(id)
+		if recent := n >= len(ids)-CompletedRetention; recent != (err == nil) {
+			t.Fatalf("call %d of %d: output error %v", n, len(ids), err)
+		}
+	}
+	if out, err := ct.Output(owned); err != nil || string(out) != "mine" {
+		t.Fatalf("owned record evicted: %v", err)
+	}
+	for _, id := range []uint64{pending, running} {
+		if rec, ok := ct.Get(id); !ok || rec.Status.Terminal() {
+			t.Fatalf("in-flight record %d evicted or finished: %+v", id, rec)
+		}
+	}
+	// An awaiter that got hold of the call before it was evicted still reads
+	// its result.
+	ct.Complete(running, nil, 9, nil)
+	if ret, err := ct.Await(running); err != nil || ret != 9 {
+		t.Fatalf("await: %d %v", ret, err)
+	}
+}
+
+// TestRetentionWindowIgnoresIDStride: external ids interleaved with any
+// number of owned ones (each external call chains k children, so external ids
+// are k+1 apart — 64 apart puts them all on one shard) still get the whole
+// window, oldest completed evicted first.
+func TestRetentionWindowIgnoresIDStride(t *testing.T) {
+	for _, children := range []int{1, 31, 63, 127} {
+		ct := NewCallTable()
+		var ids []uint64
+		for n := 0; n < CompletedRetention+100; n++ {
+			id := ct.Create("parent", nil)
+			ids = append(ids, id)
+			for c := 0; c < children; c++ {
+				child := ct.CreateOwned("leaf", nil)
+				ct.Claim(child)
+				ct.Complete(child, nil, 0, nil)
+				ct.Delete(child)
+			}
+			ct.Complete(id, []byte{byte(n)}, 0, nil)
+		}
+		for n, id := range ids {
+			out, err := ct.Output(id)
+			if recent := n >= 100; recent != (err == nil) || (recent && out[0] != byte(n)) {
+				t.Fatalf("%d children per call: call %d of %d: output %v, error %v", children, n, len(ids), out, err)
+			}
+		}
+		if ct.Len() != CompletedRetention {
+			t.Fatalf("%d children per call: %d records live", children, ct.Len())
+		}
+	}
+}
+
+// TestDeleteDoesNotCancelOwnedCall: an owned call deleted before anything
+// claimed it is still claimable — exactly once — and its record goes when it
+// completes; one deleted while running completes into nothing.
+func TestDeleteDoesNotCancelOwnedCall(t *testing.T) {
+	ct := NewCallTable()
+	pending := ct.CreateOwned("fn", []byte("in"))
+	ct.Delete(pending)
+	ct.Delete(pending) // idempotent
+	if ct.Len() != 1 {
+		t.Fatalf("%d records after deleting an unstarted owned call, want it kept until it has run", ct.Len())
+	}
+	rec, ok := ct.Claim(pending)
+	if !ok || string(rec.Input) != "in" {
+		t.Fatalf("claim after delete: %+v, %v", rec, ok)
+	}
+	if _, again := ct.Claim(pending); again {
+		t.Fatal("claimed twice")
+	}
+	if err := ct.Complete(pending, nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ct.Len() != 0 {
+		t.Fatalf("%d records after the orphan completed", ct.Len())
+	}
+
+	running := ct.CreateOwned("fn", nil)
+	ct.Claim(running)
+	ct.Delete(running)
+	if ct.Len() != 0 {
+		t.Fatalf("%d records after deleting a running owned call", ct.Len())
+	}
+	if err := ct.Complete(running, nil, 0, nil); err == nil {
+		t.Fatal("completing a deleted running call reported success")
 	}
 }

@@ -47,6 +47,9 @@ func (t *Trace) ID() TraceID {
 	return t.id
 }
 
+// Started reports when the trace began (Tracer.Start's clock reading).
+func (t *Trace) Started() time.Time { return time.Unix(0, t.start) }
+
 // RecordSpan appends one span. Nil-safe; implements core.TraceSink.
 func (t *Trace) RecordSpan(host, name, key string, start time.Time, dur time.Duration, bytes int64, fail bool) {
 	if t == nil {

@@ -8,7 +8,9 @@
 //     bytes with no copying, while the guest still sees offsets from zero;
 //   - copy-on-write snapshots (§5.2): a Proto-Faaslet restore aliases the
 //     snapshot's pages and copies a page only when it is first written, so
-//     restores cost O(page table), not O(memory).
+//     restores cost O(page table), not O(memory). A live Memory is restored
+//     in place (RestoreFrom): the pages the last call made private go back,
+//     zeroed, to a host-wide free list that the next first-write draws from.
 //
 // The paper implements both with mmap/mremap on the host; Go has no portable
 // equivalent, so wamem uses a page table: the linear space is an array of
@@ -25,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -202,6 +205,22 @@ func (m *Memory) SharedAt(off uint32) (*Segment, bool) {
 	return m.pages[idx].seg, true
 }
 
+// freePages is the host-wide free list of private pages. Every page in it is
+// all-zero: RestoreFrom clears a page before releasing it, so a page one
+// Faaslet dirtied can reach another only as zeroes, and pageForWrite can hand
+// one out as a fresh zero page without touching it.
+var freePages = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+func takePage() []byte { return freePages.Get().(*[PageSize]byte)[:] }
+
+// releasePage clears a private page and puts it on the free list. The caller
+// must hold the only reference to it.
+func releasePage(buf []byte) {
+	pg := (*[PageSize]byte)(buf)
+	clear(pg[:])
+	freePages.Put(pg)
+}
+
 // pageForRead returns the backing slice for page idx, which may be nil for
 // an untouched zero page.
 func (m *Memory) pageForRead(idx int) []byte { return m.pages[idx].buf }
@@ -214,12 +233,12 @@ func (m *Memory) pageForWrite(idx int) []byte {
 		return p.buf
 	}
 	if p.buf == nil {
-		p.buf = make([]byte, PageSize)
+		p.buf = takePage()
 		m.owned++
 		return p.buf
 	}
 	if p.cow {
-		fresh := make([]byte, PageSize)
+		fresh := takePage()
 		copy(fresh, p.buf)
 		p.buf = fresh
 		p.cow = false
@@ -611,10 +630,33 @@ func (s *Snapshot) StoredBytes() int64 {
 // the Proto-Faaslet restore path: cost is proportional to the page count,
 // not the memory contents.
 func (s *Snapshot) Restore() *Memory {
-	m := &Memory{
-		pages:    make([]page, len(s.pages)),
-		maxPages: s.maxPages,
-		brk:      s.brk,
+	m := &Memory{}
+	m.RestoreFrom(s)
+	return m
+}
+
+// RestoreFrom returns m, in place, to the snapshot's contents: the per-call
+// reset of §5.2. It walks the page table once. A page m owns privately — one
+// it materialised or copied out of a snapshot since the last restore — is
+// cleared and released to the free list; every entry is re-pointed at the
+// snapshot's page copy-on-write, at the snapshot's shared segment, or back
+// to an untouched zero page. Shared-segment windows mapped since are simply
+// unmapped — the segment belongs to the state tier and is never cleared —
+// pages grown past the snapshot's size are dropped, and the break and page
+// limit are the snapshot's. The cost is O(page table) + O(pages made private
+// since the last restore), and nothing is allocated unless the snapshot is
+// larger than any size m has had.
+func (m *Memory) RestoreFrom(s *Snapshot) {
+	for i := range m.pages {
+		if p := &m.pages[i]; p.buf != nil && !p.cow && p.seg == nil {
+			releasePage(p.buf)
+		}
+	}
+	if n := len(s.pages); n <= cap(m.pages) {
+		clear(m.pages[min(n, len(m.pages)):]) // drop references past the new end
+		m.pages = m.pages[:n]
+	} else {
+		m.pages = make([]page, n)
 	}
 	for i, sp := range s.pages {
 		switch {
@@ -622,9 +664,11 @@ func (s *Snapshot) Restore() *Memory {
 			m.pages[i] = page{buf: sp.seg.data[sp.segOff : sp.segOff+PageSize], seg: sp.seg, segOff: sp.segOff}
 		case sp.buf != nil:
 			m.pages[i] = page{buf: sp.buf, cow: true}
+		default:
+			m.pages[i] = page{}
 		}
 	}
-	return m
+	m.owned, m.brk, m.maxPages = 0, s.brk, s.maxPages
 }
 
 // Serialize flattens the snapshot for cross-host transfer through the global

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -587,4 +588,158 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		r := snap.Restore()
 		_ = r
 	}
+}
+
+// dirty writes a recognisable byte into every page of m.
+func dirty(t *testing.T, m *Memory, b byte) {
+	t.Helper()
+	if err := m.Fill(0, b, int(m.Size())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreFromInPlace: RestoreFrom returns a live memory to the snapshot:
+// written pages read as the image again, untouched zero pages are zero again,
+// grown pages and the moved break are gone, and nothing is private any more.
+func TestRestoreFromInPlace(t *testing.T) {
+	m := MustNew(3, 16)
+	if err := m.WriteBytes(10, []byte("image bytes")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetBrk(4000); err != nil {
+		t.Fatal(err)
+	}
+	image := m.Snapshot()
+
+	for round := 0; round < 3; round++ {
+		if _, err := m.Grow(4); err != nil {
+			t.Fatal(err)
+		}
+		dirty(t, m, 0xC0+byte(round))
+		if err := m.SetBrk(m.Size() - 1); err != nil {
+			t.Fatal(err)
+		}
+		if m.Footprint() != 7*PageSize {
+			t.Fatalf("round %d: footprint %d with 7 dirty pages", round, m.Footprint())
+		}
+		m.RestoreFrom(image)
+		if m.Pages() != 3 || m.Brk() != 4000 || m.Footprint() != 0 {
+			t.Fatalf("round %d: %d pages, brk %d, footprint %d after the restore", round, m.Pages(), m.Brk(), m.Footprint())
+		}
+		want := make([]byte, 3*PageSize)
+		copy(want[10:], "image bytes")
+		if got, _ := m.ReadBytes(0, 3*PageSize); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: memory is not the image after the restore", round)
+		}
+		if _, err := m.ReadU8(3 * PageSize); err == nil {
+			t.Fatalf("round %d: a grown page is still addressable", round)
+		}
+	}
+	// A snapshot larger than the memory has ever been also restores.
+	big := MustNew(40, 64)
+	dirty(t, big, 0x11)
+	m.RestoreFrom(big.Snapshot())
+	if v, _ := m.ReadU8(39*PageSize + 5); m.Pages() != 40 || v != 0x11 || m.MaxPages() != 64 {
+		t.Fatalf("restore of a larger image: %d pages (limit %d), byte %#x", m.Pages(), m.MaxPages(), v)
+	}
+}
+
+// TestFreeListPagesAreZero: whatever a memory wrote into a page, the next
+// memory to draw that page from the free list sees zeroes — both through a
+// fresh zero page and around the bytes of a copy-on-write copy.
+func TestFreeListPagesAreZero(t *testing.T) {
+	empty := MustNew(8, 8).Snapshot()
+	for round := 0; round < 50; round++ {
+		a := MustNew(8, 8)
+		dirty(t, a, 0xEE)
+		a.RestoreFrom(empty) // eight poisoned pages go to the free list
+
+		b := MustNew(8, 8)
+		for p := uint32(0); p < 8; p++ {
+			if err := b.WriteU8(p*PageSize+77, 1); err != nil { // draws a page
+				t.Fatal(err)
+			}
+		}
+		got, _ := b.ReadBytes(0, 8*PageSize)
+		for i, v := range got {
+			if v != 0 && i%PageSize != 77 {
+				t.Fatalf("round %d: byte %#x of a page from the free list is %#x", round, i, v)
+			}
+		}
+	}
+}
+
+// TestRestoreFromLeavesSharedSegmentsAlone: a segment mapped after the
+// snapshot is unmapped by the restore and not one byte of it is touched; a
+// segment that is part of the snapshot is mapped again.
+func TestRestoreFromLeavesSharedSegmentsAlone(t *testing.T) {
+	m := MustNew(1, 16)
+	image := m.Snapshot()
+	seg := NewSegment(2 * PageSize)
+	for i := range seg.Bytes() {
+		seg.Bytes()[i] = byte(i * 7)
+	}
+	want := append([]byte(nil), seg.Bytes()...)
+	base, err := m.MapShared(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteU8(base+5, want[5]); err != nil { // a store through the window
+		t.Fatal(err)
+	}
+	m.RestoreFrom(image)
+	if _, ok := m.SharedAt(base); ok || m.Pages() != 1 {
+		t.Fatalf("segment still mapped after the restore (%d pages)", m.Pages())
+	}
+	if !bytes.Equal(seg.Bytes(), want) {
+		t.Fatal("the restore modified the shared segment")
+	}
+
+	base, _ = m.MapShared(seg)
+	withSeg := m.Snapshot()
+	other := NewSegment(PageSize)
+	if _, err := m.MapShared(other); err != nil {
+		t.Fatal(err)
+	}
+	m.RestoreFrom(withSeg)
+	if s, ok := m.SharedAt(base); !ok || s != seg || m.Pages() != 3 {
+		t.Fatalf("the snapshot's own segment was not mapped back (%d pages)", m.Pages())
+	}
+	if v, _ := m.ReadU8(base + 9); v != want[9] {
+		t.Fatalf("read through the re-mapped window: %#x", v)
+	}
+}
+
+// TestRestoreFromConcurrently restores one snapshot into 64 memories at once,
+// each writing, checking and restoring in a loop: under -race, the proof that
+// restored memories never write to the pages they share.
+func TestRestoreFromConcurrently(t *testing.T) {
+	src := MustNew(4, 8)
+	dirty(t, src, 0x42)
+	image := src.Snapshot()
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := image.Restore()
+			for n := 0; n < 50; n++ {
+				off := uint32((g*977 + n*131) % (4*PageSize - 8))
+				if err := m.WriteU64(off, uint64(g)<<32|uint64(n)); err != nil {
+					t.Error(err)
+					return
+				}
+				if v, _ := m.ReadU64(off); v != uint64(g)<<32|uint64(n) {
+					t.Errorf("memory %d read back %#x", g, v)
+					return
+				}
+				m.RestoreFrom(image)
+				if v, _ := m.ReadU64(off); v != 0x4242424242424242 {
+					t.Errorf("memory %d sees %#x after a restore", g, v)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

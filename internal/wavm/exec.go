@@ -19,14 +19,20 @@ type lframe struct {
 // does.
 const maxRegisters = 1 << 22
 
-// growRegs extends the register file to hold at least need registers.
+// growRegs extends the register file to hold at least need registers. Its
+// length is the high-water mark of the calls since the last Reset — all that
+// Reset has to clear — and its capacity the storage kept across resets, so
+// the callers' one length check finds both a new mark and a full file.
 func (i *Instance) growRegs(need int) bool {
 	if need > maxRegisters {
 		return false
 	}
-	grown := make([]uint64, min(max(need, 2*len(i.regs)), maxRegisters))
-	copy(grown, i.regs)
-	i.regs = grown
+	if need > cap(i.regs) {
+		grown := make([]uint64, len(i.regs), min(max(need, 2*cap(i.regs)), maxRegisters))
+		copy(grown, i.regs)
+		i.regs = grown
+	}
+	i.regs = i.regs[:need]
 	return true
 }
 

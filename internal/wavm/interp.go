@@ -45,7 +45,8 @@ type Instance struct {
 
 	// regs is the register file: one contiguous run of frames, each a window
 	// that starts at its caller's argument registers. It is allocated at the
-	// entry function's frame size on the first call and grows on demand.
+	// entry function's frame size on the first call and grows on demand; its
+	// length is the deepest any call since the last Reset has reached.
 	regs []uint64
 	// sp is the first register free for a new entry frame: 0 at rest, and
 	// above the live frames while a host function runs, so a host function
@@ -56,6 +57,8 @@ type Instance struct {
 
 	maxDepth  int
 	skipStart bool
+	// fuelBudget is the budget WithFuel configured; Reset refills Fuel to it.
+	fuelBudget int64
 }
 
 // InstanceOption configures instantiation.
@@ -101,6 +104,7 @@ func Instantiate(mod *Module, imports map[string]HostModule, opts ...InstanceOpt
 	for _, o := range opts {
 		o(inst)
 	}
+	inst.fuelBudget = inst.Fuel
 	if inst.mem == nil && mod.MemMin > 0 {
 		mem, err := wamem.New(mod.MemMin, mod.MemMax)
 		if err != nil {
@@ -163,17 +167,31 @@ func (i *Instance) GlobalValue(g int) (uint64, error) {
 	return i.globals[g], nil
 }
 
-// SetGlobalValue overwrites global g's raw value (snapshot restore path).
-func (i *Instance) SetGlobalValue(g int, v uint64) error {
-	if g < 0 || g >= len(i.globals) {
-		return fmt.Errorf("wavm: global %d out of range", g)
-	}
-	i.globals[g] = v
-	return nil
-}
-
 // Globals returns a copy of all global raw values.
 func (i *Instance) Globals() []uint64 { return append([]uint64(nil), i.globals...) }
+
+// Reset returns the instance, in place, to the state of a freshly linked one
+// whose globals hold the given raw values (a Proto-Faaslet's): the per-call
+// reset of §5.2. Globals, the indirect-call table, the fuel budget, the step
+// counter, the call stack and every register a call may have written are
+// restored; the host bindings, the lowered code, the memory binding and the
+// register file's storage are kept, so nothing is allocated. The memory's
+// contents are the caller's to restore (wamem.Memory.RestoreFrom). It must
+// not be called while a call is in progress.
+func (i *Instance) Reset(globals []uint64) error {
+	if len(globals) != len(i.globals) {
+		return fmt.Errorf("wavm: reset with %d globals, instance has %d", len(globals), len(i.globals))
+	}
+	copy(i.globals, globals)
+	copy(i.table, i.mod.Table)
+	i.Fuel, i.Steps = i.fuelBudget, 0
+	i.frames, i.sp = i.frames[:0], 0
+	// The file's length is the high-water mark (growRegs): clearing that
+	// prefix clears every register the previous call wrote.
+	clear(i.regs)
+	i.regs = i.regs[:0]
+	return nil
+}
 
 // Call invokes the exported function name with raw-encoded arguments.
 func (i *Instance) Call(name string, args ...uint64) ([]uint64, error) {

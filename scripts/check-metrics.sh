@@ -57,7 +57,9 @@ if grep -q FAIL /tmp/check-metrics-out; then
 fi
 
 # Required series: the shard-health metrics the failure-model docs and the
-# chaos gate rely on must stay registered under these exact names.
+# chaos gate rely on must stay registered under these exact names — and the
+# call table's live-record gauge, which is how an operator sees the records'
+# lifetime policy hold (flat between requests, whatever the uptime).
 for required in \
     faasm_shardkvs_failovers_total \
     faasm_shardkvs_replica_divergence_total \
@@ -74,7 +76,8 @@ for required in \
     faasm_queue_depth \
     faasm_queue_enqueued_total \
     faasm_queue_redelivered_total \
-    faasm_queue_dead_lettered_total; do
+    faasm_queue_dead_lettered_total \
+    faasm_mbus_calls_live; do
     if ! echo "$sites" | grep -q ":$required\$"; then
         echo "FAIL: required metric $required is not registered anywhere"
         fail=1
