@@ -3,8 +3,8 @@ package faasm_test
 // One testing.B benchmark per table and figure of the paper's evaluation.
 // Each wraps the corresponding experiment from internal/experiments in its
 // quick configuration; `cmd/faasm-bench` runs the full-sized sweeps and
-// EXPERIMENTS.md records the full results. Benchmarks report one run per
-// iteration, so ns/op approximates one complete experiment pass.
+// prints their reports. Benchmarks report one run per iteration, so ns/op
+// approximates one complete experiment pass.
 
 import (
 	"fmt"
@@ -129,7 +129,7 @@ func BenchmarkBatchedVsSingleOps(b *testing.B) {
 	b.Run("mget-64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			vals, err := kvs.MGet(c, keys)
+			vals, err := c.MGet(keys)
 			if err != nil || len(vals) != batch {
 				b.Fatalf("mget: %d %v", len(vals), err)
 			}
@@ -148,7 +148,7 @@ func BenchmarkBatchedVsSingleOps(b *testing.B) {
 	b.Run("mset-64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := kvs.MSet(c, pairs); err != nil {
+			if err := c.MSet(pairs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -166,7 +166,7 @@ func BenchmarkBatchedVsSingleOps(b *testing.B) {
 	b.Run("getranges-16", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := kvs.GetRanges(c, keys[0], ranges); err != nil {
+			if _, err := c.GetRanges(keys[0], ranges); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,8 @@
 // Command faasm-bench regenerates the paper's tables and figures on this
 // machine. Each subcommand corresponds to one table or figure of the
-// evaluation (§6); see DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured results.
+// evaluation (§6); internal/experiments holds one runner per experiment, and
+// each printed report (internal/experiments/report.go) carries the paper's
+// series in its rows or notes beside the measured values.
 //
 // Usage:
 //

@@ -57,7 +57,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":8090", "HTTP listen address")
 	stateAddrs := flag.String("state", "", "comma-separated kvs shard endpoints (empty = in-process; >1 shards the tier)")
-	storeAddr := flag.String("store", "", "deprecated alias for -state")
 	stateReplicas := flag.Int("state-replicas", 1, "copies per key when the tier is sharded")
 	stateWriteQuorum := flag.Int("state-write-quorum", 0, "copies that must acknowledge a replicated tier write (0 = all; W<replicas keeps writing while a shard is down)")
 	stateReadFailover := flag.Bool("state-read-failover", true, "let tier reads fall through to surviving copies when the chosen shard fails (sharded tier)")
@@ -86,11 +85,6 @@ func main() {
 	scaleCooldown := flag.Duration("scale-cooldown", 0, "minimum gap between voluntary scale actions (0 = 8x the reconcile tick)")
 	flag.Parse()
 
-	endpoints := *stateAddrs
-	if endpoints == "" {
-		endpoints = *storeAddr
-	}
-
 	var store kvs.Store
 	var served *kvs.Engine
 	var localEngine *kvs.Engine // in-process tier engine, if this process owns one
@@ -115,7 +109,7 @@ func main() {
 		return c
 	}
 	var ring *shardkvs.Ring
-	switch addrs := shardkvs.SplitEndpoints(endpoints); {
+	switch addrs := shardkvs.SplitEndpoints(*stateAddrs); {
 	case len(addrs) > 1:
 		var err error
 		ring, err = shardkvs.AttachRemote(addrs, shardkvs.Options{

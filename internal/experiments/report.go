@@ -1,15 +1,15 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§6). Each experiment returns a Report whose rows mirror the
-// paper's series, so EXPERIMENTS.md can record paper-vs-measured side by
-// side. cmd/faasm-bench prints them; the repo-root benchmark file wraps
+// paper's series, so paper and measured values print side by side.
+// cmd/faasm-bench prints them; the repo-root benchmark file wraps
 // them in testing.B benches.
 //
 // Micro experiments (Tables 1 and 3, Figs 9a/9b, the Fig 10 service times)
 // measure this substrate for real, in real time. Macro experiments (Figs
 // 6–8) run on the cluster harness: real guest code over a simulated 1 Gbps
 // network on a scaled clock, with the container baseline using the paper's
-// own measured cold-start and footprint constants. EXPERIMENTS.md states
-// the scale and substitutions for every run.
+// own measured cold-start and footprint constants. Each report's notes state
+// the clock scale and substitutions of its run.
 package experiments
 
 import (
@@ -105,6 +105,6 @@ func pad(s string, w int) string {
 
 // Options tunes experiment scale.
 type Options struct {
-	// Quick shrinks sweeps for CI; full runs match EXPERIMENTS.md.
+	// Quick shrinks sweeps for CI; the default runs the full-sized sweeps.
 	Quick bool
 }

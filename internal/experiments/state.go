@@ -68,7 +68,7 @@ func StateScale(opts Options) *Report {
 		r.Add("tier", tc.label, fmt.Sprintf("%.0f", opsPerSec), speedup, "-", "-")
 	}
 
-	// Batch: the same stores driven through the kvs.Batcher surface (MGet /
+	// Batch: the same stores driven through the batch surface (MGet /
 	// MSet groups of 16), counted in single-op equivalents, against the
 	// single-op loop. In process the win is fewer lock acquisitions and map
 	// probes; over the wire (BenchmarkBatchedVsSingleOps) it is fewer round
@@ -156,9 +156,9 @@ func measureBatchedThroughput(store kvs.Store, workers, opsPerWorker int) float6
 				}
 				var err error
 				if i%2 == 0 {
-					err = kvs.MSet(store, pairs)
+					err = store.MSet(pairs)
 				} else {
-					_, err = kvs.MGet(store, keys)
+					_, err = store.MGet(keys)
 				}
 				if err != nil {
 					failed.Store(true)

@@ -60,7 +60,7 @@ func TestClientRetriesStalePooledConn(t *testing.T) {
 
 	// Batch path: stale again after another restart.
 	srv = restartServer(t, srv, engine)
-	vals, err := kvs.MGet(c, []string{"k", "missing"})
+	vals, err := c.MGet([]string{"k", "missing"})
 	if err != nil {
 		t.Fatalf("mget over stale pooled conn: %v", err)
 	}

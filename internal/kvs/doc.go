@@ -8,7 +8,10 @@
 // repo: direct (in-process, for unit tests), over TCP with a small line
 // protocol (real distributed mode, see Server/Client), and through the
 // cluster simulator's accounting client which charges transferred bytes to
-// the simulated network (see internal/cluster).
+// the simulated network (see internal/cluster). The wire protocol is one
+// command table (protocol.go): each row names a command, its argument
+// shapes, whether the client may replay it and whether it may block, and
+// its server handler; Server and Client both work from it.
 //
 // # Concurrency model
 //
@@ -20,10 +23,12 @@
 //     (Lock/Unlock) live on their own stripe array, so lock traffic from
 //     §4.2's consistency protocol does not contend with data operations on
 //     unrelated keys.
-//   - Batched: the Batcher surface (MGet/MSet/MSetEx/GetRanges) and the
-//     pipelined wire commands (MGET/MSET/MSETEX/GETRANGES) move N keys in
-//     one exchange — one network round trip and at most one stripe
-//     acquisition per key, never a global pause.
+//   - Batched: there is one Store interface and every store implements
+//     all of it, batch forms (MGet/MSet/MSetEx/GetRanges) and enumeration
+//     (AllKeys) included, so callers never probe for optional support.
+//     With the pipelined wire commands (MGET/MSET/MSETEX/GETRANGES) a batch
+//     moves N keys in one exchange — one network round trip and at most one
+//     stripe acquisition per key, never a global pause.
 //   - Tier-judged expiry: SetEx/TTL/Persist give keys a lifetime measured
 //     on the engine's own clock (SetNowFunc overrides it for tests and
 //     simulated clusters). Reads check the per-stripe deadline map lazily —

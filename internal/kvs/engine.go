@@ -11,9 +11,13 @@ import (
 	"faasm.dev/faasm/internal/obsv"
 )
 
-// Store is the interface the state tier programs against; Engine, Client and
-// the simulator's accounting wrapper all implement it.
+// Store is the interface the state tier programs against. Every store —
+// Engine, Client, the sharded ring, the simulator's accounting wrapper, the
+// test wrappers — implements all of it: the single-key operations below, the
+// batch forms (Batcher) and key enumeration (Lister).
 type Store interface {
+	Batcher
+	Lister
 	// Get returns a copy of the value at key, or nil if absent.
 	Get(key string) ([]byte, error)
 	// Set replaces the value at key.
@@ -91,13 +95,53 @@ type KeyInfo struct {
 	Key  string
 }
 
-// Lister is implemented by stores that can enumerate their contents. The
-// shard rebalancer (internal/shardkvs) uses it to stream only the moved hash
-// ranges during node join/leave. Engine and Client both implement it; lock
-// state is deliberately excluded — leases are transient and die with their
-// owner.
+// Lister is Store's enumeration surface. The shard rebalancer and healer
+// (internal/shardkvs) use it to stream only the moved hash ranges during
+// node join/leave. Lock state is deliberately excluded — leases are
+// transient and die with their owner.
 type Lister interface {
 	AllKeys() ([]KeyInfo, error)
+}
+
+// Pair is one key/value assignment in a batched write.
+type Pair struct {
+	Key string
+	Val []byte
+}
+
+// Range is one [Off, Off+N) byte window of a value.
+type Range struct {
+	Off int
+	N   int
+}
+
+// Batcher is Store's batch surface: the state stack's hot paths — DDO chunk
+// pulls, sharded writes, prefetch — issue many small operations whose cost
+// is dominated by per-operation overhead, and a batch pays it once.
+// Semantics match the single-op equivalents element-wise:
+//
+//   - MGet returns one entry per key, in key order, nil for absent keys.
+//   - MSet applies the pairs in order (a duplicated key keeps the last
+//     value); each individual key is set atomically, but the batch as a
+//     whole is not a transaction — a reader may observe some pairs applied
+//     and others not yet.
+//   - GetRanges reads several windows of one key: reads past the end
+//     truncate, windows entirely past the end are nil, negative bounds
+//     error. All windows of one command observe a single version of the
+//     value; batches beyond one wire command window (MaxBatch entries) or
+//     served one window at a time may observe different versions across
+//     windows when writers race.
+//
+// Engine serves a batch with one lock acquisition per distinct stripe, the
+// TCP client with one pipelined exchange, the sharded ring with one batch
+// per owning shard issued concurrently.
+type Batcher interface {
+	MGet(keys []string) ([][]byte, error)
+	MSet(pairs []Pair) error
+	// MSetEx applies the pairs like MSet and arms every key with the same
+	// tier-side ttl (one deadline per batch, on the store's clock).
+	MSetEx(pairs []Pair, ttl time.Duration) error
+	GetRanges(key string, ranges []Range) ([][]byte, error)
 }
 
 // numStripes is the engine's lock-striping width. 64 stripes keep the
@@ -793,7 +837,4 @@ func (e *Engine) Unlock(key string, token uint64) error {
 	return nil
 }
 
-var (
-	_ Store   = (*Engine)(nil)
-	_ Batcher = (*Engine)(nil)
-)
+var _ Store = (*Engine)(nil)

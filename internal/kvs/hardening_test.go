@@ -164,7 +164,7 @@ func TestExpiryCommandsWorkThroughAbusePath(t *testing.T) {
 	if err != nil || !removed {
 		t.Fatalf("persist over the wire: %v %v", removed, err)
 	}
-	if err := kvs.MSetEx(c, []kvs.Pair{{Key: "b1", Val: []byte("x")}, {Key: "b2", Val: []byte("y")}}, 200*time.Millisecond); err != nil {
+	if err := c.MSetEx([]kvs.Pair{{Key: "b1", Val: []byte("x")}, {Key: "b2", Val: []byte("y")}}, 200*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if d, err := c.TTL("b2"); err != nil || d <= 0 {
@@ -262,5 +262,41 @@ func TestPayloadAtLimitStillWorks(t *testing.T) {
 	v, err := c.Get("big")
 	if err != nil || len(v) != len(big) {
 		t.Fatalf("big value round trip: %d bytes, %v", len(v), err)
+	}
+}
+
+func TestLockWireTTLBounded(t *testing.T) {
+	// A LOCK lease too long for a time.Duration must be refused, not wrapped:
+	// 18446744073710 ms times 1e6 overflows int64 to a ~0.45 ms lease, which
+	// a second writer would acquire almost at once.
+	srv := newTestServer(t)
+	conn := rawConn(t, srv.Addr())
+	r := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "LOCK \"k\" w 18446744073710\n")
+	first, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != "ERR bad ttl\n" {
+		// The lease was granted: it must still exclude a second writer.
+		other := rawConn(t, srv.Addr())
+		other.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		fmt.Fprintf(other, "LOCK \"k\" w 1000\n")
+		if second, err := bufio.NewReader(other).ReadString('\n'); err == nil {
+			t.Fatalf("oversized LOCK ttl granted %q, then a second writer acquired %q", first, second)
+		}
+		return
+	}
+	// The rejection is a plain ERR on a live connection, negative TTLs get
+	// the same, and 0 still means the engine's default lease.
+	for _, line := range []string{"LOCK \"k\" w -1\n", "LOCK \"k\" r -9223372036854775808\n"} {
+		fmt.Fprint(conn, line)
+		if reply, err := r.ReadString('\n'); err != nil || reply != "ERR bad ttl\n" {
+			t.Fatalf("%q: reply %q, %v; want ERR bad ttl", line, reply, err)
+		}
+	}
+	fmt.Fprintf(conn, "LOCK \"k\" w 0\n")
+	if reply, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(reply, "INT ") {
+		t.Fatalf("LOCK with default lease: %q, %v", reply, err)
 	}
 }

@@ -96,10 +96,7 @@ func TestEngineTotalBytesAndKeys(t *testing.T) {
 }
 
 func TestAllKeysEnumeration(t *testing.T) {
-	check := func(t *testing.T, s interface {
-		Store
-		Lister
-	}) {
+	check := func(t *testing.T, s Store) {
 		s.Set("v1", []byte("x"))
 		s.SAdd("s1", "m")
 		s.Incr("i1", 7)

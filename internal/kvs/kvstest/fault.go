@@ -132,148 +132,145 @@ func (f *FaultStore) gate() error {
 	return err
 }
 
+// gated runs op unless an armed fault fails the operation first.
+func gated[T any](f *FaultStore, op func() (T, error)) (T, error) {
+	if err := f.gate(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return op()
+}
+
+func (f *FaultStore) gatedErr(op func() error) error {
+	if err := f.gate(); err != nil {
+		return err
+	}
+	return op()
+}
+
 // Get implements kvs.Store.
 func (f *FaultStore) Get(key string) ([]byte, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	return f.inner.Get(key)
+	return gated(f, func() ([]byte, error) { return f.inner.Get(key) })
 }
 
 // Set implements kvs.Store.
 func (f *FaultStore) Set(key string, val []byte) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.Set(key, val)
+	return f.gatedErr(func() error { return f.inner.Set(key, val) })
 }
 
 // SetEx implements kvs.Store.
 func (f *FaultStore) SetEx(key string, val []byte, ttl time.Duration) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.SetEx(key, val, ttl)
+	return f.gatedErr(func() error { return f.inner.SetEx(key, val, ttl) })
 }
 
 // TTL implements kvs.Store.
 func (f *FaultStore) TTL(key string) (time.Duration, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.inner.TTL(key)
+	return gated(f, func() (time.Duration, error) { return f.inner.TTL(key) })
 }
 
 // Persist implements kvs.Store.
 func (f *FaultStore) Persist(key string) (bool, error) {
-	if err := f.gate(); err != nil {
-		return false, err
-	}
-	return f.inner.Persist(key)
+	return gated(f, func() (bool, error) { return f.inner.Persist(key) })
 }
 
 // GetRange implements kvs.Store.
 func (f *FaultStore) GetRange(key string, off, n int) ([]byte, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	return f.inner.GetRange(key, off, n)
+	return gated(f, func() ([]byte, error) { return f.inner.GetRange(key, off, n) })
 }
 
 // SetRange implements kvs.Store.
 func (f *FaultStore) SetRange(key string, off int, val []byte) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.SetRange(key, off, val)
+	return f.gatedErr(func() error { return f.inner.SetRange(key, off, val) })
 }
 
 // Append implements kvs.Store.
 func (f *FaultStore) Append(key string, val []byte) (int, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.inner.Append(key, val)
+	return gated(f, func() (int, error) { return f.inner.Append(key, val) })
 }
 
 // Len implements kvs.Store.
 func (f *FaultStore) Len(key string) (int, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.inner.Len(key)
+	return gated(f, func() (int, error) { return f.inner.Len(key) })
 }
 
 // Delete implements kvs.Store.
 func (f *FaultStore) Delete(key string) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.Delete(key)
+	return f.gatedErr(func() error { return f.inner.Delete(key) })
 }
 
 // SAdd implements kvs.Store.
 func (f *FaultStore) SAdd(key, member string) (bool, error) {
-	if err := f.gate(); err != nil {
-		return false, err
-	}
-	return f.inner.SAdd(key, member)
+	return gated(f, func() (bool, error) { return f.inner.SAdd(key, member) })
 }
 
 // SRem implements kvs.Store.
 func (f *FaultStore) SRem(key, member string) (bool, error) {
-	if err := f.gate(); err != nil {
-		return false, err
-	}
-	return f.inner.SRem(key, member)
+	return gated(f, func() (bool, error) { return f.inner.SRem(key, member) })
 }
 
 // SMembers implements kvs.Store.
 func (f *FaultStore) SMembers(key string) ([]string, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	return f.inner.SMembers(key)
+	return gated(f, func() ([]string, error) { return f.inner.SMembers(key) })
 }
 
 // Incr implements kvs.Store.
 func (f *FaultStore) Incr(key string, delta int64) (int64, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.inner.Incr(key, delta)
+	return gated(f, func() (int64, error) { return f.inner.Incr(key, delta) })
 }
 
 // Lock implements kvs.Store.
 func (f *FaultStore) Lock(key string, write bool, ttl time.Duration) (uint64, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.inner.Lock(key, write, ttl)
+	return gated(f, func() (uint64, error) { return f.inner.Lock(key, write, ttl) })
 }
 
 // Unlock implements kvs.Store.
 func (f *FaultStore) Unlock(key string, token uint64) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.Unlock(key, token)
+	return f.gatedErr(func() error { return f.inner.Unlock(key, token) })
 }
 
-// AllKeys implements kvs.Lister when the inner store does; a crashed shard
-// cannot enumerate its keys, so migration and repair see the outage too.
+// AllKeys implements kvs.Store; a crashed shard cannot enumerate its keys,
+// so migration and repair see the outage too.
 func (f *FaultStore) AllKeys() ([]kvs.KeyInfo, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	l, ok := f.inner.(kvs.Lister)
-	if !ok {
-		return nil, fmt.Errorf("kvstest: inner store cannot enumerate keys")
-	}
-	return l.AllKeys()
+	return gated(f, func() ([]kvs.KeyInfo, error) { return f.inner.AllKeys() })
 }
 
-var (
-	_ kvs.Store  = (*FaultStore)(nil)
-	_ kvs.Lister = (*FaultStore)(nil)
-)
+// The batch methods decompose into the wrapper's own gated single ops, in
+// order, so faults apply per key: FailAfter can fail a batch part-way and
+// leave it half-applied, which is what a batch spread over several shards
+// or wire windows can do.
+
+// perItem applies op to each item in order, stopping at the first error.
+func perItem[E, T any](items []E, op func(E) (T, error)) ([]T, error) {
+	out := make([]T, len(items))
+	for i, it := range items {
+		v, err := op(it)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// MGet implements kvs.Store as one gated Get per key.
+func (f *FaultStore) MGet(keys []string) ([][]byte, error) { return perItem(keys, f.Get) }
+
+// MSet implements kvs.Store as one gated Set per pair.
+func (f *FaultStore) MSet(pairs []kvs.Pair) error {
+	_, err := perItem(pairs, func(p kvs.Pair) (struct{}, error) { return struct{}{}, f.Set(p.Key, p.Val) })
+	return err
+}
+
+// MSetEx implements kvs.Store as one gated SetEx per pair (each computes
+// its own deadline, so the keys may expire microseconds apart).
+func (f *FaultStore) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
+	_, err := perItem(pairs, func(p kvs.Pair) (struct{}, error) { return struct{}{}, f.SetEx(p.Key, p.Val, ttl) })
+	return err
+}
+
+// GetRanges implements kvs.Store as one gated GetRange per window.
+func (f *FaultStore) GetRanges(key string, ranges []kvs.Range) ([][]byte, error) {
+	return perItem(ranges, func(r kvs.Range) ([]byte, error) { return f.GetRange(key, r.Off, r.N) })
+}
+
+var _ kvs.Store = (*FaultStore)(nil)

@@ -94,12 +94,11 @@ func RunFaults(t *testing.T, mk Factory) {
 			{Key: "b0", Val: []byte("v0")}, {Key: "b1", Val: []byte("v1")},
 			{Key: "b2", Val: []byte("v2")}, {Key: "b3", Val: []byte("v3")},
 		}
-		// The wrapper exposes no Batcher, so the batch decomposes into
-		// per-key ops applied in order; failing from the third op onward
-		// leaves the batch half-applied — which MUST surface as an error,
-		// never silently.
+		// The wrapper's batch decomposes into per-key ops applied in order;
+		// failing from the third op onward leaves the batch half-applied —
+		// which MUST surface as an error, never silently.
 		f.FailAfter(2, -1, nil)
-		err := kvs.MSet(f, pairs)
+		err := f.MSet(pairs)
 		if !kvs.IsUnavailable(err) {
 			t.Fatalf("partial batch failure: want unavailable error, got %v", err)
 		}
@@ -112,7 +111,7 @@ func RunFaults(t *testing.T, mk Factory) {
 		}
 		// A retry of the identical batch converges every key: replaying a
 		// value write is the documented recovery for indeterminate writes.
-		if err := kvs.MSet(f, pairs); err != nil {
+		if err := f.MSet(pairs); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pairs {

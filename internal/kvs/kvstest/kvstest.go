@@ -20,10 +20,9 @@ import (
 type Factory func(t *testing.T) kvs.Store
 
 // Run exercises the full Store contract against stores built by mk. The
-// batch subtests go through the kvs.MGet/MSet/GetRanges helpers, so a store
-// with native kvs.Batcher support runs its batched path and every store
-// additionally runs the generic single-op fallback via NonBatching — both
-// must exhibit identical semantics.
+// Fallback subtests hold the per-key batch form — a FaultStore with no
+// faults armed, whose batch methods decompose into its single ops — to the
+// same batch semantics as the store's own batch path.
 func Run(t *testing.T, mk Factory) {
 	t.Run("GetSetDelete", func(t *testing.T) { testGetSetDelete(t, mk(t)) })
 	t.Run("BinaryAndOddKeys", func(t *testing.T) { testBinaryAndOddKeys(t, mk(t)) })
@@ -40,33 +39,25 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("BatchGetRanges", func(t *testing.T) { testBatchGetRanges(t, mk(t)) })
 	t.Run("BatchLarge", func(t *testing.T) { testBatchLarge(t, mk(t)) })
 	t.Run("BatchConcurrentPerKeyAtomicity", func(t *testing.T) { testBatchAtomicity(t, mk(t)) })
-	t.Run("FallbackMGet", func(t *testing.T) { testBatchMGet(t, NonBatching(mk(t))) })
-	t.Run("FallbackMSet", func(t *testing.T) { testBatchMSet(t, NonBatching(mk(t))) })
-	t.Run("FallbackGetRanges", func(t *testing.T) { testBatchGetRanges(t, NonBatching(mk(t))) })
+	t.Run("FallbackMGet", func(t *testing.T) { testBatchMGet(t, NewFaultStore(mk(t))) })
+	t.Run("FallbackMSet", func(t *testing.T) { testBatchMSet(t, NewFaultStore(mk(t))) })
+	t.Run("FallbackGetRanges", func(t *testing.T) { testBatchGetRanges(t, NewFaultStore(mk(t))) })
 	t.Run("TTLExpireInvisible", func(t *testing.T) { testTTLExpireInvisible(t, mk(t)) })
 	t.Run("TTLReSetExtends", func(t *testing.T) { testTTLReSetExtends(t, mk(t)) })
 	t.Run("TTLPersistCancels", func(t *testing.T) { testTTLPersistCancels(t, mk(t)) })
 	t.Run("TTLQueriesAndGuards", func(t *testing.T) { testTTLQueriesAndGuards(t, mk(t)) })
 	t.Run("BatchMSetEx", func(t *testing.T) { testBatchMSetEx(t, mk(t)) })
-	t.Run("FallbackMSetEx", func(t *testing.T) { testBatchMSetEx(t, NonBatching(mk(t))) })
+	t.Run("FallbackMSetEx", func(t *testing.T) { testBatchMSetEx(t, NewFaultStore(mk(t))) })
 }
 
-// NonBatching hides a store's native batch support: the wrapper's method set
-// is exactly kvs.Store, so the kvs.MGet/MSet/GetRanges helpers take their
-// generic single-op fallback. Run uses it to hold the fallback path to the
-// same batch semantics as native implementations.
-func NonBatching(s kvs.Store) kvs.Store { return nonBatching{s} }
-
-type nonBatching struct{ kvs.Store }
-
 func testBatchMGet(t *testing.T, s kvs.Store) {
-	if vals, err := kvs.MGet(s, nil); err != nil || len(vals) != 0 {
+	if vals, err := s.MGet(nil); err != nil || len(vals) != 0 {
 		t.Fatalf("empty mget: %v %v", vals, err)
 	}
 	s.Set("a", []byte("alpha"))
 	s.Set("b/binary\"key", []byte{0, 255, '\n'})
 	s.Set("empty", []byte{})
-	vals, err := kvs.MGet(s, []string{"a", "missing", "b/binary\"key", "empty", "a"})
+	vals, err := s.MGet([]string{"a", "missing", "b/binary\"key", "empty", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +79,7 @@ func testBatchMGet(t *testing.T, s kvs.Store) {
 }
 
 func testBatchMSet(t *testing.T, s kvs.Store) {
-	if err := kvs.MSet(s, nil); err != nil {
+	if err := s.MSet(nil); err != nil {
 		t.Fatalf("empty mset: %v", err)
 	}
 	pairs := []kvs.Pair{
@@ -97,7 +88,7 @@ func testBatchMSet(t *testing.T, s kvs.Store) {
 		{Key: "dup", Val: []byte("first")},
 		{Key: "dup", Val: []byte("last")},
 	}
-	if err := kvs.MSet(s, pairs); err != nil {
+	if err := s.MSet(pairs); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := s.Get("x"); string(v) != "1" {
@@ -110,7 +101,7 @@ func testBatchMSet(t *testing.T, s kvs.Store) {
 		t.Fatalf("duplicated key must keep the last value, got %q", v)
 	}
 	// Overwrite through a second batch.
-	if err := kvs.MSet(s, []kvs.Pair{{Key: "x", Val: []byte("2")}}); err != nil {
+	if err := s.MSet([]kvs.Pair{{Key: "x", Val: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := s.Get("x"); string(v) != "2" {
@@ -119,11 +110,11 @@ func testBatchMSet(t *testing.T, s kvs.Store) {
 }
 
 func testBatchGetRanges(t *testing.T, s kvs.Store) {
-	if vals, err := kvs.GetRanges(s, "k", nil); err != nil || len(vals) != 0 {
+	if vals, err := s.GetRanges("k", nil); err != nil || len(vals) != 0 {
 		t.Fatalf("empty getranges: %v %v", vals, err)
 	}
 	s.Set("k", []byte("0123456789"))
-	vals, err := kvs.GetRanges(s, "k", []kvs.Range{
+	vals, err := s.GetRanges("k", []kvs.Range{
 		{Off: 2, N: 3},  // interior
 		{Off: 8, N: 10}, // truncated past the end
 		{Off: 50, N: 5}, // entirely past the end
@@ -149,11 +140,11 @@ func testBatchGetRanges(t *testing.T, s kvs.Store) {
 		t.Fatalf("whole: %q", vals[4])
 	}
 	// Negative bounds error, matching GetRange.
-	if _, err := kvs.GetRanges(s, "k", []kvs.Range{{Off: -1, N: 2}}); err == nil {
+	if _, err := s.GetRanges("k", []kvs.Range{{Off: -1, N: 2}}); err == nil {
 		t.Fatal("negative offset must error")
 	}
 	// Ranges of a missing key are all nil.
-	vals, err = kvs.GetRanges(s, "nope", []kvs.Range{{Off: 0, N: 4}})
+	vals, err = s.GetRanges("nope", []kvs.Range{{Off: 0, N: 4}})
 	if err != nil || vals[0] != nil {
 		t.Fatalf("missing key ranges: %v %v", vals, err)
 	}
@@ -170,10 +161,10 @@ func testBatchLarge(t *testing.T, s kvs.Store) {
 		keys[i] = fmt.Sprintf("large-%d", i)
 		pairs[i] = kvs.Pair{Key: keys[i], Val: []byte(fmt.Sprintf("v%d", i))}
 	}
-	if err := kvs.MSet(s, pairs); err != nil {
+	if err := s.MSet(pairs); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := kvs.MGet(s, keys)
+	vals, err := s.MGet(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +191,7 @@ func testBatchAtomicity(t *testing.T, s kvs.Store) {
 		}
 		return pairs
 	}
-	kvs.MSet(s, mkPairs('a'))
+	s.MSet(mkPairs('a'))
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -208,7 +199,7 @@ func testBatchAtomicity(t *testing.T, s kvs.Store) {
 		go func(fill byte) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if err := kvs.MSet(s, mkPairs(fill)); err != nil {
+				if err := s.MSet(mkPairs(fill)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,7 +213,7 @@ func testBatchAtomicity(t *testing.T, s kvs.Store) {
 			return
 		default:
 		}
-		vals, err := kvs.MGet(s, keys)
+		vals, err := s.MGet(keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +276,7 @@ func testTTLExpireInvisible(t *testing.T, s kvs.Store) {
 	s.Set("stays", []byte("s"))
 	waitGone(t, s, "gone")
 	// Expired means invisible everywhere, not just to Get.
-	vals, err := kvs.MGet(s, []string{"gone", "stays"})
+	vals, err := s.MGet([]string{"gone", "stays"})
 	if err != nil || vals[0] != nil || string(vals[1]) != "s" {
 		t.Fatalf("mget after expiry: %v %v", vals, err)
 	}
@@ -295,7 +286,7 @@ func testTTLExpireInvisible(t *testing.T, s kvs.Store) {
 	if v, _ := s.GetRange("gone", 0, 1); v != nil {
 		t.Fatalf("getrange after expiry: %q", v)
 	}
-	if rv, _ := kvs.GetRanges(s, "gone", []kvs.Range{{Off: 0, N: 1}}); rv[0] != nil {
+	if rv, _ := s.GetRanges("gone", []kvs.Range{{Off: 0, N: 1}}); rv[0] != nil {
 		t.Fatalf("getranges after expiry: %q", rv[0])
 	}
 	if d, _ := s.TTL("gone"); d != kvs.TTLMissing {
@@ -304,15 +295,13 @@ func testTTLExpireInvisible(t *testing.T, s kvs.Store) {
 	if removed, _ := s.Persist("gone"); removed {
 		t.Fatal("persist resurrected an expired key")
 	}
-	if l, ok := s.(kvs.Lister); ok {
-		infos, err := l.AllKeys()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ki := range infos {
-			if ki.Kind == kvs.KindValue && ki.Key == "gone" {
-				t.Fatal("expired key still enumerated by AllKeys")
-			}
+	infos, err := s.AllKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ki := range infos {
+		if ki.Kind == kvs.KindValue && ki.Key == "gone" {
+			t.Fatal("expired key still enumerated by AllKeys")
 		}
 	}
 }
@@ -391,7 +380,7 @@ func testTTLQueriesAndGuards(t *testing.T, s kvs.Store) {
 	if err := s.SetEx("bad", []byte("x"), -time.Second); err == nil {
 		t.Fatal("negative ttl accepted")
 	}
-	if err := kvs.MSetEx(s, []kvs.Pair{{Key: "bad", Val: []byte("x")}}, -time.Second); err == nil {
+	if err := s.MSetEx([]kvs.Pair{{Key: "bad", Val: []byte("x")}}, -time.Second); err == nil {
 		t.Fatal("negative batch ttl accepted")
 	}
 	if v, _ := s.Get("bad"); v != nil {
@@ -400,7 +389,7 @@ func testTTLQueriesAndGuards(t *testing.T, s kvs.Store) {
 }
 
 func testBatchMSetEx(t *testing.T, s kvs.Store) {
-	if err := kvs.MSetEx(s, nil, ttlShort); err != nil {
+	if err := s.MSetEx(nil, ttlShort); err != nil {
 		t.Fatalf("empty msetex: %v", err)
 	}
 	pairs := []kvs.Pair{
@@ -410,7 +399,7 @@ func testBatchMSetEx(t *testing.T, s kvs.Store) {
 		{Key: "ex-dup", Val: []byte("last")},
 	}
 	s.Set("ex-keep", []byte("k"))
-	if err := kvs.MSetEx(s, pairs, ttlShort); err != nil {
+	if err := s.MSetEx(pairs, ttlShort); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := s.Get("ex-dup"); string(v) != "last" {
@@ -774,28 +763,27 @@ func (c *CountingStore) Unlock(key string, token uint64) error {
 	return c.Store.Unlock(key, token)
 }
 
-// MGet implements kvs.Batcher, forwarding to the inner store's native batch
-// path when present. A batch counts as one operation — the round trip is
-// what the counter models.
+// MGet implements kvs.Store. A batch counts as one operation — the round
+// trip is what the counter models.
 func (c *CountingStore) MGet(keys []string) ([][]byte, error) {
 	c.ops.Add(1)
-	return kvs.MGet(c.Store, keys)
+	return c.Store.MGet(keys)
 }
 
-// MSet implements kvs.Batcher.
+// MSet implements kvs.Store.
 func (c *CountingStore) MSet(pairs []kvs.Pair) error {
 	c.ops.Add(1)
-	return kvs.MSet(c.Store, pairs)
+	return c.Store.MSet(pairs)
 }
 
-// MSetEx implements kvs.Batcher.
+// MSetEx implements kvs.Store.
 func (c *CountingStore) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
 	c.ops.Add(1)
-	return kvs.MSetEx(c.Store, pairs, ttl)
+	return c.Store.MSetEx(pairs, ttl)
 }
 
-// GetRanges implements kvs.Batcher.
+// GetRanges implements kvs.Store.
 func (c *CountingStore) GetRanges(key string, ranges []kvs.Range) ([][]byte, error) {
 	c.ops.Add(1)
-	return kvs.GetRanges(c.Store, key, ranges)
+	return c.Store.GetRanges(key, ranges)
 }

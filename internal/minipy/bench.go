@@ -10,7 +10,8 @@ package minipy
 // repo's runtime has no arbitrary precision, so its "pidigits" computes the
 // spigot algorithm over int64 limbs held in interpreter lists — preserving
 // the shape (integer-division-heavy interpreter loops over heap objects)
-// without bignum. Recorded as a substitution in DESIGN.md.
+// without bignum. The table3-python report notes the paper's bignum
+// pidigits beside it.
 
 // Program is one benchmark.
 type Program struct {

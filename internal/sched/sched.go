@@ -656,7 +656,7 @@ func (s *Scheduler) filterAlive(hosts []string) (alive, dead []string, aliveLeas
 	for i, h := range hosts {
 		keys[i] = aliveKey(h)
 	}
-	leases, err := kvs.MGet(s.store, keys)
+	leases, err := s.store.MGet(keys)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -23,7 +23,7 @@
 //     ring snapshot; only membership changes (Join/Leave) rebuild it.
 //   - Parallel fan-out: a replicated write goes to all R copies
 //     concurrently — it costs the slowest copy, not R serial writes. Batched
-//     operations (kvs.Batcher) group their keys by owning shard and issue
+//     operations (MGet/MSet/MSetEx/GetRanges) group their keys by owning shard and issue
 //     one batch per shard, shards in parallel.
 //   - Per-key write fence: concurrent writers to the same key through one
 //     ring instance are ordered by a small fence, so an error-free write

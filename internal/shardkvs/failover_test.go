@@ -391,9 +391,8 @@ func TestJoinUnderConcurrentWritesStrandsNothing(t *testing.T) {
 	}
 }
 
-// ttlRecorder records the TTL each SetEx call arms (and can delay it), to
-// observe fan-out TTL skew. It exposes no Batcher, so ring batches decompose
-// into recorded per-key SetEx calls.
+// ttlRecorder records the TTL each SetEx or MSetEx call arms per key (and
+// can delay the write), to observe fan-out TTL skew.
 type ttlRecorder struct {
 	kvs.Store
 	delay time.Duration
@@ -402,7 +401,7 @@ type ttlRecorder struct {
 	ttls map[string]time.Duration
 }
 
-func (s *ttlRecorder) SetEx(key string, val []byte, ttl time.Duration) error {
+func (s *ttlRecorder) record(key string, ttl time.Duration) {
 	s.mu.Lock()
 	if s.ttls == nil {
 		s.ttls = map[string]time.Duration{}
@@ -412,7 +411,18 @@ func (s *ttlRecorder) SetEx(key string, val []byte, ttl time.Duration) error {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
+}
+
+func (s *ttlRecorder) SetEx(key string, val []byte, ttl time.Duration) error {
+	s.record(key, ttl)
 	return s.Store.SetEx(key, val, ttl)
+}
+
+func (s *ttlRecorder) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
+	for _, p := range pairs {
+		s.record(p.Key, ttl)
+	}
+	return s.Store.MSetEx(pairs, ttl)
 }
 
 func (s *ttlRecorder) recorded(key string) time.Duration {

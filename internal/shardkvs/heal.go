@@ -136,7 +136,7 @@ func (r *Ring) repairNode(target *node, stats *MigrationStats) error {
 		if n == target || n.suspect.Load() {
 			continue
 		}
-		infos, err := listKeys(n)
+		infos, err := n.store.AllKeys()
 		if err != nil {
 			return fmt.Errorf("shardkvs: repair %s: enumerate %s: %w", target.id, id, err)
 		}
@@ -159,7 +159,7 @@ func (r *Ring) repairNode(target *node, stats *MigrationStats) error {
 	// copy pass below must (and does) run after, restoring kinds that should
 	// survive. Skipped when the key has no in-sync owner left to vouch for
 	// the deletion — then the target may hold the last copy.
-	held, err := listKeys(target)
+	held, err := target.store.AllKeys()
 	if err != nil {
 		return fmt.Errorf("shardkvs: repair %s: enumerate target: %w", target.id, err)
 	}

@@ -69,9 +69,7 @@ func TestOwnersAcrossJoinLeave(t *testing.T) {
 }
 
 // gatedStore blocks its first Set until released, holding a Join's copy
-// phase open so the test can observe the ring mid-migration. It embeds the
-// concrete engine (not the Store interface) so the copy phase's Lister
-// assertion still sees AllKeys.
+// phase open so the test can observe the ring mid-migration.
 type gatedStore struct {
 	*kvs.Engine
 	entered chan struct{}

@@ -190,7 +190,7 @@ func (r *Ring) copyPhase(newPoints []point) (MigrationStats, []pendingDrop, erro
 	// key → kind → sorted ids of nodes holding that entry.
 	holders := map[string]map[kvs.Kind][]string{}
 	for id, n := range nodes {
-		infos, err := listKeys(n)
+		infos, err := n.store.AllKeys()
 		if err != nil {
 			return stats, nil, err
 		}

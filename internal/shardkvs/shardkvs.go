@@ -919,7 +919,7 @@ func eachGroup(groups []nodeGroup, op func(g nodeGroup) error) error {
 	return nil
 }
 
-// MGet implements kvs.Batcher: keys are grouped by the shard that serves
+// MGet implements kvs.Store: keys are grouped by the shard that serves
 // their read and one batch issues per shard, all shards in parallel — so a
 // cross-shard batch costs one shard round trip, not one per key.
 //
@@ -962,7 +962,7 @@ func (r *Ring) mgetOnce(keys []string) ([][]byte, error) {
 		for j, i := range g.idx {
 			sub[j] = keys[i]
 		}
-		vals, err := kvs.MGet(g.n.store, sub)
+		vals, err := g.n.store.MGet(sub)
 		if err != nil {
 			r.noteFailure(g.n, err)
 			return err
@@ -981,18 +981,16 @@ func (r *Ring) mgetOnce(keys []string) ([][]byte, error) {
 	return out, nil
 }
 
-// MSet implements kvs.Batcher: pairs are grouped by owner and one batch
+// MSet implements kvs.Store: pairs are grouped by owner and one batch
 // issues per shard, shards in parallel. Primaries commit first (all of
 // them, concurrently); replica batches fan out only after every primary
 // batch landed, so a primary error cannot leave replicas ahead of their
 // primary. The multi-key write fence holds for the whole batch.
 func (r *Ring) MSet(pairs []kvs.Pair) error {
-	return r.msetBatched(pairs, func(s kvs.Store, sub []kvs.Pair) error {
-		return kvs.MSet(s, sub)
-	})
+	return r.msetBatched(pairs, kvs.Store.MSet)
 }
 
-// MSetEx implements kvs.Batcher: MSet's per-shard batching and
+// MSetEx implements kvs.Store: MSet's per-shard batching and
 // primaries-first ordering. Like SetEx, the ring computes one absolute
 // deadline up front and each sub-batch arms the TTL remaining when it
 // issues — in particular the replica wave, which starts only after every
@@ -1006,7 +1004,7 @@ func (r *Ring) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
 	}
 	deadline := time.Now().Add(ttl)
 	return r.msetBatched(pairs, func(s kvs.Store, sub []kvs.Pair) error {
-		return kvs.MSetEx(s, sub, setExRemaining(deadline))
+		return s.MSetEx(sub, setExRemaining(deadline))
 	})
 }
 
@@ -1102,11 +1100,11 @@ func (r *Ring) msetBatched(pairs []kvs.Pair, apply func(s kvs.Store, sub []kvs.P
 	return nil
 }
 
-// GetRanges implements kvs.Batcher: one key lives on one shard, so the whole
+// GetRanges implements kvs.Store: one key lives on one shard, so the whole
 // window batch forwards to the shard serving the read (with the same
 // failover as any single-key read).
 func (r *Ring) GetRanges(key string, ranges []kvs.Range) ([][]byte, error) {
-	return readVal(r, key, func(s kvs.Store) ([][]byte, error) { return kvs.GetRanges(s, key, ranges) })
+	return readVal(r, key, func(s kvs.Store) ([][]byte, error) { return s.GetRanges(key, ranges) })
 }
 
 // Lock implements kvs.Store: a key's lease lock lives on its owning
@@ -1131,7 +1129,7 @@ func (r *Ring) Unlock(key string, token uint64) error {
 	return primary.store.Unlock(key, token)
 }
 
-// AllKeys implements kvs.Lister: the union of every shard's entries (each
+// AllKeys implements kvs.Store: the union of every shard's entries (each
 // replicated key reported once).
 func (r *Ring) AllKeys() ([]kvs.KeyInfo, error) {
 	r.mu.RLock()
@@ -1139,7 +1137,7 @@ func (r *Ring) AllKeys() ([]kvs.KeyInfo, error) {
 	seen := map[kvs.KeyInfo]bool{}
 	var out []kvs.KeyInfo
 	for _, n := range r.nodes {
-		infos, err := listKeys(n)
+		infos, err := n.store.AllKeys()
 		if err != nil {
 			return nil, err
 		}
@@ -1165,7 +1163,7 @@ func (r *Ring) ShardKeyCounts() (map[string]int, error) {
 	defer r.mu.RUnlock()
 	out := make(map[string]int, len(r.nodes))
 	for id, n := range r.nodes {
-		infos, err := listKeys(n)
+		infos, err := n.store.AllKeys()
 		if err != nil {
 			return nil, err
 		}
@@ -1174,16 +1172,4 @@ func (r *Ring) ShardKeyCounts() (map[string]int, error) {
 	return out, nil
 }
 
-func listKeys(n *node) ([]kvs.KeyInfo, error) {
-	l, ok := n.store.(kvs.Lister)
-	if !ok {
-		return nil, fmt.Errorf("shardkvs: node %s cannot enumerate keys", n.id)
-	}
-	return l.AllKeys()
-}
-
-var (
-	_ kvs.Store   = (*Ring)(nil)
-	_ kvs.Lister  = (*Ring)(nil)
-	_ kvs.Batcher = (*Ring)(nil)
-)
+var _ kvs.Store = (*Ring)(nil)

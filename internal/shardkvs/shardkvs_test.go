@@ -446,7 +446,7 @@ func TestBatchedMSetReplicatesAndRoutes(t *testing.T) {
 		keys[i] = fmt.Sprintf("mb-%d", i)
 		pairs[i] = kvs.Pair{Key: keys[i], Val: []byte(keys[i])}
 	}
-	if err := kvs.MSet(r, pairs); err != nil {
+	if err := r.MSet(pairs); err != nil {
 		t.Fatal(err)
 	}
 	// Every key sits on exactly its R owners, nowhere else, identical copies.
@@ -467,7 +467,7 @@ func TestBatchedMSetReplicatesAndRoutes(t *testing.T) {
 		}
 	}
 	// A batched read reassembles the cross-shard results in input order.
-	vals, err := kvs.MGet(r, keys)
+	vals, err := r.MGet(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestConcurrentBatchedAndSingleWritesDoNotDiverge(t *testing.T) {
 			for j, k := range keys {
 				pairs[j] = kvs.Pair{Key: k, Val: []byte(fmt.Sprintf("batch-%d-%d", i, j))}
 			}
-			if err := kvs.MSet(r, pairs); err != nil {
+			if err := r.MSet(pairs); err != nil {
 				t.Error(err)
 				return
 			}

@@ -236,11 +236,11 @@ func (s *Store) Incr(key string, delta int64) (int64, error) {
 	return v, err
 }
 
-// MGet implements kvs.Batcher. The whole batch is charged as one exchange —
+// MGet implements kvs.Store. The whole batch is charged as one exchange —
 // all keys out, all values back, a single per-operation latency — which is
 // the win the wire protocol's pipelined MGET realises on a real network.
 func (s *Store) MGet(keys []string) ([][]byte, error) {
-	vals, err := kvs.MGet(s.inner, keys)
+	vals, err := s.inner.MGet(keys)
 	sent := int64(reqOverhead)
 	for _, k := range keys {
 		sent += int64(len(k))
@@ -253,9 +253,9 @@ func (s *Store) MGet(keys []string) ([][]byte, error) {
 	return vals, err
 }
 
-// MSet implements kvs.Batcher, charged as one exchange.
+// MSet implements kvs.Store, charged as one exchange.
 func (s *Store) MSet(pairs []kvs.Pair) error {
-	err := kvs.MSet(s.inner, pairs)
+	err := s.inner.MSet(pairs)
 	sent := int64(reqOverhead)
 	for _, p := range pairs {
 		sent += int64(len(p.Key) + len(p.Val))
@@ -264,10 +264,10 @@ func (s *Store) MSet(pairs []kvs.Pair) error {
 	return err
 }
 
-// MSetEx implements kvs.Batcher, charged as one exchange exactly like MSet —
+// MSetEx implements kvs.Store, charged as one exchange exactly like MSet —
 // the pipelined MSETEX wire command realises the same single round trip.
 func (s *Store) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	err := kvs.MSetEx(s.inner, pairs, ttl)
+	err := s.inner.MSetEx(pairs, ttl)
 	sent := int64(reqOverhead)
 	for _, p := range pairs {
 		sent += int64(len(p.Key) + len(p.Val))
@@ -276,9 +276,9 @@ func (s *Store) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
 	return err
 }
 
-// GetRanges implements kvs.Batcher, charged as one exchange.
+// GetRanges implements kvs.Store, charged as one exchange.
 func (s *Store) GetRanges(key string, ranges []kvs.Range) ([][]byte, error) {
-	vals, err := kvs.GetRanges(s.inner, key, ranges)
+	vals, err := s.inner.GetRanges(key, ranges)
 	var recv int64 = reqOverhead
 	for _, v := range vals {
 		recv += int64(len(v))
@@ -300,7 +300,16 @@ func (s *Store) Unlock(key string, token uint64) error {
 	return s.inner.Unlock(key, token)
 }
 
-var (
-	_ kvs.Store   = (*Store)(nil)
-	_ kvs.Batcher = (*Store)(nil)
-)
+// AllKeys implements kvs.Store, charged like SMembers: the listing comes
+// back over the network.
+func (s *Store) AllKeys() ([]kvs.KeyInfo, error) {
+	infos, err := s.inner.AllKeys()
+	var out int64
+	for _, ki := range infos {
+		out += int64(len(ki.Key))
+	}
+	s.net.Transfer(s.host, reqOverhead, out+reqOverhead)
+	return infos, err
+}
+
+var _ kvs.Store = (*Store)(nil)

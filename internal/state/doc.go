@@ -26,7 +26,7 @@
 //     chunk-presence bitmap; operations on different values never touch the
 //     same lock.
 //   - O(touched) pulls: a chunked pull coalesces the missing spans into
-//     ranged global reads (batched through kvs.Batcher when available) and
+//     ranged global reads (one GetRanges batch) and
 //     maintains a pulled-chunk counter, so completeness checks cost the
 //     chunks touched, not a rescan of the whole bitmap.
 //

@@ -400,8 +400,8 @@ func (v *Value) missingSpans(ranges []kvs.Range) []kvs.Range {
 // PullChunks replicates the chunks covering every [Off, Off+N) range in one
 // coalesced global-tier exchange — the batched pull_state_offset. Only the
 // chunks still missing are fetched: contiguous missing chunks merge into one
-// range, and a global store implementing kvs.Batcher serves all ranges in a
-// single round trip. This is how sparse DDO access (Fig 4's chunked value C)
+// range, and the global store's GetRanges serves all ranges in a single
+// round trip. This is how sparse DDO access (Fig 4's chunked value C)
 // prefetches scattered windows without paying one round trip per window.
 func (v *Value) PullChunks(ranges []kvs.Range) error {
 	_, err := v.PullChunksN(ranges)
@@ -432,7 +432,7 @@ func (v *Value) PullChunksN(ranges []kvs.Range) (int64, error) {
 	if len(spans) == 0 { // raced with another puller
 		return 0, nil
 	}
-	parts, err := kvs.GetRanges(v.tier.global, v.key, spans)
+	parts, err := v.tier.global.GetRanges(v.key, spans)
 	if err != nil {
 		return 0, fmt.Errorf("state: pull chunks %s: %w", v.key, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/wamem"
@@ -382,14 +381,7 @@ func (ts *trackingStore) GetRanges(key string, ranges []kvs.Range) ([][]byte, er
 	ts.batchCalls++
 	ts.spans = append(ts.spans, ranges...)
 	ts.mu.Unlock()
-	return kvs.GetRanges(ts.Store, key, ranges)
-}
-
-// MGet/MSet/MSetEx forward so *trackingStore satisfies the full kvs.Batcher.
-func (ts *trackingStore) MGet(keys []string) ([][]byte, error) { return kvs.MGet(ts.Store, keys) }
-func (ts *trackingStore) MSet(pairs []kvs.Pair) error          { return kvs.MSet(ts.Store, pairs) }
-func (ts *trackingStore) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	return kvs.MSetEx(ts.Store, pairs, ttl)
+	return ts.Store.GetRanges(key, ranges)
 }
 
 func TestPullChunksCoalescesMissingSpans(t *testing.T) {

@@ -10,8 +10,8 @@ import "time"
 // and Now advances scale× faster than the wall clock.
 //
 // All reported durations come from this clock, so they are directly
-// comparable with the paper's numbers; EXPERIMENTS.md records the scale
-// used for every run.
+// comparable with the paper's numbers; the experiment reports note the scale
+// each run used.
 type Scaled struct {
 	scale     float64
 	realEpoch time.Time

@@ -21,8 +21,8 @@ func TestModelDeterministic(t *testing.T) {
 }
 
 func TestDifferentImagesSpreadAcrossClasses(t *testing.T) {
-	// Weight seed 3 yields a well-spread random head (documented in
-	// EXPERIMENTS.md; the fig7 harness uses the same seed).
+	// Weight seed 3 yields a well-spread random head (the fig7 harness uses
+	// the same seed).
 	w := GenerateWeights(3)
 	seen := map[int]bool{}
 	for s := int64(0); s < 64; s++ {
