@@ -24,7 +24,6 @@ import (
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
@@ -785,26 +784,6 @@ func (c *Cluster) ResetStats() {
 			p.OOMFailures.Reset()
 		}
 	}
-}
-
-// ExecLatencies merges per-host execution latencies into one distribution.
-func (c *Cluster) ExecLatencies() *metrics.Latencies {
-	merged := &metrics.Latencies{}
-	switch c.cfg.Mode {
-	case ModeFaasm:
-		for _, inst := range c.allInstances() {
-			for _, p := range inst.ExecLatency.CDF(inst.ExecLatency.Count()) {
-				merged.Record(p.Latency)
-			}
-		}
-	default:
-		for _, p := range c.base {
-			for _, pt := range p.ExecLatency.CDF(p.ExecLatency.Count()) {
-				merged.Record(pt.Latency)
-			}
-		}
-	}
-	return merged
 }
 
 // Shutdown stops the cluster.

@@ -18,12 +18,22 @@
 // restores that image into the live memory and the live VM instance; nothing
 // is rebuilt, and its cost is the page table walk plus the pages the call
 // made private (see wamem.Memory.RestoreFrom, wavm.Instance.Reset).
+//
+// Linking binds nothing per Faaslet. The host interface is one immutable
+// table built at package init (hostiface.go) and shared by every Faaslet and
+// every dlopen'd library; a host function finds its Faaslet as the owner of
+// the instance that called it (wavm.WithOwner). Native guests reach the same
+// Faaslet methods through Ctx. What New and NewFromProto still allocate is
+// the Faaslet's own: its shell (id, file and network views, two small maps),
+// its memory and page table, and the VM instance with the options that
+// configure it — about 20 allocations and 1.3 KB for the no-op module.
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -115,6 +125,11 @@ func (e *Env) clock() vtime.Clock {
 // ErrNoFunction is returned when a FuncDef has neither module nor native.
 var ErrNoFunction = errors.New("core: function has no body")
 
+var (
+	errNoChainer = errors.New("core: no chainer configured")
+	errNoState   = errors.New("core: no state tier configured")
+)
+
 var faasletIDs atomic.Uint64
 
 // Faaslet is one isolated function execution context.
@@ -130,7 +145,9 @@ type Faaslet struct {
 	entry int
 	fs    *vfs.FS
 	net   *netns.Interface
-	rng   *rand.Rand
+	// rng is the PRNG behind getrandom, held by value: 16 bytes of state,
+	// seeded without allocating.
+	rng rand.PCG
 
 	// birth anchors the per-user monotonic clock (gettime host call).
 	birth time.Time
@@ -169,9 +186,9 @@ type Faaslet struct {
 }
 
 // New creates a Faaslet for def. For wavm guests this performs the "linking"
-// phase: the host interface thunks are bound into the module's import space.
-// The Faaslet's state once it is built — data segments written, start
-// function run — is captured as its reset image.
+// phase: the module's imports resolve against the shared host table, with
+// the Faaslet as the instance's owner. The Faaslet's state once it is built —
+// data segments written, start function run — is captured as its reset image.
 func New(def FuncDef, env *Env) (*Faaslet, error) {
 	if def.Module == nil && def.Native == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoFunction, def.Name)
@@ -206,12 +223,12 @@ func New(def FuncDef, env *Env) (*Faaslet, error) {
 	return f, nil
 }
 
-// link instantiates the function's module over f.mem, binding the host
-// interface into its import space, and resolves the guest entry point. It
-// runs once per Faaslet; resets reuse the instance.
+// link instantiates the function's module over f.mem, resolving its imports
+// against hostTable with f as the owner, and resolves the guest entry point.
+// It runs once per Faaslet; resets reuse the instance.
 func (f *Faaslet) link(opts ...wavm.InstanceOption) error {
-	opts = append(opts, wavm.WithMemory(f.mem), wavm.WithFuel(fuelOrUnlimited(f.def.Fuel)))
-	inst, err := wavm.Instantiate(f.def.Module, f.hostModules(), opts...)
+	opts = append(opts, wavm.WithMemory(f.mem), wavm.WithFuel(fuelOrUnlimited(f.def.Fuel)), wavm.WithOwner(f))
+	inst, err := wavm.Instantiate(f.def.Module, hostTable, opts...)
 	if err != nil {
 		return fmt.Errorf("core: link %s: %w", f.def.Name, err)
 	}
@@ -232,7 +249,8 @@ func newShell(def FuncDef, env *Env) *Faaslet {
 	if env == nil {
 		env = &Env{}
 	}
-	id := fmt.Sprintf("%s-%d", def.Name, faasletIDs.Add(1))
+	n := faasletIDs.Add(1)
+	id := fmt.Sprintf("%s-%d", def.Name, n)
 	f := &Faaslet{
 		id:               id,
 		def:              def,
@@ -242,11 +260,11 @@ func newShell(def FuncDef, env *Env) *Faaslet {
 		mapped:           map[string]uint32{},
 		globalLockTokens: map[string]uint64{},
 	}
-	seed := env.RandSeed
+	seed := uint64(env.RandSeed)
 	if seed == 0 {
-		seed = int64(faasletIDs.Load()) * 2654435761
+		seed = n * 2654435761
 	}
-	f.rng = rand.New(rand.NewSource(seed))
+	f.rng.Seed(seed, 0)
 	f.net = netns.New(env.NetPolicy, env.NetDialer, env.clock())
 	if env.CGroup != nil {
 		env.CGroup.Create(id)
@@ -424,7 +442,7 @@ func (f *Faaslet) Chained() []uint64 { return f.chained }
 // its id against this one.
 func (f *Faaslet) chain(function string, input []byte) (uint64, error) {
 	if f.env.Chain == nil {
-		return 0, errors.New("core: no chainer configured")
+		return 0, errNoChainer
 	}
 	id, err := f.env.Chain.Chain(function, input)
 	if err != nil {
@@ -432,6 +450,56 @@ func (f *Faaslet) chain(function string, input []byte) (uint64, error) {
 	}
 	f.chained = append(f.chained, id)
 	return id, nil
+}
+
+// await is await_call for both guest kinds.
+func (f *Faaslet) await(id uint64) (int32, error) {
+	if f.env.Chain == nil {
+		return -1, errNoChainer
+	}
+	return f.env.Chain.Await(id)
+}
+
+// callOutput is get_call_output for both guest kinds.
+func (f *Faaslet) callOutput(id uint64) ([]byte, error) {
+	if f.env.Chain == nil {
+		return nil, errNoChainer
+	}
+	return f.env.Chain.Output(id)
+}
+
+// lockGlobal takes a global lock for both guest kinds, keeping its lease so
+// unlockGlobal, or the next reset if the guest leaks it, can release it.
+func (f *Faaslet) lockGlobal(key string, write bool) error {
+	if f.env.State == nil {
+		return errNoState
+	}
+	tok, err := f.env.State.LockGlobal(key, write)
+	if err != nil {
+		return err
+	}
+	f.globalLockTokens[key] = tok
+	return nil
+}
+
+// unlockGlobal releases a global lock this Faaslet holds.
+func (f *Faaslet) unlockGlobal(key string) error {
+	tok, ok := f.globalLockTokens[key]
+	if !ok {
+		return fmt.Errorf("core: no global lock held on %s", key)
+	}
+	delete(f.globalLockTokens, key)
+	return f.env.State.UnlockGlobal(key, tok)
+}
+
+// fillRandom fills b from the Faaslet's PRNG (getrandom for both guest
+// kinds), eight bytes per draw, little-endian.
+func (f *Faaslet) fillRandom(b []byte) {
+	var w [8]byte
+	for i := 0; i < len(b); i += 8 {
+		binary.LittleEndian.PutUint64(w[:], f.rng.Uint64())
+		copy(b[i:], w[:])
+	}
 }
 
 // Close releases host resources (cgroup, sockets).
@@ -468,26 +536,16 @@ func (c *Ctx) Chain(function string, input []byte) (uint64, error) {
 }
 
 // Await blocks until a chained call finishes (await_call).
-func (c *Ctx) Await(id uint64) (int32, error) {
-	if c.f.env.Chain == nil {
-		return -1, errors.New("core: no chainer configured")
-	}
-	return c.f.env.Chain.Await(id)
-}
+func (c *Ctx) Await(id uint64) (int32, error) { return c.f.await(id) }
 
 // OutputOf fetches a finished chained call's output (get_call_output).
-func (c *Ctx) OutputOf(id uint64) ([]byte, error) {
-	if c.f.env.Chain == nil {
-		return nil, errors.New("core: no chainer configured")
-	}
-	return c.f.env.Chain.Output(id)
-}
+func (c *Ctx) OutputOf(id uint64) ([]byte, error) { return c.f.callOutput(id) }
 
 // State returns the local-tier replica handle for key (get_state). size < 0
 // discovers the size from the global tier.
 func (c *Ctx) State(key string, size int) (*state.Value, error) {
 	if c.f.env.State == nil {
-		return nil, errors.New("core: no state tier configured")
+		return nil, errNoState
 	}
 	return c.f.env.State.Value(key, size)
 }
@@ -516,7 +574,7 @@ func (c *Ctx) MapState(key string, size int) ([]byte, error) {
 // AppendState appends to the global value (append_state).
 func (c *Ctx) AppendState(key string, data []byte) error {
 	if c.f.env.State == nil {
-		return errors.New("core: no state tier configured")
+		return errNoState
 	}
 	start := c.TraceStart()
 	err := c.f.env.State.Append(key, data)
@@ -527,7 +585,7 @@ func (c *Ctx) AppendState(key string, data []byte) error {
 // ReadAllState fetches the authoritative global value.
 func (c *Ctx) ReadAllState(key string) ([]byte, error) {
 	if c.f.env.State == nil {
-		return nil, errors.New("core: no state tier configured")
+		return nil, errNoState
 	}
 	start := c.TraceStart()
 	b, err := c.f.env.State.ReadAll(key)
@@ -540,7 +598,7 @@ func (c *Ctx) ReadAllState(key string) ([]byte, error) {
 // local replica, for values whose size changes between writes.
 func (c *Ctx) WriteAllState(key string, data []byte) error {
 	if c.f.env.State == nil {
-		return errors.New("core: no state tier configured")
+		return errNoState
 	}
 	start := c.TraceStart()
 	err := c.f.env.State.Global().Set(key, data)
@@ -554,27 +612,10 @@ func (c *Ctx) WriteAllState(key string, data []byte) error {
 
 // LockGlobal acquires a global lock (lock_state_global_read/write); the
 // lease is tracked and auto-released at reset if leaked.
-func (c *Ctx) LockGlobal(key string, write bool) error {
-	if c.f.env.State == nil {
-		return errors.New("core: no state tier configured")
-	}
-	tok, err := c.f.env.State.LockGlobal(key, write)
-	if err != nil {
-		return err
-	}
-	c.f.globalLockTokens[key] = tok
-	return nil
-}
+func (c *Ctx) LockGlobal(key string, write bool) error { return c.f.lockGlobal(key, write) }
 
 // UnlockGlobal releases a global lock taken by this Faaslet.
-func (c *Ctx) UnlockGlobal(key string) error {
-	tok, ok := c.f.globalLockTokens[key]
-	if !ok {
-		return fmt.Errorf("core: no global lock held on %s", key)
-	}
-	delete(c.f.globalLockTokens, key)
-	return c.f.env.State.UnlockGlobal(key, tok)
-}
+func (c *Ctx) UnlockGlobal(key string) error { return c.f.unlockGlobal(key) }
 
 // FS exposes the read-global write-local filesystem.
 func (c *Ctx) FS() *vfs.FS { return c.f.fs }
@@ -592,9 +633,7 @@ func (c *Ctx) Now() time.Duration {
 }
 
 // Random fills b from the Faaslet's seeded PRNG (getrandom).
-func (c *Ctx) Random(b []byte) {
-	c.f.rng.Read(b)
-}
+func (c *Ctx) Random(b []byte) { c.f.fillRandom(b) }
 
 // Function returns the executing function's name.
 func (c *Ctx) Function() string { return c.f.def.Name }

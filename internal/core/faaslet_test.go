@@ -439,6 +439,134 @@ func TestWavmMiscCalls(t *testing.T) {
 	}
 }
 
+// TestRandomSeeding: getrandom and Ctx.Random draw from the same per-Faaslet
+// PRNG, so one RandSeed gives the same bytes to a wavm and a native guest,
+// and Faaslets left on the id-derived default draw different bytes. The
+// length is not a multiple of the eight bytes one draw yields.
+func TestRandomSeeding(t *testing.T) {
+	const n = 29
+	wasm := mustModule(t, fmt.Sprintf(`(module
+	  (import "faasm" "getrandom" (func $rand (param i32 i32) (result i32)))
+	  (import "faasm" "write_call_output" (func $out (param i32 i32)))
+	  (memory 1)
+	  (func $main (export "main") (result i32)
+	    i32.const 0 i32.const %d call $rand drop
+	    i32.const 0 i32.const %d call $out
+	    i32.const 0))`, n, n))
+	native := func(ctx *Ctx) (int32, error) {
+		b := make([]byte, n)
+		ctx.Random(b)
+		ctx.WriteOutput(b)
+		return 0, nil
+	}
+	draw := func(def FuncDef, seed int64) []byte {
+		t.Helper()
+		f, err := New(def, &Env{RandSeed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := f.Execute(nil)
+		if err != nil || len(out) != n {
+			t.Fatalf("%s: %d random bytes, %v", def.Name, len(out), err)
+		}
+		return out
+	}
+	fromWasm := draw(FuncDef{Name: "rand-wasm", Module: wasm}, 42)
+	fromNative := draw(FuncDef{Name: "rand-native", Native: native}, 42)
+	if !bytes.Equal(fromWasm, fromNative) {
+		t.Fatalf("seed 42: wavm guest drew %x, native guest %x", fromWasm, fromNative)
+	}
+	if bytes.Equal(fromWasm, make([]byte, n)) {
+		t.Fatal("seed 42 drew only zeros")
+	}
+	a := draw(FuncDef{Name: "rand-native", Native: native}, 0)
+	b := draw(FuncDef{Name: "rand-native", Native: native}, 0)
+	if bytes.Equal(a, b) {
+		t.Fatalf("two Faaslets on default seeds drew the same bytes %x", a)
+	}
+}
+
+// TestSharedHostTableIsolation runs 64 echo Faaslets at once, half built and
+// half restored from an image, beside one whose dlopen'd library makes the
+// host calls. Every Faaslet links against the same host table, so the owner
+// of the calling instance is all that keeps one Faaslet's input, output and
+// global lock leases from another's; under -race this also shows the table
+// is only ever read.
+func TestSharedHostTableIsolation(t *testing.T) {
+	const echoLock = `
+	  (import "faasm" "read_call_input" (func $in (param i32 i32) (result i32)))
+	  (import "faasm" "write_call_output" (func $out (param i32 i32)))
+	  (import "faasm" "lock_state_global_read" (func $lock (param i32 i32)))
+	  (memory 1)
+	  (func $echo (export "%s") (result i32) (local $n i32)
+	    i32.const 1024 i32.const 4096 call $in local.set $n
+	    i32.const 1024 local.get $n call $lock
+	    i32.const 1024 local.get $n call $out
+	    i32.const 0)`
+	lib, err := wavm.EncodeObject(mustModule(t, "(module"+fmt.Sprintf(echoLock, "echo")+")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _ := testEnv()
+	env.Files = vfs.NewMapGlobal(map[string][]byte{"lib/echo.so": lib})
+	echo := FuncDef{Name: "echo", Module: mustModule(t, "(module"+fmt.Sprintf(echoLock, "main")+")")}
+	viaLib := FuncDef{Name: "dl-echo", Module: mustModule(t, `(module
+	  (import "faasm" "dlopen" (func $dlopen (param i32 i32) (result i32)))
+	  (import "faasm" "dlsym" (func $dlsym (param i32 i32 i32) (result i32)))
+	  (import "faasm" "dlcall" (func $dlcall (param i32 i32 i32 i32) (result i32)))
+	  (memory 1)
+	  (data (i32.const 0) "lib/echo.so")
+	  (data (i32.const 32) "echo")
+	  (func $main (export "main") (result i32)
+	    i32.const 0 i32.const 11 call $dlopen
+	    i32.const 32 i32.const 4 call $dlsym
+	    i32.const 0 i32.const 0 i32.const 64 call $dlcall))`)}
+	first, err := New(echo, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := first.Proto()
+
+	var wg sync.WaitGroup
+	for g := 0; g <= 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var f *Faaslet
+			var err error
+			switch {
+			case g == 64:
+				f, err = New(viaLib, env)
+			case g%2 == 0:
+				f, err = New(echo, env)
+			default:
+				f, err = NewFromProto(echo, env, image)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for n := 0; n < 20; n++ {
+				in := fmt.Sprintf("faaslet %d call %d", g, n)
+				out, ret, err := f.Execute([]byte(in))
+				if err != nil || ret != 0 || string(out) != in {
+					t.Errorf("%s: got %q back, ret %d, %v", in, out, ret, err)
+					return
+				}
+				if _, ok := f.globalLockTokens[in]; !ok || len(f.globalLockTokens) != 1 {
+					t.Errorf("%s: holds leases %v", in, f.globalLockTokens)
+					return
+				}
+				if err := f.Reset(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestResetDiscardsAllResidue(t *testing.T) {
 	// The §5.2 multi-tenant guarantee: after Reset, the next call cannot
 	// observe anything the previous call wrote.

@@ -31,61 +31,80 @@ const (
 	socketFDBase = 1000
 )
 
-func (f *Faaslet) hostModules() map[string]wavm.HostModule {
-	m := wavm.HostModule{}
-	// --- calls ---
-	m["read_call_input"] = f.hiReadCallInput
-	m["write_call_output"] = f.hiWriteCallOutput
-	m["chain_call"] = f.hiChainCall
-	m["await_call"] = f.hiAwaitCall
-	m["get_call_output"] = f.hiGetCallOutput
-	// --- state ---
-	m["get_state"] = f.hiGetState
-	m["get_state_offset"] = f.hiGetStateOffset
-	m["set_state"] = f.hiSetState
-	m["set_state_offset"] = f.hiSetStateOffset
-	m["push_state"] = f.hiPushState
-	m["pull_state"] = f.hiPullState
-	m["push_state_offset"] = f.hiPushStateOffset
-	m["pull_state_offset"] = f.hiPullStateOffset
-	m["append_state"] = f.hiAppendState
-	m["state_size"] = f.hiStateSize
-	m["lock_state_read"] = f.hiLockStateRead
-	m["lock_state_write"] = f.hiLockStateWrite
-	m["unlock_state_read"] = f.hiUnlockStateRead
-	m["unlock_state_write"] = f.hiUnlockStateWrite
-	m["lock_state_global_read"] = f.hiLockStateGlobal(false)
-	m["lock_state_global_write"] = f.hiLockStateGlobal(true)
-	m["unlock_state_global_read"] = f.hiUnlockStateGlobal
-	m["unlock_state_global_write"] = f.hiUnlockStateGlobal
-	// --- dynamic linking ---
-	m["dlopen"] = f.hiDlopen
-	m["dlsym"] = f.hiDlsym
-	m["dlclose"] = f.hiDlclose
-	m["dlcall"] = f.hiDlcall
-	// --- memory ---
-	m["mmap"] = f.hiMmap
-	m["munmap"] = f.hiMunmap
-	m["brk"] = f.hiBrk
-	m["sbrk"] = f.hiSbrk
-	// --- network ---
-	m["socket"] = f.hiSocket
-	m["connect"] = f.hiConnect
-	m["bind"] = f.hiBind
-	m["send"] = f.hiSend
-	m["recv"] = f.hiRecv
-	// --- file I/O ---
-	m["open"] = f.hiOpen
-	m["close"] = f.hiClose
-	m["dup"] = f.hiDup
-	m["read"] = f.hiRead
-	m["write"] = f.hiWrite
-	m["seek"] = f.hiSeek
-	m["stat_size"] = f.hiStatSize
-	// --- misc ---
-	m["gettime"] = f.hiGettime
-	m["getrandom"] = f.hiGetrandom
-	return map[string]wavm.HostModule{"faasm": m}
+// hostTable is the host interface every Faaslet links against, its modules
+// and libraries alike. It is built once, in init (dlopen refers back to it),
+// and never written afterwards, so all Faaslets share it without locking:
+// each entry finds its Faaslet as the calling instance's owner, which link
+// and dlopen attach with wavm.WithOwner.
+var hostTable map[string]wavm.HostModule
+
+func init() {
+	hostTable = map[string]wavm.HostModule{"faasm": {
+		// --- calls ---
+		"read_call_input":   bind((*Faaslet).hiReadCallInput),
+		"write_call_output": bind((*Faaslet).hiWriteCallOutput),
+		"chain_call":        bind((*Faaslet).hiChainCall),
+		"await_call":        bind((*Faaslet).hiAwaitCall),
+		"get_call_output":   bind((*Faaslet).hiGetCallOutput),
+		// --- state ---
+		"get_state":                 bind((*Faaslet).hiGetState),
+		"get_state_offset":          bind((*Faaslet).hiGetStateOffset),
+		"set_state":                 bind((*Faaslet).hiSetState),
+		"set_state_offset":          bind((*Faaslet).hiSetStateOffset),
+		"push_state":                bind(onValue((*state.Value).Push)),
+		"pull_state":                bind(onValue((*state.Value).Pull)),
+		"push_state_offset":         bind((*Faaslet).hiPushStateOffset),
+		"pull_state_offset":         bind((*Faaslet).hiPullStateOffset),
+		"append_state":              bind((*Faaslet).hiAppendState),
+		"state_size":                bind((*Faaslet).hiStateSize),
+		"lock_state_read":           bind(localLock((*state.Value).LockRead)),
+		"lock_state_write":          bind(localLock((*state.Value).LockWrite)),
+		"unlock_state_read":         bind(localLock((*state.Value).UnlockRead)),
+		"unlock_state_write":        bind(localLock((*state.Value).UnlockWrite)),
+		"lock_state_global_read":    bind(lockStateGlobal(false)),
+		"lock_state_global_write":   bind(lockStateGlobal(true)),
+		"unlock_state_global_read":  bind((*Faaslet).hiUnlockStateGlobal),
+		"unlock_state_global_write": bind((*Faaslet).hiUnlockStateGlobal),
+		// --- dynamic linking ---
+		"dlopen":  bind((*Faaslet).hiDlopen),
+		"dlsym":   bind((*Faaslet).hiDlsym),
+		"dlclose": bind((*Faaslet).hiDlclose),
+		"dlcall":  bind((*Faaslet).hiDlcall),
+		// --- memory ---
+		"mmap":   bind((*Faaslet).hiMmap),
+		"munmap": bind((*Faaslet).hiMunmap),
+		"brk":    bind((*Faaslet).hiBrk),
+		"sbrk":   bind((*Faaslet).hiSbrk),
+		// --- network ---
+		"socket":  bind((*Faaslet).hiSocket),
+		"connect": bind((*Faaslet).hiConnect),
+		"bind":    bind((*Faaslet).hiBind),
+		"send":    bind((*Faaslet).hiSend),
+		"recv":    bind((*Faaslet).hiRecv),
+		// --- file I/O ---
+		"open":      bind((*Faaslet).hiOpen),
+		"close":     bind((*Faaslet).hiClose),
+		"dup":       bind((*Faaslet).hiDup),
+		"read":      bind((*Faaslet).hiRead),
+		"write":     bind((*Faaslet).hiWrite),
+		"seek":      bind((*Faaslet).hiSeek),
+		"stat_size": bind((*Faaslet).hiStatSize),
+		// --- misc ---
+		"gettime":   bind((*Faaslet).hiGettime),
+		"getrandom": bind((*Faaslet).hiGetrandom),
+	}}
+}
+
+// hostMethod is a host call with its Faaslet made explicit: a method
+// expression such as (*Faaslet).hiRead, or a helper built once at init.
+type hostMethod func(f *Faaslet, args []uint64) ([]uint64, error)
+
+// bind turns a host method into a table entry that runs it on the calling
+// instance's owner.
+func bind(m hostMethod) wavm.HostFunc {
+	return func(inst *wavm.Instance, args []uint64) ([]uint64, error) {
+		return m(inst.Owner().(*Faaslet), args)
+	}
 }
 
 func i32(v uint64) int32      { return wavm.DecodeI32(v) }
@@ -104,7 +123,7 @@ func (f *Faaslet) guestString(ptr, n uint64) (string, error) {
 
 // read_call_input(buf i32, len i32) -> i32
 // len == 0 queries the input size; otherwise copies min(len, size) bytes.
-func (f *Faaslet) hiReadCallInput(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiReadCallInput(args []uint64) ([]uint64, error) {
 	n := int(i32(args[1]))
 	if n == 0 {
 		return reti32(int32(len(f.input))), nil
@@ -119,7 +138,7 @@ func (f *Faaslet) hiReadCallInput(_ *wavm.Instance, args []uint64) ([]uint64, er
 }
 
 // write_call_output(ptr i32, len i32)
-func (f *Faaslet) hiWriteCallOutput(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiWriteCallOutput(args []uint64) ([]uint64, error) {
 	b, err := f.mem.ReadBytes(uint32(args[0]), int(i32(args[1])))
 	if err != nil {
 		return nil, err
@@ -129,7 +148,7 @@ func (f *Faaslet) hiWriteCallOutput(_ *wavm.Instance, args []uint64) ([]uint64, 
 }
 
 // chain_call(namePtr, nameLen, inPtr, inLen) -> i32 call id
-func (f *Faaslet) hiChainCall(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiChainCall(args []uint64) ([]uint64, error) {
 	name, err := f.guestString(args[0], args[1])
 	if err != nil {
 		return nil, err
@@ -146,27 +165,22 @@ func (f *Faaslet) hiChainCall(_ *wavm.Instance, args []uint64) ([]uint64, error)
 }
 
 // await_call(id i32) -> i32 return code
-func (f *Faaslet) hiAwaitCall(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	if f.env.Chain == nil {
-		return nil, errors.New("core: no chainer configured")
+func (f *Faaslet) hiAwaitCall(args []uint64) ([]uint64, error) {
+	ret, err := f.await(uint64(uint32(args[0])))
+	if errors.Is(err, errNoChainer) {
+		return nil, err
 	}
-	ret, err := f.env.Chain.Await(uint64(uint32(args[0])))
-	if err != nil {
-		// A failed chained call yields a non-zero return code, it does not
-		// abort the awaiting function.
-		if ret == 0 {
-			ret = -1
-		}
+	// A failed chained call yields a non-zero return code, it does not
+	// abort the awaiting function.
+	if err != nil && ret == 0 {
+		ret = -1
 	}
 	return reti32(ret), nil
 }
 
 // get_call_output(id, buf, len) -> i32; len == 0 queries the size.
-func (f *Faaslet) hiGetCallOutput(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	if f.env.Chain == nil {
-		return nil, errors.New("core: no chainer configured")
-	}
-	out, err := f.env.Chain.Output(uint64(uint32(args[0])))
+func (f *Faaslet) hiGetCallOutput(args []uint64) ([]uint64, error) {
+	out, err := f.callOutput(uint64(uint32(args[0])))
 	if err != nil {
 		return nil, err
 	}
@@ -186,41 +200,32 @@ func (f *Faaslet) hiGetCallOutput(_ *wavm.Instance, args []uint64) ([]uint64, er
 // --- State ---
 
 // stateValue resolves a key with the given size hint (0 = discover).
-func (f *Faaslet) stateValue(keyPtr, keyLen uint64, size int) (stateHandle, error) {
+func (f *Faaslet) stateValue(keyPtr, keyLen uint64, size int) (*state.Value, error) {
 	if f.env.State == nil {
-		return stateHandle{}, errors.New("core: no state tier configured")
+		return nil, errNoState
 	}
 	key, err := f.guestString(keyPtr, keyLen)
 	if err != nil {
-		return stateHandle{}, err
+		return nil, err
 	}
 	if size == 0 {
 		size = -1
 	}
-	v, err := f.env.State.Value(key, size)
-	if err != nil {
-		return stateHandle{}, err
-	}
-	return stateHandle{key: key, v: v}, nil
-}
-
-type stateHandle struct {
-	key string
-	v   *state.Value
+	return f.env.State.Value(key, size)
 }
 
 // get_state(keyPtr, keyLen, size) -> i32 guest pointer to the mapped value.
 // The value's shared segment is spliced into this Faaslet's linear address
 // space: the returned pointer aliases host-shared memory with zero copies.
-func (f *Faaslet) hiGetState(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], int(i32(args[2])))
+func (f *Faaslet) hiGetState(args []uint64) ([]uint64, error) {
+	v, err := f.stateValue(args[0], args[1], int(i32(args[2])))
 	if err != nil {
 		return nil, err
 	}
-	if err := h.v.EnsurePulled(0, h.v.Size()); err != nil {
+	if err := v.EnsurePulled(0, v.Size()); err != nil {
 		return nil, err
 	}
-	base, err := f.mapState(h.v)
+	base, err := f.mapState(v)
 	if err != nil {
 		return nil, err
 	}
@@ -229,16 +234,16 @@ func (f *Faaslet) hiGetState(_ *wavm.Instance, args []uint64) ([]uint64, error) 
 
 // get_state_offset(keyPtr, keyLen, off, len) -> i32 guest pointer to the
 // chunk; only the covering chunks are replicated locally.
-func (f *Faaslet) hiGetStateOffset(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
+func (f *Faaslet) hiGetStateOffset(args []uint64) ([]uint64, error) {
+	v, err := f.stateValue(args[0], args[1], 0)
 	if err != nil {
 		return nil, err
 	}
 	off, n := int(i32(args[2])), int(i32(args[3]))
-	if err := h.v.EnsurePulled(off, n); err != nil {
+	if err := v.EnsurePulled(off, n); err != nil {
 		return nil, err
 	}
-	base, err := f.mapState(h.v)
+	base, err := f.mapState(v)
 	if err != nil {
 		return nil, err
 	}
@@ -246,71 +251,53 @@ func (f *Faaslet) hiGetStateOffset(_ *wavm.Instance, args []uint64) ([]uint64, e
 }
 
 // set_state(keyPtr, keyLen, valPtr, valLen)
-func (f *Faaslet) hiSetState(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiSetState(args []uint64) ([]uint64, error) {
 	val, err := f.mem.ReadBytes(uint32(args[2]), int(i32(args[3])))
 	if err != nil {
 		return nil, err
 	}
-	h, err := f.stateValue(args[0], args[1], len(val))
+	v, err := f.stateValue(args[0], args[1], len(val))
 	if err != nil {
 		return nil, err
 	}
-	return nil, h.v.Set(val)
+	return nil, v.Set(val)
 }
 
 // set_state_offset(keyPtr, keyLen, off, valPtr, valLen)
-func (f *Faaslet) hiSetStateOffset(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiSetStateOffset(args []uint64) ([]uint64, error) {
 	val, err := f.mem.ReadBytes(uint32(args[3]), int(i32(args[4])))
 	if err != nil {
 		return nil, err
 	}
-	h, err := f.stateValue(args[0], args[1], 0)
+	v, err := f.stateValue(args[0], args[1], 0)
 	if err != nil {
 		return nil, err
 	}
-	return nil, h.v.SetAt(int(i32(args[2])), val)
-}
-
-// push_state(keyPtr, keyLen)
-func (f *Faaslet) hiPushState(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	return nil, h.v.Push()
-}
-
-// pull_state(keyPtr, keyLen)
-func (f *Faaslet) hiPullState(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	return nil, h.v.Pull()
+	return nil, v.SetAt(int(i32(args[2])), val)
 }
 
 // push_state_offset(keyPtr, keyLen, off, len)
-func (f *Faaslet) hiPushStateOffset(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
+func (f *Faaslet) hiPushStateOffset(args []uint64) ([]uint64, error) {
+	v, err := f.stateValue(args[0], args[1], 0)
 	if err != nil {
 		return nil, err
 	}
-	return nil, h.v.PushChunk(int(i32(args[2])), int(i32(args[3])))
+	return nil, v.PushChunk(int(i32(args[2])), int(i32(args[3])))
 }
 
 // pull_state_offset(keyPtr, keyLen, off, len)
-func (f *Faaslet) hiPullStateOffset(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
+func (f *Faaslet) hiPullStateOffset(args []uint64) ([]uint64, error) {
+	v, err := f.stateValue(args[0], args[1], 0)
 	if err != nil {
 		return nil, err
 	}
-	return nil, h.v.PullChunk(int(i32(args[2])), int(i32(args[3])))
+	return nil, v.PullChunk(int(i32(args[2])), int(i32(args[3])))
 }
 
 // append_state(keyPtr, keyLen, valPtr, valLen)
-func (f *Faaslet) hiAppendState(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiAppendState(args []uint64) ([]uint64, error) {
 	if f.env.State == nil {
-		return nil, errors.New("core: no state tier configured")
+		return nil, errNoState
 	}
 	key, err := f.guestString(args[0], args[1])
 	if err != nil {
@@ -324,9 +311,9 @@ func (f *Faaslet) hiAppendState(_ *wavm.Instance, args []uint64) ([]uint64, erro
 }
 
 // state_size(keyPtr, keyLen) -> i32 global size of the value.
-func (f *Faaslet) hiStateSize(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiStateSize(args []uint64) ([]uint64, error) {
 	if f.env.State == nil {
-		return nil, errors.New("core: no state tier configured")
+		return nil, errNoState
 	}
 	key, err := f.guestString(args[0], args[1])
 	if err != nil {
@@ -339,71 +326,41 @@ func (f *Faaslet) hiStateSize(_ *wavm.Instance, args []uint64) ([]uint64, error)
 	return reti32(int32(n)), nil
 }
 
-func (f *Faaslet) hiLockStateRead(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	h.v.LockRead()
-	return nil, nil
-}
-
-func (f *Faaslet) hiLockStateWrite(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	h.v.LockWrite()
-	return nil, nil
-}
-
-func (f *Faaslet) hiUnlockStateRead(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	h.v.UnlockRead()
-	return nil, nil
-}
-
-func (f *Faaslet) hiUnlockStateWrite(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-	h, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	h.v.UnlockWrite()
-	return nil, nil
-}
-
-func (f *Faaslet) hiLockStateGlobal(write bool) wavm.HostFunc {
-	return func(_ *wavm.Instance, args []uint64) ([]uint64, error) {
-		if f.env.State == nil {
-			return nil, errors.New("core: no state tier configured")
+// onValue makes a (keyPtr, keyLen) call that applies op to the key's local
+// replica: push_state, pull_state and the local locks.
+func onValue(op func(*state.Value) error) hostMethod {
+	return func(f *Faaslet, args []uint64) ([]uint64, error) {
+		v, err := f.stateValue(args[0], args[1], 0)
+		if err != nil {
+			return nil, err
 		}
+		return nil, op(v)
+	}
+}
+
+// localLock makes lock_state_read/write and unlock_state_read/write.
+func localLock(op func(*state.Value)) hostMethod {
+	return onValue(func(v *state.Value) error { op(v); return nil })
+}
+
+// lockStateGlobal makes lock_state_global_read (write false) and
+// lock_state_global_write: (keyPtr, keyLen).
+func lockStateGlobal(write bool) hostMethod {
+	return func(f *Faaslet, args []uint64) ([]uint64, error) {
 		key, err := f.guestString(args[0], args[1])
 		if err != nil {
 			return nil, err
 		}
-		tok, err := f.env.State.LockGlobal(key, write)
-		if err != nil {
-			return nil, err
-		}
-		f.globalLockTokens[key] = tok
-		return nil, nil
+		return nil, f.lockGlobal(key, write)
 	}
 }
 
-func (f *Faaslet) hiUnlockStateGlobal(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiUnlockStateGlobal(args []uint64) ([]uint64, error) {
 	key, err := f.guestString(args[0], args[1])
 	if err != nil {
 		return nil, err
 	}
-	tok, ok := f.globalLockTokens[key]
-	if !ok {
-		return nil, fmt.Errorf("core: no global lock held on %s", key)
-	}
-	delete(f.globalLockTokens, key)
-	return nil, f.env.State.UnlockGlobal(key, tok)
+	return nil, f.unlockGlobal(key)
 }
 
 // --- Dynamic linking ---
@@ -425,7 +382,7 @@ type symbol struct {
 // wavm object file in the Faaslet filesystem (global tier), which has
 // already passed validation at upload. The library shares the parent's
 // linear memory, per WebAssembly dynamic-linking conventions.
-func (f *Faaslet) hiDlopen(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiDlopen(args []uint64) ([]uint64, error) {
 	path, err := f.guestString(args[0], args[1])
 	if err != nil {
 		return nil, err
@@ -450,7 +407,7 @@ func (f *Faaslet) hiDlopen(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 			return reti32(-1), nil
 		}
 	}
-	inst, err := wavm.Instantiate(mod, f.hostModules(), wavm.WithMemory(f.mem))
+	inst, err := wavm.Instantiate(mod, hostTable, wavm.WithMemory(f.mem), wavm.WithOwner(f))
 	if err != nil {
 		return reti32(-1), nil
 	}
@@ -459,7 +416,7 @@ func (f *Faaslet) hiDlopen(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 }
 
 // dlsym(handle, namePtr, nameLen) -> i32 symbol id, -1 on failure.
-func (f *Faaslet) hiDlsym(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiDlsym(args []uint64) ([]uint64, error) {
 	h := int(i32(args[0]))
 	if h < 0 || h >= len(f.libs) || !f.libs[h].open {
 		return reti32(-1), nil
@@ -477,7 +434,7 @@ func (f *Faaslet) hiDlsym(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 }
 
 // dlclose(handle) -> i32
-func (f *Faaslet) hiDlclose(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiDlclose(args []uint64) ([]uint64, error) {
 	h := int(i32(args[0]))
 	if h < 0 || h >= len(f.libs) || !f.libs[h].open {
 		return reti32(-1), nil
@@ -490,7 +447,7 @@ func (f *Faaslet) hiDlclose(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 // little-endian u64s in guest memory; a single u64 result is written to
 // retPtr when the callee returns one. Because the library shares the
 // parent's memory, pointers passed this way are valid on both sides.
-func (f *Faaslet) hiDlcall(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiDlcall(args []uint64) ([]uint64, error) {
 	sym := int(i32(args[0]))
 	lib := sym >> 19
 	fidx := sym & ((1 << 19) - 1)
@@ -522,7 +479,7 @@ func (f *Faaslet) hiDlcall(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 
 // mmap(len) -> i32 base address, -1 on failure. Grows the private region;
 // the paper's Faaslets likewise use mmap only to grow (Table 2).
-func (f *Faaslet) hiMmap(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiMmap(args []uint64) ([]uint64, error) {
 	n := int(i32(args[0]))
 	if n <= 0 {
 		return reti32(-1), nil
@@ -536,12 +493,12 @@ func (f *Faaslet) hiMmap(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 }
 
 // munmap(addr, len) -> i32. Linear memory never shrinks in wasm; success.
-func (f *Faaslet) hiMunmap(_ *wavm.Instance, _ []uint64) ([]uint64, error) {
+func (f *Faaslet) hiMunmap(_ []uint64) ([]uint64, error) {
 	return reti32(0), nil
 }
 
 // brk(addr) -> i32 0 on success, -1 past the per-function limit.
-func (f *Faaslet) hiBrk(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiBrk(args []uint64) ([]uint64, error) {
 	if err := f.mem.SetBrk(uint32(args[0])); err != nil {
 		return reti32(-1), nil
 	}
@@ -549,7 +506,7 @@ func (f *Faaslet) hiBrk(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 }
 
 // sbrk(delta) -> i32 previous break, -1 past the limit.
-func (f *Faaslet) hiSbrk(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiSbrk(args []uint64) ([]uint64, error) {
 	old := f.mem.Brk()
 	delta := int64(i32(args[0]))
 	if delta != 0 {
@@ -566,7 +523,7 @@ func (f *Faaslet) hiSbrk(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 
 // --- Network ---
 
-func (f *Faaslet) hiSocket(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiSocket(args []uint64) ([]uint64, error) {
 	fd, err := f.net.Socket(int(i32(args[0])), int(i32(args[1])))
 	if err != nil {
 		return reti32(-1), nil
@@ -574,7 +531,7 @@ func (f *Faaslet) hiSocket(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(fd), nil
 }
 
-func (f *Faaslet) hiConnect(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiConnect(args []uint64) ([]uint64, error) {
 	addr, err := f.guestString(args[1], args[2])
 	if err != nil {
 		return nil, err
@@ -585,7 +542,7 @@ func (f *Faaslet) hiConnect(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(0), nil
 }
 
-func (f *Faaslet) hiBind(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiBind(args []uint64) ([]uint64, error) {
 	addr, err := f.guestString(args[1], args[2])
 	if err != nil {
 		return nil, err
@@ -596,7 +553,7 @@ func (f *Faaslet) hiBind(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(0), nil
 }
 
-func (f *Faaslet) hiSend(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiSend(args []uint64) ([]uint64, error) {
 	data, err := f.mem.ReadBytes(uint32(args[1]), int(i32(args[2])))
 	if err != nil {
 		return nil, err
@@ -608,7 +565,7 @@ func (f *Faaslet) hiSend(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(int32(n)), nil
 }
 
-func (f *Faaslet) hiRecv(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiRecv(args []uint64) ([]uint64, error) {
 	n := int(i32(args[2]))
 	buf := make([]byte, n)
 	got, err := f.net.Recv(int32(i32(args[0])), buf)
@@ -623,7 +580,7 @@ func (f *Faaslet) hiRecv(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 
 // --- File I/O ---
 
-func (f *Faaslet) hiOpen(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiOpen(args []uint64) ([]uint64, error) {
 	path, err := f.guestString(args[0], args[1])
 	if err != nil {
 		return nil, err
@@ -637,7 +594,7 @@ func (f *Faaslet) hiOpen(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 
 // hiClose dispatches on the descriptor space: sockets and files share the
 // POSIX close entry point.
-func (f *Faaslet) hiClose(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiClose(args []uint64) ([]uint64, error) {
 	fd := i32(args[0])
 	var err error
 	if fd >= socketFDBase {
@@ -651,7 +608,7 @@ func (f *Faaslet) hiClose(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(0), nil
 }
 
-func (f *Faaslet) hiDup(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiDup(args []uint64) ([]uint64, error) {
 	nfd, err := f.fs.Dup(i32(args[0]))
 	if err != nil {
 		return reti32(-1), nil
@@ -659,7 +616,7 @@ func (f *Faaslet) hiDup(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(nfd), nil
 }
 
-func (f *Faaslet) hiRead(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiRead(args []uint64) ([]uint64, error) {
 	fd := i32(args[0])
 	n := int(i32(args[2]))
 	buf := make([]byte, n)
@@ -682,7 +639,7 @@ func (f *Faaslet) hiRead(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	return reti32(int32(got)), nil
 }
 
-func (f *Faaslet) hiWrite(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiWrite(args []uint64) ([]uint64, error) {
 	fd := i32(args[0])
 	data, err := f.mem.ReadBytes(uint32(args[1]), int(i32(args[2])))
 	if err != nil {
@@ -709,7 +666,7 @@ func (f *Faaslet) hiWrite(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 	}
 }
 
-func (f *Faaslet) hiSeek(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiSeek(args []uint64) ([]uint64, error) {
 	pos, err := f.fs.Seek(i32(args[0]), int64(i32(args[1])), int(i32(args[2])))
 	if err != nil {
 		return reti32(-1), nil
@@ -720,7 +677,7 @@ func (f *Faaslet) hiSeek(_ *wavm.Instance, args []uint64) ([]uint64, error) {
 // stat_size(pathPtr, pathLen, sizeOutPtr) -> i32 0 if present (size written
 // to sizeOutPtr as u32), -1 otherwise. A deliberately narrow stat: the host
 // interface exposes only what serverless code needs.
-func (f *Faaslet) hiStatSize(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiStatSize(args []uint64) ([]uint64, error) {
 	path, err := f.guestString(args[0], args[1])
 	if err != nil {
 		return nil, err
@@ -743,18 +700,18 @@ func (f *Faaslet) hiStatSize(_ *wavm.Instance, args []uint64) ([]uint64, error) 
 // --- Misc ---
 
 // gettime() -> i64 nanoseconds on the per-user monotonic clock.
-func (f *Faaslet) hiGettime(_ *wavm.Instance, _ []uint64) ([]uint64, error) {
+func (f *Faaslet) hiGettime(_ []uint64) ([]uint64, error) {
 	return []uint64{uint64(f.env.clock().Now().Sub(f.birth).Nanoseconds())}, nil
 }
 
 // getrandom(buf, len) -> i32 bytes written, from the Faaslet's PRNG.
-func (f *Faaslet) hiGetrandom(_ *wavm.Instance, args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiGetrandom(args []uint64) ([]uint64, error) {
 	n := int(i32(args[1]))
 	if n < 0 {
 		return reti32(-1), nil
 	}
 	b := make([]byte, n)
-	f.rng.Read(b)
+	f.fillRandom(b)
 	if err := f.mem.WriteBytes(uint32(args[0]), b); err != nil {
 		return nil, err
 	}

@@ -59,9 +59,10 @@ func (f *Faaslet) SetProto(p *Proto) error {
 }
 
 // NewFromProto creates a fresh Faaslet already restored from p — the warm
-// cold-start path: hundreds of microseconds instead of full initialisation.
-// Its memory aliases p's pages copy-on-write, so Faaslets started from one
-// Proto share every page they do not write.
+// cold-start path: no data segments written and no start function run, only
+// a shell, a page-table copy and a link against the shared host table. Its
+// memory aliases p's pages copy-on-write, so Faaslets started from one Proto
+// share every page they do not write.
 func NewFromProto(def FuncDef, env *Env, p *Proto) (*Faaslet, error) {
 	if def.Module == nil && def.Native == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoFunction, def.Name)

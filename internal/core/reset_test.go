@@ -97,6 +97,50 @@ func TestExecuteResetAllocBudget(t *testing.T) {
 	}
 }
 
+// TestColdStartAllocBudget holds making a Faaslet of the no-op module — New,
+// and NewFromProto from its image — to an allocation budget. While every
+// Faaslet built its own 48-entry host-interface map and its own math/rand
+// source, New cost 78 allocations and NewFromProto 75, 11 KB each.
+func TestColdStartAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool lossy; allocation counts under it are not what this measures")
+	}
+	env, _ := testEnv()
+	def := FuncDef{Name: "noop", Module: mustModule(t, `(module (memory 1) (func $main (export "main") (result i32) i32.const 0))`)}
+	first, err := New(def, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := first.Proto()
+	starts := map[string]func() (*Faaslet, error){
+		"New":          func() (*Faaslet, error) { return New(def, env) },
+		"NewFromProto": func() (*Faaslet, error) { return NewFromProto(def, env, image) },
+	}
+	for name, start := range starts {
+		cycle := func() {
+			f, err := start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(200, cycle); allocs > 24 {
+			t.Errorf("%s: %v allocations per Faaslet, budget 24", name, allocs)
+		}
+		const n = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 2048 {
+			t.Errorf("%s: %d bytes allocated per Faaslet, budget < 2 KiB", name, per)
+		}
+	}
+}
+
 // BenchmarkExecuteResetEcho is the warm call cycle on the echo guest; read
 // it beside kernels.BenchmarkWavm2mm, which must not move with it (the
 // load/store fast path knows nothing about resets).

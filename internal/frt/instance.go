@@ -22,7 +22,8 @@ import (
 )
 
 // Transport executes a call on a peer instance (work sharing). The cluster
-// package provides an in-process transport; cmd/faasmd provides HTTP. trace
+// package provides the only implementation, in-process; faasmd daemons do not
+// forward between processes, so their instances run with no Transport. trace
 // is the forwarding call's trace id (0 = untraced); the peer joins it via
 // ExecuteForwarded so a forwarded invocation's spans land under one id on
 // both hosts.

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -201,19 +200,4 @@ func (b *BillableMemory) Reset() {
 	b.mu.Lock()
 	b.gbSeconds = 0
 	b.mu.Unlock()
-}
-
-// HumanBytes renders a byte count with binary-ish units matching the paper's
-// presentation (KB/MB/GB at powers of 1000, as cloud billing does).
-func HumanBytes(n int64) string {
-	switch {
-	case n >= 1e9:
-		return fmt.Sprintf("%.1f GB", float64(n)/1e9)
-	case n >= 1e6:
-		return fmt.Sprintf("%.1f MB", float64(n)/1e6)
-	case n >= 1e3:
-		return fmt.Sprintf("%.1f KB", float64(n)/1e3)
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }

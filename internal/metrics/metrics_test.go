@@ -139,18 +139,3 @@ func TestBillableMemory(t *testing.T) {
 		t.Fatal("reset failed")
 	}
 }
-
-func TestHumanBytes(t *testing.T) {
-	cases := map[int64]string{
-		512:        "512 B",
-		2_000:      "2.0 KB",
-		1_300_000:  "1.3 MB",
-		5_000_0000: "50.0 MB",
-		2e9:        "2.0 GB",
-	}
-	for n, want := range cases {
-		if got := HumanBytes(n); got != want {
-			t.Errorf("HumanBytes(%d) = %q, want %q", n, got, want)
-		}
-	}
-}

@@ -59,6 +59,11 @@ type Instance struct {
 	skipStart bool
 	// fuelBudget is the budget WithFuel configured; Reset refills Fuel to it.
 	fuelBudget int64
+	// owner is the embedder's value behind this instance (WithOwner): host
+	// functions shared by many instances find their per-instance context
+	// through it. Last, so the fields the execution loop touches keep their
+	// offsets.
+	owner any
 }
 
 // InstanceOption configures instantiation.
@@ -79,6 +84,13 @@ func WithFuel(fuel int64) InstanceOption {
 // WithMaxCallDepth overrides the guest recursion bound.
 func WithMaxCallDepth(d int) InstanceOption {
 	return func(i *Instance) { i.maxDepth = d }
+}
+
+// WithOwner attaches an opaque owner that host functions read back through
+// Instance.Owner, so one immutable import table can serve every instance.
+// It is set before the start function runs and kept across Reset.
+func WithOwner(owner any) InstanceOption {
+	return func(i *Instance) { i.owner = owner }
 }
 
 // WithSkipStart suppresses the module's start function. Used when resuming
@@ -158,6 +170,9 @@ func (i *Instance) Memory() *wamem.Memory { return i.mem }
 
 // Module returns the underlying module.
 func (i *Instance) Module() *Module { return i.mod }
+
+// Owner returns the value WithOwner attached (nil if none).
+func (i *Instance) Owner() any { return i.owner }
 
 // GlobalValue reads global g's raw value (for snapshots and tests).
 func (i *Instance) GlobalValue(g int) (uint64, error) {
