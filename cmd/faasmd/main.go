@@ -12,11 +12,9 @@
 //	faasmd -autoscale -min-hosts 1 -max-hosts 8    # cluster control plane (advisory)
 //	faasmd -trace-sample 1                         # trace every invocation
 //
-// The scheduling and state knobs (-pool-cap, -lease-ttl, -peer-cache-ttl,
-// -locality-weight, -shard-id, -expiry-sweep and the elastic-pool flags)
-// are documented in the README's
-// "Operating faasmd" section, as are the observability knobs
-// (-trace-sample, -trace-buffer).
+// Every flag binds into the config of the package it tunes (flags.go), and
+// the README's "Operating faasmd" section documents each knob and when to
+// change it; -help prints every default.
 //
 // Endpoints:
 //
@@ -39,6 +37,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,48 +54,23 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":8090", "HTTP listen address")
-	stateAddrs := flag.String("state", "", "comma-separated kvs shard endpoints (empty = in-process; >1 shards the tier)")
-	stateReplicas := flag.Int("state-replicas", 1, "copies per key when the tier is sharded")
-	stateWriteQuorum := flag.Int("state-write-quorum", 0, "copies that must acknowledge a replicated tier write (0 = all; W<replicas keeps writing while a shard is down)")
-	stateReadFailover := flag.Bool("state-read-failover", true, "let tier reads fall through to surviving copies when the chosen shard fails (sharded tier)")
-	stateHealInterval := flag.Duration("state-heal-interval", 0, "probe and re-sync suspect tier shards on this cadence (0 = off; sharded tier)")
-	kvsDialTimeout := flag.Duration("kvs-dial-timeout", 0, "dial timeout for tier shard connections (0 = 5s)")
-	kvsRetryMax := flag.Int("kvs-retry-max", 0, "retries per tier operation on connect/timeout failures, with exponential backoff (0 = 2, <0 = never retry)")
-	kvsListen := flag.String("kvs", "", "also serve a kvs global-tier shard on this address")
-	host := flag.String("host", "faasmd-0", "this instance's cluster name")
-	poolCap := flag.Int("pool-cap", 0, "idle warm Faaslets kept per function (0 = runtime default, 64)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "liveness lease on this host's warm advertisements; heartbeats run at a third of it (0 = 10s)")
-	peerCacheTTL := flag.Duration("peer-cache-ttl", 0, "staleness bound on the cached peer warm set (0 = 1s)")
-	localityWeight := flag.Float64("locality-weight", 0, "blend data locality into cross-host forwarding: peer scores scale by (1 + weight×footprint-miss); 0 = off")
-	shardID := flag.String("shard-id", "", "tier shard this process co-hosts (e.g. the -kvs shard's ring id); residency adverts then credit shard-primary co-location")
-	elasticPool := flag.Bool("elastic-pool", false, "autoscale warm pools: grow ahead of misses, shrink on idle")
-	poolIdleTimeout := flag.Duration("pool-idle-timeout", 0, "idle time before an elastic pool starts shrinking (0 = 30s)")
-	expirySweep := flag.Duration("expiry-sweep", 0, "background sweep cadence for tier-side key expiry on engines this process hosts (0 = 1s)")
-	traceSample := flag.Int("trace-sample", 0, "trace 1-in-N invocations (0 = default 64, 1 = all, <0 = off)")
-	traceBuffer := flag.Int("trace-buffer", 0, "finished traces retained for /trace and /traces (0 = default 1024)")
-	asyncQueue := flag.Bool("async-queue", false, "enable the durable async invocation queue: POST /invoke/<name>?async=1 enqueues and acks with a call id, GET /call/<id> reads the result")
-	queueDepth := flag.Int("queue-depth", 0, "per-function depth cap on queued-plus-in-flight async calls; submits beyond it are rejected 429 (0 = 1024)")
-	queueRetryMax := flag.Int("queue-retry-max", 0, "redeliveries after a failed async execution before the call dead-letters (0 = 3, <0 = none)")
-	queueLeaseTTL := flag.Duration("queue-lease-ttl", 0, "in-flight redelivery lease: a consumer dead this long after claiming has its item reclaimed (0 = 10s)")
-	autoscaleOn := flag.Bool("autoscale", false, "run the cluster autoscale controller (advisory in a single process: decisions surface on /status and faasm_autoscale_* metrics)")
-	minHosts := flag.Int("min-hosts", 1, "autoscale floor: hosts the controller keeps unconditionally")
-	maxHosts := flag.Int("max-hosts", 8, "autoscale ceiling: hosts the controller never exceeds")
-	scaleCooldown := flag.Duration("scale-cooldown", 0, "minimum gap between voluntary scale actions (0 = 8x the reconcile tick)")
-	flag.Parse()
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var store kvs.Store
 	var served *kvs.Engine
 	var localEngine *kvs.Engine // in-process tier engine, if this process owns one
 	newEngine := func() *kvs.Engine {
 		eng := kvs.NewEngine()
-		eng.SetSweepInterval(*expirySweep)
+		eng.SetSweepInterval(cfg.expirySweep)
 		return eng
 	}
-	if *kvsListen != "" {
+	if cfg.kvsListen != "" {
 		served = newEngine()
 		localEngine = served
-		srv, err := kvs.NewServer(served, *kvsListen)
+		srv, err := kvs.NewServer(served, cfg.kvsListen)
 		if err != nil {
 			log.Fatalf("kvs listen: %v", err)
 		}
@@ -104,21 +78,14 @@ func main() {
 	}
 	newClient := func(addr string) *kvs.Client {
 		c := kvs.NewClient(addr)
-		c.DialTimeout = *kvsDialTimeout
-		c.Retry = kvs.RetryPolicy{Max: *kvsRetryMax}
+		c.DialTimeout, c.Retry = cfg.dialTimeout, cfg.retry
 		return c
 	}
 	var ring *shardkvs.Ring
-	switch addrs := shardkvs.SplitEndpoints(*stateAddrs); {
+	switch addrs := shardkvs.SplitEndpoints(cfg.state); {
 	case len(addrs) > 1:
-		var err error
-		ring, err = shardkvs.AttachRemote(addrs, shardkvs.Options{
-			Replication:  *stateReplicas,
-			WriteQuorum:  *stateWriteQuorum,
-			ReadFailover: *stateReadFailover,
-			HealInterval: *stateHealInterval,
-			NewStore:     func(addr string) kvs.Store { return newClient(addr) },
-		})
+		cfg.ring.NewStore = func(addr string) kvs.Store { return newClient(addr) }
+		ring, err = shardkvs.AttachRemote(addrs, cfg.ring)
 		if err != nil {
 			log.Fatalf("state tier: %v", err)
 		}
@@ -126,7 +93,7 @@ func main() {
 		if _, err := ring.ShardKeyCounts(); err != nil {
 			log.Fatalf("state tier: %v", err)
 		}
-		log.Printf("global tier sharded across %d endpoints (replication %d, write quorum %d)", len(addrs), *stateReplicas, *stateWriteQuorum)
+		log.Printf("global tier sharded across %d endpoints (replication %d, write quorum %d)", len(addrs), cfg.ring.Replication, cfg.ring.WriteQuorum)
 		store = ring
 	case len(addrs) == 1:
 		store = newClient(addrs[0])
@@ -139,27 +106,11 @@ func main() {
 
 	objects := objstore.NewMemory()
 	up := upload.New(objects)
-	fc := frt.Config{
-		Host:            *host,
-		Store:           store,
-		PoolCap:         *poolCap,
-		LeaseTTL:        *leaseTTL,
-		PeerCacheTTL:    *peerCacheTTL,
-		LocalityWeight:  *localityWeight,
-		ElasticPool:     *elasticPool,
-		PoolIdleTimeout: *poolIdleTimeout,
-		TraceSample:     *traceSample,
-		TraceBuffer:     *traceBuffer,
-		AsyncQueue:      *asyncQueue,
-		QueueDepth:      *queueDepth,
-		QueueRetryMax:   *queueRetryMax,
-		QueueLeaseTTL:   *queueLeaseTTL,
+	cfg.runtime.Store = store
+	if ring != nil && cfg.runtime.LocalShard != "" {
+		cfg.runtime.StateOwners = ring.HealthyOwners
 	}
-	if ring != nil && *shardID != "" {
-		fc.StateOwners = ring.HealthyOwners
-		fc.LocalShard = *shardID
-	}
-	inst := frt.New(fc)
+	inst := frt.New(cfg.runtime)
 	if localEngine != nil {
 		localEngine.Instrument(inst.Registry(), "global")
 	}
@@ -168,20 +119,17 @@ func main() {
 	}
 
 	var ctrl *autoscale.Controller
-	if *autoscaleOn {
-		ctrl = autoscale.NewController(newAdvisoryFleet(inst), autoscale.Spec{
-			MinHosts: *minHosts,
-			MaxHosts: *maxHosts,
-			Cooldown: *scaleCooldown,
-		}, nil)
+	if cfg.autoscale {
+		ctrl = autoscale.NewController(newAdvisoryFleet(inst), cfg.scale, nil)
 		ctrl.Instrument(inst.Registry())
 		ctrl.Start()
-		log.Printf("autoscale controller on (hosts %d..%d, cooldown %v)", *minHosts, *maxHosts, ctrl.Spec().Cooldown)
+		spec := ctrl.Spec()
+		log.Printf("autoscale controller on (hosts %d..%d, cooldown %v)", spec.MinHosts, spec.MaxHosts, spec.Cooldown)
 	}
 
 	mux := newMux(inst, up, objects, ring, ctrl)
-	log.Printf("faasmd %s listening on %s", *host, *listen)
-	log.Fatal(http.ListenAndServe(*listen, mux))
+	log.Printf("faasmd %s listening on %s", inst.Host(), cfg.listen)
+	log.Fatal(http.ListenAndServe(cfg.listen, mux))
 }
 
 // maxInput caps a call's input; longer bodies are cut off there.

@@ -16,6 +16,7 @@ import (
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/objstore"
 	"faasm.dev/faasm/internal/obsv"
+	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
 	"faasm.dev/faasm/internal/upload"
 )
@@ -320,10 +321,9 @@ func TestStatusAndMetricsReportAutoscale(t *testing.T) {
 func TestAsyncInvokeEndpoints(t *testing.T) {
 	eng := kvs.NewEngine()
 	inst := frt.New(frt.Config{
-		Host:       "test-0",
-		Store:      eng,
-		AsyncQueue: true,
-		QueuePoll:  time.Millisecond,
+		Host:  "test-0",
+		Store: eng,
+		Queue: &queue.Config{Poll: time.Millisecond},
 	})
 	t.Cleanup(inst.Shutdown)
 	inst.RegisterNative("echo", hostapi.WrapGuest(func(api hostapi.API) (int32, error) {
@@ -382,7 +382,7 @@ func TestAsyncInvokeEndpoints(t *testing.T) {
 }
 
 func TestAsyncDisabledReturns501(t *testing.T) {
-	srv, _ := newTestServer(t, 1) // built without AsyncQueue
+	srv, _ := newTestServer(t, 1) // built without a Queue
 	resp, err := http.Post(srv.URL+"/invoke/echo?async=1", "application/octet-stream", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)

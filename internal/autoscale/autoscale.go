@@ -65,8 +65,9 @@ type Fleet interface {
 // Spec declares the desired fleet shape and the hysteresis policy. Zero
 // values take the defaults noted on each field.
 type Spec struct {
-	// MinHosts / MaxHosts clamp the fleet (defaults 1 / 8). The controller
-	// restores MinHosts unconditionally — that is the declarative floor.
+	// MinHosts / MaxHosts clamp the fleet (defaults DefaultMinHosts /
+	// DefaultMaxHosts). The controller restores MinHosts unconditionally —
+	// that is the declarative floor.
 	MinHosts int
 	MaxHosts int
 	// HighWater is the per-active-host load (in-flight + new pool misses
@@ -98,13 +99,19 @@ type Spec struct {
 	NoRestart bool
 }
 
+// Fleet-bound defaults.
+const (
+	DefaultMinHosts = 1
+	DefaultMaxHosts = 8
+)
+
 // withDefaults fills zero fields.
 func (s Spec) withDefaults() Spec {
 	if s.MinHosts <= 0 {
-		s.MinHosts = 1
+		s.MinHosts = DefaultMinHosts
 	}
 	if s.MaxHosts <= 0 {
-		s.MaxHosts = 8
+		s.MaxHosts = DefaultMaxHosts
 	}
 	if s.MaxHosts < s.MinHosts {
 		s.MaxHosts = s.MinHosts

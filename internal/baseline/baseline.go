@@ -86,8 +86,6 @@ type Platform struct {
 	ColdStarts  metrics.Counter
 	WarmStarts  metrics.Counter
 	OOMFailures metrics.Counter
-	ExecLatency metrics.Latencies
-	InitLatency metrics.Latencies
 	Billable    metrics.BillableMemory
 }
 
@@ -169,9 +167,7 @@ func (p *Platform) coldStart(fn string) (*container, error) {
 	id := p.nextID
 	p.mu.Unlock()
 
-	start := p.clock.Now()
 	p.clock.Sleep(p.cfg.ColdStart)
-	p.InitLatency.Record(p.clock.Now().Sub(start))
 	p.ColdStarts.Add(1)
 	return &container{
 		id:      id,
@@ -265,7 +261,6 @@ func (p *Platform) Execute(fn string, input []byte) ([]byte, int32, error) {
 		ret, err = guest(api)
 	}()
 	dur := p.clock.Now().Sub(start)
-	p.ExecLatency.Record(dur)
 	p.Billable.Charge(p.cfg.ContainerOverhead+c.stateBytes, dur)
 	p.release(c)
 	if err != nil {

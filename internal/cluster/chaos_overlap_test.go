@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/autoscale"
+	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 )
 
@@ -53,7 +54,7 @@ func TestKillHostMidDrainConvergesUnderTraffic(t *testing.T) {
 	// across the whole overlap.
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1000,
-		LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond,
+		Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond},
 	})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
@@ -195,9 +196,9 @@ func TestAutoscalerDecidesDuringRingHeal(t *testing.T) {
 	// finish, the fleet must settle at the floor, and no call may fail.
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 4, TimeScale: 1000,
-		LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond,
 		StateShards: 3, StateReplicas: 2, StateWriteQuorum: 1,
 		StateReadFailover: true, FaultyShards: true,
+		Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond},
 	})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {

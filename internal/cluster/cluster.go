@@ -47,24 +47,26 @@ func (m Mode) String() string {
 	return "knative"
 }
 
+// Simulated-testbed constants: every host link is 1 Gbps with a 0.5 ms
+// per-operation latency, and FAASM cold starts cost Table 3's measured
+// initialisation (5.2 ms for a Faaslet, 0.5 ms for a Proto-Faaslet restore).
+const (
+	linkBandwidth  = simnet.Gigabit
+	linkLatency    = 500 * time.Microsecond
+	faasmColdStart = 5200 * time.Microsecond
+	protoColdStart = 500 * time.Microsecond
+)
+
 // Config sizes a cluster.
 type Config struct {
 	Mode  Mode
 	Hosts int
 	// TimeScale speeds the experiment clock (default 100×).
 	TimeScale float64
-	// BandwidthBps per host link (default 1 Gbps); Latency per operation.
-	BandwidthBps int64
-	Latency      time.Duration
 	// UseProto enables Proto-Faaslet restores for cold starts (FAASM mode).
 	UseProto bool
-	// FaasmColdStart / ProtoColdStart are the injected initialisation
-	// costs; defaults follow Table 3 (5.2 ms / 0.5 ms).
-	FaasmColdStart time.Duration
-	ProtoColdStart time.Duration
 	// Baseline knobs; zero values use the paper's measured constants.
 	ContainerColdStart time.Duration
-	ContainerOverhead  int64
 	HostMemBytes       int64
 	// Capacity bounds concurrent executions per host (0 = unlimited).
 	Capacity int
@@ -85,50 +87,23 @@ type Config struct {
 	// (simnet.FaultShard) so chaos experiments can kill and revive shards;
 	// requires StateShards > 1.
 	FaultyShards bool
-	// LeaseTTL / PeerCacheTTL tune the schedulers' liveness leases and
-	// peer-cache staleness on the experiment clock (FAASM mode; zero keeps
-	// the sched package defaults). Leases are SetEx'd tier-side records:
-	// the tier's engines run on the experiment clock too, so expiry is
-	// judged in experiment time like everything else.
-	LeaseTTL     time.Duration
-	PeerCacheTTL time.Duration
-	// ExpirySweep tunes the tier engines' background expiry-sweep cadence
-	// (0 keeps kvs.DefaultSweepInterval). Visibility of expired keys does
-	// not depend on it — reads hide them lazily.
-	ExpirySweep time.Duration
-	// PoolCap bounds idle warm Faaslets per function per host (FAASM mode;
-	// 0 = frt default). ElasticPool turns on the per-host warm-pool
-	// autoscaler with the given idle timeout and controller interval.
-	PoolCap         int
-	ElasticPool     bool
-	PoolIdleTimeout time.Duration
-	ElasticInterval time.Duration
-	// TraceSample traces 1-in-N invocations across the cluster (FAASM mode;
-	// 0 = obsv.DefaultSampleRate, 1 = all, < 0 off). All hosts share one
-	// tracer, so a forwarded call's spans — both hosts' — land in one record.
-	TraceSample int
-	// LocalityWeight blends data locality into cross-host forwarding (FAASM
-	// mode; see sched.Scheduler.LocalityWeight, 0 = off).
-	LocalityWeight float64
 	// CoLocateShards models each host h < StateShards co-hosting shard-h:
 	// those hosts' residency adverts credit keys whose healthy primary is
 	// their co-located shard. Requires StateShards > 1.
 	CoLocateShards bool
-	// Clock overrides the cluster clock (nil = vtime.NewScaled(TimeScale)).
-	// Deflaked experiments inject a vtime.Virtual so lease expiry and the
-	// measurement share one timeline that wall-clock stalls cannot stretch.
-	Clock vtime.Clock
-	// AsyncQueue enables the durable async invocation path on every FAASM
-	// host (frt.Config.AsyncQueue) plus an ingress-side client handle, so
-	// SubmitAsync/AwaitAsync survive the death of any single host. The
-	// Queue* knobs mirror frt.Config's (zero = internal/queue defaults).
-	AsyncQueue        bool
-	QueueDepth        int
-	QueueLeaseTTL     time.Duration
-	QueueRetryMax     int
-	QueueRetryBackoff time.Duration
-	QueuePoll         time.Duration
-	QueueConcurrency  int
+	// Runtime is the frt.Config every FAASM host copies. The cluster sets
+	// the per-host fields on each copy (Host, Store, Clock, Capacity,
+	// Transport, ColdStartDelay, Tracer, Registry, and StateOwners and
+	// LocalShard under CoLocateShards). Durations run on the experiment
+	// clock, which the tier's engines share, so leases expire in experiment
+	// time. Three knobs also act cluster-wide: Clock, when set, is the
+	// cluster clock (nil = vtime.NewScaled(TimeScale)), so deflaked
+	// experiments can share one virtual timeline with lease expiry;
+	// TraceSample and TraceBuffer size the one tracer all hosts share, so a
+	// forwarded call's spans land in one record; and Queue also sizes the
+	// ingress-side client handle behind SubmitAsync/AwaitAsync, which
+	// survives the death of any single host.
+	Runtime frt.Config
 }
 
 // Cluster is a live experiment cluster.
@@ -165,7 +140,7 @@ type Cluster struct {
 	shardFaults []*simnet.FaultShard
 
 	// clientQueue is the ingress-side async handle (nil unless
-	// Config.AsyncQueue): consumer-less, tier-backed, so awaiting a queued
+	// Config.Runtime.Queue): consumer-less, tier-backed, so awaiting a queued
 	// call does not depend on any particular host staying alive.
 	clientQueue *queue.Queue
 }
@@ -193,30 +168,16 @@ func New(cfg Config) *Cluster {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 100
 	}
-	if cfg.BandwidthBps == 0 {
-		cfg.BandwidthBps = simnet.Gigabit
-	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 500 * time.Microsecond
-	}
-	if cfg.FaasmColdStart == 0 {
-		cfg.FaasmColdStart = 5200 * time.Microsecond
-	}
-	if cfg.ProtoColdStart == 0 {
-		cfg.ProtoColdStart = 500 * time.Microsecond
-	}
-	c := &Cluster{cfg: cfg}
-	if cfg.Clock != nil {
-		c.Clock = cfg.Clock
-	} else {
+	c := &Cluster{cfg: cfg, Clock: cfg.Runtime.Clock}
+	if c.Clock == nil {
 		c.Clock = vtime.NewScaled(cfg.TimeScale)
 	}
-	c.Net = simnet.New(cfg.BandwidthBps, cfg.Latency, c.Clock)
-	rate := cfg.TraceSample
+	c.Net = simnet.New(linkBandwidth, linkLatency, c.Clock)
+	rate := cfg.Runtime.TraceSample
 	if rate == 0 {
 		rate = obsv.DefaultSampleRate
 	}
-	c.Tracer = obsv.NewTracer(c.Clock.Now, rate, 0)
+	c.Tracer = obsv.NewTracer(c.Clock.Now, rate, cfg.Runtime.TraceBuffer)
 	c.Registry = obsv.NewRegistry()
 	// Tier engines judge key expiry (liveness leases, SETEX'd state) on
 	// their own clock; hand them the experiment clock so tier-side TTLs
@@ -224,9 +185,6 @@ func New(cfg Config) *Cluster {
 	newEngine := func() *kvs.Engine {
 		eng := kvs.NewEngine()
 		eng.SetNowFunc(c.Clock.Now)
-		if cfg.ExpirySweep > 0 {
-			eng.SetSweepInterval(cfg.ExpirySweep)
-		}
 		return eng
 	}
 	if cfg.StateShards > 1 {
@@ -261,31 +219,24 @@ func New(cfg Config) *Cluster {
 		case ModeBaseline:
 			store := simnet.NewStore(c.State, c.Net, host)
 			p := baseline.New(baseline.Config{
-				Host:              host,
-				Store:             store,
-				Clock:             c.Clock,
-				Net:               c.Net,
-				Router:            (*baselineRouter)(c),
-				ColdStart:         cfg.ContainerColdStart,
-				ContainerOverhead: cfg.ContainerOverhead,
-				HostMemBytes:      cfg.HostMemBytes,
-				Capacity:          cfg.Capacity,
+				Host:         host,
+				Store:        store,
+				Clock:        c.Clock,
+				Net:          c.Net,
+				Router:       (*baselineRouter)(c),
+				ColdStart:    cfg.ContainerColdStart,
+				HostMemBytes: cfg.HostMemBytes,
+				Capacity:     cfg.Capacity,
 			})
 			c.base = append(c.base, p)
 		}
 	}
 	c.nextHost = cfg.Hosts
 	c.refreshActive()
-	if cfg.AsyncQueue && cfg.Mode == ModeFaasm {
-		c.clientQueue = queue.New(queue.Config{
-			Store:    simnet.NewStore(c.State, c.Net, "ingress"),
-			Clock:    c.Clock,
-			Host:     "ingress",
-			DepthCap: cfg.QueueDepth,
-			LeaseTTL: cfg.QueueLeaseTTL,
-			RetryMax: cfg.QueueRetryMax,
-			Poll:     cfg.QueuePoll,
-		}, nil)
+	if cfg.Runtime.Queue != nil && cfg.Mode == ModeFaasm {
+		qc := *cfg.Runtime.Queue
+		qc.Store, qc.Clock, qc.Host = simnet.NewStore(c.State, c.Net, "ingress"), c.Clock, "ingress"
+		c.clientQueue = queue.New(qc, nil)
 	}
 	return c
 }
@@ -294,35 +245,17 @@ func New(cfg Config) *Cluster {
 // tier, network, clock, tracer, and registry. h is the host's slot index
 // (shard co-location is positional); host its cluster-unique name.
 func (c *Cluster) newFaasmInstance(h int, host string) *frt.Instance {
-	cold := c.cfg.FaasmColdStart
+	fc := c.cfg.Runtime
+	fc.Host = host
+	fc.Store = simnet.NewStore(c.State, c.Net, host)
+	fc.Clock = c.Clock
+	fc.Capacity = c.cfg.Capacity
+	fc.Transport = (*faasmTransport)(c)
+	fc.ColdStartDelay = faasmColdStart
 	if c.cfg.UseProto {
-		cold = c.cfg.ProtoColdStart
+		fc.ColdStartDelay = protoColdStart
 	}
-	fc := frt.Config{
-		Host:            host,
-		Store:           simnet.NewStore(c.State, c.Net, host),
-		Clock:           c.Clock,
-		Capacity:        c.cfg.Capacity,
-		Transport:       (*faasmTransport)(c),
-		ColdStartDelay:  cold,
-		LeaseTTL:        c.cfg.LeaseTTL,
-		PeerCacheTTL:    c.cfg.PeerCacheTTL,
-		LocalityWeight:  c.cfg.LocalityWeight,
-		PoolCap:         c.cfg.PoolCap,
-		ElasticPool:     c.cfg.ElasticPool,
-		PoolIdleTimeout: c.cfg.PoolIdleTimeout,
-		ElasticInterval: c.cfg.ElasticInterval,
-		Tracer:          c.Tracer,
-		Registry:        c.Registry,
-
-		AsyncQueue:        c.cfg.AsyncQueue,
-		QueueDepth:        c.cfg.QueueDepth,
-		QueueLeaseTTL:     c.cfg.QueueLeaseTTL,
-		QueueRetryMax:     c.cfg.QueueRetryMax,
-		QueueRetryBackoff: c.cfg.QueueRetryBackoff,
-		QueuePoll:         c.cfg.QueuePoll,
-		QueueConcurrency:  c.cfg.QueueConcurrency,
-	}
+	fc.Tracer, fc.Registry = c.Tracer, c.Registry
 	if c.cfg.CoLocateShards && c.ring != nil && h < c.cfg.StateShards {
 		fc.StateOwners = c.ring.HealthyOwners
 		fc.LocalShard = fmt.Sprintf("shard-%d", h)

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 )
 
@@ -105,22 +107,33 @@ func TestFaasmTransfersLessThanBaseline(t *testing.T) {
 	// the baseline ships data into every container — the Fig 6b mechanic.
 	const valSize = 256 * 1024
 	const calls = 12
-	reader := func(api hostapi.API) (int32, error) {
-		buf, err := api.StateView("data", -1)
-		if err != nil {
-			return 1, err
-		}
-		if len(buf) != valSize {
-			return 2, nil
-		}
-		return 0, nil
-	}
 	measure := func(mode Mode) int64 {
 		c := New(Config{Mode: mode, Hosts: 2, TimeScale: 5000, ContainerColdStart: time.Millisecond})
 		defer c.Shutdown()
 		c.SetState("data", make([]byte, valSize))
-		c.Register("read", reader)
-		// Concurrent calls force multiple containers on the baseline.
+		// Every call holds its sandbox at a barrier until all of them have
+		// read the value, so the calls overlap and the baseline cannot reuse
+		// a container: it ships the value into one container per call.
+		var arrived atomic.Int32
+		allIn := make(chan struct{})
+		c.Register("read", func(api hostapi.API) (int32, error) {
+			buf, err := api.StateView("data", -1)
+			if err != nil {
+				return 1, err
+			}
+			if len(buf) != valSize {
+				return 2, nil
+			}
+			if arrived.Add(1) == calls {
+				close(allIn)
+			}
+			select {
+			case <-allIn:
+				return 0, nil
+			case <-time.After(10 * time.Second):
+				return 3, fmt.Errorf("not all %d calls reached the barrier", calls)
+			}
+		})
 		var wg sync.WaitGroup
 		for i := 0; i < calls; i++ {
 			call, err := c.Invoke("read", nil)
@@ -140,6 +153,9 @@ func TestFaasmTransfersLessThanBaseline(t *testing.T) {
 	}
 	faasm := measure(ModeFaasm)
 	knative := measure(ModeBaseline)
+	if knative < calls*valSize {
+		t.Fatalf("knative transferred %d, want a %d-byte copy per call (%d calls)", knative, valSize, calls)
+	}
 	if faasm >= knative {
 		t.Fatalf("faasm transferred %d >= knative %d", faasm, knative)
 	}
@@ -300,8 +316,7 @@ func TestStatsAndReset(t *testing.T) {
 func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1,
-		LeaseTTL:     60 * time.Millisecond,
-		PeerCacheTTL: 5 * time.Millisecond,
+		Runtime: frt.Config{LeaseTTL: 60 * time.Millisecond, PeerCacheTTL: 5 * time.Millisecond},
 	})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
@@ -364,10 +379,12 @@ func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 func TestElasticClusterPoolsShrinkAndRetreat(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 2, TimeScale: 1,
-		PeerCacheTTL:    5 * time.Millisecond,
-		ElasticPool:     true,
-		ElasticInterval: 2 * time.Millisecond,
-		PoolIdleTimeout: 10 * time.Millisecond,
+		Runtime: frt.Config{
+			PeerCacheTTL:    5 * time.Millisecond,
+			ElasticPool:     true,
+			ElasticInterval: 2 * time.Millisecond,
+			PoolIdleTimeout: 10 * time.Millisecond,
+		},
 	})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
@@ -406,9 +423,11 @@ func TestForwardedTraceSpansBothHosts(t *testing.T) {
 	const valSize = 4096
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 2, TimeScale: 1,
-		LeaseTTL:     60 * time.Millisecond,
-		PeerCacheTTL: 5 * time.Millisecond,
-		TraceSample:  1, // trace every call
+		Runtime: frt.Config{
+			LeaseTTL:     60 * time.Millisecond,
+			PeerCacheTTL: 5 * time.Millisecond,
+			TraceSample:  1, // trace every call
+		},
 	})
 	defer c.Shutdown()
 	// The guest pulls the state key named by its input. Keys are per-call so
@@ -586,7 +605,7 @@ func TestAddHostJoinsRotationWithAllFunctions(t *testing.T) {
 }
 
 func TestDrainHostLeavesRotationThenReclaims(t *testing.T) {
-	c := New(Config{Mode: ModeFaasm, Hosts: 3, TimeScale: 1000, LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond})
+	c := New(Config{Mode: ModeFaasm, Hosts: 3, TimeScale: 1000, Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond}})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
 		api.WriteOutput(api.Input())

@@ -6,8 +6,10 @@ import (
 
 	"faasm.dev/faasm/internal/cluster"
 	"faasm.dev/faasm/internal/core"
+	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/mbus"
+	"faasm.dev/faasm/internal/queue"
 )
 
 // AsyncQueue is the durable-async-invocation gate: open-loop load enters
@@ -35,12 +37,11 @@ func AsyncQueue(opts Options) *Report {
 
 	c := cluster.New(cluster.Config{
 		Mode: cluster.ModeFaasm, Hosts: 3, TimeScale: 1,
-		LeaseTTL:         60 * time.Millisecond,
-		PeerCacheTTL:     5 * time.Millisecond,
-		AsyncQueue:       true,
-		QueueLeaseTTL:    leaseTTL,
-		QueuePoll:        2 * time.Millisecond,
-		QueueConcurrency: 2,
+		Runtime: frt.Config{
+			LeaseTTL:     60 * time.Millisecond,
+			PeerCacheTTL: 5 * time.Millisecond,
+			Queue:        &queue.Config{LeaseTTL: leaseTTL, Poll: 2 * time.Millisecond, Concurrency: 2},
+		},
 	})
 	defer c.Shutdown()
 	mk := func(tag string) func(api hostapi.API) (int32, error) {

@@ -8,6 +8,7 @@ import (
 
 	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/cluster"
+	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 )
 
@@ -42,8 +43,7 @@ func Autoscale(opts Options) *Report {
 
 	c := cluster.New(cluster.Config{
 		Mode: cluster.ModeFaasm, Hosts: minHosts, TimeScale: 1,
-		LeaseTTL:     leaseTTL,
-		PeerCacheTTL: 5 * time.Millisecond,
+		Runtime: frt.Config{LeaseTTL: leaseTTL, PeerCacheTTL: 5 * time.Millisecond},
 	})
 	defer c.Shutdown()
 	if err := c.Register("work", func(api hostapi.API) (int32, error) {

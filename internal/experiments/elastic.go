@@ -154,9 +154,8 @@ func measureFailoverDrain(leaseTTL time.Duration) (drain time.Duration, failed i
 	go func() {
 		r := func() result {
 			c := cluster.New(cluster.Config{
-				Mode: cluster.ModeFaasm, Hosts: 3, Clock: clk,
-				LeaseTTL:     leaseTTL,
-				PeerCacheTTL: 5 * time.Millisecond,
+				Mode: cluster.ModeFaasm, Hosts: 3,
+				Runtime: frt.Config{Clock: clk, LeaseTTL: leaseTTL, PeerCacheTTL: 5 * time.Millisecond},
 			})
 			defer c.Shutdown()
 			if err := c.Register("echo", func(api hostapi.API) (int32, error) {

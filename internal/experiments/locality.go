@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/cluster"
+	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/workloads/dmatmul"
 	"faasm.dev/faasm/internal/workloads/sgd"
@@ -103,12 +104,14 @@ func runLocality(workload string, weight float64, quick bool) (localityRun, erro
 	// flap dead mid-burst, be evicted from warm sets, and both modes would
 	// measure lease churn instead of placement.
 	cfg := cluster.Config{
-		Mode:           cluster.ModeFaasm,
-		Hosts:          4,
-		TimeScale:      1,
-		LocalityWeight: weight,
-		LeaseTTL:       250 * time.Millisecond,
-		PeerCacheTTL:   2 * time.Millisecond,
+		Mode:      cluster.ModeFaasm,
+		Hosts:     4,
+		TimeScale: 1,
+		Runtime: frt.Config{
+			LocalityWeight: weight,
+			LeaseTTL:       250 * time.Millisecond,
+			PeerCacheTTL:   2 * time.Millisecond,
+		},
 	}
 	if workload == "sgd" {
 		cfg.StateShards = 2

@@ -11,7 +11,7 @@ import (
 )
 
 // ErrAsyncDisabled marks async-path calls on an instance built without
-// Config.AsyncQueue.
+// Config.Queue.
 var ErrAsyncDisabled = errors.New("frt: async queue disabled")
 
 // Queue exposes the instance's durable async queue (nil when disabled).

@@ -17,11 +17,9 @@ import (
 func newAsyncInstance(t *testing.T, host string, eng *kvs.Engine) *Instance {
 	t.Helper()
 	inst := New(Config{
-		Host:          host,
-		Store:         eng,
-		AsyncQueue:    true,
-		QueuePoll:     time.Millisecond,
-		QueueLeaseTTL: 200 * time.Millisecond,
+		Host:  host,
+		Store: eng,
+		Queue: &queue.Config{Poll: time.Millisecond, LeaseTTL: 200 * time.Millisecond},
 	})
 	t.Cleanup(inst.Shutdown)
 	return inst
@@ -95,7 +93,7 @@ func TestAsyncDisabledErrors(t *testing.T) {
 		t.Fatalf("QueueDepth: %v", err)
 	}
 	if inst.Queue() != nil {
-		t.Fatal("queue present without AsyncQueue")
+		t.Fatal("queue present without Config.Queue")
 	}
 }
 

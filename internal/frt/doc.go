@@ -52,8 +52,8 @@
 // organically (a Faaslet is created when a call finds the pool empty) and
 // never shrinks. With Config.ElasticPool, a background controller watches
 // per-function demand — acquire counts and pool-empty misses — and (a)
-// grows the pool ahead of demand by pre-provisioning PoolGrowFactor× the
-// observed misses through the resetter machinery, so ramping load stops
+// grows the pool ahead of demand by pre-provisioning twice the observed
+// misses (a constant, poolGrowFactor) per tick, so ramping load stops
 // paying cold starts on the critical path, and (b) shrinks idle pools after
 // PoolIdleTimeout, halving the idle set per controller tick and feeding
 // every eviction through sched.NoteEvicted/Retreat so the global warm set

@@ -31,13 +31,9 @@ func (i *Instance) elasticLoop() {
 
 // elasticTick runs one controller pass over every function pool.
 func (i *Instance) elasticTick() {
-	grow := i.cfg.PoolGrowFactor
-	if grow <= 0 {
-		grow = defaultPoolGrowFactor
-	}
 	idleTimeout := i.cfg.PoolIdleTimeout
 	if idleTimeout <= 0 {
-		idleTimeout = defaultPoolIdleTimeout
+		idleTimeout = DefaultPoolIdleTimeout
 	}
 	now := i.clock.Now()
 	i.pools.Range(func(k, v any) bool {
@@ -66,10 +62,7 @@ func (i *Instance) elasticTick() {
 		case newMisses > 0:
 			// Calls paid cold starts on their critical path this tick: grow
 			// ahead so the next ramp step finds the pool already provisioned.
-			want := int(float64(newMisses) * grow)
-			if want < 1 {
-				want = 1
-			}
+			want := int(newMisses) * poolGrowFactor
 			if room := i.cfg.PoolCap - pooled; want > room {
 				want = room
 			}

@@ -41,7 +41,8 @@ type Config struct {
 	Files vfs.GlobalStore
 	// Capacity bounds concurrently executing calls (scheduler hint).
 	Capacity int
-	// PoolCap bounds idle warm Faaslets kept per function.
+	// PoolCap bounds idle warm Faaslets kept per function (0 =
+	// DefaultPoolCap).
 	PoolCap int
 	// Clock drives timing (nil = wall clock).
 	Clock vtime.Clock
@@ -75,11 +76,9 @@ type Config struct {
 	// on pool-empty misses, shrink after idleness. Off by default — the
 	// pool then grows organically up to PoolCap and never shrinks.
 	ElasticPool bool
-	// PoolGrowFactor scales grow-ahead: the controller pre-provisions
-	// misses×factor Faaslets per tick (0 = 2).
-	PoolGrowFactor float64
 	// PoolIdleTimeout is how long a pool must see no acquires before the
-	// controller starts reclaiming its idle Faaslets (0 = 30s).
+	// controller starts reclaiming its idle Faaslets (0 =
+	// DefaultPoolIdleTimeout).
 	PoolIdleTimeout time.Duration
 	// ElasticInterval is the controller's tick (0 = 100ms).
 	ElasticInterval time.Duration
@@ -96,35 +95,24 @@ type Config struct {
 	// Registry receives this instance's metrics; nil creates a private one.
 	Registry *obsv.Registry
 
-	// AsyncQueue enables the durable async invocation path: InvokeAsync
-	// enqueues into the global tier (internal/queue) and per-function
-	// consumer loops on this host execute queued work through the normal
-	// scheduling path. Off by default.
-	AsyncQueue bool
-	// QueueDepth bounds each function's queued-plus-in-flight items;
-	// submits beyond it are shed (0 = queue.DefaultDepthCap).
-	QueueDepth int
-	// QueueLeaseTTL is the in-flight redelivery lease: a consumer that dies
-	// mid-execution has its item reclaimed this long after the claim
-	// (0 = queue.DefaultLeaseTTL).
-	QueueLeaseTTL time.Duration
-	// QueueRetryMax bounds redeliveries after a failed execution before the
-	// item dead-letters (0 = queue.DefaultRetryMax, < 0 = no retries).
-	QueueRetryMax int
-	// QueueRetryBackoff is the base redelivery backoff, doubling per
-	// attempt (0 = queue.DefaultRetryBackoff).
-	QueueRetryBackoff time.Duration
-	// QueuePoll is the consumer scan cadence (0 = queue.DefaultPoll).
-	QueuePoll time.Duration
-	// QueueConcurrency bounds concurrent queued executions per function on
-	// this host (0 = queue.DefaultConcurrency).
-	QueueConcurrency int
+	// Queue, when non-nil, enables the durable async invocation path:
+	// InvokeAsync enqueues into the global tier (internal/queue) and
+	// per-function consumer loops on this host execute queued work through
+	// the normal scheduling path. Only its sizing knobs are read; the
+	// instance fills Store, Clock, Host, Gate, Dead and Tracer on its own
+	// copy. Nil (the default) leaves the async path off.
+	Queue *queue.Config
 }
 
-// Elastic-pool defaults.
+// Pool defaults.
 const (
-	defaultPoolGrowFactor  = 2.0
-	defaultPoolIdleTimeout = 30 * time.Second
+	// DefaultPoolCap is PoolCap's default.
+	DefaultPoolCap = 64
+	// DefaultPoolIdleTimeout is PoolIdleTimeout's default.
+	DefaultPoolIdleTimeout = 30 * time.Second
+	// poolGrowFactor scales grow-ahead: the elastic controller
+	// pre-provisions misses×poolGrowFactor Faaslets per tick.
+	poolGrowFactor         = 2
 	defaultElasticInterval = 100 * time.Millisecond
 )
 
@@ -217,7 +205,6 @@ type Instance struct {
 	WarmStarts  metrics.Counter
 	ProtoStarts metrics.Counter
 	ExecLatency metrics.Latencies
-	InitLatency metrics.Latencies
 	Billable    metrics.BillableMemory
 	// PoolMisses counts calls that found the warm pool empty and paid a
 	// cold start on the critical path; Prewarmed counts Faaslets the
@@ -228,15 +215,16 @@ type Instance struct {
 	IdleReclaims metrics.Counter
 
 	// tracer samples invocation traces; reg is the metrics registry both
-	// feed the /metrics exposition. execHist/initHist are the bounded
-	// histogram counterparts of ExecLatency/InitLatency (nanos).
+	// feed the /metrics exposition. execHist is the bounded histogram
+	// counterpart of ExecLatency; initHist records cold-start
+	// initialisation (nanos).
 	tracer   *obsv.Tracer
 	reg      *obsv.Registry
 	execHist *obsv.Histogram
 	initHist *obsv.Histogram
 
 	// queue is the durable async invocation queue (nil unless
-	// Config.AsyncQueue); see async.go.
+	// Config.Queue); see async.go.
 	queue *queue.Queue
 }
 
@@ -252,7 +240,7 @@ func New(cfg Config) *Instance {
 		cfg.Clock = vtime.Real{}
 	}
 	if cfg.PoolCap <= 0 {
-		cfg.PoolCap = 64
+		cfg.PoolCap = DefaultPoolCap
 	}
 	inst := &Instance{
 		cfg:      cfg,
@@ -305,25 +293,16 @@ func New(cfg Config) *Instance {
 		inst.elasticDone = make(chan struct{})
 		go inst.elasticLoop()
 	}
-	if cfg.AsyncQueue {
-		inst.queue = queue.New(queue.Config{
-			Store:        cfg.Store,
-			Clock:        cfg.Clock,
-			Host:         cfg.Host,
-			DepthCap:     cfg.QueueDepth,
-			LeaseTTL:     cfg.QueueLeaseTTL,
-			RetryMax:     cfg.QueueRetryMax,
-			RetryBackoff: cfg.QueueRetryBackoff,
-			Poll:         cfg.QueuePoll,
-			Concurrency:  cfg.QueueConcurrency,
-			// Claims stop on crash, drain, and shutdown; only a crash
-			// abandons work already executing (drained hosts finish theirs).
-			Gate: func() bool {
-				return !inst.killed.Load() && !inst.draining.Load() && !inst.closed.Load()
-			},
-			Dead:   inst.killed.Load,
-			Tracer: inst.tracer,
-		}, inst)
+	if cfg.Queue != nil {
+		qc := *cfg.Queue
+		qc.Store, qc.Clock, qc.Host = cfg.Store, cfg.Clock, cfg.Host
+		// Claims stop on crash, drain, and shutdown; only a crash abandons
+		// work already executing (drained hosts finish theirs).
+		qc.Gate = func() bool {
+			return !inst.killed.Load() && !inst.draining.Load() && !inst.closed.Load()
+		}
+		qc.Dead, qc.Tracer = inst.killed.Load, inst.tracer
+		inst.queue = queue.New(qc, inst)
 		inst.queue.Instrument(inst.reg, cfg.Host)
 	}
 	return inst
@@ -856,9 +835,7 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	initDur := i.clock.Now().Sub(start)
-	i.InitLatency.Record(initDur)
-	i.initHist.Observe(int64(initDur))
+	i.initHist.Observe(int64(i.clock.Now().Sub(start)))
 	i.ColdStarts.Add(1)
 	p.mu.Lock()
 	p.live++

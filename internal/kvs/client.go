@@ -13,13 +13,22 @@ import (
 	"faasm.dev/faasm/internal/obsv"
 )
 
+// Client defaults.
+const (
+	// DefaultDialTimeout is Client.DialTimeout's default.
+	DefaultDialTimeout = 5 * time.Second
+	// DefaultRetryMax is RetryPolicy.Max's default.
+	DefaultRetryMax = 2
+)
+
 // RetryPolicy bounds the client's reconnect-and-retry loop. Zero values take
 // the field defaults, so a zero RetryPolicy is the default policy, not "no
 // retries" — set Max to a negative value to disable retries outright.
 type RetryPolicy struct {
-	// Max is the retry attempts after the first try (default 2; negative
-	// disables retries). Only connect/timeout-class failures (IsUnavailable)
-	// are ever retried, and never after the first reply byte has arrived.
+	// Max is the retry attempts after the first try (0 = DefaultRetryMax;
+	// negative disables retries). Only connect/timeout-class failures
+	// (IsUnavailable) are ever retried, and never after the first reply
+	// byte has arrived.
 	Max int
 	// Base is the backoff before the first retry (default 20ms). Each
 	// further retry doubles it, capped at Cap (default 1s), with ±50% jitter
@@ -33,7 +42,7 @@ func (p RetryPolicy) max() int {
 		return 0
 	}
 	if p.Max == 0 {
-		return 2
+		return DefaultRetryMax
 	}
 	return p.Max
 }
@@ -73,7 +82,7 @@ type Client struct {
 	pool chan *clientConn
 	max  int
 
-	// DialTimeout bounds one connection attempt (0 = 5s).
+	// DialTimeout bounds one connection attempt (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
 	// OpTimeout, when set, bounds each request/reply exchange except LOCK —
 	// a lease acquire legitimately blocks server-side until the holder
@@ -123,7 +132,7 @@ func NewClient(addr string) *Client {
 func (c *Client) dial() (*clientConn, error) {
 	timeout := c.DialTimeout
 	if timeout <= 0 {
-		timeout = 5 * time.Second
+		timeout = DefaultDialTimeout
 	}
 	conn, err := net.DialTimeout("tcp", c.addr, timeout)
 	if err != nil {

@@ -165,41 +165,42 @@ func TestDeadLetterAfterMaxRetries(t *testing.T) {
 	boom := execFunc(func(string, []byte, obsv.TraceID) ([]byte, int32, error) {
 		return nil, 9, errors.New("guest trapped")
 	})
-	q, vc := newVirtualQueue(t, Config{Host: "h1", RetryMax: 2, RetryBackoff: 10 * time.Millisecond}, boom)
-	id, err := q.Submit("wc", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for att := 1; att <= 3; att++ {
-		it, got, ok := q.claim("wc")
-		if !ok || got != att {
-			t.Fatalf("claim %d: att=%d ok=%v", att, got, ok)
+	// RetryMax 2 allows three attempts; a negative RetryMax disables retries,
+	// so the first failure dead-letters.
+	for _, tc := range []struct{ retryMax, attempts int }{{2, 3}, {-1, 1}} {
+		q, vc := newVirtualQueue(t, Config{Host: "h1", RetryMax: tc.retryMax, RetryBackoff: 10 * time.Millisecond}, boom)
+		id, err := q.Submit("wc", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		q.runItem("wc", it, got)
-		if att <= 2 {
-			// Parked in backoff: invisible now, claimable after it elapses.
-			if _, _, ok := q.claim("wc"); ok {
-				t.Fatalf("claimed item during backoff after attempt %d", att)
+		for att := 1; att <= tc.attempts; att++ {
+			it, got, ok := q.claim("wc")
+			if !ok || got != att {
+				t.Fatalf("RetryMax %d: claim %d: att=%d ok=%v", tc.retryMax, att, got, ok)
 			}
-			vc.Advance(time.Second)
+			q.runItem("wc", it, got)
+			if att < tc.attempts {
+				// Parked in backoff: invisible now, claimable after it elapses.
+				if _, _, ok := q.claim("wc"); ok {
+					t.Fatalf("RetryMax %d: claimed item during backoff after attempt %d", tc.retryMax, att)
+				}
+				vc.Advance(time.Second)
+			}
 		}
-	}
-	rec, err := q.Await(id, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Status != mbus.CallDeadLettered || rec.ReturnCode != -1 || rec.Err == "" {
-		t.Fatalf("dead-lettered result = %+v", rec)
-	}
-	dls, err := q.DeadLetters("wc")
-	if err != nil || len(dls) != 1 || dls[0] != id {
-		t.Fatalf("dead letters = %v %v", dls, err)
-	}
-	if s := q.Stats(); s.DeadLettered != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if d, _ := q.Depth("wc"); d != 0 {
-		t.Fatalf("depth after dead-letter = %d", d)
+		rec, ok, err := q.Result(id)
+		if err != nil || !ok || rec.Status != mbus.CallDeadLettered || rec.ReturnCode != -1 || rec.Err == "" {
+			t.Fatalf("RetryMax %d: dead-lettered result = %+v %v %v", tc.retryMax, rec, ok, err)
+		}
+		dls, err := q.DeadLetters("wc")
+		if err != nil || len(dls) != 1 || dls[0] != id {
+			t.Fatalf("RetryMax %d: dead letters = %v %v", tc.retryMax, dls, err)
+		}
+		if s := q.Stats(); s.DeadLettered != 1 {
+			t.Fatalf("RetryMax %d: stats = %+v", tc.retryMax, s)
+		}
+		if d, _ := q.Depth("wc"); d != 0 {
+			t.Fatalf("RetryMax %d: depth after dead-letter = %d", tc.retryMax, d)
+		}
 	}
 }
 
