@@ -4,7 +4,6 @@ import (
 	"flag"
 	"time"
 
-	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/obsv"
@@ -23,7 +22,6 @@ type config struct {
 	state     string // comma-separated tier endpoints ("" = in-process)
 	// expirySweep is the expiry-sweep cadence of engines this process hosts.
 	expirySweep time.Duration
-	autoscale   bool
 
 	// runtime.Queue points at queue when -async-queue is set.
 	runtime frt.Config
@@ -32,7 +30,6 @@ type config struct {
 	// dialTimeout and retry are every tier client's kvs.Client settings.
 	dialTimeout time.Duration
 	retry       kvs.RetryPolicy
-	scale       autoscale.Spec
 }
 
 // parseFlags registers faasmd's flags on fs and parses args into a config.
@@ -66,11 +63,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.queue.DepthCap, "queue-depth", queue.DefaultDepthCap, "per-function depth cap on queued-plus-in-flight async calls; submits beyond it are rejected 429")
 	fs.IntVar(&c.queue.RetryMax, "queue-retry-max", queue.DefaultRetryMax, "redeliveries after a failed async execution before the call dead-letters (<0 = none, 0 = the default)")
 	fs.DurationVar(&c.queue.LeaseTTL, "queue-lease-ttl", queue.DefaultLeaseTTL, "in-flight redelivery lease: a consumer dead this long after claiming has its item reclaimed")
-
-	fs.BoolVar(&c.autoscale, "autoscale", false, "run the cluster autoscale controller (advisory in a single process: decisions surface on /status and faasm_autoscale_* metrics)")
-	fs.IntVar(&c.scale.MinHosts, "min-hosts", autoscale.DefaultMinHosts, "autoscale floor: hosts the controller keeps unconditionally")
-	fs.IntVar(&c.scale.MaxHosts, "max-hosts", autoscale.DefaultMaxHosts, "autoscale ceiling: hosts the controller never exceeds")
-	fs.DurationVar(&c.scale.Cooldown, "scale-cooldown", 0, "minimum gap between voluntary scale actions (0 = 8x the reconcile tick)")
 
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -4,10 +4,10 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/obsv"
@@ -50,7 +50,6 @@ func TestFlagDefaultsArePackageConstants(t *testing.T) {
 		ring:        shardkvs.Options{Replication: 1, ReadFailover: true},
 		dialTimeout: kvs.DefaultDialTimeout,
 		retry:       kvs.RetryPolicy{Max: kvs.DefaultRetryMax},
-		scale:       autoscale.Spec{MinHosts: autoscale.DefaultMinHosts, MaxHosts: autoscale.DefaultMaxHosts},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("defaults:\n got %+v\nwant %+v", got, want)
@@ -89,10 +88,6 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{"queue-depth", "512", func(c *config) any { return c.queue.DepthCap }, 512},
 		{"queue-retry-max", "-1", func(c *config) any { return c.queue.RetryMax }, -1},
 		{"queue-lease-ttl", "2s", func(c *config) any { return c.queue.LeaseTTL }, 2 * time.Second},
-		{"autoscale", "true", func(c *config) any { return c.autoscale }, true},
-		{"min-hosts", "2", func(c *config) any { return c.scale.MinHosts }, 2},
-		{"max-hosts", "6", func(c *config) any { return c.scale.MaxHosts }, 6},
-		{"scale-cooldown", "1s", func(c *config) any { return c.scale.Cooldown }, time.Second},
 	}
 	def, fs := parse(t)
 	covered := map[string]bool{}
@@ -108,6 +103,18 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 			t.Errorf("-%s has no row in the table", f.Name)
 		}
 	})
+}
+
+// faasmd runs no fleet controller, so the fleet flags are unknown flags, not
+// silently ignored ones.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s"} {
+		fs := flag.NewFlagSet("faasmd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseFlags(fs, []string{arg}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", arg, err)
+		}
+	}
 }
 
 // The two command lines the benchmark starts faasmd with keep the effective

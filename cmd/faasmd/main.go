@@ -9,7 +9,6 @@
 //	faasmd -listen :8090 -state a:6500,b:6500      # sharded global tier (ring)
 //	faasmd -kvs :6500                              # also serve one tier shard
 //	faasmd -elastic-pool -pool-idle-timeout 30s    # autoscale warm pools
-//	faasmd -autoscale -min-hosts 1 -max-hosts 8    # cluster control plane (advisory)
 //	faasmd -trace-sample 1                         # trace every invocation
 //
 // Every flag binds into the config of the package it tunes (flags.go), and
@@ -43,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/objstore"
@@ -118,16 +116,7 @@ func main() {
 		ring.Instrument(inst.Registry())
 	}
 
-	var ctrl *autoscale.Controller
-	if cfg.autoscale {
-		ctrl = autoscale.NewController(newAdvisoryFleet(inst), cfg.scale, nil)
-		ctrl.Instrument(inst.Registry())
-		ctrl.Start()
-		spec := ctrl.Spec()
-		log.Printf("autoscale controller on (hosts %d..%d, cooldown %v)", spec.MinHosts, spec.MaxHosts, spec.Cooldown)
-	}
-
-	mux := newMux(inst, up, objects, ring, ctrl)
+	mux := newMux(inst, up, objects, ring)
 	log.Printf("faasmd %s listening on %s", inst.Host(), cfg.listen)
 	log.Fatal(http.ListenAndServe(cfg.listen, mux))
 }
@@ -155,9 +144,8 @@ func readInput(r *http.Request) ([]byte, error) {
 // newMux wires the daemon's HTTP surface over a runtime instance. Factored
 // from main so tests drive the real handlers through httptest. ring is the
 // sharded tier when one is attached (nil otherwise); /status reports its
-// per-shard health. ctrl is the autoscale controller when -autoscale is on
-// (nil otherwise); /status reports its fleet view and hysteresis state.
-func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, ring *shardkvs.Ring, ctrl *autoscale.Controller) *http.ServeMux {
+// per-shard health.
+func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, ring *shardkvs.Ring) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/f/", deployingUploader{up: up, inst: inst, objects: objects})
 	mux.HandleFunc("/invoke/", func(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +211,7 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 		fmt.Fprintf(w, "host: %s\nfunctions: %v\nfaaslets: %d\ncold: %d warm: %d proto: %d\nmedian exec: %v\n",
 			inst.Host(), inst.Functions(), inst.FaasletCount(),
 			inst.ColdStarts.Value(), inst.WarmStarts.Value(), inst.ProtoStarts.Value(),
-			inst.ExecLatency.Median())
+			inst.MedianExec())
 		fmt.Fprintf(w, "pool misses: %d prewarmed: %d idle reclaims: %d\n",
 			inst.PoolMisses.Value(), inst.Prewarmed.Value(), inst.IdleReclaims.Value())
 		sc := inst.Scheduler()
@@ -248,19 +236,6 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 					fmt.Fprintf(w, "queue depth %s: %d\n", fn, d)
 				}
 			}
-		}
-		if ctrl != nil {
-			st := ctrl.Status()
-			fmt.Fprintf(w, "autoscale: hosts %d active %d draining %d (spec %d..%d)\n",
-				st.Hosts, st.Active, st.Draining, ctrl.Spec().MinHosts, ctrl.Spec().MaxHosts)
-			fmt.Fprintf(w, "autoscale load: %.2f pressure %d idleness %d cooldown %v\n",
-				st.Load, st.Pressure, st.Idleness, st.CooldownRemaining.Round(time.Millisecond))
-			last := st.LastAction
-			if last == "" {
-				last = "none"
-			}
-			fmt.Fprintf(w, "autoscale actions: ups %d downs %d drains %d restarts %d last %s\n",
-				st.ScaleUps, st.ScaleDowns, st.Drains, st.Restarts, last)
 		}
 		if ring != nil {
 			st := ring.FailureStats()

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
@@ -37,7 +36,7 @@ func newTestServer(t *testing.T, sample int) (*httptest.Server, *frt.Instance) {
 		return 0, nil
 	}))
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil, nil))
+	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil))
 	t.Cleanup(srv.Close)
 	t.Cleanup(inst.Shutdown)
 	return srv, inst
@@ -93,6 +92,24 @@ func TestStatusEndpoint(t *testing.T) {
 			t.Fatalf("status missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// After one call /status reports a non-zero median execution time, read from
+// the exec histogram.
+func TestStatusMedianExec(t *testing.T) {
+	srv, _ := newTestServer(t, 1)
+	invoke(t, srv, "echo", "hi").Body.Close()
+	_, body, _ := get(t, srv.URL+"/status")
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "median exec: "); ok {
+			d, err := time.ParseDuration(v)
+			if err != nil || d <= 0 {
+				t.Fatalf("median exec %q: %v, %v", v, d, err)
+			}
+			return
+		}
+	}
+	t.Fatalf("/status has no median exec line:\n%s", body)
 }
 
 // A function that touches state must surface its locally-resident bytes on
@@ -244,7 +261,7 @@ func TestStatusReportsShardHealth(t *testing.T) {
 	inst := frt.New(frt.Config{Host: "test-0", Store: ring})
 	t.Cleanup(inst.Shutdown)
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, ring, nil))
+	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, ring))
 	t.Cleanup(srv.Close)
 
 	code, body, _ := get(t, srv.URL+"/status")
@@ -254,66 +271,6 @@ func TestStatusReportsShardHealth(t *testing.T) {
 	for _, want := range []string{"state tier: failovers", "shard shard-0: in-sync", "shard shard-1: in-sync"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/status missing %q:\n%s", want, body)
-		}
-	}
-}
-
-func TestStatusAndMetricsReportAutoscale(t *testing.T) {
-	eng := kvs.NewEngine()
-	inst := frt.New(frt.Config{Host: "test-0", Store: eng})
-	t.Cleanup(inst.Shutdown)
-	fleet := newAdvisoryFleet(inst)
-	ctrl := autoscale.NewController(fleet, autoscale.Spec{MinHosts: 1, MaxHosts: 4}, nil)
-	ctrl.Instrument(inst.Registry())
-
-	// Drive the advisory lifecycle by hand: one virtual scale-up, then a
-	// drain the next reconcile pass reclaims.
-	h, err := fleet.AddHost()
-	if err != nil || h != 1 {
-		t.Fatalf("AddHost = %d, %v", h, err)
-	}
-	if err := fleet.DrainHost(0); err == nil {
-		t.Fatal("draining the serving instance must be refused")
-	}
-	if err := fleet.DrainHost(h); err != nil {
-		t.Fatalf("DrainHost(%d): %v", h, err)
-	}
-	ctrl.Tick() // supervision reclaims the drained virtual slot
-	if st := ctrl.Status(); st.Hosts != 1 || st.Drains != 1 {
-		t.Fatalf("after reclaim: hosts %d drains %d", st.Hosts, st.Drains)
-	}
-
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil, ctrl))
-	t.Cleanup(srv.Close)
-
-	code, body, _ := get(t, srv.URL+"/status")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	for _, want := range []string{
-		"autoscale: hosts 1 active 1 draining 0 (spec 1..4)",
-		"autoscale load:",
-		"autoscale actions: ups 0 downs 0 drains 1 restarts 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("status missing %q:\n%s", want, body)
-		}
-	}
-
-	code, body, _ = get(t, srv.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	for _, want := range []string{
-		"faasm_autoscale_hosts 1",
-		"faasm_autoscale_scale_ups_total 0",
-		"faasm_autoscale_scale_downs_total 0",
-		"faasm_autoscale_drains_total 1",
-		"faasm_autoscale_restarts_total 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
 }
@@ -331,7 +288,7 @@ func TestAsyncInvokeEndpoints(t *testing.T) {
 		return 0, nil
 	}))
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil, nil))
+	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Post(srv.URL+"/invoke/echo?async=1", "application/octet-stream", strings.NewReader("ping"))

@@ -169,7 +169,7 @@ func (r *Runtime) Stats() Stats {
 		WarmStarts:  r.inst.WarmStarts.Value(),
 		ProtoStarts: r.inst.ProtoStarts.Value(),
 		Faaslets:    r.inst.FaasletCount(),
-		MedianExec:  r.inst.ExecLatency.Median(),
+		MedianExec:  r.inst.MedianExec(),
 	}
 }
 

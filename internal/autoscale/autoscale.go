@@ -1,10 +1,10 @@
 // Package autoscale is the cluster control plane: a declarative supervisor
 // that watches cluster-wide load signals the runtime already exports —
-// per-host in-flight calls, warm-pool miss rates, liveness-lease heartbeat
-// ages — and drives whole-host lifecycle to follow demand. It is the
-// host-level counterpart of the per-host elastic warm-pool controller
-// (frt.Config.ElasticPool): that one sizes pools within a host, this one
-// sizes the fleet, in the faasd/Cloudburst monitoring-loop shape.
+// per-host in-flight calls and warm-pool miss rates — and drives whole-host
+// lifecycle to follow demand. It is the host-level counterpart of the
+// per-host elastic warm-pool controller (frt.Config.ElasticPool): that one
+// sizes pools within a host, this one sizes the fleet, in the
+// faasd/Cloudburst monitoring-loop shape.
 //
 // The controller is deliberately boring: a single reconcile loop with
 // hysteresis (sustained pressure scales up, sustained idleness scales
@@ -13,17 +13,16 @@
 // scheduler proved out — stop advertising, let the sched/alive/<host>
 // lease expire so weighted forwarding routes around the host, reclaim only
 // once its last in-flight call finishes — so following load never fails a
-// call. Crashed hosts (stale heartbeat, killed flag) are reclaimed and,
-// when the policy asks, replaced: the declarative loop restores the fleet
-// to spec rather than reacting to individual events.
+// call. Crashed hosts are reclaimed and replaced: the declarative loop
+// restores the fleet to spec rather than reacting to individual events.
+// The controller has no loop of its own; its owner calls Tick on whatever
+// cadence (wall or virtual clock) it runs.
 package autoscale
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
-	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/vtime"
 )
 
@@ -38,9 +37,6 @@ type HostSignals struct {
 	// PoolMisses is the host's cumulative warm-pool miss counter; the
 	// controller differentiates it per tick to get a miss rate.
 	PoolMisses int64
-	// HeartbeatAge is the time since the host last wrote its liveness
-	// lease (0 = never advertised anything, which is not a crash).
-	HeartbeatAge time.Duration
 	// Draining, Killed, Removed describe lifecycle state: gracefully
 	// stopping, crashed, reclaimed.
 	Draining bool
@@ -83,26 +79,17 @@ type Spec struct {
 	SustainTicks int
 	IdleTicks    int
 	// Cooldown is the minimum gap between voluntary scale actions
-	// (default 8×Tick). Crash replacement and the MinHosts floor ignore
-	// it — availability beats smoothing.
+	// (default DefaultCooldown). Crash replacement and the MinHosts floor
+	// ignore it — availability beats smoothing.
 	Cooldown time.Duration
-	// Tick is the reconcile cadence for the background loop (default
-	// 50ms). Tests and experiments may instead call Tick() directly.
-	Tick time.Duration
-	// HeartbeatTimeout, when >0, treats a host whose last lease write is
-	// older than this as crashed even if nothing flagged it killed (a
-	// wedged process stops beating long before anything else notices).
-	HeartbeatTimeout time.Duration
-	// NoRestart disables restart-on-crash. By default the supervisor
-	// replaces reclaimed crash victims with fresh hosts even above
-	// MinHosts — the declarative loop restores the declared fleet.
-	NoRestart bool
 }
 
-// Fleet-bound defaults.
+// Spec defaults.
 const (
 	DefaultMinHosts = 1
 	DefaultMaxHosts = 8
+	// DefaultCooldown is eight ticks of a 50 ms reconcile cadence.
+	DefaultCooldown = 400 * time.Millisecond
 )
 
 // withDefaults fills zero fields.
@@ -128,11 +115,8 @@ func (s Spec) withDefaults() Spec {
 	if s.IdleTicks <= 0 {
 		s.IdleTicks = 4
 	}
-	if s.Tick <= 0 {
-		s.Tick = 50 * time.Millisecond
-	}
 	if s.Cooldown <= 0 {
-		s.Cooldown = 8 * s.Tick
+		s.Cooldown = DefaultCooldown
 	}
 	return s
 }
@@ -156,34 +140,17 @@ type Action struct {
 	Host int
 }
 
-func (a Action) String() string { return fmt.Sprintf("%s host %d", a.Kind, a.Host) }
-
-// Status is a point-in-time controller snapshot (faasmd /status).
+// Status is the controller's lifetime decision counts. ScaleDowns counts
+// drains begun; Drains counts reclaims completed.
 type Status struct {
-	// Hosts is live (non-reclaimed) slots; Active the subset accepting
-	// traffic; Draining the subset winding down.
-	Hosts    int
-	Active   int
-	Draining int
-	// Load is the last tick's per-active-host load.
-	Load float64
-	// Pressure / Idleness are the hysteresis accumulators, in ticks.
-	Pressure int
-	Idleness int
-	// ScaleUps, ScaleDowns, Drains, Restarts are lifetime decision counts.
-	// (ScaleDowns counts drains begun; Drains counts reclaims completed.)
 	ScaleUps   int64
 	ScaleDowns int64
 	Drains     int64
 	Restarts   int64
-	// LastAction is the most recent decision ("" before the first).
-	LastAction string
-	// CooldownRemaining is how long voluntary scaling stays frozen.
-	CooldownRemaining time.Duration
 }
 
 // Controller reconciles a Fleet toward its Spec. Create with NewController;
-// drive with Start/Stop (background loop) or explicit Tick calls.
+// drive with Tick.
 type Controller struct {
 	fleet Fleet
 	spec  Spec
@@ -192,20 +159,10 @@ type Controller struct {
 	mu         sync.Mutex
 	pressure   int
 	idleness   int
-	lastLoad   float64
 	lastScale  time.Time
 	scaled     bool // lastScale set (distinguishes the zero time)
 	missCursor map[int]int64
-	lastAction string
-
-	scaleUps   int64
-	scaleDowns int64
-	drains     int64
-	restarts   int64
-
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
+	st         Status
 }
 
 // NewController builds a controller for fleet with spec's policy (zero
@@ -222,12 +179,8 @@ func NewController(fleet Fleet, spec Spec, clock vtime.Clock) *Controller {
 	}
 }
 
-// Spec reports the controller's effective (defaulted) policy.
-func (c *Controller) Spec() Spec { return c.spec }
-
 // Tick runs one reconcile pass and returns the decisions it made, in
-// order. Deterministic and synchronous: experiments drive it directly, the
-// background loop calls it on a cadence.
+// order. Deterministic and synchronous.
 func (c *Controller) Tick() []Action {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,29 +196,25 @@ func (c *Controller) Tick() []Action {
 			delete(c.missCursor, s.Index)
 			continue
 		}
-		crashed := s.Killed ||
-			(c.spec.HeartbeatTimeout > 0 && s.HeartbeatAge > c.spec.HeartbeatTimeout)
 		switch {
-		case crashed:
+		case s.Killed:
 			if err := c.fleet.ReclaimHost(s.Index); err != nil {
 				continue
 			}
 			delete(c.missCursor, s.Index)
-			actions = c.record(actions, Action{Kind: ActionReclaim, Host: s.Index})
-			c.drains++
-			if !c.spec.NoRestart {
-				if h, err := c.fleet.AddHost(); err == nil {
-					actions = c.record(actions, Action{Kind: ActionRestart, Host: h})
-					c.restarts++
-				}
+			actions = append(actions, Action{Kind: ActionReclaim, Host: s.Index})
+			c.st.Drains++
+			if h, err := c.fleet.AddHost(); err == nil {
+				actions = append(actions, Action{Kind: ActionRestart, Host: h})
+				c.st.Restarts++
 			}
 		case s.Draining && s.Inflight == 0:
 			if err := c.fleet.ReclaimHost(s.Index); err != nil {
 				continue
 			}
 			delete(c.missCursor, s.Index)
-			actions = c.record(actions, Action{Kind: ActionReclaim, Host: s.Index})
-			c.drains++
+			actions = append(actions, Action{Kind: ActionReclaim, Host: s.Index})
+			c.st.Drains++
 		}
 	}
 
@@ -294,8 +243,8 @@ func (c *Controller) Tick() []Action {
 		if err != nil {
 			break
 		}
-		actions = c.record(actions, Action{Kind: ActionScaleUp, Host: h})
-		c.scaleUps++
+		actions = append(actions, Action{Kind: ActionScaleUp, Host: h})
+		c.st.ScaleUps++
 		active = append(active, HostSignals{Index: h})
 	}
 	if len(active) == 0 {
@@ -303,7 +252,6 @@ func (c *Controller) Tick() []Action {
 	}
 
 	load := (float64(inflight) + float64(missDelta)) / float64(len(active))
-	c.lastLoad = load
 	switch {
 	case load > c.spec.HighWater:
 		c.pressure++
@@ -325,8 +273,8 @@ func (c *Controller) Tick() []Action {
 		if err != nil {
 			return actions
 		}
-		actions = c.record(actions, Action{Kind: ActionScaleUp, Host: h})
-		c.scaleUps++
+		actions = append(actions, Action{Kind: ActionScaleUp, Host: h})
+		c.st.ScaleUps++
 		c.pressure = 0
 		c.lastScale = c.clock.Now()
 		c.scaled = true
@@ -342,8 +290,8 @@ func (c *Controller) Tick() []Action {
 		if err := c.fleet.DrainHost(victim.Index); err != nil {
 			return actions
 		}
-		actions = c.record(actions, Action{Kind: ActionDrain, Host: victim.Index})
-		c.scaleDowns++
+		actions = append(actions, Action{Kind: ActionDrain, Host: victim.Index})
+		c.st.ScaleDowns++
 		c.idleness = 0
 		c.lastScale = c.clock.Now()
 		c.scaled = true
@@ -351,108 +299,9 @@ func (c *Controller) Tick() []Action {
 	return actions
 }
 
-// record appends a and notes it as the last action (c.mu held).
-func (c *Controller) record(actions []Action, a Action) []Action {
-	c.lastAction = a.String()
-	return append(actions, a)
-}
-
-// Status snapshots the controller (faasmd /status, experiments).
+// Status snapshots the controller's decision counts.
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Status{
-		Load:       c.lastLoad,
-		Pressure:   c.pressure,
-		Idleness:   c.idleness,
-		ScaleUps:   c.scaleUps,
-		ScaleDowns: c.scaleDowns,
-		Drains:     c.drains,
-		Restarts:   c.restarts,
-		LastAction: c.lastAction,
-	}
-	if c.scaled {
-		if rem := c.spec.Cooldown - c.clock.Now().Sub(c.lastScale); rem > 0 {
-			st.CooldownRemaining = rem
-		}
-	}
-	for _, s := range c.fleet.Signals() {
-		if s.Removed {
-			continue
-		}
-		st.Hosts++
-		switch {
-		case s.Draining:
-			st.Draining++
-		case !s.Killed:
-			st.Active++
-		}
-	}
-	return st
-}
-
-// Instrument registers the controller's metrics:
-// faasm_autoscale_hosts (gauge, hosts in the ingress rotation),
-// faasm_autoscale_scale_ups_total, faasm_autoscale_scale_downs_total
-// (drains begun), faasm_autoscale_drains_total (reclaims completed), and
-// faasm_autoscale_restarts_total (crash replacements). Read at scrape
-// time; nothing on the reconcile path.
-func (c *Controller) Instrument(reg *obsv.Registry) {
-	get := func(f func(*Controller) int64) func() int64 {
-		return func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return f(c)
-		}
-	}
-	reg.GaugeFunc("faasm_autoscale_hosts", "hosts accepting traffic", nil, func() int64 {
-		var n int64
-		for _, s := range c.fleet.Signals() {
-			if !s.Removed && !s.Draining && !s.Killed {
-				n++
-			}
-		}
-		return n
-	})
-	reg.CounterFunc("faasm_autoscale_scale_ups_total", "hosts added for load", nil, get(func(c *Controller) int64 { return c.scaleUps }))
-	reg.CounterFunc("faasm_autoscale_scale_downs_total", "host drains begun for idleness", nil, get(func(c *Controller) int64 { return c.scaleDowns }))
-	reg.CounterFunc("faasm_autoscale_drains_total", "host drains completed (reclaims)", nil, get(func(c *Controller) int64 { return c.drains }))
-	reg.CounterFunc("faasm_autoscale_restarts_total", "crashed hosts replaced", nil, get(func(c *Controller) int64 { return c.restarts }))
-}
-
-// Start launches the background reconcile loop at Spec.Tick cadence.
-// Idempotent while running.
-func (c *Controller) Start() {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	if c.stop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	c.stop, c.done = stop, done
-	go func() {
-		defer close(done)
-		for {
-			c.clock.Sleep(c.spec.Tick)
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.Tick()
-		}
-	}()
-}
-
-// Stop ends the background loop and waits it out.
-func (c *Controller) Stop() {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	if c.stop == nil {
-		return
-	}
-	close(c.stop)
-	<-c.done
-	c.stop, c.done = nil, nil
+	return c.st
 }

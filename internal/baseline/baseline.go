@@ -25,7 +25,7 @@ import (
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/metrics"
+	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/simnet"
 	"faasm.dev/faasm/internal/vtime"
 )
@@ -83,10 +83,11 @@ type Platform struct {
 	nextID  int64
 
 	// Metrics.
-	ColdStarts  metrics.Counter
-	WarmStarts  metrics.Counter
-	OOMFailures metrics.Counter
-	Billable    metrics.BillableMemory
+	ColdStarts  obsv.Counter
+	WarmStarts  obsv.Counter
+	OOMFailures obsv.Counter
+	// Billable is the memory billed so far (§6.1), in obsv.KiBMicros units.
+	Billable obsv.Counter
 }
 
 // New creates a platform host.
@@ -261,7 +262,7 @@ func (p *Platform) Execute(fn string, input []byte) ([]byte, int32, error) {
 		ret, err = guest(api)
 	}()
 	dur := p.clock.Now().Sub(start)
-	p.Billable.Charge(p.cfg.ContainerOverhead+c.stateBytes, dur)
+	p.Billable.Add(obsv.KiBMicros(p.cfg.ContainerOverhead+c.stateBytes, dur))
 	p.release(c)
 	if err != nil {
 		return nil, ret, err

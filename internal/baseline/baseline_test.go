@@ -241,7 +241,7 @@ func TestBillableMemoryIncludesPrivateCopies(t *testing.T) {
 		return 0, nil
 	})
 	p.Call("f", nil)
-	if p.Billable.GBSeconds() <= 0 {
+	if p.Billable.Value() <= 0 {
 		t.Fatal("no billable memory recorded")
 	}
 }

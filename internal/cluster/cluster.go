@@ -684,13 +684,13 @@ func (c *Cluster) Stats() Stats {
 	switch c.cfg.Mode {
 	case ModeFaasm:
 		for _, inst := range c.allInstances() {
-			s.GBSeconds += inst.Billable.GBSeconds()
+			s.GBSeconds += gbSeconds(inst.Billable.Value())
 			s.ColdStarts += inst.ColdStarts.Value()
 			s.WarmStarts += inst.WarmStarts.Value()
 		}
 	default:
 		for _, p := range c.base {
-			s.GBSeconds += p.Billable.GBSeconds()
+			s.GBSeconds += gbSeconds(p.Billable.Value())
 			s.ColdStarts += p.ColdStarts.Value()
 			s.WarmStarts += p.WarmStarts.Value()
 			s.OOMFailures += p.OOMFailures.Value()
@@ -699,25 +699,9 @@ func (c *Cluster) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes counters between experiment phases.
-func (c *Cluster) ResetStats() {
-	c.Net.Reset()
-	switch c.cfg.Mode {
-	case ModeFaasm:
-		for _, inst := range c.allInstances() {
-			inst.Billable.Reset()
-			inst.ColdStarts.Reset()
-			inst.WarmStarts.Reset()
-		}
-	default:
-		for _, p := range c.base {
-			p.Billable.Reset()
-			p.ColdStarts.Reset()
-			p.WarmStarts.Reset()
-			p.OOMFailures.Reset()
-		}
-	}
-}
+// gbSeconds converts a billable-memory counter, in obsv.KiBMicros units
+// (1024 B·µs), to GB-seconds.
+func gbSeconds(kibMicros int64) float64 { return float64(kibMicros) * 1024 / 1e15 }
 
 // Shutdown stops the cluster.
 func (c *Cluster) Shutdown() {

@@ -10,6 +10,7 @@ import (
 
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
+	"faasm.dev/faasm/internal/obsv"
 )
 
 // incrGuest bumps a shared counter under the local lock and pushes it.
@@ -294,7 +295,7 @@ func TestShardedStateTierSameResults(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStats(t *testing.T) {
 	c := New(Config{Mode: ModeFaasm, Hosts: 1, TimeScale: 1000})
 	defer c.Shutdown()
 	c.Register("f", func(api hostapi.API) (int32, error) {
@@ -303,13 +304,23 @@ func TestStatsAndReset(t *testing.T) {
 	})
 	c.Call("f", nil)
 	s := c.Stats()
-	if s.NetworkBytes == 0 || s.ColdStarts != 1 {
+	if s.NetworkBytes == 0 || s.ColdStarts != 1 || s.GBSeconds <= 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	c.ResetStats()
-	s = c.Stats()
-	if s.NetworkBytes != 0 || s.ColdStarts != 0 {
-		t.Fatalf("post-reset stats = %+v", s)
+}
+
+// Billable memory accumulates as integer KiB·µs and converts to the float
+// GB-seconds the figures print, within 0.1%.
+func TestBillableMemory(t *testing.T) {
+	var b obsv.Counter
+	b.Add(obsv.KiBMicros(2e9, 3*time.Second)) // 2 GB for 3s = 6 GB-s
+	b.Add(obsv.KiBMicros(5e8, 2*time.Second)) // 0.5 GB for 2s = 1 GB-s
+	if got := gbSeconds(b.Value()); got < 6.993 || got > 7.007 {
+		t.Fatalf("GB-seconds = %v, want 7", got)
+	}
+	// A 70 µs echo on a 66 KiB Faaslet is 4620 units, not truncated to 0.
+	if u := obsv.KiBMicros(66<<10, 70*time.Microsecond); u != 4620 {
+		t.Fatalf("echo charge = %d KiB·µs, want 4620", u)
 	}
 }
 

@@ -22,14 +22,13 @@ func (f *fleet) Signals() []autoscale.HostSignals {
 	out := make([]autoscale.HostSignals, len(slots))
 	for i, s := range slots {
 		out[i] = autoscale.HostSignals{
-			Index:        i,
-			Host:         s.inst.Host(),
-			Inflight:     s.inst.Inflight(),
-			PoolMisses:   s.inst.PoolMisses.Value(),
-			HeartbeatAge: s.inst.Scheduler().HeartbeatAge(),
-			Draining:     s.inst.Draining(),
-			Killed:       s.inst.Killed(),
-			Removed:      s.removed.Load(),
+			Index:      i,
+			Host:       s.inst.Host(),
+			Inflight:   s.inst.Inflight(),
+			PoolMisses: s.inst.PoolMisses.Value(),
+			Draining:   s.inst.Draining(),
+			Killed:     s.inst.Killed(),
+			Removed:    s.removed.Load(),
 		}
 	}
 	return out

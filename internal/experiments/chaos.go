@@ -70,6 +70,12 @@ func ringSection(r *Report, iters int) {
 		}
 	}
 
+	// The outage is keyed to operation counts, not the wall clock: the
+	// worker whose ops cross a quarter of the total crashes shard-1, the one
+	// crossing three quarters revives it, so half the run sees it down
+	// however fast the workers go.
+	total := int64(workers * iters * 3)
+	var crash, restore sync.Once
 	var failed atomic.Int64
 	var ops atomic.Int64
 	var wg sync.WaitGroup
@@ -90,15 +96,16 @@ func ringSection(r *Report, iters int) {
 				if _, err := ring.Incr(fmt.Sprintf("ctr-%d", w), 1); err != nil {
 					failed.Add(1)
 				}
-				ops.Add(3)
+				if n := ops.Add(3); n >= total/4 {
+					crash.Do(faults["shard-1"].Crash)
+					if n >= total*3/4 {
+						restore.Do(faults["shard-1"].Restore)
+					}
+				}
 			}
 		}(w)
 	}
 	close(start)
-	time.Sleep(2 * time.Millisecond)
-	faults["shard-1"].Crash()
-	time.Sleep(10 * time.Millisecond)
-	faults["shard-1"].Restore()
 	wg.Wait()
 
 	healStart := time.Now()

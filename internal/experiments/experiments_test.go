@@ -49,6 +49,9 @@ func TestTable1AndPython(t *testing.T) {
 	if len(r.Rows) != 7 {
 		t.Fatalf("table1 rows = %d", len(r.Rows))
 	}
+	if cell := r.Rows[1][5]; cell != "memory only (SFI)" {
+		t.Fatalf("faaslet resource isolation = %q: CPU and network isolation are not wired into faasmd", cell)
+	}
 	py := Table3Python(Options{Quick: true})
 	if len(py.Rows) != 2 {
 		t.Fatalf("python rows = %d", len(py.Rows))
@@ -56,6 +59,25 @@ func TestTable1AndPython(t *testing.T) {
 	restore := parseDur(t, py.Rows[1][1])
 	if restore > 500*time.Millisecond {
 		t.Fatalf("interpreter proto restore %v not ≪ container 3.2s", restore)
+	}
+}
+
+// Fig 7's quantiles are nearest-rank over every sample; q = 1 is the max.
+func TestLatenciesNearestRank(t *testing.T) {
+	var l latencies
+	if l.quantile(0.5) != 0 {
+		t.Fatal("empty series must read 0")
+	}
+	for i := 100; i >= 1; i-- {
+		l.record(time.Duration(i) * time.Millisecond)
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0, time.Millisecond}, {0.5, 50 * time.Millisecond}, {0.99, 99 * time.Millisecond}, {1, 100 * time.Millisecond}} {
+		if got := l.quantile(c.q); got != c.want {
+			t.Errorf("q%v = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
 

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"faasm.dev/faasm/internal/baseline"
 	"faasm.dev/faasm/internal/cluster"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/workloads/dmatmul"
 	"faasm.dev/faasm/internal/workloads/inference"
 	"faasm.dev/faasm/internal/workloads/sgd"
@@ -178,9 +179,35 @@ type fig7Config struct {
 	capacity  int
 }
 
+// latencies is one Fig 7 series' call latencies. A series holds at most 960
+// samples (160 req/s for 6 s), so every one is kept.
+type latencies struct {
+	mu sync.Mutex
+	s  []time.Duration
+}
+
+func (l *latencies) record(d time.Duration) {
+	l.mu.Lock()
+	l.s = append(l.s, d)
+	l.mu.Unlock()
+}
+
+// quantile returns the nearest-rank q-th quantile (0 ≤ q ≤ 1; q = 1 is the
+// maximum), or 0 with no samples.
+func (l *latencies) quantile(q float64) time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.s) == 0 {
+		return 0
+	}
+	slices.Sort(l.s)
+	idx := int(math.Ceil(q*float64(len(l.s)))) - 1
+	return l.s[min(max(idx, 0), len(l.s)-1)]
+}
+
 // runInferenceLoad runs an open-loop load test and returns the latency
 // distribution.
-func runInferenceLoad(cfg fig7Config) (*metrics.Latencies, error) {
+func runInferenceLoad(cfg fig7Config) (*latencies, error) {
 	c := cluster.New(cluster.Config{
 		Mode: cfg.mode, Hosts: 4, TimeScale: cfg.scale,
 		UseProto: cfg.useProto, Capacity: cfg.capacity,
@@ -218,7 +245,7 @@ func runInferenceLoad(cfg fig7Config) (*metrics.Latencies, error) {
 	}
 	warm.Wait()
 
-	lat := &metrics.Latencies{}
+	lat := &latencies{}
 	var wg sync.WaitGroup
 	interval := time.Duration(float64(time.Second) / cfg.rate)
 	n := int(cfg.duration.Seconds() * cfg.rate)
@@ -240,7 +267,7 @@ func runInferenceLoad(cfg fig7Config) (*metrics.Latencies, error) {
 			start := c.Clock.Now()
 			_, _, err := c.Call(fn, img)
 			if err == nil {
-				lat.Record(c.Clock.Now().Sub(start))
+				lat.record(c.Clock.Now().Sub(start))
 			}
 		}(fn, img)
 		c.Clock.Sleep(interval)
@@ -288,7 +315,7 @@ func Fig7(opts Options) *Report {
 			}
 			r.Add(fmt.Sprintf("%g", rate), s.label,
 				fmt.Sprintf("%.0f%%", s.cold*100),
-				fmtDur(lat.Median()), fmtDur(lat.Quantile(0.9)), fmtDur(lat.Quantile(0.99)))
+				fmtDur(lat.quantile(0.5)), fmtDur(lat.quantile(0.9)), fmtDur(lat.quantile(0.99)))
 		}
 	}
 	r.Note("faasm series covers all cold ratios (proto restores make them indistinguishable, as in the paper)")
@@ -321,7 +348,7 @@ func Fig7CDF(opts Options) *Report {
 		{cluster.ModeBaseline, false, 0.02},
 		{cluster.ModeBaseline, false, 0.20},
 	}
-	var dists []*metrics.Latencies
+	var dists []*latencies
 	for _, cdef := range cols {
 		lat, err := runInferenceLoad(fig7Config{
 			mode: cdef.mode, useProto: cdef.proto, coldRatio: cdef.cold,
@@ -329,14 +356,14 @@ func Fig7CDF(opts Options) *Report {
 		})
 		if err != nil {
 			r.Note("series failed: %v", err)
-			lat = &metrics.Latencies{}
+			lat = &latencies{}
 		}
 		dists = append(dists, lat)
 	}
 	for _, q := range []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0} {
 		row := []string{fmt.Sprintf("p%02.0f", q*100)}
 		for _, d := range dists {
-			row = append(row, fmtDur(d.Quantile(q)))
+			row = append(row, fmtDur(d.quantile(q)))
 		}
 		r.Add(row...)
 	}

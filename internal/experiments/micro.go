@@ -199,7 +199,7 @@ func Table1(opts Options) *Report {
 		Header: []string{"property", "containers", "VMs", "unikernel", "SFI", "faaslet(measured)"},
 	}
 	r.Add("memory safety", "yes", "yes", "yes", "yes", "yes")
-	r.Add("resource isolation", "yes", "yes", "yes", "no", "yes (cgroup+netns)")
+	r.Add("resource isolation", "yes", "yes", "yes", "no", "memory only (SFI)")
 	r.Add("efficient state sharing", "no", "no", "no", "no", "yes (shared regions)")
 	r.Add("shared filesystem", "yes", "no", "no", "yes", "yes (read-global)")
 	r.Add("initialisation", "100ms", "100ms", "10ms", "10us",
@@ -207,6 +207,7 @@ func Table1(opts Options) *Report {
 	r.Add("memory footprint", "MBs", "MBs", "KBs", "Bytes", fmtBytes(fMem))
 	r.Add("multi-language", "yes", "yes", "yes", "no", "yes (wavm/FC/native)")
 	r.Note("non-faaslet columns are the paper's literature values (Table 1)")
+	r.Note("a daemon Faaslet's memory is isolated by SFI; CPU (cgroup) and network (netns) isolation exist only as library code that faasmd does not wire in")
 	return r
 }
 

@@ -11,7 +11,6 @@ import (
 	"faasm.dev/faasm/internal/core"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/sched"
@@ -201,23 +200,23 @@ type Instance struct {
 	elasticOnce sync.Once
 
 	// Metrics for the evaluation.
-	ColdStarts  metrics.Counter
-	WarmStarts  metrics.Counter
-	ProtoStarts metrics.Counter
-	ExecLatency metrics.Latencies
-	Billable    metrics.BillableMemory
+	ColdStarts  obsv.Counter
+	WarmStarts  obsv.Counter
+	ProtoStarts obsv.Counter
+	// Billable is the memory billed so far (§6.1), in obsv.KiBMicros units.
+	Billable obsv.Counter
 	// PoolMisses counts calls that found the warm pool empty and paid a
 	// cold start on the critical path; Prewarmed counts Faaslets the
 	// elastic controller pre-provisioned off it; IdleReclaims counts
 	// Faaslets the controller evicted from idle pools.
-	PoolMisses   metrics.Counter
-	Prewarmed    metrics.Counter
-	IdleReclaims metrics.Counter
+	PoolMisses   obsv.Counter
+	Prewarmed    obsv.Counter
+	IdleReclaims obsv.Counter
 
 	// tracer samples invocation traces; reg is the metrics registry both
-	// feed the /metrics exposition. execHist is the bounded histogram
-	// counterpart of ExecLatency; initHist records cold-start
-	// initialisation (nanos).
+	// feed the /metrics exposition. execHist records every guest
+	// execution's duration; initHist records cold-start initialisation
+	// (nanos).
 	tracer   *obsv.Tracer
 	reg      *obsv.Registry
 	execHist *obsv.Histogram
@@ -317,6 +316,10 @@ func (i *Instance) Tracer() *obsv.Tracer { return i.tracer }
 
 // Registry exposes the instance's metrics registry (GET /metrics).
 func (i *Instance) Registry() *obsv.Registry { return i.reg }
+
+// MedianExec estimates the median guest execution time from the exec
+// histogram (within its power-of-two bucket), 0 before the first call.
+func (i *Instance) MedianExec() time.Duration { return time.Duration(i.execHist.Quantile(0.5)) }
 
 // instrument registers the runtime's metrics. Pre-existing atomic counters
 // are bridged with CounterFunc — read at scrape time, nothing added to the
@@ -782,9 +785,8 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 		tr.RecordSpan(i.cfg.Host, "exec", function, start, dur, 0, execErr != nil)
 		f.SetTraceSink("", nil)
 	}
-	i.ExecLatency.Record(dur)
 	i.execHist.Observe(int64(dur))
-	i.Billable.Charge(f.Footprint(), dur)
+	i.Billable.Add(obsv.KiBMicros(f.Footprint(), dur))
 	// The call is over: the records of the calls it chained, awaited or not,
 	// have no reader left. A child still running completes into nothing; one
 	// nothing has started yet keeps its record until its dispatch goroutine

@@ -1,5 +1,8 @@
 // Package obsv is the runtime's observability layer: end-to-end invocation
 // tracing and a unified metrics registry with Prometheus-style exposition.
+// It is the repository's one metrics package: plain counters the runtime and
+// the experiment harness keep outside the registry are obsv.Counters too, and
+// billable memory (§6.1) is one such counter in KiBMicros units.
 //
 // # Tracing
 //

@@ -10,9 +10,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Counter is a registry-owned monotonic counter.
+// Counter is a monotonic counter, one atomic add per write: registry-owned
+// (Registry.Counter), or a plain field exposed with CounterFunc. The zero
+// value is ready to use.
 type Counter struct {
 	v atomic.Int64
 }
@@ -25,6 +28,14 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
+
+// KiBMicros prices one execution's billable memory (§6.1's GB-seconds:
+// footprint held for the run) in the integer unit a Counter accumulates,
+// KiB·µs, truncated. One unit is 1.024e-12 GB-s, so a 64 KiB echo that runs
+// 70 µs charges 4480 units and an int64 holds 9.4e6 GB-s.
+func KiBMicros(bytes int64, d time.Duration) int64 {
+	return int64(float64(bytes) * float64(d) / (1 << 10 * 1e3))
+}
 
 // Gauge is a registry-owned instantaneous value.
 type Gauge struct {

@@ -859,21 +859,6 @@ func (s *Scheduler) Drain() error {
 // Draining reports whether Drain was called.
 func (s *Scheduler) Draining() bool { return s.draining.Load() }
 
-// HeartbeatAge reports how long ago this host last wrote its liveness lease
-// (0 if it never has). A supervisor uses it as a crash signal: a healthy
-// advertised host beats every LeaseTTL/3.
-func (s *Scheduler) HeartbeatAge() time.Duration {
-	last := s.lastBeat.Load()
-	if last == 0 {
-		return 0
-	}
-	age := s.clock.Now().UnixNano() - last
-	if age < 0 {
-		age = 0
-	}
-	return time.Duration(age)
-}
-
 func (s *Scheduler) heartbeatLoop(stop chan struct{}) {
 	for {
 		s.clock.Sleep(s.leaseTTL() / 3)

@@ -694,19 +694,6 @@ func TestDrainedLeaseExpiresWithinOneTTL(t *testing.T) {
 	}
 }
 
-func TestHeartbeatAgeTracksBeats(t *testing.T) {
-	store := kvs.NewEngine()
-	b := New("host-b", store, 10)
-	if b.HeartbeatAge() != 0 {
-		t.Fatalf("age before any beat = %v, want 0", b.HeartbeatAge())
-	}
-	b.Schedule("fn") // advertise writes the lease
-	time.Sleep(5 * time.Millisecond)
-	if age := b.HeartbeatAge(); age < 5*time.Millisecond || age > time.Minute {
-		t.Fatalf("age after advertise = %v", age)
-	}
-}
-
 func TestRepeatedFailuresSaturateInsteadOfOverflowing(t *testing.T) {
 	store := kvs.NewEngine()
 	a := New("host-a", store, 10)

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/metrics"
+	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/vtime"
 )
 
@@ -28,15 +28,15 @@ type Network struct {
 
 	mu sync.Mutex
 	// Sent/Received aggregate bytes across the cluster.
-	Sent     metrics.Counter
-	Received metrics.Counter
+	Sent     obsv.Counter
+	Received obsv.Counter
 	perHost  map[string]*HostCounters
 }
 
 // HostCounters tracks one host's transfers.
 type HostCounters struct {
-	Sent     metrics.Counter
-	Received metrics.Counter
+	Sent     obsv.Counter
+	Received obsv.Counter
 }
 
 // Gigabit is the testbed's 1 Gbps in bytes/second.
@@ -102,18 +102,6 @@ func (n *Network) TotalBytes() int64 {
 func (n *Network) HostBytes(host string) int64 {
 	hc := n.Host(host)
 	return hc.Sent.Value() + hc.Received.Value()
-}
-
-// Reset zeroes all counters.
-func (n *Network) Reset() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.Sent.Reset()
-	n.Received.Reset()
-	for _, hc := range n.perHost {
-		hc.Sent.Reset()
-		hc.Received.Reset()
-	}
 }
 
 // Store wraps a kvs.Store, charging every operation to the network from the

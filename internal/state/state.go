@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/wamem"
 )
@@ -38,8 +37,8 @@ type LocalTier struct {
 	global kvs.Store
 
 	// Pulled/Pushed count global-tier transfer bytes for the experiments.
-	Pulled metrics.Counter
-	Pushed metrics.Counter
+	Pulled obsv.Counter
+	Pushed obsv.Counter
 }
 
 // NewLocalTier creates a local tier over the given global store.

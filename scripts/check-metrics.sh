@@ -68,11 +68,6 @@ for required in \
     faasm_sched_locality_hits_total \
     faasm_sched_locality_misses_total \
     faasm_sched_locality_saved_bytes_total \
-    faasm_autoscale_hosts \
-    faasm_autoscale_scale_ups_total \
-    faasm_autoscale_scale_downs_total \
-    faasm_autoscale_drains_total \
-    faasm_autoscale_restarts_total \
     faasm_queue_depth \
     faasm_queue_enqueued_total \
     faasm_queue_redelivered_total \
