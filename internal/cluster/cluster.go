@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -295,6 +296,16 @@ func (c *Cluster) ingress() []*frt.Instance {
 	return all
 }
 
+// leftIngress reports whether inst is out of a non-empty ingress rotation.
+// It reads the rotation under mu, which KillHost holds from the kill until
+// the rotation no longer lists the host.
+func (c *Cluster) leftIngress(inst *frt.Instance) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	act := *c.active.Load()
+	return len(act) > 0 && !slices.Contains(act, inst)
+}
+
 // Mode reports the platform under test.
 func (c *Cluster) Mode() Mode { return c.cfg.Mode }
 
@@ -338,11 +349,10 @@ func (c *Cluster) Instance(h int) *frt.Instance { return c.slot(h).inst }
 // the corpse (a load balancer health check converges far faster than lease
 // expiry); peer forwarding still reaches it until the lease goes.
 func (c *Cluster) KillHost(h int) {
-	s := c.slot(h)
-	s.inst.Kill()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.faasm[h].inst.Kill()
 	c.refreshActive()
-	c.mu.Unlock()
 }
 
 // AddHost provisions one new FAASM runtime host (scale-up): a fresh
@@ -393,7 +403,8 @@ func (c *Cluster) DrainHost(h int) error {
 // ReclaimHost releases a drained (or killed) host's resources: its pooled
 // Faaslets close and the slot is marked removed — the index stays valid,
 // the name is never reused. Refuses a live host, or a draining one still
-// running calls.
+// running calls; a killed host has crashed, so nothing it runs is waited
+// for, even when the crash landed mid-drain.
 func (c *Cluster) ReclaimHost(h int) error {
 	s := c.slot(h)
 	if s.removed.Load() {
@@ -402,7 +413,7 @@ func (c *Cluster) ReclaimHost(h int) error {
 	if !s.inst.Draining() && !s.inst.Killed() {
 		return fmt.Errorf("cluster: host %d is live; drain it first", h)
 	}
-	if s.inst.Draining() && s.inst.Inflight() > 0 {
+	if !s.inst.Killed() && s.inst.Inflight() > 0 {
 		return fmt.Errorf("cluster: host %d still has %d calls in flight", h, s.inst.Inflight())
 	}
 	s.inst.Shutdown()
@@ -527,16 +538,24 @@ func (c *Cluster) GetState(key string) ([]byte, error) {
 
 // Call executes one function synchronously, entering round-robin across
 // the hosts currently in the ingress rotation (draining, killed, and
-// reclaimed hosts are skipped, as a front door's health checks would).
+// reclaimed hosts are skipped, as a front door's health checks would). A
+// host killed after the call read the rotation refuses it before executing
+// any of it; the call then enters again through the rotation the kill left.
 func (c *Cluster) Call(fn string, input []byte) ([]byte, int32, error) {
 	switch c.cfg.Mode {
 	case ModeFaasm:
-		hosts := c.ingress()
-		if len(hosts) == 0 {
-			return nil, -1, fmt.Errorf("cluster: no hosts")
+		for {
+			hosts := c.ingress()
+			if len(hosts) == 0 {
+				return nil, -1, fmt.Errorf("cluster: no hosts")
+			}
+			inst := hosts[int(c.rr.Add(1))%len(hosts)]
+			out, ret, err := inst.Call(fn, input)
+			if errors.Is(err, frt.ErrDown) && c.leftIngress(inst) {
+				continue
+			}
+			return out, ret, err
 		}
-		idx := int(c.rr.Add(1)) % len(hosts)
-		return hosts[idx].Call(fn, input)
 	default:
 		idx := int(c.rr.Add(1)) % len(c.base)
 		return c.base[idx].Call(fn, input)

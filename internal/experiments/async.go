@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
 	"faasm.dev/faasm/internal/cluster"
-	"faasm.dev/faasm/internal/core"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/mbus"
@@ -44,52 +45,40 @@ func AsyncQueue(opts Options) *Report {
 		},
 	})
 	defer c.Shutdown()
-	mk := func(tag string) func(api hostapi.API) (int32, error) {
+	// Phase 1 — open-loop async load with a host killed mid-execution. The
+	// kill is keyed to the executions, not the wall clock: every execution
+	// of a submitted item parks until the kill has landed (so the pending
+	// pool cannot drain out from under the victim), and the kill waits until
+	// every consumer in the cluster is parked. Host-0 is warmed first, so it
+	// is the one warm host: its own consumers execute locally and its peers'
+	// forward to it, which puts host-0 mid-execution when it dies.
+	const consumers = 3 * 2 // hosts × queue Concurrency
+	parked := make(chan struct{}, consumers)
+	killed := make(chan struct{})
+	mk := func(tag string) hostapi.Guest {
 		return func(api hostapi.API) (int32, error) {
-			time.Sleep(6 * time.Millisecond) // wide enough to be mid-execution when the kill lands
+			if bytes.HasPrefix(api.Input(), []byte("call-")) {
+				select {
+				case parked <- struct{}{}:
+				default:
+				}
+				<-killed
+			}
+			time.Sleep(6 * time.Millisecond) // a fixed service time
 			api.WriteOutput(append(api.Input(), []byte("|"+tag)...))
 			return 0, nil
 		}
 	}
 	for _, fn := range []string{"work", "stage1", "stage2", "stage3"} {
 		if err := c.Register(fn, mk(fn)); err != nil {
-			r.Note("setup: %v", err)
+			r.Check(false, "setup", "register "+fn, err.Error())
 			return r
 		}
 	}
-
-	// Phase 1 — open-loop async load with a mid-stream host kill. The kill
-	// must land while the victim holds claimed items mid-execution, and
-	// wall-clock timing (submit, sleep, kill) flaps on loaded single-CPU
-	// CI runners — by the time a timed kill fires the victim can be idle
-	// between items, or may never have claimed one at all. So "work" is
-	// overridden everywhere with a handshake variant: every execution
-	// parks until the kill has landed (the pending pool cannot drain out
-	// from under the victim), and host-0's copy additionally signals when
-	// it enters an execution. The kill waits on that signal, making
-	// "killed mid-execution" structural rather than probabilistic.
-	h0started := make(chan struct{}, 1)
-	h0killed := make(chan struct{})
-	workUntilKill := func(signal chan<- struct{}) core.NativeGuest {
-		return func(ctx *core.Ctx) (int32, error) {
-			if signal != nil {
-				select {
-				case signal <- struct{}{}:
-				default:
-				}
-			}
-			select {
-			case <-h0killed:
-			case <-time.After(2 * time.Second): // safety: never wedge the run
-			}
-			time.Sleep(6 * time.Millisecond)
-			ctx.WriteOutput(append(ctx.Input(), []byte("|work")...))
-			return 0, nil
-		}
+	if _, _, err := c.CallOn(0, "work", []byte("warm")); err != nil {
+		r.Check(false, "setup", "warm host-0", err.Error())
+		return r
 	}
-	c.Instance(0).RegisterNative("work", workUntilKill(h0started))
-	c.Instance(1).RegisterNative("work", workUntilKill(nil))
-	c.Instance(2).RegisterNative("work", workUntilKill(nil))
 
 	ids := make([]uint64, 0, total)
 	offered, shed := 0, 0
@@ -105,13 +94,12 @@ func AsyncQueue(opts Options) *Report {
 		}
 	}
 	submit(total / 3)
-	select {
-	case <-h0started: // host-0 is parked inside an execution right now
-	case <-time.After(5 * time.Second):
-		r.Note("WARNING: host-0 never started executing; kill will not interrupt anything")
+	for k := 0; k < consumers; k++ {
+		<-parked
 	}
+	onHost0 := c.Instance(0).Inflight()
 	c.KillHost(0)
-	close(h0killed) // release every parked execution; host-0's die with it
+	close(killed) // release every parked execution; host-0's die with it
 	submit(total - offered)
 
 	// Every accepted call must reach exactly one terminal result; reading
@@ -135,52 +123,18 @@ func AsyncQueue(opts Options) *Report {
 		}
 	}
 	dead, _ := c.QueueDeadLetters("work")
-	depth, _ := c.QueueDepth("work")
 	var redelivered int64
 	for h := 0; h < 3; h++ {
-		if q := c.Instance(h).Queue(); q != nil {
-			redelivered += q.Stats().Redelivered
-		}
+		redelivered += c.Instance(h).Queue().Stats().Redelivered
 	}
-
-	gate := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAILED"
-	}
-	r.Add("crash", "calls accepted", fmt.Sprintf("%d (of %d offered, %d shed)", len(ids), offered, shed), gate(len(ids) > 0))
-	r.Add("crash", "terminal completions", fmt.Sprintf("%d/%d", completed, len(ids)), gate(completed == len(ids) && lost == 0))
-	r.Add("crash", "wrong or failed results", fmt.Sprintf("%d", wrong), gate(wrong == 0))
-	r.Add("crash", "results stable on re-read", fmt.Sprintf("%d unstable", unstable), gate(unstable == 0))
-	r.Add("crash", "redelivered after host kill", fmt.Sprintf("%d", redelivered), gate(redelivered >= 1))
-	r.Add("crash", "dead letters", fmt.Sprintf("%d", len(dead)), gate(len(dead) == 0))
-	r.Add("crash", "queue drained", fmt.Sprintf("depth %d", depth), gate(depth == 0))
 
 	// Phase 2 — static 3-stage chain: stage1 → stage2 → stage3, each
 	// completion enqueueing the next with its output, lineage recorded.
-	chainGate := "FAILED"
-	chainVal := "did not complete"
-	if err := c.ChainThen("stage1", "stage2"); err == nil {
-		if err := c.ChainThen("stage2", "stage3"); err == nil {
-			if root, err := c.SubmitAsync("stage1", []byte("x")); err == nil {
-				r1, err1 := c.AwaitAsync(root, 10*time.Second)
-				if err1 == nil && r1.ChildID != 0 {
-					r2, err2 := c.AwaitAsync(r1.ChildID, 10*time.Second)
-					if err2 == nil && r2.ParentID == root && r2.ChildID != 0 {
-						r3, err3 := c.AwaitAsync(r2.ChildID, 10*time.Second)
-						if err3 == nil && r3.ParentID == r1.ChildID {
-							chainVal = string(r3.Output)
-							if chainVal == "x|stage1|stage2|stage3" {
-								chainGate = "ok"
-							}
-						}
-					}
-				}
-			}
-		}
+	const chainWant = "x|stage1|stage2|stage3"
+	chainOut, err := runChain(c)
+	if err != nil {
+		chainOut = "error: " + err.Error()
 	}
-	r.Add("chain", "3-stage pipeline output", chainVal, chainGate)
 
 	// Phase 3 — the synchronous path with queue machinery enabled: warm
 	// invokes must stay fast (catastrophic-regression bound, not a
@@ -197,9 +151,47 @@ func AsyncQueue(opts Options) *Report {
 		}
 	}
 	perCall := time.Since(start) / syncCalls
-	r.Add("sync", "warm invoke mean", perCall.Round(10*time.Microsecond).String(), gate(syncFailed == 0 && perCall < 60*time.Millisecond))
+
+	// A result lands before its item's ack, so the depth is read once
+	// Shutdown has stopped every consumer, each mid-completion one acked.
+	c.Shutdown()
+	depth, _ := c.QueueDepth("work")
+	r.Check(onHost0 > 0, "crash", "claimed items executing on host-0 at the kill", fmt.Sprintf("%d of %d", onHost0, consumers))
+	r.Check(len(ids) > 0, "crash", "calls accepted", fmt.Sprintf("%d (of %d offered, %d shed)", len(ids), offered, shed))
+	r.Check(completed == len(ids) && lost == 0, "crash", "terminal completions", fmt.Sprintf("%d/%d", completed, len(ids)))
+	r.Check(wrong == 0, "crash", "wrong or failed results", fmt.Sprintf("%d", wrong))
+	r.Check(unstable == 0, "crash", "results stable on re-read", fmt.Sprintf("%d unstable", unstable))
+	r.Check(redelivered >= 1, "crash", "redelivered after host kill", fmt.Sprintf("%d", redelivered))
+	r.Check(len(dead) == 0, "crash", "dead letters", fmt.Sprintf("%d", len(dead)))
+	r.Check(depth == 0, "crash", "queue drained", fmt.Sprintf("depth %d", depth))
+	r.Check(chainOut == chainWant, "chain", "3-stage pipeline output", chainOut)
+	r.Check(syncFailed == 0 && perCall < 60*time.Millisecond, "sync", "warm invoke mean", perCall.Round(10*time.Microsecond).String())
 
 	r.Note("host-0 killed with claimed items mid-execution: its in-flight leases expire tier-side after %v and survivors reclaim the items — the redelivered count is the reclaim happening", leaseTTL)
 	r.Note("exactly-once is the client's view: execution is at-least-once, but result writes are first-writer-wins, so a re-read can never observe a completed call change its outcome")
 	return r
+}
+
+// runChain submits stage1 of the static chain stage1 → stage2 → stage3 and
+// walks its lineage, each record naming its child and each child its
+// parent, returning the last stage's output.
+func runChain(c *cluster.Cluster) (string, error) {
+	err := errors.Join(c.ChainThen("stage1", "stage2"), c.ChainThen("stage2", "stage3"))
+	id, submitErr := c.SubmitAsync("stage1", []byte("x"))
+	if err := errors.Join(err, submitErr); err != nil {
+		return "", err
+	}
+	var parent uint64
+	for stage := 1; ; stage++ {
+		rec, err := c.AwaitAsync(id, 10*time.Second)
+		switch {
+		case err != nil:
+			return "", fmt.Errorf("stage %d: %w", stage, err)
+		case rec.ParentID != parent:
+			return "", fmt.Errorf("stage %d: parent %d, want %d", stage, rec.ParentID, parent)
+		case stage == 3:
+			return string(rec.Output), nil
+		}
+		parent, id = id, rec.ChildID
+	}
 }

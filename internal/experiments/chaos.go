@@ -24,8 +24,8 @@ import (
 //   - cluster: the same outage under the multi-host harness, with call
 //     traffic whose guests read tier state. Gate: zero failed invocations.
 //
-// A failed gate prints in the failed column; TestStateChaosGate enforces it
-// in CI (with -race, so the failover paths are also race-checked).
+// Each condition is a Check; TestGates enforces them in CI (with -race, so
+// the failover paths are also race-checked).
 func StateChaos(opts Options) *Report {
 	iters := 2000
 	if opts.Quick {
@@ -65,7 +65,7 @@ func ringSection(r *Report, iters int) {
 		engines[id] = eng
 		faults[id] = fs
 		if err := ring.Attach(id, fs); err != nil {
-			r.Add("ring", "attach", err.Error(), "FAILED")
+			r.Check(false, "ring", "attach", err.Error())
 			return
 		}
 	}
@@ -139,23 +139,22 @@ func ringSection(r *Report, iters int) {
 		}
 	}
 
-	gate := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAILED"
-	}
 	r.Add("ring", "ops issued", fmt.Sprint(ops.Load()), "-")
-	r.Add("ring", "failed ops", fmt.Sprint(failed.Load()), gate(failed.Load() == 0))
-	r.Add("ring", "failovers", fmt.Sprint(st.Failovers), gate(st.Failovers > 0))
+	r.Check(failed.Load() == 0, "ring", "failed ops", fmt.Sprint(failed.Load()))
+	r.Check(st.Failovers > 0, "ring", "failovers", fmt.Sprint(st.Failovers))
 	r.Add("ring", "divergent writes", fmt.Sprint(st.Divergence), "-")
 	r.Add("ring", "repair copies", fmt.Sprint(stats.CopiesWritten), "-")
 	r.Add("ring", "recovery time", fmtDur(recovery), "-")
-	r.Add("ring", "suspects after heal", fmt.Sprint(st.Suspects), gate(st.Suspects == 0 && healErr == nil))
-	r.Add("ring", "parity errors", fmt.Sprint(parityErrs), gate(parityErrs == 0))
-	if healErr != nil {
-		r.Note("ring heal error: %v", healErr)
+	r.Check(st.Suspects == 0 && healErr == nil, "ring", "suspects after heal", healed(st.Suspects, healErr))
+	r.Check(parityErrs == 0, "ring", "parity errors", fmt.Sprint(parityErrs))
+}
+
+// healed renders a heal's outcome: the suspects left, and its error if any.
+func healed(suspects int64, err error) string {
+	if err != nil {
+		return fmt.Sprintf("%d (heal: %v)", suspects, err)
 	}
+	return fmt.Sprint(suspects)
 }
 
 func clusterSection(r *Report, opts Options) {
@@ -180,11 +179,11 @@ func clusterSection(r *Report, opts Options) {
 		api.WriteOutput(buf)
 		return 0, nil
 	}); err != nil {
-		r.Add("cluster", "register", err.Error(), "FAILED")
+		r.Check(false, "cluster", "register", err.Error())
 		return
 	}
 	if err := c.SetState("data", []byte("payload")); err != nil {
-		r.Add("cluster", "seed", err.Error(), "FAILED")
+		r.Check(false, "cluster", "seed", err.Error())
 		return
 	}
 	failedCalls := 0
@@ -214,18 +213,9 @@ func clusterSection(r *Report, opts Options) {
 	stats, healErr := c.HealState()
 	st := c.StateRing().FailureStats()
 
-	gate := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAILED"
-	}
 	r.Add("cluster", "calls+tier ops", fmt.Sprint(calls*3), "-")
-	r.Add("cluster", "failed", fmt.Sprint(failedCalls), gate(failedCalls == 0))
-	r.Add("cluster", "failovers", fmt.Sprint(st.Failovers), gate(st.Failovers > 0))
+	r.Check(failedCalls == 0, "cluster", "failed", fmt.Sprint(failedCalls))
+	r.Check(st.Failovers > 0, "cluster", "failovers", fmt.Sprint(st.Failovers))
 	r.Add("cluster", "repair copies", fmt.Sprint(stats.CopiesWritten), "-")
-	r.Add("cluster", "suspects after heal", fmt.Sprint(st.Suspects), gate(st.Suspects == 0 && healErr == nil))
-	if healErr != nil {
-		r.Note("cluster heal error: %v", healErr)
-	}
+	r.Check(st.Suspects == 0 && healErr == nil, "cluster", "suspects after heal", healed(st.Suspects, healErr))
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"faasm.dev/faasm/internal/cluster"
@@ -25,13 +28,15 @@ func Elasticity(opts Options) *Report {
 	r := &Report{
 		ID:     "elastic-sched",
 		Title:  "Elastic scheduling: warm-pool autoscaling and leased peer liveness",
-		Header: []string{"section", "config", "metric", "value"},
+		Header: []string{"section", "config", "metric", "value", "gate"},
 	}
 
 	ramp := []int{2, 4, 8, 16, 32}
 	if opts.Quick {
 		ramp = []int{2, 4, 8}
 	}
+	const missesMetric = "pool-empty misses (critical-path cold starts)"
+	var staticMisses int64
 	for _, elastic := range []bool{false, true} {
 		name := "static pool"
 		if elastic {
@@ -39,23 +44,31 @@ func Elasticity(opts Options) *Report {
 		}
 		misses, prewarmed, reclaims, err := measureRampMisses(ramp, elastic)
 		if err != nil {
-			r.Note("pool/%s: %v", name, err)
+			r.Check(false, "pool", name, "ramp", err.Error())
 			continue
 		}
-		r.Add("pool", name, "pool-empty misses (critical-path cold starts)", fmt.Sprintf("%d", misses))
-		r.Add("pool", name, "pre-provisioned Faaslets", fmt.Sprintf("%d", prewarmed))
-		r.Add("pool", name, "idle reclaims", fmt.Sprintf("%d", reclaims))
+		if !elastic {
+			staticMisses = misses
+			r.Add("pool", name, missesMetric, fmt.Sprintf("%d", misses), "")
+			r.Add("pool", name, "pre-provisioned Faaslets", fmt.Sprintf("%d", prewarmed), "")
+		} else {
+			r.Check(misses < staticMisses, "pool", name, missesMetric, fmt.Sprintf("%d", misses))
+			r.Check(prewarmed > 0, "pool", name, "pre-provisioned Faaslets", fmt.Sprintf("%d", prewarmed))
+		}
+		r.Add("pool", name, "idle reclaims", fmt.Sprintf("%d", reclaims), "")
 	}
 
+	const target = "3 hosts, kill warm target"
 	leaseTTL := 60 * time.Millisecond
-	drain, survived, forwarded, ctrlBytes, err := measureFailoverDrain(leaseTTL)
+	drain, failed, forwarded, ctrlBytes, err := measureFailoverDrain(leaseTTL)
 	if err != nil {
-		r.Note("failover: %v", err)
+		r.Check(false, "failover", target, "measurement", err.Error())
 	} else {
-		r.Add("failover", "3 hosts, kill warm target", "forwards before kill", fmt.Sprintf("%d", forwarded))
-		r.Add("failover", "3 hosts, kill warm target", "calls failed during drain", fmt.Sprintf("%d", survived))
-		r.Add("failover", "3 hosts, kill warm target", "dead host evicted after", fmt.Sprintf("%.2f lease TTLs", float64(drain)/float64(leaseTTL)))
-		r.Add("failover", "3 hosts, kill warm target", "network bytes during drain", fmt.Sprintf("%d", ctrlBytes))
+		ttls := float64(drain) / float64(leaseTTL)
+		r.Add("failover", target, "forwards before kill", fmt.Sprintf("%d", forwarded), "")
+		r.Check(failed == 0, "failover", target, "calls failed during drain", fmt.Sprintf("%d", failed))
+		r.Check(ttls > 0 && ttls <= 2, "failover", target, "dead host evicted after", fmt.Sprintf("%.2f lease TTLs", ttls))
+		r.Add("failover", target, "network bytes during drain", fmt.Sprintf("%d", ctrlBytes), "")
 	}
 
 	r.Note("pool: identical concurrency ramp %v per config; the elastic controller pre-provisions misses x grow-factor per tick, so later ramp steps find the pool already sized — the ramp's misses collapse toward the first step's", ramp)
@@ -86,19 +99,9 @@ func measureRampMisses(ramp []int, elastic bool) (misses, prewarmed, reclaims in
 	for _, c := range ramp {
 		missesBefore := inst.PoolMisses.Value()
 		prewarmedBefore := inst.Prewarmed.Value()
-		var wg sync.WaitGroup
-		var callErr error
-		var mu sync.Mutex
+		errs := make(chan error, c)
 		for k := 0; k < c; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, _, e := inst.Call("ramp", []byte("b")); e != nil {
-					mu.Lock()
-					callErr = e
-					mu.Unlock()
-				}
-			}()
+			go func() { _, _, err := inst.Call("ramp", []byte("b")); errs <- err }()
 		}
 		for k := 0; k < c; k++ {
 			<-started
@@ -106,9 +109,10 @@ func measureRampMisses(ramp []int, elastic bool) (misses, prewarmed, reclaims in
 		for k := 0; k < c; k++ {
 			gate <- struct{}{}
 		}
-		wg.Wait()
-		if callErr != nil {
-			return 0, 0, 0, callErr
+		for k := 0; k < c; k++ {
+			if err := <-errs; err != nil {
+				return 0, 0, 0, err
+			}
 		}
 		// The gap between ramp steps. The static pool's misses don't depend
 		// on it (the pool only grows organically, so each step's shortfall
@@ -134,99 +138,100 @@ func measureRampMisses(ramp []int, elastic bool) (misses, prewarmed, reclaims in
 // the forwards recorded before the kill, and the simulated-network bytes
 // the cluster spent while healing (call payloads + lease reads).
 //
-// The whole measurement runs on a vtime.Virtual clock: every blocking
-// point in the simulation — simnet transfer latency, lease expiry on the
-// tier's engines, heartbeat cadence, the poll interval below — sleeps on
-// the same virtual timeline, and the pump loop in the caller goroutine
-// advances it deadline by deadline. The drain duration is therefore
-// virtual elapsed time: a loaded CI machine or -race overhead stretches
-// wall time but cannot stretch the measurement, which is what used to
-// make this section flake.
+// The whole measurement runs on a drivenClock: simnet latency, cold starts,
+// lease expiry, heartbeats and the poll below share one virtual timeline,
+// which moves only inside this goroutine's own sleeps. However slowly a
+// loaded machine or -race runs the measurement, no time passes while it
+// runs.
 func measureFailoverDrain(leaseTTL time.Duration) (drain time.Duration, failed int, forwarded, ctrlBytes int64, err error) {
-	clk := vtime.NewVirtual()
-	type result struct {
-		drain                time.Duration
-		failed               int
-		forwarded, ctrlBytes int64
-		err                  error
+	clk := &drivenClock{Virtual: vtime.NewVirtual(), driver: goid()}
+	c := cluster.New(cluster.Config{
+		Mode: cluster.ModeFaasm, Hosts: 3,
+		Runtime: frt.Config{Clock: clk, LeaseTTL: leaseTTL, PeerCacheTTL: 5 * time.Millisecond},
+	})
+	// Shutdown waits, without sleeping, on resets that retreat through the
+	// tier and so sleep on the clock: release it first.
+	defer c.Shutdown()
+	defer clk.release()
+	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
+		api.WriteOutput(api.Input())
+		return 0, nil
+	}); err != nil {
+		return 0, 0, 0, 0, err
 	}
-	resCh := make(chan result, 1)
-	go func() {
-		r := func() result {
-			c := cluster.New(cluster.Config{
-				Mode: cluster.ModeFaasm, Hosts: 3,
-				Runtime: frt.Config{Clock: clk, LeaseTTL: leaseTTL, PeerCacheTTL: 5 * time.Millisecond},
-			})
-			defer c.Shutdown()
-			if err := c.Register("echo", func(api hostapi.API) (int32, error) {
-				api.WriteOutput(api.Input())
-				return 0, nil
-			}); err != nil {
-				return result{err: err}
-			}
-			// Warm host-1 only, then route traffic through host-0 so every
-			// call forwards to the one warm peer.
-			if _, _, err := c.CallOn(1, "echo", []byte("w")); err != nil {
-				return result{err: err}
-			}
-			var r result
-			for k := 0; k < 10; k++ {
-				if _, _, err := c.CallOn(0, "echo", []byte("x")); err != nil {
-					return result{err: err}
-				}
-			}
-			r.forwarded = c.Instance(0).Scheduler().Stats.Forwarded.Load()
+	// Warm host-1 only, then route traffic through host-0 so every call
+	// forwards to the one warm peer.
+	if _, _, err := c.CallOn(1, "echo", []byte("w")); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	for k := 0; k < 10; k++ {
+		if _, _, err := c.CallOn(0, "echo", []byte("x")); err != nil {
+			return 0, 0, 0, 0, err
+		}
+	}
+	forwarded = c.Instance(0).Scheduler().Stats.Forwarded.Load()
 
-			c.KillHost(1)
-			start := clk.Now()
-			bytesBefore := c.Net.TotalBytes()
-			hostBytesAtKill := c.Net.HostBytes("host-1")
-			deadline := start.Add(10 * leaseTTL)
-			for {
-				// Traffic keeps flowing through the survivors the whole time.
-				if _, _, err := c.CallOn(0, "echo", []byte("y")); err != nil {
-					r.failed++
-				}
-				hosts, err := c.Instance(2).Scheduler().WarmHosts("echo")
-				if err != nil {
-					r.err = err
-					return r
-				}
-				dead := false
-				for _, h := range hosts {
-					if h == "host-1" {
-						dead = true
-					}
-				}
-				if !dead {
-					// Sanity: the dead host itself moved no bytes since the kill.
-					r.ctrlBytes = c.Net.TotalBytes() - bytesBefore - c.Net.HostBytes("host-1") + hostBytesAtKill
-					r.drain = clk.Now().Sub(start)
-					return r
-				}
-				if clk.Now().After(deadline) {
-					r.err = fmt.Errorf("dead host still listed after %v", clk.Now().Sub(start))
-					return r
-				}
-				clk.Sleep(2 * time.Millisecond)
-			}
-		}()
-		resCh <- r
-	}()
-
-	// The pump: advance virtual time to each next sleeper deadline until
-	// the measurement goroutine reports in. A final advance releases the
-	// survivors' heartbeat loops so they observe the shutdown and exit.
+	c.KillHost(1)
+	start := clk.Now()
+	bytesBefore := c.Net.TotalBytes()
+	hostBytesAtKill := c.Net.HostBytes("host-1")
+	deadline := start.Add(10 * leaseTTL)
 	for {
-		select {
-		case r := <-resCh:
-			clk.Advance(leaseTTL)
-			return r.drain, r.failed, r.forwarded, r.ctrlBytes, r.err
-		default:
+		// Traffic keeps flowing through the survivors the whole time.
+		if _, _, err := c.CallOn(0, "echo", []byte("y")); err != nil {
+			failed++
 		}
-		if t, ok := clk.NextDeadline(); ok {
-			clk.AdvanceTo(t)
+		hosts, err := c.Instance(2).Scheduler().WarmHosts("echo")
+		if err != nil {
+			return 0, 0, 0, 0, err
 		}
-		runtime.Gosched()
+		if !slices.Contains(hosts, "host-1") {
+			// Sanity: the dead host itself moved no bytes since the kill.
+			ctrlBytes = c.Net.TotalBytes() - bytesBefore - c.Net.HostBytes("host-1") + hostBytesAtKill
+			return clk.Now().Sub(start), failed, forwarded, ctrlBytes, nil
+		}
+		if clk.Now().After(deadline) {
+			return 0, 0, 0, 0, fmt.Errorf("dead host still listed after %v", clk.Now().Sub(start))
+		}
+		clk.Sleep(2 * time.Millisecond)
 	}
+}
+
+// drivenClock is a virtual clock one goroutine drives: the driver's sleeps
+// advance time instead of blocking, waking every other sleeper whose
+// deadline they pass, while every other goroutine sleeps on the virtual
+// clock as usual. Time therefore moves only while the driver is parked in a
+// sleep of its own (its explicit waits and those inside the cluster calls
+// it makes), never while it runs.
+type drivenClock struct {
+	*vtime.Virtual
+	driver   uint64
+	released atomic.Bool
+}
+
+// Sleep implements vtime.Clock.
+func (c *drivenClock) Sleep(d time.Duration) {
+	if goid() != c.driver && !c.released.Load() {
+		c.Virtual.Sleep(d)
+		return
+	}
+	c.Advance(d)
+	runtime.Gosched() // let the sleepers just woken run
+}
+
+// release ends the driven run: every sleeper is woken, and from then on
+// each one advances time itself, so nothing waits for a driver sleep that
+// will not come.
+func (c *drivenClock) release() {
+	c.released.Store(true)
+	c.Advance(time.Hour)
+}
+
+// goid returns the calling goroutine's id, parsed from the first line of
+// its stack trace ("goroutine 42 [running]:").
+func goid() uint64 {
+	var buf [32]byte
+	f := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	id, _ := strconv.ParseUint(string(f[1]), 10, 64)
+	return id
 }

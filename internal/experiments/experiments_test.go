@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -263,141 +262,50 @@ func TestInvokeScaleShape(t *testing.T) {
 	}
 }
 
-func TestStateChaosGate(t *testing.T) {
-	// The PR 7 robustness gate: a shard killed and revived under mixed
-	// traffic must fail zero operations, trip failovers, and converge after
-	// read-repair. Every gated row must read ok.
-	r := StateChaos(Options{Quick: true})
-	if len(r.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	sections := map[string]bool{}
-	for _, row := range r.Rows {
-		sections[row[0]] = true
-		if row[3] == "FAILED" {
-			t.Errorf("gate failed: %v", row)
-		}
-	}
-	if !sections["ring"] || !sections["cluster"] {
-		t.Fatalf("missing section: %v", sections)
-	}
-}
-
-func TestLocalityGate(t *testing.T) {
-	// The PR 8 locality gate: with the locality weight on, the same
-	// workloads must pull >=50% fewer remote state bytes than with it off,
-	// for both sgd and dmatmul. Every gate row must read OK.
-	r := Locality(Options{Quick: true})
-	if len(r.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	gates := map[string]bool{}
-	for _, row := range r.Rows {
-		status := row[len(row)-1]
-		if status == "FAILED" {
-			t.Errorf("gate failed: %v", row)
-		}
-		if row[1] == "gate" && status == "OK" {
-			gates[row[0]] = true
-		}
-	}
-	if !gates["sgd"] || !gates["dmatmul"] {
-		t.Fatalf("missing passing gate rows: %v (rows %v)", gates, r.Rows)
-	}
-}
-
-func TestAutoscaleGate(t *testing.T) {
-	// The PR 9 autoscale gate: offered load ramps 10x, the controller must
-	// grow the fleet under sustained pressure, drain it back to the floor
-	// when the load passes, complete every drain with zero failed calls,
-	// and a drained host must execute nothing after ~1 lease TTL.
-	r := Autoscale(Options{Quick: true})
-	if len(r.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	sections := map[string]bool{}
-	for _, row := range r.Rows {
-		sections[row[0]] = true
-		if row[len(row)-1] == "FAILED" {
-			t.Errorf("gate failed: %v", row)
-		}
-	}
-	for _, want := range []string{"ramp", "idle", "drain"} {
-		if !sections[want] {
-			t.Fatalf("missing section %q: %v", want, sections)
-		}
-	}
-}
-
-func TestElasticityGate(t *testing.T) {
-	// Deflake regression gate: the failover drain is timed on a virtual
-	// clock (lease expiry and measurement share one timeline), so these
-	// bounds hold under -race and on loaded machines — see
-	// measureFailoverDrain. Pinned properties: grow-ahead beats the static
-	// pool, no call fails during the drain, and the dead host evicts
-	// within ~1 lease TTL (2 is the generous ceiling).
-	r := Elasticity(Options{Quick: true})
-	cell := func(section, config, metric string) string {
-		t.Helper()
-		for _, row := range r.Rows {
-			if row[0] == section && row[1] == config && row[2] == metric {
-				return row[3]
+// TestGates runs every gate experiment quick-sized. A gate states each of
+// its conditions, preconditions included, as a Report.Check where it
+// measures them, so a gate passes only if no check failed and each of its
+// sections produced at least one passing check.
+func TestGates(t *testing.T) {
+	for _, g := range []struct {
+		id       string
+		run      func(Options) *Report
+		sections []string
+	}{
+		// A tier shard killed and revived under mixed traffic: zero failed
+		// operations, failovers observed, convergence after read-repair.
+		{"state-chaos", StateChaos, []string{"ring", "cluster"}},
+		// With the locality weight on, >=50% fewer remote state bytes.
+		{"locality", Locality, []string{"sgd", "dmatmul"}},
+		// A 10x load ramp: the fleet grows, drains back to the floor with zero
+		// failed calls, and a drained host executes nothing after ~1 TTL.
+		{"autoscale", Autoscale, []string{"ramp", "idle", "drain"}},
+		// Grow-ahead beats the static pool; the failover drain fails no call
+		// and evicts the dead host within (0, 2] lease TTLs of virtual time.
+		{"elastic-sched", Elasticity, []string{"pool", "failover"}},
+		// A host killed mid-execution: every accepted call completes exactly
+		// once, the chained pipeline keeps its lineage, sync stays fast.
+		{"async-queue", AsyncQueue, []string{"crash", "chain", "sync"}},
+	} {
+		t.Run(g.id, func(t *testing.T) {
+			r := g.run(Options{Quick: true})
+			if r.ID != g.id {
+				t.Fatalf("report ID %q", r.ID)
 			}
-		}
-		t.Fatalf("missing row %s/%s/%s in %v", section, config, metric, r.Rows)
-		return ""
-	}
-	num := func(section, config, metric string) int {
-		t.Helper()
-		n, err := strconv.Atoi(cell(section, config, metric))
-		if err != nil {
-			t.Fatalf("row %s/%s/%s: %v", section, config, metric, err)
-		}
-		return n
-	}
-
-	staticMisses := num("pool", "static pool", "pool-empty misses (critical-path cold starts)")
-	elasticMisses := num("pool", "elastic pool", "pool-empty misses (critical-path cold starts)")
-	if elasticMisses >= staticMisses {
-		t.Errorf("grow-ahead did not beat the static pool: elastic %d vs static %d misses", elasticMisses, staticMisses)
-	}
-	if pre := num("pool", "elastic pool", "pre-provisioned Faaslets"); pre == 0 {
-		t.Error("elastic pool never pre-provisioned")
-	}
-
-	const target = "3 hosts, kill warm target"
-	if failed := num("failover", target, "calls failed during drain"); failed != 0 {
-		t.Errorf("%d calls failed during the failover drain", failed)
-	}
-	var ttls float64
-	if _, err := fmt.Sscanf(cell("failover", target, "dead host evicted after"), "%f lease TTLs", &ttls); err != nil {
-		t.Fatalf("eviction cell: %v", err)
-	}
-	if ttls <= 0 || ttls > 2 {
-		t.Errorf("dead host evicted after %.2f lease TTLs, want (0, 2]", ttls)
-	}
-}
-
-func TestAsyncQueueGate(t *testing.T) {
-	// The PR 10 async gate: a host killed mid-execution under open-loop
-	// async load must cost nothing from the client's view — every accepted
-	// call reaches exactly one stable terminal completion via lease-expiry
-	// redelivery, nothing dead-letters, the 3-stage chained pipeline
-	// finishes with intact lineage, and the sync warm path stays fast.
-	r := AsyncQueue(Options{Quick: true})
-	if len(r.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	sections := map[string]bool{}
-	for _, row := range r.Rows {
-		sections[row[0]] = true
-		if row[len(row)-1] == "FAILED" {
-			t.Errorf("gate failed: %v", row)
-		}
-	}
-	for _, want := range []string{"crash", "chain", "sync"} {
-		if !sections[want] {
-			t.Fatalf("missing section %q: %v", want, sections)
-		}
+			for _, row := range r.Failed() {
+				t.Errorf("check failed: %v", row)
+			}
+			passed := map[string]bool{}
+			for _, row := range r.Rows {
+				if row[len(row)-1] == "ok" {
+					passed[row[0]] = true
+				}
+			}
+			for _, s := range g.sections {
+				if !passed[s] {
+					t.Errorf("section %q has no passing check: %v", s, r.Rows)
+				}
+			}
+		})
 	}
 }

@@ -40,14 +40,13 @@ func Locality(opts Options) *Report {
 	}
 
 	for _, wl := range []string{"sgd", "dmatmul"} {
+		var on localityRun
 		off, err := runLocality(wl, 0, opts.Quick)
-		if err != nil {
-			r.Add(wl, "gate", "error: "+err.Error(), "", "", "", "FAILED")
-			continue
+		if err == nil {
+			on, err = runLocality(wl, 32, opts.Quick)
 		}
-		on, err := runLocality(wl, 32, opts.Quick)
 		if err != nil {
-			r.Add(wl, "gate", "error: "+err.Error(), "", "", "", "FAILED")
+			r.Check(false, wl, "gate", "error: "+err.Error(), "", "", "")
 			continue
 		}
 
@@ -60,16 +59,11 @@ func Locality(opts Options) *Report {
 		r.Add(wl, "w=32", mb(on.pulledBytes), hitRate, mb(on.savedBytes),
 			fmt.Sprintf("%.1f ms", on.perRound.Seconds()*1e3), "")
 
-		status := "OK"
 		reduction := 0.0
 		if off.pulledBytes > 0 {
 			reduction = 1 - float64(on.pulledBytes)/float64(off.pulledBytes)
 		}
-		if reduction < 0.5 {
-			status = "FAILED"
-		}
-		r.Add(wl, "gate", fmt.Sprintf("%.0f%% fewer remote bytes", 100*reduction),
-			"", "", "", status)
+		r.Check(reduction >= 0.5, wl, "gate", fmt.Sprintf("%.0f%% fewer remote bytes", 100*reduction), "", "", "")
 	}
 
 	r.Note("both modes run the identical prime/warm/drive sequence; only the scheduler's -locality-weight differs, so every remote byte saved is attributable to placement")
@@ -126,6 +120,7 @@ func runLocality(workload string, weight float64, quick bool) (localityRun, erro
 	var mainFn, driverFn string
 	var input []byte
 	var workers []string
+	var guests map[string]hostapi.Guest
 	switch workload {
 	case "sgd":
 		p := sgd.DefaultParams()
@@ -145,20 +140,12 @@ func runLocality(workload string, weight float64, quick bool) (localityRun, erro
 			defer updateMu.Unlock()
 			return sgd.WeightUpdate(api)
 		}
-		if err := c.Register("sgd-update", warmable(serialUpdate)); err != nil {
-			return localityRun{}, err
-		}
-		if err := c.Register("sgd-main", sgd.Main); err != nil {
-			return localityRun{}, err
-		}
-		if err := c.Register("sgd-driver", sgd.Main); err != nil {
-			return localityRun{}, err
-		}
 		if err := sgd.Generate(p).Seed(c); err != nil {
 			return localityRun{}, err
 		}
 		mainFn, driverFn, input = "sgd-main", "sgd-driver", sgd.EncodeMain(p)
 		workers = []string{"sgd-update"}
+		guests = map[string]hostapi.Guest{"sgd-update": warmable(serialUpdate), mainFn: sgd.Main, driverFn: sgd.Main}
 	case "dmatmul":
 		// Depth 1 keeps the chain fan-out (8 mults) inside the locality
 		// weight's regime: the blend weighs rather than pins, so a fan-out
@@ -172,22 +159,16 @@ func runLocality(workload string, weight float64, quick bool) (localityRun, erro
 		if err := dmatmul.Seed(c, p, a, b); err != nil {
 			return localityRun{}, err
 		}
-		if err := c.Register("mm-mult", warmable(dmatmul.Mult)); err != nil {
-			return localityRun{}, err
-		}
-		if err := c.Register("mm-merge", warmable(dmatmul.Merge)); err != nil {
-			return localityRun{}, err
-		}
-		if err := c.Register("mm-main", dmatmul.Main); err != nil {
-			return localityRun{}, err
-		}
-		if err := c.Register("mm-driver", dmatmul.Main); err != nil {
-			return localityRun{}, err
-		}
 		mainFn, driverFn, input = "mm-main", "mm-driver", dmatmul.MainInput(p)
 		workers = []string{"mm-mult", "mm-merge"}
+		guests = map[string]hostapi.Guest{"mm-mult": warmable(dmatmul.Mult), "mm-merge": warmable(dmatmul.Merge), mainFn: dmatmul.Main, driverFn: dmatmul.Main}
 	default:
 		return localityRun{}, fmt.Errorf("unknown workload %q", workload)
+	}
+	for fn, g := range guests {
+		if err := c.Register(fn, g); err != nil {
+			return localityRun{}, err
+		}
 	}
 
 	// Establish the data home: one full run on host 0 pulls the dataset

@@ -26,12 +26,28 @@ type Report struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	failed [][]string
 }
 
 // Add appends a row.
 func (r *Report) Add(cells ...string) {
 	r.Rows = append(r.Rows, cells)
 }
+
+// Check appends a gated row: cells, then an "ok" or "FAILED" gate cell. A
+// gate states each of its conditions, preconditions included, as one Check
+// where it measures it; Failed returns the rows whose condition did not hold.
+func (r *Report) Check(ok bool, cells ...string) {
+	if ok {
+		r.Add(append(cells, "ok")...)
+		return
+	}
+	r.Add(append(cells, "FAILED")...)
+	r.failed = append(r.failed, r.Rows[len(r.Rows)-1])
+}
+
+// Failed returns the rows of every Check that failed, in order.
+func (r *Report) Failed() [][]string { return r.failed }
 
 // Note appends a footnote.
 func (r *Report) Note(format string, args ...interface{}) {

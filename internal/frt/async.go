@@ -26,7 +26,7 @@ func (i *Instance) InvokeAsync(function string, input []byte) (uint64, error) {
 		return 0, ErrAsyncDisabled
 	}
 	if i.killed.Load() {
-		return 0, fmt.Errorf("frt: host %s is down", i.cfg.Host)
+		return 0, fmt.Errorf("frt: host %s is %w", i.cfg.Host, ErrDown)
 	}
 	if _, ok := i.def(function); !ok {
 		return 0, fmt.Errorf("frt: unknown function %q", function)

@@ -179,6 +179,10 @@ func (i *Instance) Kill() {
 // Killed reports whether Kill was called.
 func (i *Instance) Killed() bool { return i.killed.Load() }
 
+// ErrDown marks a call a killed host refused before executing any of it,
+// so a front door may route the call to another host.
+var ErrDown = errors.New("down")
+
 // ErrDraining marks work refused because the instance is gracefully
 // stopping. Forwarding peers treat it like any transport failure — fall back
 // locally and drop the stale peer-set cache — so a drain never fails a call.

@@ -683,7 +683,7 @@ func (i *Instance) route(tr *obsv.Trace, function string, input []byte) ([]byte,
 	// A killed host can no more originate calls than serve them: the crash
 	// semantics Kill simulates cover both directions.
 	if i.killed.Load() {
-		return nil, -1, fmt.Errorf("frt: host %s is down", i.cfg.Host)
+		return nil, -1, fmt.Errorf("frt: host %s is %w", i.cfg.Host, ErrDown)
 	}
 	schedStart := i.traceNow(tr)
 	decision, err := i.sched.Schedule(function)
@@ -745,7 +745,7 @@ func (i *Instance) ExecuteForwarded(function string, input []byte, trace obsv.Tr
 
 func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) ([]byte, int32, error) {
 	if i.killed.Load() {
-		return nil, -1, fmt.Errorf("frt: host %s is down", i.cfg.Host)
+		return nil, -1, fmt.Errorf("frt: host %s is %w", i.cfg.Host, ErrDown)
 	}
 	def, ok := i.def(function)
 	if !ok {

@@ -271,6 +271,9 @@ type callEntry struct {
 	// one its owner deleted before anything had claimed the call. The call
 	// still has to run, so the record stays until Complete, which removes it.
 	owned, orphaned bool
+	// awaiters counts the Await calls that have taken this entry; each reads
+	// its result from the entry, whatever later happens to the table's slot.
+	awaiters int
 }
 
 type callShard struct {
@@ -466,6 +469,9 @@ func (t *CallTable) Await(id uint64) (int32, error) {
 	s := t.shard(id)
 	s.mu.Lock()
 	e, ok := s.calls[id]
+	if ok {
+		e.awaiters++
+	}
 	s.mu.Unlock()
 	if !ok {
 		return -1, fmt.Errorf("mbus: unknown call %d", id)

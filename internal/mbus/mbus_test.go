@@ -2,6 +2,7 @@ package mbus
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,10 +314,12 @@ func TestAwaitSurvivesDeleteAfterComplete(t *testing.T) {
 			}
 			got <- err
 		}()
-		// Let the awaiter park on the completion channel, then complete and
-		// immediately delete: the Delete usually lands before the woken
-		// awaiter re-acquires the shard lock, which is the race window.
-		time.Sleep(time.Millisecond)
+		// Once the awaiter holds the record, complete and immediately
+		// delete: the Delete usually lands before the woken awaiter
+		// re-acquires the shard lock, which is the race window.
+		for table.Awaiters(id) == 0 {
+			runtime.Gosched()
+		}
 		if err := table.Complete(id, []byte("out"), 7, nil); err != nil {
 			t.Fatal(err)
 		}

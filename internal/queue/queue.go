@@ -551,8 +551,13 @@ func (q *Queue) Await(id uint64, timeout time.Duration) (mbus.CallRecord, error)
 		}
 		if blob, err := st.Get(itemKey(id)); err == nil && blob == nil {
 			// No result and no item: either never submitted, or acked with
-			// its result lost — both are unknown to the client.
+			// its result lost — both are unknown to the client. A completion
+			// writes its result before the ack drops the item, so one that
+			// landed since the read above shows up on a second read.
 			if att, aerr := st.Incr(attemptKey(id), 0); aerr == nil && att == 0 {
+				if rec, ok, err := q.Result(id); err != nil || ok {
+					return rec, err
+				}
 				return mbus.CallRecord{}, fmt.Errorf("%w: %d", ErrUnknownCall, id)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,6 +306,42 @@ func TestAwaitUnknownAndTimeout(t *testing.T) {
 			vc.Advance(10 * time.Millisecond)
 			time.Sleep(100 * time.Microsecond)
 		}
+	}
+}
+
+// completingStore runs complete the first time a result read misses: the
+// call completes (result written, item acked) between an awaiter's reads.
+type completingStore struct {
+	kvs.Store
+	armed    atomic.Bool
+	complete func()
+}
+
+func (s *completingStore) Get(key string) ([]byte, error) {
+	v, err := s.Store.Get(key)
+	if v == nil && strings.HasPrefix(key, "q/result/") && s.armed.CompareAndSwap(true, false) {
+		s.complete()
+	}
+	return v, err
+}
+
+func TestAwaitSeesCompletionBetweenReads(t *testing.T) {
+	// An awaiter that misses the result and then finds the item acked must
+	// read the result the ack left behind, not report the call unknown.
+	st := &completingStore{Store: kvs.NewEngine()}
+	q := New(Config{Store: st, Clock: vtime.Real{}, Host: "h1"}, nil)
+	t.Cleanup(q.Close)
+	id, err := q.Submit("wc", []byte("in"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.complete = func() {
+		q.finish("wc", mbus.CallRecord{ID: id, Function: "wc", Status: mbus.CallSucceeded, Output: []byte("out")})
+	}
+	st.armed.Store(true)
+	rec, err := q.Await(id, time.Second)
+	if err != nil || string(rec.Output) != "out" {
+		t.Fatalf("await across a completion: %+v, %v", rec, err)
 	}
 }
 
