@@ -49,6 +49,7 @@ import (
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
 	"faasm.dev/faasm/internal/upload"
+	"faasm.dev/faasm/internal/wavm"
 )
 
 func main() {
@@ -102,8 +103,6 @@ func main() {
 		store = localEngine
 	}
 
-	objects := objstore.NewMemory()
-	up := upload.New(objects)
 	cfg.runtime.Store = store
 	if ring != nil && cfg.runtime.LocalShard != "" {
 		cfg.runtime.StateOwners = ring.HealthyOwners
@@ -116,9 +115,28 @@ func main() {
 		ring.Instrument(inst.Registry())
 	}
 
-	mux := newMux(inst, up, objects, ring)
+	srv := newServer(cfg.listen, newMux(inst, objstore.NewMemory(), ring))
 	log.Printf("faasmd %s listening on %s", inst.Host(), cfg.listen)
-	log.Fatal(http.ListenAndServe(cfg.listen, mux))
+	log.Fatal(srv.ListenAndServe())
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to send a request's
+// headers and an idle keep-alive connection is closed after idleTimeout, so
+// stalled or abandoned connections cannot pile up. Bodies are not bounded:
+// an input may legitimately stream for longer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the daemon's HTTP server for handler on addr.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // maxInput caps a call's input; longer bodies are cut off there.
@@ -142,12 +160,25 @@ func readInput(r *http.Request) ([]byte, error) {
 }
 
 // newMux wires the daemon's HTTP surface over a runtime instance. Factored
-// from main so tests drive the real handlers through httptest. ring is the
-// sharded tier when one is attached (nil otherwise); /status reports its
-// per-shard health.
-func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, ring *shardkvs.Ring) *http.ServeMux {
+// from main so tests drive the real handlers through httptest. Uploads are
+// stored in objects once inst has deployed them. ring is the sharded tier
+// when one is attached (nil otherwise); /status reports its per-shard
+// health.
+func newMux(inst *frt.Instance, objects *objstore.Store, ring *shardkvs.Ring) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/f/", deployingUploader{up: up, inst: inst, objects: objects})
+	up := upload.New(objects)
+	up.Deploy = func(name string, obj []byte) error {
+		mod, err := wavm.DecodeObject(obj)
+		if err != nil {
+			return err
+		}
+		if err := inst.RegisterModule(name, mod); err != nil {
+			return err
+		}
+		log.Printf("deployed %s", name)
+		return nil
+	}
+	mux.Handle("/f/", up.Handler())
 	mux.HandleFunc("/invoke/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/invoke/")
 		input, err := readInput(r)
@@ -208,10 +239,9 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 		writeJSON(w, rec)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintf(w, "host: %s\nfunctions: %v\nfaaslets: %d\ncold: %d warm: %d proto: %d\nmedian exec: %v\n",
+		fmt.Fprintf(w, "host: %s\nfunctions: %v\nfaaslets: %d\ncold: %d warm: %d\nmedian exec: %v\n",
 			inst.Host(), inst.Functions(), inst.FaasletCount(),
-			inst.ColdStarts.Value(), inst.WarmStarts.Value(), inst.ProtoStarts.Value(),
-			inst.MedianExec())
+			inst.ColdStarts.Value(), inst.WarmStarts.Value(), inst.MedianExec())
 		fmt.Fprintf(w, "pool misses: %d prewarmed: %d idle reclaims: %d\n",
 			inst.PoolMisses.Value(), inst.Prewarmed.Value(), inst.IdleReclaims.Value())
 		sc := inst.Scheduler()
@@ -291,27 +321,5 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		log.Printf("json: %v", err)
-	}
-}
-
-// deployingUploader wraps the upload service so a successful upload also
-// deploys the generated module to this instance.
-type deployingUploader struct {
-	up      *upload.Service
-	inst    *frt.Instance
-	objects *objstore.Store
-}
-
-func (d deployingUploader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	d.up.Handler().ServeHTTP(w, r)
-	if r.Method == http.MethodPut || r.Method == http.MethodPost {
-		name := strings.TrimPrefix(r.URL.Path, "/f/")
-		if mod, err := upload.LoadObject(d.objects, name); err == nil {
-			if err := d.inst.RegisterModule(name, mod); err != nil {
-				log.Printf("deploy %s: %v", name, err)
-			} else {
-				log.Printf("deployed %s", name)
-			}
-		}
 	}
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,7 +19,6 @@ import (
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
-	"faasm.dev/faasm/internal/upload"
 )
 
 // newTestServer builds the real daemon mux over an in-process instance with
@@ -36,7 +37,7 @@ func newTestServer(t *testing.T, sample int) (*httptest.Server, *frt.Instance) {
 		return 0, nil
 	}))
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil))
+	srv := httptest.NewServer(newMux(inst, objects, nil))
 	t.Cleanup(srv.Close)
 	t.Cleanup(inst.Shutdown)
 	return srv, inst
@@ -261,7 +262,7 @@ func TestStatusReportsShardHealth(t *testing.T) {
 	inst := frt.New(frt.Config{Host: "test-0", Store: ring})
 	t.Cleanup(inst.Shutdown)
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, ring))
+	srv := httptest.NewServer(newMux(inst, objects, ring))
 	t.Cleanup(srv.Close)
 
 	code, body, _ := get(t, srv.URL+"/status")
@@ -288,7 +289,7 @@ func TestAsyncInvokeEndpoints(t *testing.T) {
 		return 0, nil
 	}))
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil))
+	srv := httptest.NewServer(newMux(inst, objects, nil))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Post(srv.URL+"/invoke/echo?async=1", "application/octet-stream", strings.NewReader("ping"))
@@ -380,5 +381,94 @@ func TestInvokeBodyFraming(t *testing.T) {
 		if rc := resp.Header.Get("X-Faasm-Return-Code"); rc != "0" {
 			t.Fatalf("%s: return-code header %q", name, rc)
 		}
+	}
+}
+
+// versionSource is a module whose main outputs the two-byte version v.
+func versionSource(v string) string {
+	return `(module (memory 1) (data (i32.const 8) "` + v + `")
+	  (import "faasm" "write_call_output" (func $out (param i32 i32)))
+	  (func $main (export "main") (result i32) i32.const 8 i32.const 2 call $out i32.const 0))`
+}
+
+func put(t *testing.T, url, body string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("PUT %s: %v", url, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// Re-uploading a function replaces the body its next call runs, although the
+// first call left a warm Faaslet of the old one; an upload that cannot be
+// deployed is refused and leaves the deployed version serving.
+func TestReuploadTakesEffect(t *testing.T) {
+	srv, _ := newTestServer(t, -1)
+	call := func() string {
+		t.Helper()
+		resp := invoke(t, srv, "ver", "")
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke ver: %d %v", resp.StatusCode, err)
+		}
+		return string(out)
+	}
+	for _, v := range []string{"v1", "v2"} {
+		if code := put(t, srv.URL+"/f/ver?lang=wat", versionSource(v)); code != http.StatusOK {
+			t.Fatalf("upload %s: %d", v, code)
+		}
+		if got := call(); got != v {
+			t.Fatalf("after uploading %s the call returned %q", v, got)
+		}
+	}
+	trapping := `(module (memory 1) (func $init unreachable) (start $init)
+	  (func $main (export "main") (result i32) i32.const 0))`
+	if code := put(t, srv.URL+"/f/ver?lang=wat", trapping); code != http.StatusUnprocessableEntity {
+		t.Fatalf("upload with a trapping start function: %d, want 422", code)
+	}
+	if got := call(); got != "v2" {
+		t.Fatalf("after a refused upload the call returned %q, want v2", got)
+	}
+}
+
+// A client that stalls part-way through its request headers is disconnected
+// once the header timeout passes, instead of holding its connection forever.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	_, inst := newTestServer(t, -1)
+	srv := newServer("127.0.0.1:0", newMux(inst, objstore.NewMemory(), nil))
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts %v/%v, want %v/%v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // the constant, shortened for the test
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /invoke/echo HTTP/1.1\r\nHost: faasmd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("stalled client read %d bytes, %v: want the server to close the connection", n, err)
+	}
+	if waited := time.Since(start); waited < srv.ReadHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", waited)
 	}
 }

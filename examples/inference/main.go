@@ -55,11 +55,9 @@ func main() {
 		ctx.WriteOutput([]byte{byte(best)})
 		return 0, nil
 	}
-	rt.RegisterNative("infer", infer)
-
-	// Pre-initialise: snapshot a warm Faaslet as the function's proto so
-	// every new instance restores instead of cold-starting.
-	if err := rt.GenerateProto("infer", nil); err != nil {
+	// Deployment builds the function's Proto-Faaslet once; every new
+	// instance restores from it instead of initialising from scratch.
+	if err := rt.RegisterNative("infer", infer); err != nil {
 		log.Fatal(err)
 	}
 
@@ -85,6 +83,6 @@ func main() {
 	}
 	stats := rt.Stats()
 	fmt.Printf("\n%d requests: mean %v, worst %v\n", requests, total/requests, worst)
-	fmt.Printf("cold starts %d (proto restores %d), warm hits %d\n",
-		stats.ColdStarts, stats.ProtoStarts, stats.WarmStarts)
+	fmt.Printf("cold starts %d (each a proto restore), warm hits %d\n",
+		stats.ColdStarts, stats.WarmStarts)
 }

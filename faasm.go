@@ -91,14 +91,13 @@ func NewRuntime(cfg Config) *Runtime {
 }
 
 // RegisterNative deploys a native guest under name.
-func (r *Runtime) RegisterNative(name string, fn NativeGuest) {
-	r.inst.RegisterNative(name, fn)
+func (r *Runtime) RegisterNative(name string, fn NativeGuest) error {
+	return r.inst.RegisterNative(name, fn)
 }
 
 // RegisterGuest deploys a portable guest under name.
 func (r *Runtime) RegisterGuest(name string, g Guest) error {
-	r.inst.RegisterNative(name, hostapi.WrapGuest(g))
-	return nil
+	return r.inst.RegisterNative(name, hostapi.WrapGuest(g))
 }
 
 // WrapCtx adapts a native-guest Ctx to the portable API surface, e.g. to
@@ -137,8 +136,9 @@ func (r *Runtime) Call(function string, input []byte) ([]byte, int32, error) {
 	return r.inst.Call(function, input)
 }
 
-// GenerateProto runs init inside a fresh Faaslet and snapshots it as the
-// function's Proto-Faaslet (§5.2); subsequent cold starts restore from it.
+// GenerateProto runs init inside a Faaslet restored from the function's
+// deployed image and snapshots it as the function's Proto-Faaslet (§5.2);
+// subsequent cold starts restore from it.
 func (r *Runtime) GenerateProto(function string, init func(ctx *Ctx) error) error {
 	return r.inst.GenerateProto(function, init)
 }
@@ -155,21 +155,19 @@ func (r *Runtime) GetState(key string) ([]byte, error) {
 
 // Stats reports runtime counters.
 type Stats struct {
-	ColdStarts  int64
-	WarmStarts  int64
-	ProtoStarts int64
-	Faaslets    int
-	MedianExec  time.Duration
+	ColdStarts int64
+	WarmStarts int64
+	Faaslets   int
+	MedianExec time.Duration
 }
 
 // Stats snapshots the runtime's counters.
 func (r *Runtime) Stats() Stats {
 	return Stats{
-		ColdStarts:  r.inst.ColdStarts.Value(),
-		WarmStarts:  r.inst.WarmStarts.Value(),
-		ProtoStarts: r.inst.ProtoStarts.Value(),
-		Faaslets:    r.inst.FaasletCount(),
-		MedianExec:  r.inst.MedianExec(),
+		ColdStarts: r.inst.ColdStarts.Value(),
+		WarmStarts: r.inst.WarmStarts.Value(),
+		Faaslets:   r.inst.FaasletCount(),
+		MedianExec: r.inst.MedianExec(),
 	}
 }
 

@@ -112,7 +112,7 @@ func TestPublicAPIProto(t *testing.T) {
 	if err != nil || !bytes.Equal(out, []byte("init")) {
 		t.Fatalf("proto-backed call: %q %v", out, err)
 	}
-	if rt.Stats().ProtoStarts != 1 {
+	if rt.Stats().ColdStarts != 1 {
 		t.Fatalf("stats: %+v", rt.Stats())
 	}
 }

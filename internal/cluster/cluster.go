@@ -370,12 +370,13 @@ func (c *Cluster) AddHost() (int, error) {
 	c.nextHost++
 	inst := c.newFaasmInstance(h, name)
 	for _, fn := range c.fns {
-		inst.RegisterNative(fn.name, hostapi.WrapGuest(fn.g))
-		if c.cfg.UseProto {
-			if err := inst.FetchProto(fn.name); err != nil {
-				inst.Shutdown()
-				return 0, fmt.Errorf("cluster: proto for %s on new %s: %w", fn.name, name, err)
-			}
+		err := inst.RegisterNative(fn.name, hostapi.WrapGuest(fn.g))
+		if err == nil && c.cfg.UseProto {
+			err = inst.FetchProto(fn.name)
+		}
+		if err != nil {
+			inst.Shutdown()
+			return 0, fmt.Errorf("cluster: deploy %s on new %s: %w", fn.name, name, err)
 		}
 	}
 	c.faasm = append(c.faasm, &faasmHost{inst: inst})
@@ -505,7 +506,9 @@ func (c *Cluster) Register(fn string, g hostapi.Guest) error {
 		}
 		c.mu.Unlock()
 		for _, inst := range insts {
-			inst.RegisterNative(fn, hostapi.WrapGuest(g))
+			if err := inst.RegisterNative(fn, hostapi.WrapGuest(g)); err != nil {
+				return err
+			}
 		}
 		if c.cfg.UseProto && len(insts) > 0 {
 			if err := insts[0].GenerateProto(fn, nil); err != nil {

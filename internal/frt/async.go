@@ -28,7 +28,7 @@ func (i *Instance) InvokeAsync(function string, input []byte) (uint64, error) {
 	if i.killed.Load() {
 		return 0, fmt.Errorf("frt: host %s is %w", i.cfg.Host, ErrDown)
 	}
-	if _, ok := i.def(function); !ok {
+	if _, ok := i.deployed(function); !ok {
 		return 0, fmt.Errorf("frt: unknown function %q", function)
 	}
 	tr := i.tracer.Start(i.cfg.Host, function)

@@ -12,10 +12,10 @@
 //
 // The invocation hot path is engineered to scale with cores:
 //
-//   - Lock-free: function definitions and Proto-Faaslets live in
-//     copy-on-write maps behind atomic pointers — an invoke reads them with
-//     no lock; deployment-time writers clone under regMu and swap. Live
-//     Faaslet accounting is a single atomic.
+//   - Lock-free: each deployed function is one record — definition,
+//     Proto-Faaslet and warm pool — in a copy-on-write map behind an atomic
+//     pointer; an invoke reads it with no lock, and deploy clones the map
+//     under regMu and swaps. Live Faaslet accounting is a single atomic.
 //   - Striped by function: the warm pool is a per-function structure
 //     (fnPool), so acquire and release for different functions never touch
 //     the same mutex; within one function the critical sections are a
@@ -31,12 +31,14 @@
 //
 // # Faaslet and call-record lifecycle
 //
-// A pooled Faaslet is reset in place (core.Faaslet.Reset): its memory and VM
-// instance are restored from its reset image, not rebuilt. The first
-// Faaslet cold-started for a function leaves its image on the function's
-// pool, and later cold starts of the same definition restore from it
-// (core.NewFromProto), sharing its clean pages; an explicitly generated
-// Proto-Faaslet takes precedence. Nothing is built at deployment.
+// Deployment builds a function's Proto-Faaslet: RegisterDef runs core.New
+// once and keeps its image, GenerateProto replaces it with a snapshot taken
+// after init code, FetchProto with a peer's. Every cold start restores the
+// record's image (core.NewFromProto), sharing its clean pages, and a pooled
+// Faaslet is reset in place (core.Faaslet.Reset): its memory and VM
+// instance are restored from that image, not rebuilt. A redeploy keeps the
+// pool but not the old image's Faaslets: deploy evicts the idle ones, and
+// acquire and release discard the rest.
 //
 // An asynchronous call is executed by whoever claims its record first
 // (mbus.CallTable.Claim): the dispatch goroutine Invoke/Chain spawned, or

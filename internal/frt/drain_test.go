@@ -184,10 +184,11 @@ func TestDrainStopsElasticGrowth(t *testing.T) {
 	}
 	before := inst.Prewarmed.Value()
 	// Generate pool misses that would normally drive grow-ahead.
+	d, _ := inst.deployed("fn")
 	for k := 0; k < 4; k++ {
-		inst.poolFor("fn").mu.Lock()
-		inst.poolFor("fn").misses++
-		inst.poolFor("fn").mu.Unlock()
+		d.pool.mu.Lock()
+		d.pool.misses++
+		d.pool.mu.Unlock()
 	}
 	time.Sleep(20 * time.Millisecond)
 	if got := inst.Prewarmed.Value() - before; got != 0 {

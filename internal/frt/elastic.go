@@ -36,10 +36,8 @@ func (i *Instance) elasticTick() {
 		idleTimeout = DefaultPoolIdleTimeout
 	}
 	now := i.clock.Now()
-	i.pools.Range(func(k, v any) bool {
-		fn := k.(string)
-		p := v.(*fnPool)
-
+	for fn, d := range *i.fns.Load() {
+		p := d.pool
 		p.mu.Lock()
 		newAcquires := p.acquires - p.seenAcquires
 		newMisses := p.misses - p.seenMisses
@@ -66,26 +64,22 @@ func (i *Instance) elasticTick() {
 			if room := i.cfg.PoolCap - pooled; want > room {
 				want = room
 			}
-			i.prewarm(fn, want)
+			i.prewarm(d, want)
 		case newAcquires == 0 && idleCount > 0 && idleFor >= idleTimeout:
 			// The pool sat unused for a full idle window: reclaim half its
 			// idle Faaslets per tick (exponential decay, so a briefly idle
 			// pool is not emptied in one shot).
 			i.reclaimIdle(fn, p, (idleCount+1)/2)
 		}
-		return true
-	})
+	}
 }
 
-// prewarm pre-provisions up to n reset Faaslets for fn, making the misses
+// prewarm pre-provisions up to n reset Faaslets of d, making the misses
 // that drove the growth the last ones to pay a cold start inline. A freshly
 // created Faaslet is clean by construction, so it enters the idle pool
 // directly — the same state a background reset leaves a pooled one in.
-func (i *Instance) prewarm(fn string, n int) {
-	def, ok := i.def(fn)
-	if !ok {
-		return
-	}
+func (i *Instance) prewarm(d *deployment, n int) {
+	fn, p := d.def.Name, d.pool
 	for j := 0; j < n; j++ {
 		// The provisioning cost is paid here, off every call's critical path
 		// (this is the entire point of growing ahead).
@@ -97,8 +91,7 @@ func (i *Instance) prewarm(fn string, n int) {
 			i.shutMu.RUnlock()
 			return
 		}
-		p := i.poolFor(fn)
-		f, err := i.coldStart(p, def)
+		f, err := i.coldStart(d)
 		if err != nil {
 			i.shutMu.RUnlock()
 			return

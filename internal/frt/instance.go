@@ -3,6 +3,7 @@ package frt
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,16 @@ const (
 	defaultElasticInterval = 100 * time.Millisecond
 )
 
+// deployment is one function deployed on this host: its definition, the
+// Proto-Faaslet every cold start restores (§5.2), and its warm pool. A
+// record is never modified; a redeploy swaps in a new one that keeps the
+// pool. def's module carries no data segments: proto holds them.
+type deployment struct {
+	def   core.FuncDef
+	proto *core.Proto
+	pool  *fnPool
+}
+
 // fnPool is one function's warm-Faaslet pool. Each function has its own
 // lock, so acquire/release for different functions never contend; within a
 // function the critical sections are a slice push/pop.
@@ -129,11 +140,6 @@ type fnPool struct {
 	idle      []*core.Faaslet
 	resetting int
 	live      int
-	// image is the reset image of the first Faaslet cold-started here, and
-	// imageDef the definition it was built from: later cold starts of that
-	// definition restore from it, sharing its clean pages.
-	image    *core.Proto
-	imageDef core.FuncDef
 
 	// Demand signals for the elastic controller (under mu; no clock reads
 	// on the acquire path — idleness is inferred from the counter).
@@ -162,14 +168,12 @@ type Instance struct {
 	slots   chan struct{}
 	profile *accessProfile
 
-	// defs and protos are copy-on-write: readers load the pointer with no
-	// lock; writers (deployment-time only) clone under regMu and swap.
-	defs   atomic.Pointer[map[string]core.FuncDef]
-	protos atomic.Pointer[map[string]*core.Proto]
-	regMu  sync.Mutex
+	// fns maps function name → its deployment record. It is copy-on-write:
+	// readers load the pointer with no lock; deploy clones it under regMu
+	// and swaps.
+	fns   atomic.Pointer[map[string]*deployment]
+	regMu sync.Mutex
 
-	// pools maps function name → *fnPool.
-	pools sync.Map
 	// faasletCount tracks all live Faaslets (pooled + executing).
 	faasletCount atomic.Int64
 
@@ -200,9 +204,8 @@ type Instance struct {
 	elasticOnce sync.Once
 
 	// Metrics for the evaluation.
-	ColdStarts  obsv.Counter
-	WarmStarts  obsv.Counter
-	ProtoStarts obsv.Counter
+	ColdStarts obsv.Counter
+	WarmStarts obsv.Counter
 	// Billable is the memory billed so far (§6.1), in obsv.KiBMicros units.
 	Billable obsv.Counter
 	// PoolMisses counts calls that found the warm pool empty and paid a
@@ -269,10 +272,7 @@ func New(cfg Config) *Instance {
 		inst.reg = obsv.NewRegistry()
 	}
 	inst.instrument()
-	defs := map[string]core.FuncDef{}
-	protos := map[string]*core.Proto{}
-	inst.defs.Store(&defs)
-	inst.protos.Store(&protos)
+	inst.fns.Store(&map[string]*deployment{})
 	inst.env = &core.Env{
 		State:  inst.local,
 		Files:  cfg.Files,
@@ -329,7 +329,6 @@ func (i *Instance) instrument() {
 	l := map[string]string{"host": i.cfg.Host}
 	i.reg.CounterFunc("faasm_frt_cold_starts_total", "cold starts", l, i.ColdStarts.Value)
 	i.reg.CounterFunc("faasm_frt_warm_starts_total", "warm-pool acquisitions", l, i.WarmStarts.Value)
-	i.reg.CounterFunc("faasm_frt_proto_starts_total", "Proto-Faaslet restores", l, i.ProtoStarts.Value)
 	i.reg.CounterFunc("faasm_frt_pool_misses_total", "calls that found the warm pool empty", l, i.PoolMisses.Value)
 	i.reg.CounterFunc("faasm_frt_prewarmed_total", "Faaslets pre-provisioned by the elastic controller", l, i.Prewarmed.Value)
 	i.reg.CounterFunc("faasm_frt_idle_reclaims_total", "idle Faaslets reclaimed by the elastic controller", l, i.IdleReclaims.Value)
@@ -420,8 +419,8 @@ func (i *Instance) Scheduler() *sched.Scheduler { return i.sched }
 func (i *Instance) Env() *core.Env { return i.env }
 
 // RegisterNative deploys a native-guest function.
-func (i *Instance) RegisterNative(name string, fn core.NativeGuest) {
-	i.RegisterDef(core.FuncDef{Name: name, Native: fn})
+func (i *Instance) RegisterNative(name string, fn core.NativeGuest) error {
+	return i.RegisterDef(core.FuncDef{Name: name, Native: fn})
 }
 
 // RegisterModule deploys a validated wavm module under name.
@@ -429,32 +428,36 @@ func (i *Instance) RegisterModule(name string, mod *wavm.Module) error {
 	if !mod.Validated {
 		return errors.New("frt: module must pass code generation before deployment")
 	}
-	i.RegisterDef(core.FuncDef{Name: name, Module: mod})
-	return nil
+	return i.RegisterDef(core.FuncDef{Name: name, Module: mod})
 }
 
-// RegisterDef deploys a full function definition (copy-on-write swap; calls
-// in flight keep reading the old map lock-free).
-func (i *Instance) RegisterDef(def core.FuncDef) {
+// RegisterDef deploys a function definition. The image every cold start of
+// def restores — data segments written, start function run — is built
+// here, once, so a def that cannot be built (no body, a trapping start
+// function) is rejected at deployment rather than on every call.
+func (i *Instance) RegisterDef(def core.FuncDef) error {
+	f, err := core.New(def, i.env)
+	if err != nil {
+		return err
+	}
+	proto := f.Proto()
+	f.Close()
+	if def.Module != nil && len(def.Module.Data) > 0 {
+		// The image holds the data segments now, and nothing restored from it
+		// writes them again: the record keeps a module without its copy.
+		mod := *def.Module
+		mod.Data = nil
+		def.Module = &mod
+	}
 	i.regMu.Lock()
 	defer i.regMu.Unlock()
-	old := *i.defs.Load()
-	m := make(map[string]core.FuncDef, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	m[def.Name] = def
-	i.defs.Store(&m)
-	// Deploying a function also starts its queue consumers on this host, so
-	// every host that can execute fn also drains its queue.
-	if i.queue != nil {
-		i.queue.EnsureConsumer(def.Name)
-	}
+	i.deploy(def, proto)
+	return nil
 }
 
 // Functions lists deployed function names.
 func (i *Instance) Functions() []string {
-	m := *i.defs.Load()
+	m := *i.fns.Load()
 	out := make([]string, 0, len(m))
 	for n := range m {
 		out = append(out, n)
@@ -464,46 +467,22 @@ func (i *Instance) Functions() []string {
 
 // GenerateProto runs a function's initialisation path and snapshots the
 // resulting Faaslet as the function's Proto-Faaslet (§5.2). init, when
-// non-nil, is executed inside the Faaslet first (user-defined init code).
-// The proto is also serialised to the global tier so peers can restore it.
+// non-nil, runs first inside a Faaslet restored from the deployed image,
+// through a host-side Ctx (user-defined init code is trusted deployment
+// code). The proto is also serialised to the global tier so peers can
+// restore it. It fails if the function is redeployed meanwhile.
 func (i *Instance) GenerateProto(function string, init func(ctx *core.Ctx) error) error {
-	def, ok := i.def(function)
+	d, ok := i.deployed(function)
 	if !ok {
 		return fmt.Errorf("frt: unknown function %q", function)
 	}
-	f, err := core.New(def, i.env)
+	f, err := core.NewFromProto(d.def, i.env, d.proto)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	if init != nil {
-		initDef := def
-		initDef.Native = func(ctx *core.Ctx) (int32, error) {
-			if err := init(ctx); err != nil {
-				return 1, err
-			}
-			return 0, nil
-		}
-		if def.Module == nil {
-			// For native guests, run init through a scratch execution.
-			g, err := core.New(initDef, i.env)
-			if err != nil {
-				return err
-			}
-			if _, ret, err := g.Execute(nil); err != nil || ret != 0 {
-				g.Close()
-				return fmt.Errorf("frt: proto init for %s failed: ret=%d err=%v", function, ret, err)
-			}
-			proto, err := g.Snapshot()
-			g.Close()
-			if err != nil {
-				return err
-			}
-			return i.installProto(function, proto)
-		}
-		// For wavm guests, init runs against the live Faaslet's state via a
-		// host-side Ctx (the init code is trusted deployment code).
-		if err := init(coreCtx(f)); err != nil {
+		if err := init(core.NewCtx(f)); err != nil {
 			return fmt.Errorf("frt: proto init for %s: %w", function, err)
 		}
 	}
@@ -511,27 +490,12 @@ func (i *Instance) GenerateProto(function string, init func(ctx *core.Ctx) error
 	if err != nil {
 		return err
 	}
-	return i.installProto(function, proto)
-}
-
-// coreCtx builds a host-side Ctx for deployment-time initialisation.
-func coreCtx(f *core.Faaslet) *core.Ctx { return core.NewCtx(f) }
-
-// setProto copy-on-write-installs a proto: clone under regMu, insert, swap.
-func (i *Instance) setProto(function string, proto *core.Proto) {
 	i.regMu.Lock()
 	defer i.regMu.Unlock()
-	old := *i.protos.Load()
-	m := make(map[string]*core.Proto, len(old)+1)
-	for k, v := range old {
-		m[k] = v
+	if cur, _ := i.deployed(function); cur != d {
+		return fmt.Errorf("frt: %s was redeployed while its proto was generated", function)
 	}
-	m[function] = proto
-	i.protos.Store(&m)
-}
-
-func (i *Instance) installProto(function string, proto *core.Proto) error {
-	i.setProto(function, proto)
+	i.deploy(d.def, proto)
 	blob, err := proto.Serialize()
 	if err != nil {
 		// Protos with shared mappings stay host-local; that is fine.
@@ -540,8 +504,8 @@ func (i *Instance) installProto(function string, proto *core.Proto) error {
 	return i.cfg.Store.Set("proto/"+function, blob)
 }
 
-// FetchProto pulls a peer-generated proto from the global tier (cross-host
-// restore).
+// FetchProto pulls a peer-generated proto from the global tier and deploys
+// it as the function's image (cross-host restore).
 func (i *Instance) FetchProto(function string) error {
 	blob, err := i.cfg.Store.Get("proto/" + function)
 	if err != nil {
@@ -554,25 +518,46 @@ func (i *Instance) FetchProto(function string) error {
 	if err != nil {
 		return err
 	}
-	i.setProto(function, proto)
+	i.regMu.Lock()
+	defer i.regMu.Unlock()
+	d, ok := i.deployed(function)
+	if !ok {
+		return fmt.Errorf("frt: unknown function %q", function)
+	}
+	i.deploy(d.def, proto)
 	return nil
 }
 
-func (i *Instance) def(function string) (core.FuncDef, bool) {
-	def, ok := (*i.defs.Load())[function]
-	return def, ok
-}
-
-func (i *Instance) proto(function string) *core.Proto {
-	return (*i.protos.Load())[function]
-}
-
-func (i *Instance) poolFor(function string) *fnPool {
-	if p, ok := i.pools.Load(function); ok {
-		return p.(*fnPool)
+// deploy installs def with proto, a new image, as the one its cold starts
+// restore (copy-on-write swap: calls in flight keep the record they loaded)
+// and keeps the function's pool. Every idle Faaslet is of an older image, so
+// it is dropped; acquire and release discard any that were executing or
+// resetting meanwhile, so no call that starts after deploy returns runs the
+// old body. Callers hold regMu.
+func (i *Instance) deploy(def core.FuncDef, proto *core.Proto) {
+	old := *i.fns.Load()
+	d := &deployment{def: def, proto: proto}
+	if prev, ok := old[def.Name]; ok {
+		d.pool = prev.pool
+	} else {
+		d.pool = newFnPool()
 	}
-	p, _ := i.pools.LoadOrStore(function, newFnPool())
-	return p.(*fnPool)
+	m := make(map[string]*deployment, len(old)+1)
+	maps.Copy(m, old)
+	m[def.Name] = d
+	i.fns.Store(&m)
+
+	i.dropIdle(def.Name, d.pool)
+	// Deploying a function also starts its queue consumers on this host, so
+	// every host that can execute fn also drains its queue.
+	if i.queue != nil {
+		i.queue.EnsureConsumer(def.Name)
+	}
+}
+
+func (i *Instance) deployed(function string) (*deployment, bool) {
+	d, ok := (*i.fns.Load())[function]
+	return d, ok
 }
 
 // Invoke starts an asynchronous call from outside any guest and returns its
@@ -591,7 +576,7 @@ func (i *Instance) Chain(function string, input []byte) (uint64, error) {
 }
 
 func (i *Instance) invoke(function string, input []byte, owned bool) (uint64, error) {
-	if _, ok := i.def(function); !ok {
+	if _, ok := i.deployed(function); !ok {
 		return 0, fmt.Errorf("frt: unknown function %q", function)
 	}
 	var id uint64
@@ -653,7 +638,7 @@ func (i *Instance) Output(id uint64) ([]byte, error) { return i.calls.Output(id)
 // no record, no wakeup. Unsampled calls (the common case) pay one atomic
 // add for the sampling decision and nothing else.
 func (i *Instance) Call(function string, input []byte) ([]byte, int32, error) {
-	if _, ok := i.def(function); !ok {
+	if _, ok := i.deployed(function); !ok {
 		return nil, -1, fmt.Errorf("frt: unknown function %q", function)
 	}
 	tr := i.tracer.Start(i.cfg.Host, function)
@@ -665,7 +650,7 @@ func (i *Instance) Call(function string, input []byte) ([]byte, int32, error) {
 // CallTraced is Call also returning the invocation's trace id (0 when the
 // call was sampled out) — the id /invoke hands back in X-Faasm-Trace.
 func (i *Instance) CallTraced(function string, input []byte) ([]byte, int32, obsv.TraceID, error) {
-	if _, ok := i.def(function); !ok {
+	if _, ok := i.deployed(function); !ok {
 		return nil, -1, 0, fmt.Errorf("frt: unknown function %q", function)
 	}
 	tr := i.tracer.Start(i.cfg.Host, function)
@@ -747,7 +732,7 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 	if i.killed.Load() {
 		return nil, -1, fmt.Errorf("frt: host %s is %w", i.cfg.Host, ErrDown)
 	}
-	def, ok := i.def(function)
+	d, ok := i.deployed(function)
 	if !ok {
 		return nil, -1, fmt.Errorf("frt: unknown function %q", function)
 	}
@@ -761,7 +746,7 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 	}
 
 	acqStart := i.traceNow(tr)
-	f, cold, err := i.acquire(def)
+	f, cold, err := i.acquire(d)
 	if tr != nil {
 		name := "pool.acquire"
 		if cold {
@@ -772,7 +757,7 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 	if err != nil {
 		// A failed cold start must not leave this host advertised as warm:
 		// peers would keep forwarding calls here to die the same way.
-		i.retreatIfDead(def.Name)
+		i.retreatIfDead(d.pool, function)
 		return nil, -1, err
 	}
 	if tr != nil {
@@ -794,17 +779,18 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 	for _, id := range f.Chained() {
 		i.calls.Delete(id)
 	}
-	i.release(def.Name, f, execErr == nil)
+	i.release(d.pool, function, f, execErr == nil)
 	return out, ret, execErr
 }
 
-// acquire takes a warm Faaslet from the pool or creates one, reporting
-// whether the call paid a cold start. If the pool is momentarily empty but
-// resets are in flight, it waits for one — the pool never hands out a
-// non-reset Faaslet, and a reset restore is never slower than a full cold
-// start.
-func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
-	p := i.poolFor(def.Name)
+// acquire takes a warm Faaslet of d's image from the pool or creates one,
+// reporting whether the call paid a cold start. A pooled Faaslet of an
+// older image (d is a redeploy) is discarded, not handed out. If the pool is
+// momentarily empty but resets are in flight, it waits for one — the pool
+// never hands out a non-reset Faaslet, and a reset restore is never slower
+// than a cold start.
+func (i *Instance) acquire(d *deployment) (*core.Faaslet, bool, error) {
+	fn, p := d.def.Name, d.pool
 	p.mu.Lock()
 	p.acquires++
 	for {
@@ -813,7 +799,12 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 			p.idle[n-1] = nil
 			p.idle = p.idle[:n-1]
 			p.mu.Unlock()
-			i.sched.NoteEvicted(def.Name, 1) // it is busy now, not idle-warm
+			i.sched.NoteEvicted(fn, 1) // it is busy now, not idle-warm
+			if f.Proto() != d.proto {
+				i.discard(p, fn, f)
+				p.mu.Lock()
+				continue
+			}
 			i.WarmStarts.Add(1)
 			return f, false, nil
 		}
@@ -828,12 +819,11 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 	p.mu.Unlock()
 	i.PoolMisses.Add(1)
 
-	// Cold start.
 	if i.cfg.ColdStartDelay > 0 {
 		i.clock.Sleep(i.cfg.ColdStartDelay)
 	}
 	start := i.clock.Now()
-	f, err := i.coldStart(p, def)
+	f, err := i.coldStart(d)
 	if err != nil {
 		return nil, true, err
 	}
@@ -846,37 +836,9 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 	return f, true, nil
 }
 
-// coldStart builds a Faaslet of def: restored from the function's
-// Proto-Faaslet if one was generated, else from the reset image of the first
-// Faaslet cold-started into p, else — being that first one — from scratch,
-// leaving its image on p. Nothing happens at deployment: the image costs the
-// first cold start nothing it was not already doing.
-func (i *Instance) coldStart(p *fnPool, def core.FuncDef) (*core.Faaslet, error) {
-	proto := i.proto(def.Name)
-	if proto == nil {
-		p.mu.Lock()
-		if p.image != nil && sameImage(p.imageDef, def) {
-			proto = p.image
-		}
-		p.mu.Unlock()
-	}
-	if proto != nil {
-		i.ProtoStarts.Add(1)
-		return core.NewFromProto(def, i.env, proto)
-	}
-	f, err := core.New(def, i.env)
-	if err == nil {
-		p.mu.Lock()
-		p.image, p.imageDef = f.Proto(), def
-		p.mu.Unlock()
-	}
-	return f, err
-}
-
-// sameImage reports whether Faaslets of a and b start from the same memory
-// image (a function may be redeployed under its name with another body).
-func sameImage(a, b core.FuncDef) bool {
-	return a.Module == b.Module && a.InitialPages == b.InitialPages && a.MemLimitPages == b.MemLimitPages
+// coldStart restores a new Faaslet from the function's deployed image.
+func (i *Instance) coldStart(d *deployment) (*core.Faaslet, error) {
+	return core.NewFromProto(d.def, i.env, d.proto)
 }
 
 // release returns the Faaslet to the warm pool, handing its reset (§5.2:
@@ -885,9 +847,8 @@ func sameImage(a, b core.FuncDef) bool {
 // Faaslet is committed to the pool — and the host advertised warm — before
 // the reset runs; acquire waits for in-flight resets rather than handing
 // out a dirty Faaslet.
-func (i *Instance) release(function string, f *core.Faaslet, healthy bool) {
-	p := i.poolFor(function)
-	if healthy {
+func (i *Instance) release(p *fnPool, function string, f *core.Faaslet, healthy bool) {
+	if d, _ := i.deployed(function); healthy && f.Proto() == d.proto {
 		i.shutMu.RLock()
 		if !i.closed.Load() {
 			p.mu.Lock()
@@ -904,7 +865,8 @@ func (i *Instance) release(function string, f *core.Faaslet, healthy bool) {
 		}
 		i.shutMu.RUnlock()
 	}
-	// Unhealthy, shut down, or the pool is full: discard.
+	// Unhealthy, of a redeployed image, shut down, or the pool is full:
+	// discard.
 	i.discard(p, function, f)
 }
 
@@ -948,8 +910,7 @@ func (i *Instance) discard(p *fnPool, function string, f *core.Faaslet) {
 
 // retreatIfDead withdraws the host's warm advertisement for fn when it has
 // no live Faaslets backing it (e.g. the advertised cold start failed).
-func (i *Instance) retreatIfDead(function string) {
-	p := i.poolFor(function)
+func (i *Instance) retreatIfDead(p *fnPool, function string) {
 	p.mu.Lock()
 	dead := p.live == 0
 	p.mu.Unlock()
@@ -967,25 +928,27 @@ func (i *Instance) FaasletCount() int {
 // those whose background reset is still in flight (they are committed to
 // the pool and acquire will wait for them).
 func (i *Instance) PoolSize(function string) int {
-	p := i.poolFor(function)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle) + p.resetting
+	d, ok := i.deployed(function)
+	if !ok {
+		return 0
+	}
+	d.pool.mu.Lock()
+	defer d.pool.mu.Unlock()
+	return len(d.pool.idle) + d.pool.resetting
 }
 
 // LocalFootprint sums the footprints of pooled Faaslets plus the local
 // state tier (per-host memory accounting for Fig 6c).
 func (i *Instance) LocalFootprint() int64 {
 	var n int64
-	i.pools.Range(func(_, v any) bool {
-		p := v.(*fnPool)
+	for _, d := range *i.fns.Load() {
+		p := d.pool
 		p.mu.Lock()
 		for _, f := range p.idle {
 			n += f.Footprint()
 		}
 		p.mu.Unlock()
-		return true
-	})
+	}
 	return n + i.local.LocalBytes()
 }
 
@@ -1012,20 +975,27 @@ func (i *Instance) Shutdown() {
 		<-i.elasticDone
 	}
 	i.resetWG.Wait()
-	i.pools.Range(func(k, v any) bool {
-		fn := k.(string)
-		p := v.(*fnPool)
-		p.mu.Lock()
-		idle := p.idle
-		p.idle = nil
-		p.live -= len(idle)
-		p.mu.Unlock()
-		for _, f := range idle {
-			f.Close()
-		}
-		i.faasletCount.Add(int64(-len(idle)))
-		i.sched.NoteEvicted(fn, len(idle))
+	for fn, d := range *i.fns.Load() {
+		i.dropIdle(fn, d.pool)
 		i.sched.Retreat(fn)
-		return true
-	})
+	}
+}
+
+// dropIdle closes every idle Faaslet in fn's pool, retreating from fn's warm
+// set when that leaves none alive.
+func (i *Instance) dropIdle(fn string, p *fnPool) {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle = nil
+	p.live -= len(idle)
+	last := len(idle) > 0 && p.live == 0
+	p.mu.Unlock()
+	for _, f := range idle {
+		f.Close()
+	}
+	i.faasletCount.Add(int64(-len(idle)))
+	i.sched.NoteEvicted(fn, len(idle))
+	if last {
+		i.sched.Retreat(fn)
+	}
 }

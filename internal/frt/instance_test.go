@@ -175,8 +175,8 @@ func TestProtoGenerationAndRestore(t *testing.T) {
 	if err != nil || ret != 123 {
 		t.Fatalf("proto-started call: %d %v", ret, err)
 	}
-	if inst.ProtoStarts.Value() != 1 {
-		t.Fatalf("proto starts = %d", inst.ProtoStarts.Value())
+	if inst.ColdStarts.Value() != 1 {
+		t.Fatalf("cold starts = %d", inst.ColdStarts.Value())
 	}
 
 	// A second instance fetches the proto from the global tier (cross-host
@@ -377,9 +377,14 @@ func BenchmarkWarmCall(b *testing.B) {
 func TestFailedColdStartRetreatsFromWarmSet(t *testing.T) {
 	store := kvs.NewEngine()
 	inst := New(Config{Host: "h1", Store: store})
-	// A registered def with no body passes the def-lookup check but fails
-	// at Faaslet creation — the cold start itself dies.
-	inst.RegisterDef(core.FuncDef{Name: "broken"})
+	// A deployed function whose image no longer restores into its
+	// definition passes the def-lookup check but fails at Faaslet creation —
+	// the cold start itself dies.
+	inst.RegisterNative("broken", func(ctx *core.Ctx) (int32, error) { return 0, nil })
+	d, _ := inst.deployed("broken")
+	inst.regMu.Lock()
+	inst.deploy(d.def, &core.Proto{Function: "other"})
+	inst.regMu.Unlock()
 	if _, _, err := inst.Call("broken", nil); err == nil {
 		t.Fatal("broken function executed")
 	}

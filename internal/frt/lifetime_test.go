@@ -10,7 +10,6 @@ import (
 
 	"faasm.dev/faasm/internal/core"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/wavm"
 )
 
 // TestCallTableBounded is the regression test for the call-table leak: a
@@ -236,49 +235,5 @@ func TestChainedChildrenExecuteExactlyOnce(t *testing.T) {
 	}
 	if n := inst.calls.Len(); n != 0 {
 		t.Fatalf("%d records left after the parent returned", n)
-	}
-}
-
-// TestLaterColdStartsShareTheFirstImage: the second Faaslet of a function is
-// restored from the first one's reset image (no Proto was ever generated),
-// and a redeployment under the same name does not inherit it.
-func TestLaterColdStartsShareTheFirstImage(t *testing.T) {
-	inst := New(Config{Host: "h1"})
-	defer inst.Shutdown()
-	module := func(v string) *wavm.Module {
-		mod, err := wavm.AssembleAndValidate(`(module (memory 1) (data (i32.const 8) "` + v + `")
-		  (import "faasm" "write_call_output" (func $out (param i32 i32)))
-		  (func $main (export "main") (result i32) i32.const 8 i32.const 2 call $out i32.const 0))`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mod
-	}
-	// pair cold-starts two Faaslets of fn as deployed; the second finds the
-	// first one's image on the pool.
-	pair := func(want string) {
-		t.Helper()
-		def, _ := inst.def("fn")
-		for n := 0; n < 2; n++ {
-			f, err := inst.coldStart(inst.poolFor("fn"), def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, _, err := f.Execute(nil)
-			f.Close()
-			if err != nil || string(out) != want {
-				t.Fatalf("faaslet %d of %q: %q, %v", n, want, out, err)
-			}
-		}
-	}
-	inst.RegisterModule("fn", module("v1"))
-	pair("v1")
-	if n := inst.ProtoStarts.Value(); n != 1 {
-		t.Fatalf("%d of two cold starts restored an image, want 1", n)
-	}
-	inst.RegisterModule("fn", module("v2"))
-	pair("v2")
-	if n := inst.ProtoStarts.Value(); n != 2 {
-		t.Fatalf("%d of four cold starts restored an image, want 2: a redeployed body starts from scratch once", n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/kvs/kvstest"
 	"faasm.dev/faasm/internal/shardkvs"
+	"faasm.dev/faasm/internal/simnet"
 )
 
 // faultRing is a ring whose every shard is an engine behind fault injection.
@@ -249,6 +250,62 @@ func TestHealRepairsRevivedShard(t *testing.T) {
 		}
 		if n != 12 {
 			t.Fatalf("counter on %s after heal: %d, want 12", id, n)
+		}
+	}
+}
+
+// With HealInterval set, the background loop alone re-syncs a revived shard:
+// no explicit Heal call brings the ring back to no suspects and every copy
+// to parity.
+func TestHealLoopRepairsRevivedShard(t *testing.T) {
+	r := shardkvs.New(shardkvs.Options{Replication: 2, WriteQuorum: 1, ReadFailover: true, HealInterval: 5 * time.Millisecond})
+	defer r.Close()
+	engines := map[string]*kvs.Engine{}
+	var target *simnet.FaultShard
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("shard-%d", i)
+		engines[id] = kvs.NewEngine()
+		f := simnet.NewFaultShard(engines[id], nil)
+		if err := r.Attach(id, f); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			target = f
+		}
+	}
+	keys := make([]string, 20)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k-%d", i)
+		if err := r.Set(keys[i], []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	target.Crash()
+	for _, k := range keys {
+		if err := r.Set(k, []byte("v2")); err != nil {
+			t.Fatalf("W=1 write during outage: %v", err)
+		}
+	}
+	if st := r.FailureStats(); st.Suspects != 1 {
+		t.Fatalf("the writes never reached the crashed shard: %+v", st)
+	}
+
+	target.Restore()
+	for deadline := time.Now().Add(10 * time.Second); r.FailureStats().Suspects != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("heal loop left the revived shard suspect: %+v", r.FailureStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := r.FailureStats(); st.Repairs == 0 {
+		t.Fatalf("suspect cleared with no repair: %+v", st)
+	}
+	for _, k := range keys {
+		for _, id := range r.Owners(k) {
+			if got, err := engines[id].Get(k); err != nil || string(got) != "v2" {
+				t.Fatalf("%s on %s after the heal loop: %q, %v", k, id, got, err)
+			}
 		}
 	}
 }

@@ -35,7 +35,7 @@ func (r *Ring) Attach(id string, store kvs.Store) error {
 		return fmt.Errorf("shardkvs: node %q already joined", id)
 	}
 	r.nodes[id] = newNode(id, store)
-	r.points = buildPoints(r.nodeIDsLocked(), r.opts.VirtualNodes)
+	r.points = buildPoints(r.nodeIDsLocked())
 	return nil
 }
 
@@ -63,7 +63,7 @@ func (r *Ring) Join(id string, store kvs.Store) (MigrationStats, error) {
 		return MigrationStats{}, fmt.Errorf("shardkvs: node %q already joined", id)
 	}
 	r.nodes[id] = newNode(id, store)
-	newPoints := buildPoints(r.nodeIDsLocked(), r.opts.VirtualNodes)
+	newPoints := buildPoints(r.nodeIDsLocked())
 	if len(r.points) == 0 {
 		// First node: nothing to stream.
 		r.points = newPoints
@@ -113,7 +113,7 @@ func (r *Ring) Leave(id string) (MigrationStats, error) {
 			ids = append(ids, nid)
 		}
 	}
-	newPoints := buildPoints(ids, r.opts.VirtualNodes)
+	newPoints := buildPoints(ids)
 	r.nextPoints = newPoints // double-write window opens
 	r.mu.Unlock()
 

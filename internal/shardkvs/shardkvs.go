@@ -34,9 +34,6 @@ type Options struct {
 	// Replication is the copies kept per key (clamped to the node count).
 	// 0 or 1 means primary-only.
 	Replication int
-	// VirtualNodes is the ring points per node (default 64). More points
-	// smooth the key distribution at the cost of larger rebalance fan-out.
-	VirtualNodes int
 	// ReadPref selects the read routing policy.
 	ReadPref ReadPref
 	// WriteQuorum is how many copies must acknowledge a replicated write
@@ -212,9 +209,6 @@ func (r *Ring) Instrument(reg *obsv.Registry) {
 
 // New returns an empty ring; add shards with Join.
 func New(opts Options) *Ring {
-	if opts.VirtualNodes <= 0 {
-		opts.VirtualNodes = 64
-	}
 	if opts.Replication <= 0 {
 		opts.Replication = 1
 	}
@@ -307,10 +301,14 @@ func hashKey(key string) uint64 {
 	return x
 }
 
-func buildPoints(ids []string, vnodes int) []point {
-	pts := make([]point, 0, len(ids)*vnodes)
+// virtualNodes is the ring points per node. More points smooth the key
+// distribution at the cost of larger rebalance fan-out.
+const virtualNodes = 64
+
+func buildPoints(ids []string) []point {
+	pts := make([]point, 0, len(ids)*virtualNodes)
 	for _, id := range ids {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			pts = append(pts, point{hashKey(fmt.Sprintf("%s#%d", id, v)), id})
 		}
 	}

@@ -19,6 +19,11 @@ import (
 
 // Service is the upload endpoint.
 type Service struct {
+	// Deploy, when non-nil, deploys each generated object under its name
+	// before it is stored; an upload it rejects is answered 422 and stores
+	// nothing.
+	Deploy func(name string, obj []byte) error
+
 	store *objstore.Store
 	mux   *http.ServeMux
 	ln    net.Listener
@@ -84,6 +89,12 @@ func (s *Service) handleFunction(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		}
+		if s.Deploy != nil {
+			if err := s.Deploy(name, obj); err != nil {
+				http.Error(w, fmt.Sprintf("upload: deploy %s: %v", name, err), http.StatusUnprocessableEntity)
+				return
+			}
+		}
 		if err := s.store.Put(objectKey(name), obj); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -117,13 +128,4 @@ func Codegen(src, lang string) ([]byte, error) {
 		return nil, fmt.Errorf("upload: code generation failed: %w", err)
 	}
 	return wavm.EncodeObject(mod)
-}
-
-// LoadObject fetches and decodes a generated module from a store.
-func LoadObject(store *objstore.Store, name string) (*wavm.Module, error) {
-	obj, ok := store.Get(objectKey(name))
-	if !ok {
-		return nil, fmt.Errorf("upload: no object for %q", name)
-	}
-	return wavm.DecodeObject(obj)
 }

@@ -87,15 +87,6 @@ func TestHTTPUploadFetch(t *testing.T) {
 	if err != nil || wavm.DecodeI32(res[0]) != 43 {
 		t.Fatalf("round trip: %v %v", res, err)
 	}
-
-	// LoadObject helper agrees.
-	mod2, err := LoadObject(store, "answer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mod2.ExportedFunc("main"); !ok {
-		t.Fatal("loaded object lost exports")
-	}
 }
 
 func TestHTTPRejectsBadUploads(t *testing.T) {
