@@ -73,7 +73,7 @@ func BenchmarkFig10Churn(b *testing.B) { benchReport(b, experiments.Fig10) }
 func BenchmarkStateScale(b *testing.B) { benchReport(b, experiments.StateScale) }
 
 // BenchmarkInvokeScale regenerates the invocation hot-path experiment
-// (parallel warm-call throughput + scheduler global-op accounting).
+// (parallel warm-call throughput and its span breakdown).
 func BenchmarkInvokeScale(b *testing.B) { benchReport(b, experiments.InvokeScale) }
 
 // BenchmarkElasticity regenerates the elastic-scheduling experiment
@@ -83,10 +83,6 @@ func BenchmarkElasticity(b *testing.B) { benchReport(b, experiments.Elasticity) 
 // BenchmarkLocality regenerates the locality-aware forwarding experiment
 // (remote state bytes with the locality weight off vs on, sgd + dmatmul).
 func BenchmarkLocality(b *testing.B) { benchReport(b, experiments.Locality) }
-
-// BenchmarkAutoscale regenerates the cluster-autoscaler experiment
-// (host count follows a 10x load ramp; safe drains back to the floor).
-func BenchmarkAutoscale(b *testing.B) { benchReport(b, experiments.Autoscale) }
 
 // BenchmarkBatchedVsSingleOps demonstrates the batch surface's win through
 // the TCP client: one pipelined MGet/MSet/GetRangesInto exchange against N

@@ -24,6 +24,31 @@ import (
 	"faasm.dev/faasm/internal/experiments"
 )
 
+// experimentList is every runnable experiment, in the order "all" runs them;
+// the lookup table, "all" and the usage line all derive from it.
+var experimentList = []struct {
+	id  string
+	run func(experiments.Options) *experiments.Report
+}{
+	{"table1", experiments.Table1},
+	{"table3", experiments.Table3},
+	{"table3-python", experiments.Table3Python},
+	{"fig6", experiments.Fig6},
+	{"fig6-small", experiments.Fig6Small},
+	{"fig7", experiments.Fig7},
+	{"fig7b", experiments.Fig7CDF},
+	{"fig8", experiments.Fig8},
+	{"fig9a", experiments.Fig9a},
+	{"fig9b", experiments.Fig9b},
+	{"fig10", experiments.Fig10},
+	{"state-scale", experiments.StateScale},
+	{"invoke-scale", experiments.InvokeScale},
+	{"elastic-sched", experiments.Elasticity},
+	{"state-chaos", experiments.StateChaos},
+	{"locality", experiments.Locality},
+	{"async-queue", experiments.AsyncQueue},
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps (seconds instead of minutes)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -35,33 +60,15 @@ func main() {
 	}
 	opts := experiments.Options{Quick: *quick}
 
-	table := map[string]func(experiments.Options) *experiments.Report{
-		"table1":        experiments.Table1,
-		"table3":        experiments.Table3,
-		"table3-python": experiments.Table3Python,
-		"fig6":          experiments.Fig6,
-		"fig6-small":    experiments.Fig6Small,
-		"fig7":          experiments.Fig7,
-		"fig7b":         experiments.Fig7CDF,
-		"fig8":          experiments.Fig8,
-		"fig9a":         experiments.Fig9a,
-		"fig9b":         experiments.Fig9b,
-		"fig10":         experiments.Fig10,
-		"state-scale":   experiments.StateScale,
-		"invoke-scale":  experiments.InvokeScale,
-		"elastic-sched": experiments.Elasticity,
-		"state-chaos":   experiments.StateChaos,
-		"locality":      experiments.Locality,
-		"autoscale":     experiments.Autoscale,
-		"async-queue":   experiments.AsyncQueue,
+	table := map[string]func(experiments.Options) *experiments.Report{}
+	var all []string
+	for _, e := range experimentList {
+		table[e.id] = e.run
+		all = append(all, e.id)
 	}
-	order := []string{"table1", "table3", "table3-python", "fig6", "fig6-small",
-		"fig7", "fig7b", "fig8", "fig9a", "fig9b", "fig10", "state-scale", "invoke-scale",
-		"elastic-sched", "state-chaos", "locality", "autoscale", "async-queue"}
-
 	ids := flag.Args()
 	if len(ids) == 1 && ids[0] == "all" {
-		ids = order
+		ids = all
 	}
 	for _, id := range ids {
 		run, ok := table[id]
@@ -88,6 +95,10 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: faasm-bench [-quick] [-csv] [-json] <experiment>...
-experiments: all table1 table3 table3-python fig6 fig6-small fig7 fig7b fig8 fig9a fig9b fig10 state-scale invoke-scale elastic-sched state-chaos locality autoscale async-queue`)
+	fmt.Fprintln(os.Stderr, "usage: faasm-bench [-quick] [-csv] [-json] <experiment>...")
+	fmt.Fprint(os.Stderr, "experiments: all")
+	for _, e := range experimentList {
+		fmt.Fprint(os.Stderr, " ", e.id)
+	}
+	fmt.Fprintln(os.Stderr)
 }

@@ -122,17 +122,15 @@ type Cluster struct {
 	Tracer   *obsv.Tracer
 	Registry *obsv.Registry
 
-	// mu orders host-membership mutations (AddHost / DrainHost /
-	// ReclaimHost / Register); faasm is the append-only slot list, so host
-	// indexes stay stable for the cluster's whole life. active is the
+	// faasm is the slot list New builds; it never grows or shrinks, so host
+	// indexes stay stable for the cluster's whole life. mu orders rotation
+	// changes (KillHost / DrainHost / ReclaimHost). active is the
 	// copy-on-write ingress snapshot — hosts currently accepting new
-	// round-robin traffic — rebuilt on every membership change so the Call
+	// round-robin traffic — rebuilt on every rotation change so the Call
 	// hot path is one atomic load.
-	mu       sync.Mutex
-	faasm    []*faasmHost
-	active   atomic.Pointer[[]*frt.Instance]
-	nextHost int
-	fns      []clusterFn
+	mu     sync.Mutex
+	faasm  []*faasmHost
+	active atomic.Pointer[[]*frt.Instance]
 
 	base []*baseline.Platform
 	rr   atomic.Uint64
@@ -148,17 +146,10 @@ type Cluster struct {
 
 // faasmHost is one host slot. A slot is never deleted — a reclaimed host
 // keeps its index with removed set, so Instance(h) and KillHost(h) stay
-// valid across scale-downs and replacement hosts get fresh names.
+// valid after a drain or a crash.
 type faasmHost struct {
 	inst    *frt.Instance
 	removed atomic.Bool
-}
-
-// clusterFn records a deployed function so hosts added after deployment
-// (autoscaler scale-ups) receive the full function set.
-type clusterFn struct {
-	name string
-	g    hostapi.Guest
 }
 
 // New builds and starts a cluster.
@@ -232,7 +223,6 @@ func New(cfg Config) *Cluster {
 			c.base = append(c.base, p)
 		}
 	}
-	c.nextHost = cfg.Hosts
 	c.refreshActive()
 	if cfg.Runtime.Queue != nil && cfg.Mode == ModeFaasm {
 		qc := *cfg.Runtime.Queue
@@ -285,8 +275,6 @@ func (c *Cluster) ingress() []*frt.Instance {
 	if act := *c.active.Load(); len(act) > 0 {
 		return act
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var all []*frt.Instance
 	for _, s := range c.faasm {
 		if !s.removed.Load() {
@@ -316,8 +304,6 @@ func (c *Cluster) Hosts() int {
 	if c.cfg.Mode != ModeFaasm {
 		return c.cfg.Hosts
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
 	for _, s := range c.faasm {
 		if !s.removed.Load() {
@@ -328,19 +314,12 @@ func (c *Cluster) Hosts() int {
 }
 
 // ActiveHosts reports hosts currently accepting front-door traffic (not
-// removed, draining, or killed) — the autoscaler's host-count signal.
+// removed, draining, or killed).
 func (c *Cluster) ActiveHosts() int { return len(*c.active.Load()) }
-
-// slot returns host h's slot.
-func (c *Cluster) slot(h int) *faasmHost {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.faasm[h]
-}
 
 // Instance returns host h's FAASM runtime (FAASM mode; tests and
 // experiments reach per-host schedulers and counters through it).
-func (c *Cluster) Instance(h int) *frt.Instance { return c.slot(h).inst }
+func (c *Cluster) Instance(h int) *frt.Instance { return c.faasm[h].inst }
 
 // KillHost simulates a crash of host h (FAASM mode): the instance stops
 // heartbeating and fails every call, local or forwarded, without retreating
@@ -355,42 +334,13 @@ func (c *Cluster) KillHost(h int) {
 	c.refreshActive()
 }
 
-// AddHost provisions one new FAASM runtime host (scale-up): a fresh
-// instance under a never-reused name, deployed with every registered
-// function, immediately eligible for ingress and peer forwarding. Returns
-// the new host's index.
-func (c *Cluster) AddHost() (int, error) {
-	if c.cfg.Mode != ModeFaasm {
-		return 0, fmt.Errorf("cluster: AddHost in %s mode", c.cfg.Mode)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := len(c.faasm)
-	name := fmt.Sprintf("host-%d", c.nextHost)
-	c.nextHost++
-	inst := c.newFaasmInstance(h, name)
-	for _, fn := range c.fns {
-		err := inst.RegisterNative(fn.name, hostapi.WrapGuest(fn.g))
-		if err == nil && c.cfg.UseProto {
-			err = inst.FetchProto(fn.name)
-		}
-		if err != nil {
-			inst.Shutdown()
-			return 0, fmt.Errorf("cluster: deploy %s on new %s: %w", fn.name, name, err)
-		}
-	}
-	c.faasm = append(c.faasm, &faasmHost{inst: inst})
-	c.refreshActive()
-	return h, nil
-}
-
 // DrainHost gracefully stops host h: it leaves the ingress rotation and
 // every warm set, its liveness lease expires tier-side within one TTL so
 // peers route around it, in-flight calls finish, and new forwarded-in work
 // is refused (callers fall back locally). Reclaim the host with ReclaimHost
 // once its in-flight count reaches zero.
 func (c *Cluster) DrainHost(h int) error {
-	s := c.slot(h)
+	s := c.faasm[h]
 	if s.removed.Load() {
 		return fmt.Errorf("cluster: host %d already reclaimed", h)
 	}
@@ -407,7 +357,7 @@ func (c *Cluster) DrainHost(h int) error {
 // running calls; a killed host has crashed, so nothing it runs is waited
 // for, even when the crash landed mid-drain.
 func (c *Cluster) ReclaimHost(h int) error {
-	s := c.slot(h)
+	s := c.faasm[h]
 	if s.removed.Load() {
 		return nil
 	}
@@ -426,7 +376,7 @@ func (c *Cluster) ReclaimHost(h int) error {
 }
 
 // HostRemoved reports whether host h has been reclaimed.
-func (c *Cluster) HostRemoved(h int) bool { return c.slot(h).removed.Load() }
+func (c *Cluster) HostRemoved(h int) bool { return c.faasm[h].removed.Load() }
 
 // StateRing exposes the sharded tier's ring (nil when StateShards <= 1) —
 // chaos experiments read its health and failure counters through it.
@@ -457,7 +407,6 @@ type faasmTransport Cluster
 // along, so the remote half of the invocation joins the same trace.
 func (t *faasmTransport) ExecuteOn(host, fn string, input []byte, trace obsv.TraceID) ([]byte, int32, error) {
 	c := (*Cluster)(t)
-	c.mu.Lock()
 	var target *frt.Instance
 	for _, s := range c.faasm {
 		// Draining hosts stay reachable (they refuse, the caller falls
@@ -467,7 +416,6 @@ func (t *faasmTransport) ExecuteOn(host, fn string, input []byte, trace obsv.Tra
 			break
 		}
 	}
-	c.mu.Unlock()
 	if target == nil {
 		return nil, -1, fmt.Errorf("cluster: unknown host %q", host)
 	}
@@ -496,15 +444,12 @@ func (r *baselineRouter) Route(fn string, input []byte) ([]byte, int32, error) {
 func (c *Cluster) Register(fn string, g hostapi.Guest) error {
 	switch c.cfg.Mode {
 	case ModeFaasm:
-		c.mu.Lock()
-		c.fns = append(c.fns, clusterFn{name: fn, g: g})
 		insts := make([]*frt.Instance, 0, len(c.faasm))
 		for _, s := range c.faasm {
 			if !s.removed.Load() {
 				insts = append(insts, s.inst)
 			}
 		}
-		c.mu.Unlock()
 		for _, inst := range insts {
 			if err := inst.RegisterNative(fn, hostapi.WrapGuest(g)); err != nil {
 				return err
@@ -569,7 +514,7 @@ func (c *Cluster) Call(fn string, input []byte) ([]byte, int32, error) {
 // mode) — the failure experiments drive traffic through surviving hosts
 // instead of the round-robin front door.
 func (c *Cluster) CallOn(h int, fn string, input []byte) ([]byte, int32, error) {
-	return c.slot(h).inst.Call(fn, input)
+	return c.faasm[h].inst.Call(fn, input)
 }
 
 // Invoke starts an asynchronous call, returning an awaitable handle.
@@ -687,11 +632,9 @@ type Stats struct {
 	OOMFailures  int64
 }
 
-// allInstances snapshots every FAASM instance ever created, reclaimed ones
-// included — their counters still belong to the experiment window.
+// allInstances lists every FAASM instance, reclaimed ones included — their
+// counters still belong to the experiment window.
 func (c *Cluster) allInstances() []*frt.Instance {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]*frt.Instance, len(c.faasm))
 	for i, s := range c.faasm {
 		out[i] = s.inst

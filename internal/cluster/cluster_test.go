@@ -385,6 +385,13 @@ func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 	if got := c.Instance(1).WarmStarts.Value() - warmBefore; got != 0 {
 		t.Fatalf("dead host executed %d forwarded calls after lease expiry", got)
 	}
+	// A crashed host is out of the rotation and is reclaimed without a drain.
+	if c.ActiveHosts() != 2 {
+		t.Fatalf("active hosts after kill = %d, want 2", c.ActiveHosts())
+	}
+	if err := c.ReclaimHost(1); err != nil || !c.HostRemoved(1) || c.Hosts() != 2 {
+		t.Fatalf("reclaim killed host: err=%v removed=%v hosts=%d", err, c.HostRemoved(1), c.Hosts())
+	}
 }
 
 func TestElasticClusterPoolsShrinkAndRetreat(t *testing.T) {
@@ -572,48 +579,7 @@ func TestClusterSurvivesShardCrash(t *testing.T) {
 	call("post-heal")
 }
 
-// --- Dynamic host lifecycle (autoscaler substrate) ---
-
-func TestAddHostJoinsRotationWithAllFunctions(t *testing.T) {
-	c := New(Config{Mode: ModeFaasm, Hosts: 1, TimeScale: 1000})
-	defer c.Shutdown()
-	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
-		api.WriteOutput(api.Input())
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Hosts() != 1 || c.ActiveHosts() != 1 {
-		t.Fatalf("initial hosts = %d/%d", c.Hosts(), c.ActiveHosts())
-	}
-	h, err := c.AddHost()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 1 || c.Hosts() != 2 || c.ActiveHosts() != 2 {
-		t.Fatalf("after AddHost: idx=%d hosts=%d active=%d", h, c.Hosts(), c.ActiveHosts())
-	}
-	// The new host carries the full function set and serves calls directly.
-	out, ret, err := c.CallOn(h, "echo", []byte("hi"))
-	if err != nil || ret != 0 || string(out) != "hi" {
-		t.Fatalf("call on new host: %q %d %v", out, ret, err)
-	}
-	// A function registered after the scale-up lands on it too.
-	if err := c.Register("rev", func(api hostapi.API) (int32, error) {
-		in := api.Input()
-		out := make([]byte, len(in))
-		for i := range in {
-			out[len(in)-1-i] = in[i]
-		}
-		api.WriteOutput(out)
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out, ret, err := c.CallOn(h, "rev", []byte("ab")); err != nil || ret != 0 || string(out) != "ba" {
-		t.Fatalf("late-registered fn on new host: %q %d %v", out, ret, err)
-	}
-}
+// --- Host lifecycle: drain, kill, reclaim ---
 
 func TestDrainHostLeavesRotationThenReclaims(t *testing.T) {
 	c := New(Config{Mode: ModeFaasm, Hosts: 3, TimeScale: 1000, Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond}})
@@ -664,28 +630,5 @@ func TestDrainHostLeavesRotationThenReclaims(t *testing.T) {
 		if _, ret, err := c.Call("echo", []byte("z")); err != nil || ret != 0 {
 			t.Fatalf("post-reclaim call %d: %d %v", i, ret, err)
 		}
-	}
-}
-
-func TestReplacementHostGetsFreshName(t *testing.T) {
-	c := New(Config{Mode: ModeFaasm, Hosts: 2, TimeScale: 1000})
-	defer c.Shutdown()
-	c.KillHost(1)
-	if c.ActiveHosts() != 1 {
-		t.Fatalf("active after kill = %d", c.ActiveHosts())
-	}
-	if err := c.ReclaimHost(1); err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.AddHost()
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := c.Instance(h).Host()
-	if name == "host-1" {
-		t.Fatalf("replacement host reused the corpse's name %q", name)
-	}
-	if name != "host-2" {
-		t.Fatalf("replacement name = %q, want host-2", name)
 	}
 }

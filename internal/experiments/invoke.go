@@ -9,8 +9,6 @@ import (
 
 	"faasm.dev/faasm/internal/core"
 	"faasm.dev/faasm/internal/frt"
-	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/kvs/kvstest"
 	"faasm.dev/faasm/internal/obsv"
 )
 
@@ -21,10 +19,7 @@ import (
 // per call), a single-cond call table whose completion broadcast woke every
 // waiter, and an inline Proto-Faaslet reset on the caller's critical path;
 // the rebuilt pipeline is lock-free on definition lookup, per-function on
-// pool acquire/release, resets off the critical path, and — the second
-// section — performs zero global-tier operations per steady-state warm
-// call (the scheduler serves the warm check from local counters and the
-// peer set from a TTL cache, Cloudburst-style).
+// pool acquire/release, and resets off the critical path.
 func InvokeScale(opts Options) *Report {
 	callsPerG := 20_000
 	if opts.Quick {
@@ -67,31 +62,8 @@ func InvokeScale(opts Options) *Report {
 		}
 	}
 
-	// Scheduler write-through accounting: after the first call cold-starts
-	// and advertises, steady-state warm invocations must perform zero
-	// global-tier operations.
-	store := kvstest.NewCountingStore(kvs.NewEngine())
-	inst := frt.New(frt.Config{Host: "ops-host", Store: store})
-	inst.RegisterNative("noop", func(ctx *core.Ctx) (int32, error) { return 0, nil })
-	warmCalls := callsPerG / 2
-	if _, _, err := inst.Call("noop", nil); err != nil {
-		r.Note("ops section: %v", err)
-	} else {
-		coldOps := store.Ops()
-		store.ResetOps()
-		for k := 0; k < warmCalls; k++ {
-			inst.Call("noop", nil)
-		}
-		warmOps := store.Ops()
-		r.Add("global-ops", "cold start + advertise", fmt.Sprintf("%d ops", coldOps), "-", "-", "-")
-		r.Add("global-ops", fmt.Sprintf("%d warm calls", warmCalls), fmt.Sprintf("%d ops", warmOps),
-			"-", "-", "-")
-		inst.Shutdown()
-	}
-
 	r.Note("throughput: closed-loop no-op calls per goroutine count, pool prewarmed to 2x goroutines; p50/p99 are per-call response latencies (reset excluded — it runs off the critical path)")
 	r.Note("spans: per-span latency aggregates over fully traced warm calls (trace sample rate 1); throughput rows above run at the default 1-in-%d sampling", obsv.DefaultSampleRate)
-	r.Note("global-ops: KVS operations counted through a store wrapper; steady-state warm calls must show 0 ops — the scheduler runs on local warm counters and a TTL-cached peer set")
 	r.Note("GOMAXPROCS=%d; on one core the gain is the removed per-call work (dispatch goroutine, call-table broadcast, inline reset); with more cores the per-function pools also remove lock contention", runtime.GOMAXPROCS(0))
 	return r
 }

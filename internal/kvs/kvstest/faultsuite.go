@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
+	"faasm.dev/faasm/internal/simnet"
 )
 
 // RunFaults is the error-path companion to Run: it wraps the factory's
-// store in a FaultStore and pins how every backend behaves when the tier
+// store in a simnet.FaultShard and pins how every backend behaves when the tier
 // misbehaves — injected errors surface on every operation class, a crash is
 // distinguishable (kvs.IsUnavailable) from a semantic rejection, data
 // survives crash/restore, a batch that fails part-way reports the failure,
@@ -18,7 +19,7 @@ import (
 // or they do not ship.
 func RunFaults(t *testing.T, mk Factory) {
 	t.Run("InjectedErrorSurfacesEverywhere", func(t *testing.T) {
-		f := NewFaultStore(mk(t))
+		f := simnet.NewFaultShard(mk(t), nil)
 		if err := f.Set("k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("SemanticErrorIsNotUnavailable", func(t *testing.T) {
-		f := NewFaultStore(mk(t))
+		f := simnet.NewFaultShard(mk(t), nil)
 		f.FailNext(1, fmt.Errorf("kvstest: injected semantic rejection"))
 		err := f.Set("k", []byte("v"))
 		if err == nil {
@@ -71,7 +72,7 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("CrashRestorePreservesData", func(t *testing.T) {
-		f := NewFaultStore(mk(t))
+		f := simnet.NewFaultShard(mk(t), nil)
 		if err := f.Set("k", []byte("survives")); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("PartialBatchFailureSurfaces", func(t *testing.T) {
-		f := NewFaultStore(mk(t))
+		f := simnet.NewFaultShard(mk(t), nil)
 		pairs := []kvs.Pair{
 			{Key: "b0", Val: []byte("v0")}, {Key: "b1", Val: []byte("v1")},
 			{Key: "b2", Val: []byte("v2")}, {Key: "b3", Val: []byte("v3")},
@@ -122,7 +123,7 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("LatencyDelaysOps", func(t *testing.T) {
-		f := NewFaultStore(mk(t))
+		f := simnet.NewFaultShard(mk(t), nil)
 		f.SetLatency(20 * time.Millisecond)
 		start := time.Now()
 		if err := f.Set("k", []byte("v")); err != nil {

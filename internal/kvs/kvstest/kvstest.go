@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
+	"faasm.dev/faasm/internal/simnet"
 )
 
 // Factory builds a fresh, empty store for one subtest. Implementations
@@ -20,7 +21,7 @@ import (
 type Factory func(t *testing.T) kvs.Store
 
 // Run exercises the full Store contract against stores built by mk. The
-// Fallback subtests hold the per-key batch form — a FaultStore with no
+// Fallback subtests hold the per-key batch form — a simnet.FaultShard with no
 // faults armed, whose batch methods decompose into its single ops — to the
 // same batch semantics as the store's own batch path.
 func Run(t *testing.T, mk Factory) {
@@ -39,15 +40,15 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("BatchGetRanges", func(t *testing.T) { testBatchGetRanges(t, mk(t)) })
 	t.Run("BatchLarge", func(t *testing.T) { testBatchLarge(t, mk(t)) })
 	t.Run("BatchConcurrentPerKeyAtomicity", func(t *testing.T) { testBatchAtomicity(t, mk(t)) })
-	t.Run("FallbackMGet", func(t *testing.T) { testBatchMGet(t, NewFaultStore(mk(t))) })
-	t.Run("FallbackMSet", func(t *testing.T) { testBatchMSet(t, NewFaultStore(mk(t))) })
-	t.Run("FallbackGetRanges", func(t *testing.T) { testBatchGetRanges(t, NewFaultStore(mk(t))) })
+	t.Run("FallbackMGet", func(t *testing.T) { testBatchMGet(t, simnet.NewFaultShard(mk(t), nil)) })
+	t.Run("FallbackMSet", func(t *testing.T) { testBatchMSet(t, simnet.NewFaultShard(mk(t), nil)) })
+	t.Run("FallbackGetRanges", func(t *testing.T) { testBatchGetRanges(t, simnet.NewFaultShard(mk(t), nil)) })
 	t.Run("TTLExpireInvisible", func(t *testing.T) { testTTLExpireInvisible(t, mk(t)) })
 	t.Run("TTLReSetExtends", func(t *testing.T) { testTTLReSetExtends(t, mk(t)) })
 	t.Run("TTLPersistCancels", func(t *testing.T) { testTTLPersistCancels(t, mk(t)) })
 	t.Run("TTLQueriesAndGuards", func(t *testing.T) { testTTLQueriesAndGuards(t, mk(t)) })
 	t.Run("BatchMSetEx", func(t *testing.T) { testBatchMSetEx(t, mk(t)) })
-	t.Run("FallbackMSetEx", func(t *testing.T) { testBatchMSetEx(t, NewFaultStore(mk(t))) })
+	t.Run("FallbackMSetEx", func(t *testing.T) { testBatchMSetEx(t, simnet.NewFaultShard(mk(t), nil)) })
 }
 
 func testBatchMGet(t *testing.T, s kvs.Store) {
@@ -656,8 +657,7 @@ func testLockRMW(t *testing.T, s kvs.Store) {
 
 // CountingStore wraps a Store and counts every operation that reaches the
 // global tier. Hot-path tests use it to assert that steady-state warm
-// invocations perform zero global-tier operations in the scheduler, and the
-// invoke-scale experiment reports ops/call with it.
+// invocations perform zero global-tier operations in the scheduler.
 type CountingStore struct {
 	kvs.Store
 	ops atomic.Int64

@@ -20,7 +20,7 @@ import (
 // faultRing is a ring whose every shard is an engine behind fault injection.
 type faultRing struct {
 	ring    *shardkvs.Ring
-	faults  map[string]*kvstest.FaultStore
+	faults  map[string]*simnet.FaultShard
 	engines map[string]*kvs.Engine
 }
 
@@ -28,13 +28,13 @@ func newFaultRing(t *testing.T, shards int, opts shardkvs.Options) *faultRing {
 	t.Helper()
 	fr := &faultRing{
 		ring:    shardkvs.New(opts),
-		faults:  map[string]*kvstest.FaultStore{},
+		faults:  map[string]*simnet.FaultShard{},
 		engines: map[string]*kvs.Engine{},
 	}
 	for i := 0; i < shards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
 		eng := kvs.NewEngine()
-		f := kvstest.NewFaultStore(eng)
+		f := simnet.NewFaultShard(eng, nil)
 		if err := fr.ring.Attach(id, f); err != nil {
 			t.Fatal(err)
 		}

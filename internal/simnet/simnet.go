@@ -7,6 +7,8 @@
 //
 // The charge is paid on the experiment clock, so a vtime.Scaled clock
 // reproduces second-scale transfer costs in milliseconds of wall time.
+// FaultShard is the tier-side counterpart: a shard that fault injection can
+// crash, fail or slow down.
 package simnet
 
 import (

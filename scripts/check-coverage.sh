@@ -1,8 +1,7 @@
 #!/bin/sh
 # Enforces statement-coverage floors on the control-plane packages: the
-# scheduler (drain mode, leases, forwarding), the runtime instance
-# (graceful stop, pool lifecycle) and the autoscale controller
-# (supervision + load reconciliation). These are the packages whose
+# scheduler (drain mode, leases, forwarding) and the runtime instance
+# (graceful stop, pool lifecycle). These are the packages whose
 # failure modes only show up under rare interleavings — a coverage
 # regression there means a lifecycle path went untested, which is exactly
 # how drain/stop bugs ship. Floors sit ~5 points under today's numbers:
@@ -38,7 +37,6 @@ check() {
 
 check internal/sched 80
 check internal/frt 80
-check internal/autoscale 85
 check internal/queue 80
 # wavm: the differential suite (lowered engine vs the reference interpreter)
 # reaches 88.4%; an uncovered lowering rule or executor case is one that was
