@@ -97,7 +97,8 @@ func do(req *http.Request) {
 
 // stateCmd operates on the global tier through the same consistent-hash
 // routing faasmd uses, so a CLI write lands on the shard a runtime read
-// will consult.
+// will consult. Reads fail over like faasmd's: with -state-replicas above 1,
+// a get whose primary shard is down is answered by a replica.
 func stateCmd(addrs string, replicas int, args []string) {
 	if len(args) < 1 {
 		usage()

@@ -44,7 +44,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&c.state, "state", "", "comma-separated kvs shard endpoints (empty = in-process; >1 shards the tier)")
 	fs.IntVar(&c.ring.Replication, "state-replicas", 1, "copies per key when the tier is sharded")
 	fs.IntVar(&c.ring.WriteQuorum, "state-write-quorum", 0, "copies that must acknowledge a replicated tier write (0 = all; W<replicas keeps writing while a shard is down)")
-	fs.BoolVar(&c.ring.ReadFailover, "state-read-failover", true, "let tier reads fall through to surviving copies when the chosen shard fails (sharded tier)")
 	fs.DurationVar(&c.ring.HealInterval, "state-heal-interval", 0, "probe and re-sync suspect tier shards on this cadence (0 = off; sharded tier)")
 	fs.DurationVar(&c.dialTimeout, "kvs-dial-timeout", kvs.DefaultDialTimeout, "dial timeout for tier shard connections")
 	fs.IntVar(&c.retry.Max, "kvs-retry-max", kvs.DefaultRetryMax, "retries per tier operation on connect/timeout failures, with exponential backoff (<0 = never retry)")

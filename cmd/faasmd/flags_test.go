@@ -47,7 +47,7 @@ func TestFlagDefaultsArePackageConstants(t *testing.T) {
 			RetryMax: queue.DefaultRetryMax,
 			LeaseTTL: queue.DefaultLeaseTTL,
 		},
-		ring:        shardkvs.Options{Replication: 1, ReadFailover: true},
+		ring:        shardkvs.Options{Replication: 1},
 		dialTimeout: kvs.DefaultDialTimeout,
 		retry:       kvs.RetryPolicy{Max: kvs.DefaultRetryMax},
 	}
@@ -71,7 +71,6 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{"state", "a:1,b:2", func(c *config) any { return c.state }, "a:1,b:2"},
 		{"state-replicas", "3", func(c *config) any { return c.ring.Replication }, 3},
 		{"state-write-quorum", "2", func(c *config) any { return c.ring.WriteQuorum }, 2},
-		{"state-read-failover", "false", func(c *config) any { return c.ring.ReadFailover }, false},
 		{"state-heal-interval", "300ms", func(c *config) any { return c.ring.HealInterval }, 300 * time.Millisecond},
 		{"kvs-dial-timeout", "500ms", func(c *config) any { return c.dialTimeout }, 500 * time.Millisecond},
 		{"kvs-retry-max", "-1", func(c *config) any { return c.retry.Max }, -1},
@@ -105,10 +104,11 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 	})
 }
 
-// faasmd runs no fleet controller, so the fleet flags are unknown flags, not
-// silently ignored ones.
+// faasmd runs no fleet controller, and tier reads always fail over, so the
+// fleet flags and the failover switch are unknown flags, not silently
+// ignored ones.
 func TestRemovedFlagsAreUnknown(t *testing.T) {
-	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s"} {
+	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s", "-state-read-failover"} {
 		fs := flag.NewFlagSet("faasmd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		if _, err := parseFlags(fs, []string{arg}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -138,8 +138,8 @@ func TestBenchArgVectorsKeepTheirEffectiveConfig(t *testing.T) {
 		runtime frt.Config
 		ring    shardkvs.Options
 	}{
-		{[]string{"-kvs", "127.0.0.1:16500"}, runtime(64), shardkvs.Options{Replication: 1, ReadFailover: true}},
-		{[]string{"-state", "a:1,b:2", "-state-replicas", "2", "-trace-sample", "-1"}, runtime(-1), shardkvs.Options{Replication: 2, ReadFailover: true}},
+		{[]string{"-kvs", "127.0.0.1:16500"}, runtime(64), shardkvs.Options{Replication: 1}},
+		{[]string{"-state", "a:1,b:2", "-state-replicas", "2", "-trace-sample", "-1"}, runtime(-1), shardkvs.Options{Replication: 2}},
 	} {
 		c, _ := parse(t, tc.args...)
 		if !reflect.DeepEqual(c.runtime, tc.runtime) {

@@ -89,7 +89,7 @@ func main() {
 			log.Fatalf("state tier: %v", err)
 		}
 		// Fail fast on unreachable shards rather than limping into traffic.
-		if _, err := ring.ShardKeyCounts(); err != nil {
+		if err := ring.Probe(); err != nil {
 			log.Fatalf("state tier: %v", err)
 		}
 		log.Printf("global tier sharded across %d endpoints (replication %d, write quorum %d)", len(addrs), cfg.ring.Replication, cfg.ring.WriteQuorum)

@@ -258,7 +258,7 @@ func TestConcurrentScrapeUnderTraffic(t *testing.T) {
 }
 
 func TestStatusReportsShardHealth(t *testing.T) {
-	ring := shardkvs.NewLocal(2, shardkvs.Options{Replication: 2, ReadFailover: true})
+	ring := shardkvs.NewLocal(2, shardkvs.Options{Replication: 2})
 	inst := frt.New(frt.Config{Host: "test-0", Store: ring})
 	t.Cleanup(inst.Shutdown)
 	objects := objstore.NewMemory()

@@ -132,7 +132,7 @@ func TestKillShardDuringDrainUnderTraffic(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1000,
 		StateShards: 3, StateReplicas: 2, StateWriteQuorum: 1,
-		StateReadFailover: true, FaultyShards: true,
+		FaultyShards: true,
 	})
 	defer c.Shutdown()
 	registerEcho(t, c)
@@ -211,8 +211,8 @@ func TestDrainDuringRingHeal(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 4, TimeScale: 1000,
 		StateShards: 3, StateReplicas: 2, StateWriteQuorum: 1,
-		StateReadFailover: true, FaultyShards: true,
-		Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond},
+		FaultyShards: true,
+		Runtime:      frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond},
 	})
 	defer c.Shutdown()
 	registerEcho(t, c)

@@ -81,9 +81,6 @@ type Config struct {
 	// write (0 = all). With W < replicas the tier keeps accepting writes
 	// while a shard is down; see shardkvs.Options.WriteQuorum.
 	StateWriteQuorum int
-	// StateReadFailover lets tier reads fall through to surviving copies
-	// when the chosen shard fails (see shardkvs.Options.ReadFailover).
-	StateReadFailover bool
 	// FaultyShards wraps every tier shard in a fault injector
 	// (simnet.FaultShard) so chaos experiments can kill and revive shards;
 	// requires StateShards > 1.
@@ -180,19 +177,22 @@ func New(cfg Config) *Cluster {
 		return eng
 	}
 	if cfg.StateShards > 1 {
-		ring := shardkvs.New(shardkvs.Options{
-			Replication:  cfg.StateReplicas,
-			WriteQuorum:  cfg.StateWriteQuorum,
-			ReadFailover: cfg.StateReadFailover,
-		})
-		for i := 0; i < cfg.StateShards; i++ {
+		shards := make([]shardkvs.Shard, cfg.StateShards)
+		for i := range shards {
 			var store kvs.Store = newEngine()
 			if cfg.FaultyShards {
 				fs := simnet.NewFaultShard(store, c.Clock)
 				c.shardFaults = append(c.shardFaults, fs)
 				store = fs
 			}
-			ring.Attach(fmt.Sprintf("shard-%d", i), store)
+			shards[i] = shardkvs.Shard{ID: fmt.Sprintf("shard-%d", i), Store: store}
+		}
+		ring, err := shardkvs.New(shardkvs.Options{
+			Replication: cfg.StateReplicas,
+			WriteQuorum: cfg.StateWriteQuorum,
+		}, shards...)
+		if err != nil {
+			panic(err) // shard-0..n-1 are distinct and n > 1
 		}
 		ring.Instrument(c.Registry)
 		c.ring = ring
@@ -392,9 +392,9 @@ func (c *Cluster) RestoreShard(i int) { c.shardFaults[i].Restore() }
 
 // HealState re-syncs suspect tier shards from the in-sync copies and
 // returns them to the read set (no-op on an unsharded tier).
-func (c *Cluster) HealState() (shardkvs.MigrationStats, error) {
+func (c *Cluster) HealState() (shardkvs.HealStats, error) {
 	if c.ring == nil {
-		return shardkvs.MigrationStats{}, nil
+		return shardkvs.HealStats{}, nil
 	}
 	return c.ring.Heal()
 }

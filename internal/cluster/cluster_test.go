@@ -516,7 +516,7 @@ func TestClusterSurvivesShardCrash(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1000,
 		StateShards: 3, StateReplicas: 2, StateWriteQuorum: 1,
-		StateReadFailover: true, FaultyShards: true,
+		FaultyShards: true,
 	})
 	defer c.Shutdown()
 	if err := c.Register("read", func(api hostapi.API) (int32, error) {

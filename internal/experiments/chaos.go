@@ -50,24 +50,23 @@ func ringSection(r *Report, iters int) {
 	const shards = 3
 	const workers = 4
 	const slots = 8
-	ring := shardkvs.New(shardkvs.Options{
-		Replication:  2,
-		WriteQuorum:  1,
-		ReadPref:     shardkvs.ReadAny,
-		ReadFailover: true,
-	})
 	engines := map[string]*kvs.Engine{}
 	faults := map[string]*simnet.FaultShard{}
-	for i := 0; i < shards; i++ {
+	members := make([]shardkvs.Shard, shards)
+	for i := range members {
 		id := fmt.Sprintf("shard-%d", i)
-		eng := kvs.NewEngine()
-		fs := simnet.NewFaultShard(eng, nil)
-		engines[id] = eng
-		faults[id] = fs
-		if err := ring.Attach(id, fs); err != nil {
-			r.Check(false, "ring", "attach", err.Error())
-			return
-		}
+		engines[id] = kvs.NewEngine()
+		faults[id] = simnet.NewFaultShard(engines[id], nil)
+		members[i] = shardkvs.Shard{ID: id, Store: faults[id]}
+	}
+	ring, err := shardkvs.New(shardkvs.Options{
+		Replication: 2,
+		WriteQuorum: 1,
+		ReadPref:    shardkvs.ReadAny,
+	}, members...)
+	if err != nil {
+		r.Check(false, "ring", "build", err.Error())
+		return
 	}
 
 	// The outage is keyed to operation counts, not the wall clock: the
@@ -165,7 +164,7 @@ func clusterSection(r *Report, opts Options) {
 	c := cluster.New(cluster.Config{
 		Mode: cluster.ModeFaasm, Hosts: 3, TimeScale: 1000,
 		StateShards: 3, StateReplicas: 2, StateWriteQuorum: 1,
-		StateReadFailover: true, FaultyShards: true,
+		FaultyShards: true,
 	})
 	defer c.Shutdown()
 	if err := c.Register("read", func(api hostapi.API) (int32, error) {

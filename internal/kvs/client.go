@@ -194,7 +194,7 @@ func (c *Client) Close() error {
 //     pool size). There is a narrow race where the server executed the
 //     request and died before flushing the reply; replaying is harmless for
 //     value reads/writes (same bytes land again) but would double-apply
-//     INCR and APPEND, leak a LOCK lease or misreport a set/persist result,
+//     INCR and APPEND, leak a LOCK lease or misreport a set result,
 //     so the table marks those commands once and the error surfaces.
 //   - Pre-reply failures on a fresh connection (send error, op deadline,
 //     peer death): retriable commands back off and retry while the failure
@@ -460,12 +460,6 @@ func (c *Client) TTL(key string) (time.Duration, error) {
 	return 0, fmt.Errorf("kvs: bad TTL reply %d", n)
 }
 
-// Persist implements Store.
-func (c *Client) Persist(key string) (bool, error) {
-	n, err := call(c, "PERSIST", nil, readInt, key)
-	return n == 1, err
-}
-
 // GetRange implements Store.
 func (c *Client) GetRange(key string, off, n int) ([]byte, error) {
 	return call(c, "GETRANGE", nil, readVal, key, off, n)
@@ -610,23 +604,7 @@ func (c *Client) MGet(keys []string) ([][]byte, error) {
 // command is read back. Unlike MGet, one exchange is safe at any size: the
 // server consumes the request stream before each tiny OK reply, so reply
 // backpressure cannot wedge the writing client.
-func (c *Client) MSet(pairs []Pair) error { return c.msetPipelined("MSET", pairs) }
-
-// MSetEx implements Store: MSET's pipeline with a shared TTL in each command
-// header. Safe to replay like SetEx.
-func (c *Client) MSetEx(pairs []Pair, ttl time.Duration) error {
-	ms, err := ttlMillis(ttl)
-	if err != nil {
-		return err
-	}
-	return c.msetPipelined("MSETEX", pairs, ms)
-}
-
-// msetPipelined is the shared MSET/MSETEX transport: the whole batch — split
-// into commands of at most MaxBatch entries — is written and flushed once,
-// then one OK per command is read back. args follow each command's entry
-// count (MSETEX's TTL).
-func (c *Client) msetPipelined(name string, pairs []Pair, args ...any) error {
+func (c *Client) MSet(pairs []Pair) error {
 	if len(pairs) == 0 {
 		return nil
 	}
@@ -642,11 +620,11 @@ func (c *Client) msetPipelined(name string, pairs []Pair, args ...any) error {
 		bytes += len(p.Val)
 	}
 	chunks = append(chunks, pairs[start:])
-	cmd := commands[name]
+	cmd := commands["MSET"]
 	return c.exchange(cmd,
 		func(w *bufio.Writer) {
 			for _, ch := range chunks {
-				w.Write(cmd.request(nil, append([]any{len(ch)}, args...)...))
+				w.Write(cmd.request(nil, len(ch)))
 				for _, p := range ch {
 					fmt.Fprintf(w, "%s %d\n", strconv.Quote(p.Key), len(p.Val))
 					w.Write(p.Val)

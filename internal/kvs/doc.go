@@ -24,12 +24,12 @@
 //     §4.2's consistency protocol does not contend with data operations on
 //     unrelated keys.
 //   - Batched: there is one Store interface and every store implements
-//     all of it, batch forms (MGet/MSet/MSetEx/GetRangesInto) and enumeration
+//     all of it, batch forms (MGet/MSet/GetRangesInto) and enumeration
 //     (AllKeys) included, so callers never probe for optional support.
-//     With the pipelined wire commands (MGET/MSET/MSETEX/GETRANGES) a batch
+//     With the pipelined wire commands (MGET/MSET/GETRANGES) a batch
 //     moves N keys in one exchange — one network round trip and at most one
 //     stripe acquisition per key, never a global pause.
-//   - Tier-judged expiry: SetEx/TTL/Persist give keys a lifetime measured
+//   - Tier-judged expiry: SetEx/TTL give keys a lifetime measured
 //     on the engine's own clock (SetNowFunc overrides it for tests and
 //     simulated clusters). Reads check the per-stripe deadline map lazily —
 //     an expired key is simply invisible, at zero cost when a stripe has no

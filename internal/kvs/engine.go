@@ -46,9 +46,6 @@ type Store interface {
 	// the store's clock: TTLPersistent for a present key without expiry,
 	// TTLMissing for an absent (or already expired) key, > 0 otherwise.
 	TTL(key string) (time.Duration, error)
-	// Persist removes key's expiry, reporting whether an expiry was
-	// removed (false for missing, expired or already-persistent keys).
-	Persist(key string) (bool, error)
 	// SAdd adds a member to a set, reporting whether it was new.
 	SAdd(key, member string) (bool, error)
 	// SRem removes a member from a set, reporting whether it was present.
@@ -80,7 +77,7 @@ const (
 const DefaultSweepInterval = time.Second
 
 // Kind classifies which of the engine's structures holds a key; enumeration
-// and shard migration need to know how to read and re-create an entry.
+// and shard repair need to know how to read and re-create an entry.
 type Kind byte
 
 // Kinds.
@@ -96,10 +93,10 @@ type KeyInfo struct {
 	Key  string
 }
 
-// Lister is Store's enumeration surface. The shard rebalancer and healer
-// (internal/shardkvs) use it to stream only the moved hash ranges during
-// node join/leave. Lock state is deliberately excluded — leases are
-// transient and die with their owner.
+// Lister is Store's enumeration surface. The shard healer
+// (internal/shardkvs) uses it to find the entries a revived shard must
+// re-sync, and faasm-cli to count and list keys. Lock state is deliberately
+// excluded — leases are transient and die with their owner.
 type Lister interface {
 	AllKeys() ([]KeyInfo, error)
 }
@@ -143,9 +140,6 @@ type Range struct {
 type Batcher interface {
 	MGet(keys []string) ([][]byte, error)
 	MSet(pairs []Pair) error
-	// MSetEx applies the pairs like MSet and arms every key with the same
-	// tier-side ttl (one deadline per batch, on the store's clock).
-	MSetEx(pairs []Pair, ttl time.Duration) error
 	GetRangesInto(key string, ranges []Range, dst []byte) (int, error)
 }
 
@@ -372,22 +366,6 @@ func (e *Engine) TTL(key string) (time.Duration, error) {
 	return dl.Sub(now), nil
 }
 
-// Persist implements Store.
-func (e *Engine) Persist(key string) (bool, error) {
-	st := e.stripeOf(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e.purgeLocked(st, key)
-	if _, ok := st.vals[key]; !ok {
-		return false, nil
-	}
-	if _, ok := st.exp[key]; !ok {
-		return false, nil
-	}
-	delete(st.exp, key)
-	return true, nil
-}
-
 // window returns [off, off+n) of v without copying, truncated at the end of
 // v: nil for a window entirely past the end, an error for negative bounds.
 // The truncation compares n against the bytes left, so an n near MaxInt
@@ -600,42 +578,6 @@ func (e *Engine) MSet(pairs []Pair) error {
 	return nil
 }
 
-// MSetEx implements Batcher: MSet with one expiry deadline — computed once,
-// on the engine's clock — armed for every key in the batch.
-func (e *Engine) MSetEx(pairs []Pair, ttl time.Duration) error {
-	if ttl <= 0 {
-		return fmt.Errorf("kvs: msetex ttl must be positive, got %v", ttl)
-	}
-	cps := make([][]byte, len(pairs))
-	sids := make([]uint8, len(pairs))
-	var mask uint64
-	for i, p := range pairs {
-		cps[i] = make([]byte, len(p.Val))
-		copy(cps[i], p.Val)
-		s := stripeIdx(p.Key)
-		sids[i] = uint8(s)
-		mask |= 1 << s
-	}
-	deadline := e.now().Add(ttl)
-	for mask != 0 {
-		si := uint8(bits.TrailingZeros64(mask))
-		mask &= mask - 1
-		st := &e.stripes[si]
-		st.mu.Lock()
-		for i, s := range sids {
-			if s == si {
-				st.vals[pairs[i].Key] = cps[i]
-				st.exp[pairs[i].Key] = deadline
-			}
-		}
-		st.mu.Unlock()
-	}
-	if len(pairs) > 0 {
-		e.scheduleSweep()
-	}
-	return nil
-}
-
 // GetRangesInto implements Batcher: every window is copied straight into dst
 // under one acquisition of the key's stripe read lock, so all of them
 // observe a single consistent value.
@@ -703,8 +645,8 @@ func (e *Engine) Keys() []string {
 
 // AllKeys implements Lister: every live entry across values, sets and
 // counters, sorted by kind then key. Expired values are invisible here too —
-// the shard rebalancer enumerates through this, so a migration can never
-// copy (and thereby resurrect) a key the tier already expired.
+// the shard healer enumerates through this, so a repair can never copy (and
+// thereby resurrect) a key the tier already expired.
 func (e *Engine) AllKeys() ([]KeyInfo, error) {
 	var out []KeyInfo
 	now := e.now()

@@ -122,7 +122,7 @@ func TestSweeperReschedulesAcrossGenerations(t *testing.T) {
 }
 
 // TestExpirySweeperRaceClean runs the sweeper (background and explicit)
-// against concurrent SetEx/Get/MGet/TTL/Persist/Set/Delete/enumeration on
+// against concurrent SetEx/Get/MGet/TTL/Set/Delete/enumeration on
 // overlapping keys. Run under -race in CI.
 func TestExpirySweeperRaceClean(t *testing.T) {
 	e := NewEngine()
@@ -155,7 +155,6 @@ func TestExpirySweeperRaceClean(t *testing.T) {
 		e.GetRange(key(i), 0, 1)
 	})
 	worker(func(i int) { // expiry mutators
-		e.Persist(key(i))
 		if i%7 == 0 {
 			e.Set(key(i), []byte("p"))
 		}

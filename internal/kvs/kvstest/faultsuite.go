@@ -29,7 +29,6 @@ func RunFaults(t *testing.T, mk Factory) {
 			"Set":      func() error { return f.Set("k", []byte("v2")) },
 			"SetEx":    func() error { return f.SetEx("k", []byte("v2"), time.Second) },
 			"TTL":      func() error { _, err := f.TTL("k"); return err },
-			"Persist":  func() error { _, err := f.Persist("k"); return err },
 			"GetRange": func() error { _, err := f.GetRange("k", 0, 1); return err },
 			"SetRange": func() error { return f.SetRange("k", 0, []byte("x")) },
 			"Append":   func() error { _, err := f.Append("k", []byte("x")); return err },

@@ -47,8 +47,6 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("TTLReSetExtends", func(t *testing.T) { testTTLReSetExtends(t, mk(t)) })
 	t.Run("TTLPersistCancels", func(t *testing.T) { testTTLPersistCancels(t, mk(t)) })
 	t.Run("TTLQueriesAndGuards", func(t *testing.T) { testTTLQueriesAndGuards(t, mk(t)) })
-	t.Run("BatchMSetEx", func(t *testing.T) { testBatchMSetEx(t, mk(t)) })
-	t.Run("FallbackMSetEx", func(t *testing.T) { testBatchMSetEx(t, simnet.NewFaultShard(mk(t), nil)) })
 }
 
 func testBatchMGet(t *testing.T, s kvs.Store) {
@@ -229,7 +227,7 @@ func testBatchAtomicity(t *testing.T, s kvs.Store) {
 	}
 }
 
-// --- Tier-side key expiry (SETEX/TTL/PERSIST) conformance ---
+// --- Tier-side key expiry (SETEX/TTL) conformance ---
 //
 // Expiry is judged on the store's own clock, never the test's; these tests
 // therefore only assert orderings (visible now, gone eventually) with real
@@ -291,9 +289,6 @@ func testTTLExpireInvisible(t *testing.T, s kvs.Store) {
 	if d, _ := s.TTL("gone"); d != kvs.TTLMissing {
 		t.Fatalf("ttl after expiry = %v, want TTLMissing", d)
 	}
-	if removed, _ := s.Persist("gone"); removed {
-		t.Fatal("persist resurrected an expired key")
-	}
 	infos, err := s.AllKeys()
 	if err != nil {
 		t.Fatal(err)
@@ -326,24 +321,30 @@ func testTTLReSetExtends(t *testing.T, s kvs.Store) {
 	waitGone(t, s, "ext")
 }
 
+// A plain Set persists an expiring key: it clears the expiry (Redis SET
+// semantics), whether it comes alone or in a batch.
 func testTTLPersistCancels(t *testing.T, s kvs.Store) {
-	if err := s.SetEx("p", []byte("v"), ttlShort); err != nil {
+	for _, k := range []string{"p", "pb"} {
+		if err := s.SetEx(k, []byte("old"), ttlShort); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Set("p", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	removed, err := s.Persist("p")
-	if err != nil || !removed {
-		t.Fatalf("persist on expiring key: %v %v, want removed", removed, err)
+	if err := s.MSet([]kvs.Pair{{Key: "pb", Val: []byte("v")}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"p", "pb"} {
+		if d, _ := s.TTL(k); d != kvs.TTLPersistent {
+			t.Fatalf("ttl of %s after Set = %v, want TTLPersistent", k, d)
+		}
 	}
 	time.Sleep(ttlShort + ttlShort/2)
-	if v, _ := s.Get("p"); string(v) != "v" {
-		t.Fatalf("persisted key expired anyway: %q", v)
-	}
-	if d, _ := s.TTL("p"); d != kvs.TTLPersistent {
-		t.Fatalf("ttl after persist = %v, want TTLPersistent", d)
-	}
-	// Nothing left to remove the second time.
-	if removed, _ := s.Persist("p"); removed {
-		t.Fatal("second persist reported an expiry removed")
+	for _, k := range []string{"p", "pb"} {
+		if v, _ := s.Get(k); string(v) != "v" {
+			t.Fatalf("persisted key %s expired anyway: %q", k, v)
+		}
 	}
 }
 
@@ -355,66 +356,15 @@ func testTTLQueriesAndGuards(t *testing.T, s kvs.Store) {
 	if d, _ := s.TTL("plain"); d != kvs.TTLPersistent {
 		t.Fatalf("ttl of plain key = %v, want TTLPersistent", d)
 	}
-	if removed, _ := s.Persist("plain"); removed {
-		t.Fatal("persist on a persistent key reported an expiry removed")
-	}
-	// A plain Set clears a previous expiry (Redis SET semantics).
-	if err := s.SetEx("cleared", []byte("old"), ttlShort); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("cleared", []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := s.TTL("cleared"); d != kvs.TTLPersistent {
-		t.Fatalf("ttl after Set = %v, want TTLPersistent", d)
-	}
-	time.Sleep(ttlShort + ttlShort/2)
-	if v, _ := s.Get("cleared"); string(v) != "new" {
-		t.Fatalf("Set-cleared key expired anyway: %q", v)
-	}
-	// Non-positive TTLs are rejected outright, batched or not.
+	// Non-positive TTLs are rejected outright.
 	if err := s.SetEx("bad", []byte("x"), 0); err == nil {
 		t.Fatal("zero ttl accepted")
 	}
 	if err := s.SetEx("bad", []byte("x"), -time.Second); err == nil {
 		t.Fatal("negative ttl accepted")
 	}
-	if err := s.MSetEx([]kvs.Pair{{Key: "bad", Val: []byte("x")}}, -time.Second); err == nil {
-		t.Fatal("negative batch ttl accepted")
-	}
 	if v, _ := s.Get("bad"); v != nil {
 		t.Fatalf("rejected SetEx landed a value: %q", v)
-	}
-}
-
-func testBatchMSetEx(t *testing.T, s kvs.Store) {
-	if err := s.MSetEx(nil, ttlShort); err != nil {
-		t.Fatalf("empty msetex: %v", err)
-	}
-	pairs := []kvs.Pair{
-		{Key: "ex-0", Val: []byte("a")},
-		{Key: "ex-1", Val: []byte{0, 255, '\n'}},
-		{Key: "ex-dup", Val: []byte("first")},
-		{Key: "ex-dup", Val: []byte("last")},
-	}
-	s.Set("ex-keep", []byte("k"))
-	if err := s.MSetEx(pairs, ttlShort); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Get("ex-dup"); string(v) != "last" {
-		t.Fatalf("duplicated key must keep the last value, got %q", v)
-	}
-	for _, k := range []string{"ex-0", "ex-1", "ex-dup"} {
-		if d, _ := s.TTL(k); d <= 0 {
-			t.Fatalf("batch key %s ttl = %v, want positive", k, d)
-		}
-	}
-	for _, k := range []string{"ex-0", "ex-1", "ex-dup"} {
-		waitGone(t, s, k)
-	}
-	// The untouched persistent neighbour survives the batch's expiry.
-	if v, _ := s.Get("ex-keep"); string(v) != "k" {
-		t.Fatalf("persistent key lost: %q", v)
 	}
 }
 
@@ -695,12 +645,6 @@ func (c *CountingStore) TTL(key string) (time.Duration, error) {
 	return c.Store.TTL(key)
 }
 
-// Persist implements kvs.Store.
-func (c *CountingStore) Persist(key string) (bool, error) {
-	c.ops.Add(1)
-	return c.Store.Persist(key)
-}
-
 // GetRange implements kvs.Store.
 func (c *CountingStore) GetRange(key string, off, n int) ([]byte, error) {
 	c.ops.Add(1)
@@ -772,12 +716,6 @@ func (c *CountingStore) MGet(keys []string) ([][]byte, error) {
 func (c *CountingStore) MSet(pairs []kvs.Pair) error {
 	c.ops.Add(1)
 	return c.Store.MSet(pairs)
-}
-
-// MSetEx implements kvs.Store.
-func (c *CountingStore) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	c.ops.Add(1)
-	return c.Store.MSetEx(pairs, ttl)
 }
 
 // GetRangesInto implements kvs.Store.

@@ -36,8 +36,8 @@ import (
 // engine judges expiry on its own clock, so clients never compare stored
 // deadlines against their clocks. SETEX "key" ttlMS len\n<payload> writes a
 // value that the tier hides once ttlMS milliseconds elapse; TTL "key"
-// replies INT remainingMS (-1 persistent, -2 missing); PERSIST "key" clears
-// an expiry (INT 0|1); MSETEX n ttlMS is MSET with one shared TTL.
+// replies INT remainingMS (-1 persistent, -2 missing); a plain SET clears an
+// expiry.
 //
 // Every command is one row of the commands table below; the server parses
 // and serves requests from it and the client renders requests and picks its
@@ -84,7 +84,7 @@ type command struct {
 	// field. The connection survives it: nothing follows the line.
 	bad string
 	// once marks commands whose effect or reply changes when applied twice
-	// (INCR, APPEND, SADD, SREM, PERSIST, LOCK): the client never replays
+	// (INCR, APPEND, SADD, SREM, LOCK): the client never replays
 	// them after a pre-reply failure on a connection that may have carried
 	// the request.
 	once bool
@@ -131,9 +131,6 @@ var commands = func() map[string]*command {
 		}},
 		{name: "TTL", args: []shape{argKey}, serve: func(e *Engine, a *request) (any, error) {
 			return wireTTL(e.TTL(a.keys[0]))
-		}},
-		{name: "PERSIST", args: []shape{argKey}, once: true, serve: func(e *Engine, a *request) (any, error) {
-			return e.Persist(a.keys[0])
 		}},
 		{name: "GETRANGE", args: []shape{argKey, argNum, argNum}, bad: "bad range", serve: func(e *Engine, a *request) (any, error) {
 			out, err := a.read(e, []Range{{Off: int(a.nums[0]), N: int(a.nums[1])}})
@@ -183,9 +180,6 @@ var commands = func() map[string]*command {
 		}},
 		{name: "MSET", args: []shape{argCount}, serve: func(e *Engine, a *request) (any, error) {
 			return okReply{}, e.MSet(a.pairs)
-		}},
-		{name: "MSETEX", args: []shape{argCount, argTTL}, serve: func(e *Engine, a *request) (any, error) {
-			return okReply{}, e.MSetEx(a.pairs, a.ttl)
 		}},
 		{name: "GETRANGES", args: []shape{argKey}, each: []shape{argNum, argNum}, bad: "bad range", serve: func(e *Engine, a *request) (any, error) {
 			ranges := make([]Range, len(a.nums)/2)
@@ -429,7 +423,7 @@ func readPayload(r *bufio.Reader, lenField string) ([]byte, error) {
 	return buf, nil
 }
 
-// readPairs consumes n MSET/MSETEX entries ("key" len\n<payload>),
+// readPairs consumes n MSET entries ("key" len\n<payload>),
 // enforcing the aggregate payload bound — the batch buffers before
 // applying, so the total, not just each entry, must respect it.
 func readPairs(r *bufio.Reader, n int) ([]Pair, error) {

@@ -54,8 +54,7 @@ func transcriptScript() []step {
 		one("TTL \"lease\"\n"),
 		one("TTL \"k\"\n"),
 		one("TTL \"missing\"\n"),
-		one("PERSIST \"lease\"\n"),
-		one("PERSIST \"lease\"\n"),
+		one("PERSIST \"lease\"\n"), // removed command: ERR unknown command
 		one("GETRANGE \"k\" 1 3\n"),
 		one("GETRANGE \"k\" 3 100\n"),
 		one("GETRANGE \"k\" 9 1\n"),
@@ -83,8 +82,6 @@ func transcriptScript() []step {
 		one("UNLOCK \"l\" 99\n"),
 		one("MSET 2\n\"m1\" 2\nv1\"m2\" 0\n"),
 		one("MGET \"m1\" \"m2\" \"missing\" \"k\"\n"),
-		one("MSETEX 1 2500\n\"mx\" 1\nz"),
-		one("TTL \"mx\"\n"),
 		one("MSET 0\n"),
 		one("GETRANGES \"k\" 0 2 2 2 50 1\n"),
 		one("GETRANGES \"k\" -1 2\n"),
@@ -101,10 +98,8 @@ func transcriptScript() []step {
 		one("GET \"k\" extra\n"),
 		one("SET \"k\"\n"),
 		one("TTL \"k\" extra\n"),
-		one("PERSIST\n"),
 		one("MGET\n"),
 		one("MSET\n"),
-		one("MSETEX 1\n"),
 		one("GETRANGES \"k\"\n"),
 		one("GETRANGES \"k\" 0\n"),
 		one("GETRANGES \"k\" 0 1 2\n"),
@@ -138,9 +133,6 @@ func transcriptScript() []step {
 		fatal("MSET 1\n\"a\" nan\n"),
 		fatal("MSET 1\n\"unterminated 1\n"),
 		fatal(fmt.Sprintf("MSET 2\n\"a\" %d\n", MaxPayload+1)),
-		fatal("MSETEX 1 0\n\"a\" 1\nx"),
-		fatal(fmt.Sprintf("MSETEX %d 100\n", MaxBatch+1)),
-		fatal("MSETEX nan 100\n"),
 		fatal(many("MGET", " \"k\"", MaxBatch+1)),
 		fatal(many("GETRANGES \"k\"", " 0 1", MaxBatch+1)),
 		fatal(strings.Repeat("A", maxLine+10) + "\n"),

@@ -1,13 +1,15 @@
 package shardkvs_test
 
 // Failure-path tests for the ring: failover reads, quorum writes, suspect
-// marking, read-repair, and the chaos gate (kill and revive a shard under
-// mixed traffic with zero failed client operations).
+// marking, the reachability probe, read-repair, and the chaos gate (kill and
+// revive a shard under mixed traffic with zero failed client operations).
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,23 +26,21 @@ type faultRing struct {
 	engines map[string]*kvs.Engine
 }
 
-func newFaultRing(t *testing.T, shards int, opts shardkvs.Options) *faultRing {
+func newFaultRing(t *testing.T, n int, opts shardkvs.Options) *faultRing {
 	t.Helper()
 	fr := &faultRing{
-		ring:    shardkvs.New(opts),
 		faults:  map[string]*simnet.FaultShard{},
 		engines: map[string]*kvs.Engine{},
 	}
-	for i := 0; i < shards; i++ {
+	shards := make([]shardkvs.Shard, n)
+	for i := range shards {
 		id := fmt.Sprintf("shard-%d", i)
-		eng := kvs.NewEngine()
-		f := simnet.NewFaultShard(eng, nil)
-		if err := fr.ring.Attach(id, f); err != nil {
-			t.Fatal(err)
-		}
-		fr.faults[id] = f
-		fr.engines[id] = eng
+		fr.engines[id] = kvs.NewEngine()
+		fr.faults[id] = simnet.NewFaultShard(fr.engines[id], nil)
+		shards[i] = shardkvs.Shard{ID: id, Store: fr.faults[id]}
 	}
+	fr.ring = newRing(t, opts, shards...)
+	t.Cleanup(func() { fr.ring.Close() })
 	return fr
 }
 
@@ -69,7 +69,7 @@ func TestRingFaultConformance(t *testing.T) {
 }
 
 func TestReadFailoverServesFromReplica(t *testing.T) {
-	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, ReadFailover: true})
+	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2})
 	if err := fr.ring.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +93,95 @@ func TestReadFailoverServesFromReplica(t *testing.T) {
 	}
 }
 
-func TestReadFailoverOffSurfacesError(t *testing.T) {
+// faasm-cli builds its ring with nothing but the replication factor. Read
+// failover needs no option: every read path — Get, MGet, TTL — answers from
+// the replica when the primary's shard crashes.
+func TestCLIRingOptionsFailOver(t *testing.T) {
 	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2})
+	if err := fr.ring.SetEx("k", []byte("v"), time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	fr.faults[fr.ring.Owners("k")[0]].Crash()
+	if v, err := fr.ring.Get("k"); err != nil || string(v) != "v" {
+		t.Fatalf("get with dead primary: %q, %v", v, err)
+	}
+	if vs, err := fr.ring.MGet([]string{"k"}); err != nil || string(vs[0]) != "v" {
+		t.Fatalf("mget with dead primary: %q, %v", vs, err)
+	}
+	if d, err := fr.ring.TTL("k"); err != nil || d <= 0 {
+		t.Fatalf("ttl with dead primary: %v, %v", d, err)
+	}
+	if st := fr.ring.FailureStats(); st.Failovers < 1 {
+		t.Fatalf("reads served by the replica must count as failovers: %+v", st)
+	}
+}
+
+// With R = 1 there is no other copy to fail over to: a dead shard's
+// unavailability error surfaces from the read.
+func TestReadFailoverOffSurfacesError(t *testing.T) {
+	fr := newFaultRing(t, 3, shardkvs.Options{})
 	if err := fr.ring.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	fr.faults[fr.ring.Owners("k")[0]].Crash()
 	if _, err := fr.ring.Get("k"); !kvs.IsUnavailable(err) {
-		t.Fatalf("with failover off a dead primary must surface: %v", err)
+		t.Fatalf("an unreplicated key's dead shard must surface: %v", err)
+	}
+	if st := fr.ring.FailureStats(); st.Failovers != 0 {
+		t.Fatalf("no copy to fail over to, yet failovers counted: %+v", st)
+	}
+}
+
+// probeCounter counts every call that reaches a shard, and AllKeys calls
+// separately.
+type probeCounter struct {
+	*kvstest.CountingStore
+	allKeys atomic.Int64
+}
+
+func (p *probeCounter) AllKeys() ([]kvs.KeyInfo, error) {
+	p.allKeys.Add(1)
+	return p.CountingStore.AllKeys()
+}
+
+// Probe is one read per shard, whatever the shards hold: it never lists
+// keys, and it names the shard that does not answer.
+func TestProbeReadsOncePerShard(t *testing.T) {
+	counters := map[string]*probeCounter{}
+	faults := map[string]*simnet.FaultShard{}
+	var shards []shardkvs.Shard
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("shard-%d", i)
+		faults[id] = simnet.NewFaultShard(kvs.NewEngine(), nil)
+		counters[id] = &probeCounter{CountingStore: kvstest.NewCountingStore(faults[id])}
+		shards = append(shards, shardkvs.Shard{ID: id, Store: counters[id]})
+	}
+	r := newRing(t, shardkvs.Options{Replication: 2}, shards...)
+	for i := 0; i < 50; i++ {
+		if err := r.Set(fmt.Sprintf("k-%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range counters {
+		c.ResetOps()
+	}
+	if err := r.Probe(); err != nil {
+		t.Fatalf("probe of a healthy tier: %v", err)
+	}
+	faults["shard-1"].Crash()
+	err := r.Probe()
+	if !kvs.IsUnavailable(err) || !strings.Contains(err.Error(), "shard-1") {
+		t.Fatalf("probe with shard-1 down: %v, want it named", err)
+	}
+	for id, c := range counters {
+		if c.Ops() != 2 || c.allKeys.Load() != 0 {
+			t.Fatalf("%s: %d calls and %d AllKeys over two probes, want 2 and 0", id, c.Ops(), c.allKeys.Load())
+		}
 	}
 }
 
 func TestQuorumWriteSurvivesDeadReplica(t *testing.T) {
-	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, WriteQuorum: 1, ReadFailover: true})
+	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, WriteQuorum: 1})
 	if err := fr.ring.Set("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +239,7 @@ func TestWriteErrorAggregatesAllCopies(t *testing.T) {
 }
 
 func TestHealRepairsRevivedShard(t *testing.T) {
-	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, WriteQuorum: 1, ReadFailover: true})
+	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, WriteQuorum: 1})
 	r := fr.ring
 
 	// Seed values, a set, and a counter across the ring, plus one key that
@@ -258,21 +334,8 @@ func TestHealRepairsRevivedShard(t *testing.T) {
 // no explicit Heal call brings the ring back to no suspects and every copy
 // to parity.
 func TestHealLoopRepairsRevivedShard(t *testing.T) {
-	r := shardkvs.New(shardkvs.Options{Replication: 2, WriteQuorum: 1, ReadFailover: true, HealInterval: 5 * time.Millisecond})
-	defer r.Close()
-	engines := map[string]*kvs.Engine{}
-	var target *simnet.FaultShard
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		engines[id] = kvs.NewEngine()
-		f := simnet.NewFaultShard(engines[id], nil)
-		if err := r.Attach(id, f); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			target = f
-		}
-	}
+	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, WriteQuorum: 1, HealInterval: 5 * time.Millisecond})
+	r, engines, target := fr.ring, fr.engines, fr.faults["shard-0"]
 	keys := make([]string, 20)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k-%d", i)
@@ -316,10 +379,9 @@ func TestHealLoopRepairsRevivedShard(t *testing.T) {
 // after Heal the revived shard is back at parity with its peers.
 func TestChaosShardCrashUnderTraffic(t *testing.T) {
 	fr := newFaultRing(t, 3, shardkvs.Options{
-		Replication:  2,
-		WriteQuorum:  1,
-		ReadPref:     shardkvs.ReadAny,
-		ReadFailover: true,
+		Replication: 2,
+		WriteQuorum: 1,
+		ReadPref:    shardkvs.ReadAny,
 	})
 	r := fr.ring
 
@@ -394,132 +456,186 @@ func TestChaosShardCrashUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestJoinUnderConcurrentWritesStrandsNothing pins the double-write window:
-// a Join racing live writers must not strand any update on an old owner —
-// after the migration every key reads its last-written value.
-func TestJoinUnderConcurrentWritesStrandsNothing(t *testing.T) {
-	for _, repl := range []int{1, 2} {
-		t.Run(fmt.Sprintf("r%d", repl), func(t *testing.T) {
-			r := shardkvs.NewLocal(3, shardkvs.Options{Replication: repl})
-			const workers = 4
-			const iters = 400
-			const slots = 8
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					<-start
-					for i := 1; i <= iters; i++ {
-						key := fmt.Sprintf("mig-%d-%d", w, i%slots)
-						if err := r.Set(key, []byte(fmt.Sprintf("v-%d", i))); err != nil {
-							t.Errorf("set %s: %v", key, err)
-							return
-						}
-					}
-				}(w)
+// Heal migrates entries onto a revived shard with their remaining
+// lifetime: the shard gets no key its in-sync copies already expired, a
+// lease with no more than its in-sync copy's TTL, and a persistent key
+// without expiry.
+func TestMigrationCarriesTTLs(t *testing.T) {
+	fr := newFaultRing(t, 2, shardkvs.Options{Replication: 2, WriteQuorum: 1})
+	r := fr.ring
+	fr.faults["shard-0"].Crash()
+	// Written while shard-0 is down: only shard-1 holds them.
+	if err := r.SetEx("expired", []byte("stale"), 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetEx("leased", []byte("live"), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Set("forever", []byte("keep")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(150 * time.Millisecond) // "expired" is past its deadline, possibly unswept
+
+	fr.faults["shard-0"].Restore()
+	stats, err := r.Heal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.FailureStats(); st.Suspects != 0 || stats.CopiesWritten < 2 {
+		t.Fatalf("heal must re-sync the revived shard: %+v, %+v", st, stats)
+	}
+	revived, synced := fr.engines["shard-0"], fr.engines["shard-1"]
+
+	// The expired key is on no shard.
+	for id, eng := range fr.engines {
+		if v, _ := eng.Get("expired"); v != nil {
+			t.Fatalf("expired key readable on %s: %q", id, v)
+		}
+		infos, err := eng.AllKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ki := range infos {
+			if ki.Key == "expired" {
+				t.Fatalf("expired key enumerated on %s after heal", id)
 			}
-			close(start)
-			time.Sleep(time.Millisecond)
-			if _, err := r.Join("shard-3", kvs.NewEngine()); err != nil {
-				t.Fatalf("join under traffic: %v", err)
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.FailNow()
-			}
-			for w := 0; w < workers; w++ {
-				for s := 0; s < slots; s++ {
-					last := 0
-					for i := 1; i <= iters; i++ {
-						if i%slots == s {
-							last = i
-						}
-					}
-					key := fmt.Sprintf("mig-%d-%d", w, s)
-					v, err := r.Get(key)
-					if err != nil || string(v) != fmt.Sprintf("v-%d", last) {
-						t.Fatalf("%s after migration: %q, %v (want v-%d)", key, v, err, last)
-					}
+		}
+	}
+	// The persistent key stayed persistent.
+	if v, _ := revived.Get("forever"); string(v) != "keep" {
+		t.Fatalf("persistent key on the revived shard: %q", v)
+	}
+	if d, _ := revived.TTL("forever"); d != kvs.TTLPersistent {
+		t.Fatalf("persistent key ttl after heal = %v", d)
+	}
+	// The lease travelled with its remaining TTL: the revived copy expires
+	// no later than the in-sync one.
+	if v, _ := revived.Get("leased"); string(v) != "live" {
+		t.Fatalf("leased key on the revived shard: %q", v)
+	}
+	want, _ := synced.TTL("leased")
+	if got, _ := revived.TTL("leased"); got <= 0 || got > want+5*time.Millisecond {
+		t.Fatalf("revived lease ttl = %v, want in (0, %v]", got, want)
+	}
+}
+
+// A lease Heal copies onto a revived shard still expires at its original
+// deadline: the copy carries the remaining TTL, not a fresh one of the
+// original length.
+func TestMigrationDoesNotExtendLeases(t *testing.T) {
+	const lease = 400 * time.Millisecond
+	fr := newFaultRing(t, 2, shardkvs.Options{Replication: 2, WriteQuorum: 1})
+	r := fr.ring
+	fr.faults["shard-0"].Crash()
+	leaseDeadline := time.Now().Add(lease)
+	if err := r.SetEx("leased", []byte("live"), lease); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(150 * time.Millisecond)
+
+	fr.faults["shard-0"].Restore()
+	if _, err := r.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	revived := fr.engines["shard-0"]
+	if v, _ := revived.Get("leased"); string(v) != "live" {
+		t.Fatalf("heal did not copy the lease onto the revived shard: %q", v)
+	}
+	time.Sleep(time.Until(leaseDeadline) + 50*time.Millisecond)
+	if v, _ := revived.Get("leased"); v != nil {
+		t.Fatalf("lease outlived its original deadline on the revived shard: %q", v)
+	}
+	if v, _ := r.Get("leased"); v != nil {
+		t.Fatalf("lease outlived its original deadline on the ring: %q", v)
+	}
+}
+
+// TestExpiryRacesHeal runs SetEx/Set/Get/TTL traffic against a shard that
+// crashes, revives and is healed over and over, with expiry sweepers
+// running. Run under -race in CI: the sweeper timers, Heal's
+// enumerate-then-copy and the failover reads must all stay race-clean.
+func TestExpiryRacesHeal(t *testing.T) {
+	fr := newFaultRing(t, 3, shardkvs.Options{Replication: 2, WriteQuorum: 1})
+	r := fr.ring
+	for _, eng := range fr.engines {
+		eng.SetSweepInterval(time.Millisecond)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	key := func(i int) string { return fmt.Sprintf("exp-%d", i%24) }
+	loop := func(fn func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fn(i); err != nil {
+					t.Error(err)
+					return
 				}
 			}
-		})
+		}()
 	}
+	loop(func(i int) error { // expiring writes, some overwritten persistent
+		r.SetEx(key(i), []byte("v"), time.Duration(2+i%6)*time.Millisecond)
+		if i%9 == 0 {
+			r.Set(key(i), []byte("p"))
+		}
+		return nil
+	})
+	loop(func(i int) error { // readers
+		r.Get(key(i))
+		r.TTL(key(i))
+		return nil
+	})
+	loop(func(i int) error { // shard-2 dies, revives and is healed
+		fr.faults["shard-2"].Crash()
+		time.Sleep(time.Millisecond)
+		fr.faults["shard-2"].Restore()
+		_, err := r.Heal()
+		return err
+	})
+
+	time.Sleep(150 * time.Millisecond)
+	close(stop)
+	wg.Wait()
 }
 
-// ttlRecorder records the TTL each SetEx or MSetEx call arms per key (and
-// can delay the write), to observe fan-out TTL skew.
-type ttlRecorder struct {
-	kvs.Store
-	delay time.Duration
-
-	mu   sync.Mutex
-	ttls map[string]time.Duration
-}
-
-func (s *ttlRecorder) record(key string, ttl time.Duration) {
-	s.mu.Lock()
-	if s.ttls == nil {
-		s.ttls = map[string]time.Duration{}
+// Heal works when shards are only reachable through the wire protocol: KEYS
+// enumeration and copies over TCP bring a revived shard back to parity.
+func TestHealOverTCPNodes(t *testing.T) {
+	var shards []shardkvs.Shard
+	faults := map[string]*simnet.FaultShard{}
+	for _, s := range tcpShards(t, 3) {
+		faults[s.ID] = simnet.NewFaultShard(s.Store, nil)
+		shards = append(shards, shardkvs.Shard{ID: s.ID, Store: faults[s.ID]})
 	}
-	s.ttls[key] = ttl
-	s.mu.Unlock()
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
-}
-
-func (s *ttlRecorder) SetEx(key string, val []byte, ttl time.Duration) error {
-	s.record(key, ttl)
-	return s.Store.SetEx(key, val, ttl)
-}
-
-func (s *ttlRecorder) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	for _, p := range pairs {
-		s.record(p.Key, ttl)
-	}
-	return s.Store.MSetEx(pairs, ttl)
-}
-
-func (s *ttlRecorder) recorded(key string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ttls[key]
-}
-
-// TestMSetExFansOutRemainingTTL pins the deadline-skew fix: a slow primary
-// must not extend the replicas' leases — each copy arms the TTL remaining at
-// the moment its write issues, computed from one shared absolute deadline.
-func TestMSetExFansOutRemainingTTL(t *testing.T) {
-	r := shardkvs.New(shardkvs.Options{Replication: 2})
-	recs := map[string]*ttlRecorder{
-		"shard-0": {Store: kvs.NewEngine()},
-		"shard-1": {Store: kvs.NewEngine()},
-	}
-	for id, rec := range recs {
-		if err := r.Attach(id, rec); err != nil {
+	r := newRing(t, shardkvs.Options{Replication: 2, WriteQuorum: 1}, shards...)
+	want := seedRing(t, r, 100)
+	faults["tcp-0"].Crash()
+	for k := range want {
+		want[k] = []byte("after-" + k)
+		if err := r.Set(k, want[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const ttl = 500 * time.Millisecond
-	const delay = 40 * time.Millisecond
-	owners := r.Owners("lease")
-	recs[owners[0]].delay = delay // slow primary
-	if err := r.MSetEx([]kvs.Pair{{Key: "lease", Val: []byte("v")}}, ttl); err != nil {
+	faults["tcp-0"].Restore()
+	if _, err := r.Heal(); err != nil {
 		t.Fatal(err)
 	}
-	pri := recs[owners[0]].recorded("lease")
-	rep := recs[owners[1]].recorded("lease")
-	if pri == 0 || rep == 0 {
-		t.Fatalf("both copies must have recorded a SetEx: primary %v, replica %v", pri, rep)
+	if st := r.FailureStats(); st.Suspects != 0 || st.Repairs != 1 {
+		t.Fatalf("after heal: %+v", st)
 	}
-	if pri > ttl || rep > ttl {
-		t.Fatalf("no copy may arm more than the requested ttl: primary %v, replica %v", pri, rep)
-	}
-	// The replica wave starts only after the delayed primary committed, so
-	// its remaining TTL must be visibly shorter.
-	if skew := pri - rep; skew < delay/2 {
-		t.Fatalf("replica lease must shrink by the fan-out latency: primary %v, replica %v", pri, rep)
+	verifyRing(t, r, want)
+	for k, v := range want {
+		for _, id := range r.Owners(k) {
+			if got, err := faults[id].Get(k); err != nil || !bytes.Equal(got, v) {
+				t.Fatalf("%s on %s after heal: %q, %v", k, id, got, err)
+			}
+		}
 	}
 }

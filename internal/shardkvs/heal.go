@@ -13,6 +13,7 @@ package shardkvs
 // the failure model in docs/ARCHITECTURE.md).
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -20,10 +21,48 @@ import (
 	"faasm.dev/faasm/internal/kvs"
 )
 
-// healProbeKey is the key Heal reads to test a suspect shard's reachability.
+// healProbeKey is the key probe reads to test a shard's reachability.
 // Reading a missing key is a cheap no-op on every backend; only the error
-// class matters.
+// matters.
 const healProbeKey = "__faasm_heal_probe"
+
+// HealStats summarises one Heal.
+type HealStats struct {
+	// KeysExamined is the distinct entries the revived shards should hold.
+	KeysExamined int
+	// KeysMoved is the keys re-synced onto a revived shard.
+	KeysMoved int
+	// CopiesWritten is the (key, shard) entries rewritten.
+	CopiesWritten int
+	// CopiesDropped is the entries swept from a revived shard because they
+	// were deleted while it was down.
+	CopiesDropped int
+	// BytesMoved is the value bytes copied onto revived shards.
+	BytesMoved int64
+}
+
+// probe reads healProbeKey once from n: one round trip, whatever the shard
+// holds.
+func probe(n *node) error {
+	if _, err := n.store.Get(healProbeKey); err != nil {
+		return fmt.Errorf("shardkvs: shard %s: %w", n.id, err)
+	}
+	return nil
+}
+
+// Probe checks that every shard answers, reading healProbeKey once per shard
+// — the check Heal makes before re-syncing a suspect shard. It returns the
+// errors of the shards that did not answer. faasmd runs it at startup to
+// fail fast on an unreachable endpoint.
+func (r *Ring) Probe() error {
+	var errs []error
+	for _, id := range r.ids {
+		if err := probe(r.nodes[id]); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // Health is the ring's local view of one shard's availability.
 type Health struct {
@@ -41,17 +80,15 @@ type Health struct {
 // Health reports per-shard health, sorted by node id; faasmd's /status page
 // renders it.
 func (r *Ring) Health() []Health {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Health, 0, len(r.nodes))
-	for id, n := range r.nodes {
+	out := make([]Health, 0, len(r.ids))
+	for _, id := range r.ids {
+		n := r.nodes[id]
 		h := Health{ID: id, Suspect: n.suspect.Load(), Failures: n.failures.Load()}
 		if h.Suspect {
 			h.Down = time.Since(time.Unix(0, n.downSince.Load()))
 		}
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -73,26 +110,18 @@ func (r *Ring) healLoop(interval time.Duration) {
 // Heal probes every suspect shard and re-syncs the ones that answer,
 // returning them to the read set. Unreachable shards stay suspect for a
 // later Heal. Repair is per-key write-fenced, so it serialises against live
-// writers exactly like a migration; plain traffic proceeds throughout.
-func (r *Ring) Heal() (MigrationStats, error) {
-	r.migrateMu.Lock()
-	defer r.migrateMu.Unlock()
-	var stats MigrationStats
-	r.mu.RLock()
-	var suspects []*node
-	for _, n := range r.nodes {
-		if n.suspect.Load() {
-			suspects = append(suspects, n)
-		}
-	}
-	r.mu.RUnlock()
-	if len(suspects) == 0 {
-		return stats, nil
-	}
-	sort.Slice(suspects, func(i, j int) bool { return suspects[i].id < suspects[j].id })
+// writers; plain traffic proceeds throughout.
+func (r *Ring) Heal() (HealStats, error) {
+	r.healMu.Lock()
+	defer r.healMu.Unlock()
+	var stats HealStats
 	var firstErr error
-	for _, n := range suspects {
-		if _, err := n.store.Get(healProbeKey); kvs.IsUnavailable(err) {
+	for _, id := range r.ids {
+		n := r.nodes[id]
+		if !n.suspect.Load() {
+			continue
+		}
+		if err := probe(n); kvs.IsUnavailable(err) {
 			continue // still down
 		}
 		if err := r.repairNode(n, &stats); err != nil {
@@ -115,24 +144,14 @@ type entryRef struct {
 // repairNode re-syncs one reachable suspect shard from the in-sync copies:
 // every entry the shard owns under the current placement is overwritten from
 // an in-sync holder, and entries the shard holds that no in-sync owner holds
-// (deleted while it was down) are swept. The ring lock is never held across
-// store operations; each key's copy runs under its write fence.
-func (r *Ring) repairNode(target *node, stats *MigrationStats) error {
-	r.mu.RLock()
-	points := r.points
-	ids := r.nodeIDsLocked()
-	nodes := make(map[string]*node, len(r.nodes))
-	for id, n := range r.nodes {
-		nodes[id] = n
-	}
-	r.mu.RUnlock()
-	sort.Strings(ids)
-
+// (deleted while it was down) are swept. Each key's copy runs under its
+// write fence.
+func (r *Ring) repairNode(target *node, stats *HealStats) error {
 	// What the target should hold, per the in-sync holders. First holder in
 	// sorted id order wins as the copy source — deterministic for tests.
 	want := map[entryRef]*node{}
-	for _, id := range ids {
-		n := nodes[id]
+	for _, id := range r.ids {
+		n := r.nodes[id]
 		if n == target || n.suspect.Load() {
 			continue
 		}
@@ -144,7 +163,7 @@ func (r *Ring) repairNode(target *node, stats *MigrationStats) error {
 			if _, dup := want[entryRef{ki.Key, ki.Kind}]; dup {
 				continue
 			}
-			for _, o := range ownersOn(points, ki.Key, r.opts.Replication) {
+			for _, o := range r.Owners(ki.Key) {
 				if o == target.id {
 					want[entryRef{ki.Key, ki.Kind}] = n
 					break
@@ -168,8 +187,8 @@ func (r *Ring) repairNode(target *node, stats *MigrationStats) error {
 			continue
 		}
 		vouched := false
-		for _, o := range ownersOn(points, ki.Key, r.opts.Replication) {
-			if n := nodes[o]; n != nil && n != target && !n.suspect.Load() {
+		for _, o := range r.Owners(ki.Key) {
+			if n := r.nodes[o]; n != target && !n.suspect.Load() {
 				vouched = true
 				break
 			}
@@ -203,15 +222,7 @@ func (r *Ring) repairNode(target *node, stats *MigrationStats) error {
 		src := want[e]
 		err := func() error {
 			defer r.writeFence(e.key)()
-			var n int64
-			var err error
-			if e.kind == kvs.KindSet {
-				// copyKind only adds members; a revived set needs stale
-				// members removed too.
-				n, err = repairSet(src.store, target.store, e.key)
-			} else {
-				n, err = copyKind(src.store, target.store, e.key, e.kind)
-			}
+			n, err := copyKind(src.store, target.store, e.key, e.kind)
 			if err != nil {
 				return err
 			}
@@ -264,4 +275,71 @@ func repairSet(src, dst kvs.Store, key string) (int64, error) {
 		}
 	}
 	return bytes, nil
+}
+
+// copyKind converges dst's entry onto src's, returning the value bytes
+// written. src is always a node that reported holding the entry.
+func copyKind(src, dst kvs.Store, key string, kind kvs.Kind) (int64, error) {
+	switch kind {
+	case kvs.KindValue:
+		// Read the value first and its TTL second, so the expiry class
+		// written to dst reflects the *latest* of the two reads: if the key
+		// expires in between, the TTL read returns TTLMissing and the copy
+		// is skipped (a repair must never resurrect an expired key); if the
+		// key is re-classified in between (Set clearing a lease, SetEx
+		// arming one), the copy lands with the new class rather than a
+		// stale one — the reverse order could stamp a just-persisted value
+		// with a long-dead lease and silently delete it, or make a leased
+		// value immortal. Only the expiry class decides life and death, so
+		// it follows the later read.
+		v, err := src.Get(key)
+		if err != nil {
+			return 0, err
+		}
+		if v == nil {
+			// Expired (or deleted) since enumeration named it.
+			return 0, nil
+		}
+		ttl, err := src.TTL(key)
+		if err != nil {
+			return 0, err
+		}
+		if ttl == kvs.TTLMissing {
+			// Expired between the value read and the TTL read.
+			return 0, nil
+		}
+		if ttl == kvs.TTLPersistent {
+			err = dst.Set(key, v)
+		} else {
+			// The remaining lifetime travels with the copy, so dst's clock
+			// expires it at (its now + remaining) — clock skew between
+			// shards shifts the deadline by at most the skew, never into
+			// immortality.
+			err = dst.SetEx(key, v, ttl)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return int64(len(v)), nil
+	case kvs.KindSet:
+		// A revived set needs stale members removed as well as missing
+		// ones added.
+		return repairSet(src, dst, key)
+	case kvs.KindCounter:
+		want, err := src.Incr(key, 0)
+		if err != nil {
+			return 0, err
+		}
+		have, err := dst.Incr(key, 0)
+		if err != nil {
+			return 0, err
+		}
+		if want != have {
+			if _, err := dst.Incr(key, want-have); err != nil {
+				return 0, err
+			}
+		}
+		return 8, nil
+	}
+	return 0, fmt.Errorf("shardkvs: unknown kind %q", kind)
 }

@@ -41,7 +41,7 @@ func TestQuorumResolution(t *testing.T) {
 		{"negative-means-all", -1, 2, 2},
 	}
 	for _, c := range cases {
-		r := New(Options{WriteQuorum: c.w})
+		r := &Ring{opts: Options{WriteQuorum: c.w}}
 		if got := r.quorum(c.copies); got != c.want {
 			t.Fatalf("%s: quorum(%d) with W=%d = %d, want %d", c.name, c.copies, c.w, got, c.want)
 		}

@@ -42,12 +42,6 @@ type Options struct {
 	// R−W copies are down; the failed copies are marked suspect, dropped
 	// from the read set, and re-synced by Heal when they return.
 	WriteQuorum int
-	// ReadFailover lets a read that fails with an unavailability error on
-	// its chosen node fall through to the remaining in-sync copies, marking
-	// the failed node suspect. Off by default: an unreplicated tier has
-	// nowhere to fail over to, and callers that want fail-stop semantics
-	// keep them.
-	ReadFailover bool
 	// HealInterval, when positive, runs Heal on a background loop so
 	// suspect shards are probed and re-synced without operator action.
 	// 0 (default) leaves healing to explicit Heal calls — deterministic
@@ -57,6 +51,13 @@ type Options struct {
 	// attaches (nil = kvs.NewClient with defaults). faasmd uses it to hand
 	// every shard client its dial timeout and retry policy.
 	NewStore func(addr string) kvs.Store
+}
+
+// Shard is one member of a ring: its id on the hash circle and the store
+// that holds its keys.
+type Shard struct {
+	ID    string
+	Store kvs.Store
 }
 
 // node is one shard: an id on the ring plus the store that holds its keys,
@@ -113,24 +114,18 @@ type point struct {
 	id   string
 }
 
-// Ring routes kvs.Store operations across shard nodes.
+// Ring routes kvs.Store operations across shard nodes. Its shards are fixed
+// when it is built: ids, nodes and points are read-only afterwards, so
+// routing takes no lock.
 type Ring struct {
 	opts Options
 
-	mu     sync.RWMutex
+	ids    []string // sorted
 	nodes  map[string]*node
 	points []point // sorted by hash
-	// nextPoints, when non-nil, is the placement a migration is streaming
-	// toward: the double-write window is open and writes target the union
-	// of owners under points and nextPoints, so an update during a resize
-	// cannot strand on the old owner. Reads keep routing on points until
-	// the migration commits. Guarded by mu.
-	nextPoints []point
 
-	// migrateMu serialises Join/Leave/Rebalance/Heal against each other;
-	// they no longer hold mu across the stream, so plain traffic proceeds
-	// during a migration.
-	migrateMu sync.Mutex
+	// healMu serialises Heal (the background loop against explicit calls).
+	healMu sync.Mutex
 
 	rr atomic.Uint64 // read round-robin cursor
 
@@ -151,10 +146,9 @@ type Ring struct {
 
 	// writeStripes serialise writes per key: a replicated write must commit
 	// in the same order on every copy or the copies diverge permanently,
-	// and a migration's per-key copy/drop steps take the same stripe so a
-	// racing write can never interleave with the key's stream. Fencing is
-	// unconditional — an unreplicated ring still needs write-vs-migration
-	// ordering — and costs one uncontended mutex on the healthy path.
+	// and Heal's per-key repair takes the same stripe so a racing write can
+	// never interleave with a key's re-sync. Fencing is unconditional and
+	// costs one uncontended mutex on the healthy path.
 	writeStripes [64]sync.Mutex
 }
 
@@ -193,13 +187,8 @@ func (r *Ring) Instrument(reg *obsv.Registry) {
 	reg.CounterFunc("faasm_shardkvs_replica_divergence_total", "writes acknowledged by some copies but not others, so copies may disagree until repair", none, r.divergence.Load)
 	reg.CounterFunc("faasm_shardkvs_repairs_total", "suspect shards re-synced and returned to the read set", none, r.repairs.Load)
 	reg.GaugeFunc("faasm_shardkvs_suspect_shards", "shard nodes currently marked suspect and excluded from reads", none, r.suspects.Load)
-	reg.GaugeFunc("faasm_shardkvs_shards", "shard nodes attached to the ring", none, func() int64 {
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-		return int64(len(r.nodes))
-	})
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	shards := int64(len(r.nodes))
+	reg.GaugeFunc("faasm_shardkvs_shards", "shard nodes attached to the ring", none, func() int64 { return shards })
 	for id, n := range r.nodes {
 		if eng, ok := n.store.(*kvs.Engine); ok {
 			eng.Instrument(reg, id)
@@ -207,25 +196,43 @@ func (r *Ring) Instrument(reg *obsv.Registry) {
 	}
 }
 
-// New returns an empty ring; add shards with Join.
-func New(opts Options) *Ring {
+// New builds a ring over shards, which it keeps for its lifetime. It rejects
+// an empty shard list and duplicate ids. Building a ring moves no data —
+// connecting a client must never mutate tier data.
+func New(opts Options, shards ...Shard) (*Ring, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("shardkvs: no shards")
+	}
 	if opts.Replication <= 0 {
 		opts.Replication = 1
 	}
-	r := &Ring{opts: opts, nodes: map[string]*node{}}
+	r := &Ring{opts: opts, nodes: make(map[string]*node, len(shards))}
+	for _, s := range shards {
+		if _, dup := r.nodes[s.ID]; dup {
+			return nil, fmt.Errorf("shardkvs: duplicate shard %q", s.ID)
+		}
+		r.nodes[s.ID] = newNode(s.ID, s.Store)
+		r.ids = append(r.ids, s.ID)
+	}
+	sort.Strings(r.ids)
+	r.points = buildPoints(r.ids)
 	if opts.HealInterval > 0 {
 		r.healStop = make(chan struct{})
 		go r.healLoop(opts.HealInterval)
 	}
-	return r
+	return r, nil
 }
 
 // NewLocal builds a ring of n in-process engines named shard-0..shard-n-1;
-// the cluster harness and tests use this form.
+// the cluster harness and tests use this form. It panics if n < 1.
 func NewLocal(n int, opts Options) *Ring {
-	r := New(opts)
-	for i := 0; i < n; i++ {
-		r.Attach(fmt.Sprintf("shard-%d", i), kvs.NewEngine())
+	shards := make([]Shard, n)
+	for i := range shards {
+		shards[i] = Shard{fmt.Sprintf("shard-%d", i), kvs.NewEngine()}
+	}
+	r, err := New(opts, shards...)
+	if err != nil {
+		panic(err)
 	}
 	return r
 }
@@ -233,24 +240,24 @@ func NewLocal(n int, opts Options) *Ring {
 // AttachRemote builds a ring of TCP clients attached to an existing tier at
 // the given endpoints. Each node is named by its endpoint address, so every
 // client given the same endpoint set — in any order — routes keys
-// identically. Attaching performs no migration — connecting a client must
-// never mutate tier data. Close the ring to release the connections.
+// identically. Close the ring to release the connections.
 func AttachRemote(endpoints []string, opts Options) (*Ring, error) {
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("shardkvs: no endpoints")
 	}
-	r := New(opts)
-	for _, addr := range endpoints {
-		var store kvs.Store
+	shards := make([]Shard, len(endpoints))
+	for i, addr := range endpoints {
+		shards[i] = Shard{ID: addr}
 		if opts.NewStore != nil {
-			store = opts.NewStore(addr)
+			shards[i].Store = opts.NewStore(addr)
 		} else {
-			store = kvs.NewClient(addr)
+			shards[i].Store = kvs.NewClient(addr)
 		}
-		if err := r.Attach(addr, store); err != nil {
-			r.Close()
-			return nil, err
-		}
+	}
+	r, err := New(opts, shards...)
+	if err != nil {
+		closeStores(shards)
+		return nil, err
 	}
 	return r, nil
 }
@@ -273,11 +280,19 @@ func (r *Ring) Close() error {
 	if r.healStop != nil {
 		r.healOnce.Do(func() { close(r.healStop) })
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	shards := make([]Shard, 0, len(r.nodes))
+	for _, id := range r.ids {
+		shards = append(shards, Shard{id, r.nodes[id].store})
+	}
+	return closeStores(shards)
+}
+
+// closeStores closes every store that holds resources, returning the first
+// error.
+func closeStores(shards []Shard) error {
 	var firstErr error
-	for _, n := range r.nodes {
-		if c, ok := n.store.(io.Closer); ok {
+	for _, s := range shards {
+		if c, ok := s.Store.(io.Closer); ok {
 			if err := c.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -302,7 +317,7 @@ func hashKey(key string) uint64 {
 }
 
 // virtualNodes is the ring points per node. More points smooth the key
-// distribution at the cost of larger rebalance fan-out.
+// distribution at the cost of a larger points table.
 const virtualNodes = 64
 
 func buildPoints(ids []string) []point {
@@ -345,24 +360,9 @@ walk:
 	return out
 }
 
-// NodeIDs lists the ring's members in sorted order.
-func (r *Ring) NodeIDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for id := range r.nodes {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owners reports the node ids holding key, primary first (diagnostics and
-// tests). Mid-rebalance it reports the committed ring: the incoming
-// placement owns nothing until the copy phase completes and commits.
+// tests).
 func (r *Ring) Owners(key string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return ownersOn(r.points, key, r.opts.Replication)
 }
 
@@ -372,8 +372,6 @@ func (r *Ring) Owners(key string) []string {
 // over away from. Order is preserved, so index 0 — when present — is the
 // healthy primary.
 func (r *Ring) HealthyOwners(key string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	ids := ownersOn(r.points, key, r.opts.Replication)
 	out := ids[:0]
 	for _, id := range ids {
@@ -384,80 +382,30 @@ func (r *Ring) HealthyOwners(key string) []string {
 	return out
 }
 
-// route snapshots the stores owning key: primary plus replicas. Callers
-// invoke the stores after the lock is released so a blocking Lock acquire
-// cannot wedge the ring against a rebalance. The unreplicated hot path does
-// no allocation — routing must stay far cheaper than the shard op itself.
-// Reads route on the committed points even mid-migration: old owners hold
-// their data until the drop phase, which runs only after commit.
-func (r *Ring) route(key string) (*node, []*node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil, nil, fmt.Errorf("shardkvs: empty ring")
-	}
+// route resolves the stores owning key: primary plus replicas. The
+// unreplicated hot path does no allocation — routing must stay far cheaper
+// than the shard op itself.
+func (r *Ring) route(key string) (*node, []*node) {
 	if r.opts.Replication == 1 {
-		return r.nodes[r.points[searchPoints(r.points, key)].id], nil, nil
+		return r.nodes[r.points[searchPoints(r.points, key)].id], nil
 	}
 	ids := ownersOn(r.points, key, r.opts.Replication)
 	primary := r.nodes[ids[0]]
 	if len(ids) == 1 {
-		return primary, nil, nil
+		return primary, nil
 	}
 	replicas := make([]*node, len(ids)-1)
 	for i, id := range ids[1:] {
 		replicas[i] = r.nodes[id]
 	}
-	return primary, replicas, nil
-}
-
-// routeWrite is route for writes: while a migration's double-write window
-// is open it extends the target set with the key's owners under the
-// incoming placement, so an update during a resize lands on the nodes that
-// are about to own it as well as the ones that do. The primary stays the
-// old primary — its result remains authoritative until commit.
-func (r *Ring) routeWrite(key string) (*node, []*node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil, nil, fmt.Errorf("shardkvs: empty ring")
-	}
-	if r.opts.Replication == 1 && r.nextPoints == nil {
-		return r.nodes[r.points[searchPoints(r.points, key)].id], nil, nil
-	}
-	ids := ownersOn(r.points, key, r.opts.Replication)
-	primary := r.nodes[ids[0]]
-	var extras []*node
-	for _, id := range ids[1:] {
-		extras = append(extras, r.nodes[id])
-	}
-	if r.nextPoints != nil {
-	next:
-		for _, id := range ownersOn(r.nextPoints, key, r.opts.Replication) {
-			if id == primary.id {
-				continue
-			}
-			for _, n := range extras {
-				if n.id == id {
-					continue next
-				}
-			}
-			// A just-joining node is in r.nodes before the window opens; a
-			// leaving node stays in r.nodes until commit. Either way every
-			// incoming owner resolves.
-			if n := r.nodes[id]; n != nil {
-				extras = append(extras, n)
-			}
-		}
-	}
-	return primary, extras, nil
+	return primary, replicas
 }
 
 // writeFence serialises writes to one key across this ring instance, and
-// orders them against a migration's per-key copy/drop steps (which take the
-// same stripe). Replicated writes need the ordering so copies cannot commit
-// concurrent Sets in opposite orders and diverge permanently; unreplicated
-// writes need it so a resize cannot interleave with a racing update.
+// orders them against Heal's per-key repair (which takes the same stripe).
+// Replicated writes need the ordering so copies cannot commit concurrent
+// Sets in opposite orders and diverge permanently; a repair needs it so a
+// racing update cannot land between its read and its copy.
 // Writers from other ring instances are not ordered — cross-client writes
 // to one key need the kvs global lock, exactly as the paper's §4.2
 // consistent-write recipe prescribes.
@@ -499,9 +447,9 @@ func (r *Ring) clearSuspect(n *node) {
 	}
 }
 
-// writeVal applies op to every copy of key — primary, replicas, and (during
-// a migration) incoming owners — in parallel, so a replicated write costs
-// the slowest copy instead of the sum over R copies. The write fence keeps
+// writeVal applies op to every copy of key — primary and replicas — in
+// parallel, so a replicated write costs the slowest copy instead of the sum
+// over R copies. The write fence keeps
 // concurrent writers to one key ordered identically on every copy, so
 // parallelism cannot diverge an error-free write.
 //
@@ -516,16 +464,12 @@ func (r *Ring) clearSuspect(n *node) {
 // (errors.Join), not just the first, so a diagnosing operator sees which
 // copies refused and why. A failed write remains indeterminate — some
 // copies may have applied it — so callers retry it (Set/SetRange replays
-// converge every copy) or run Rebalance/Heal to re-converge. (A package
-// function because methods cannot take type parameters.)
+// converge every copy) or run Heal to re-converge. (A package function
+// because methods cannot take type parameters.)
 func writeVal[T any](r *Ring, key string, op func(s kvs.Store) (T, error)) (T, error) {
 	r.writes.Add(1)
 	defer r.writeFence(key)()
-	primary, extras, err := r.routeWrite(key)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
+	primary, extras := r.route(key)
 	if len(extras) == 0 {
 		v, err := op(primary.store)
 		if err != nil {
@@ -599,14 +543,11 @@ func (r *Ring) write(key string, op func(s kvs.Store) error) error {
 // copies (their data may be stale — a down node missed writes that the
 // surviving copies acknowledged). If every copy is suspect the primary is
 // returned anyway: a desperate read beats no read.
-func (r *Ring) readNode(key string) (*node, error) {
+func (r *Ring) readNode(key string) *node {
 	r.reads.Add(1)
-	primary, replicas, err := r.route(key)
-	if err != nil {
-		return nil, err
-	}
+	primary, replicas := r.route(key)
 	if len(replicas) == 0 {
-		return primary, nil
+		return primary
 	}
 	if r.opts.ReadPref == ReadPrimary {
 		if primary.suspect.Load() {
@@ -615,11 +556,11 @@ func (r *Ring) readNode(key string) (*node, error) {
 					// Served by a fallback copy: count it, so the failover
 					// series reflects suspect-skips as well as live fall-throughs.
 					r.failovers.Add(1)
-					return rep, nil
+					return rep
 				}
 			}
 		}
-		return primary, nil
+		return primary
 	}
 	// Modulo in uint64: a signed conversion first would eventually go
 	// negative and index out of range.
@@ -638,37 +579,29 @@ func (r *Ring) readNode(key string) (*node, error) {
 				// fallback copy.
 				r.failovers.Add(1)
 			}
-			return n, nil
+			return n
 		}
 	}
-	return primary, nil
+	return primary
 }
 
 // readVal serves one single-key read with failover: the chosen node first;
-// if it fails with an unavailability error (and Options.ReadFailover is on)
-// the read falls through the remaining in-sync copies, marking failed nodes
-// suspect as it goes. Semantic errors surface immediately — a live shard's
-// rejection is the answer, not an outage. (A package function because
-// methods cannot take type parameters.)
+// if it fails with an unavailability error the read falls through the
+// remaining in-sync copies, marking failed nodes suspect as it goes. With
+// R = 1 there is no other copy and the error surfaces. Semantic errors
+// surface immediately — a live shard's rejection is the answer, not an
+// outage. (A package function because methods cannot take type parameters.)
 func readVal[T any](r *Ring, key string, op func(s kvs.Store) (T, error)) (T, error) {
-	n, err := r.readNode(key)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
+	n := r.readNode(key)
 	v, err := op(n.store)
 	if err == nil {
 		return v, nil
 	}
 	r.noteFailure(n, err)
-	if !r.opts.ReadFailover || !kvs.IsUnavailable(err) {
+	if !kvs.IsUnavailable(err) {
 		return v, err
 	}
-	primary, replicas, rerr := r.route(key)
-	if rerr != nil {
-		var zero T
-		return zero, err
-	}
+	primary, replicas := r.route(key)
 	for i := 0; i < 1+len(replicas); i++ {
 		cand := primary
 		if i > 0 {
@@ -732,17 +665,13 @@ func (r *Ring) SetEx(key string, val []byte, ttl time.Duration) error {
 }
 
 // TTL implements kvs.Store, preferring the primary: the primary's clock is
-// the authority for a key's lifetime. With ReadFailover a suspect or
-// unreachable primary falls through to a replica — its deadline can skew by
-// the inter-shard clock delta, which beats refusing liveness judgements
-// while a shard restarts.
+// the authority for a key's lifetime. A suspect or unreachable primary falls
+// through to a replica — its deadline can skew by the inter-shard clock
+// delta, which beats refusing liveness judgements while a shard restarts.
 func (r *Ring) TTL(key string) (time.Duration, error) {
-	primary, replicas, err := r.route(key)
-	if err != nil {
-		return 0, err
-	}
+	primary, replicas := r.route(key)
 	n := primary
-	if primary.suspect.Load() && r.opts.ReadFailover {
+	if primary.suspect.Load() {
 		for _, rep := range replicas {
 			if !rep.suspect.Load() {
 				n = rep
@@ -752,7 +681,7 @@ func (r *Ring) TTL(key string) (time.Duration, error) {
 	}
 	r.reads.Add(1)
 	d, err := n.store.TTL(key)
-	if err == nil || !r.opts.ReadFailover || !kvs.IsUnavailable(err) {
+	if err == nil || !kvs.IsUnavailable(err) {
 		if err != nil {
 			r.noteFailure(n, err)
 		}
@@ -775,12 +704,6 @@ func (r *Ring) TTL(key string) (time.Duration, error) {
 		}
 	}
 	return 0, err
-}
-
-// Persist implements kvs.Store. The primary's removed result is
-// authoritative.
-func (r *Ring) Persist(key string) (bool, error) {
-	return writeVal(r, key, func(s kvs.Store) (bool, error) { return s.Persist(key) })
 }
 
 // GetRange implements kvs.Store.
@@ -860,14 +783,11 @@ type nodeGroup struct {
 }
 
 // groupBy buckets batch indices by the node pick returns for each key.
-func groupBy(count int, pick func(i int) (*node, error)) ([]nodeGroup, error) {
+func groupBy(count int, pick func(i int) *node) []nodeGroup {
 	byNode := map[*node]int{}
 	var groups []nodeGroup
 	for i := 0; i < count; i++ {
-		n, err := pick(i)
-		if err != nil {
-			return nil, err
-		}
+		n := pick(i)
 		gi, ok := byNode[n]
 		if !ok {
 			gi = len(groups)
@@ -876,7 +796,7 @@ func groupBy(count int, pick func(i int) (*node, error)) ([]nodeGroup, error) {
 		}
 		groups[gi].idx = append(groups[gi].idx, i)
 	}
-	return groups, nil
+	return groups
 }
 
 // eachGroup runs op for every group, concurrently when there is more than
@@ -922,23 +842,19 @@ func eachGroup(groups []nodeGroup, op func(g nodeGroup) error) error {
 // cross-shard batch costs one shard round trip, not one per key.
 //
 // Failover is batch-grained: a shard failing its group marks it suspect and
-// (with ReadFailover) the whole batch re-routes — readNode now skips the
-// suspect node, so the retry lands the failed group on surviving copies.
-// Bounded by the replication factor: after R re-routes every copy of some
-// key has failed and the error surfaces.
+// the whole batch re-routes — readNode now skips the suspect node, so the
+// retry lands the failed group on surviving copies. Bounded by the
+// replication factor: after R re-routes every copy of some key has failed
+// and the error surfaces.
 func (r *Ring) MGet(keys []string) ([][]byte, error) {
-	attempts := 1
-	if r.opts.ReadFailover {
-		attempts += r.opts.Replication
-	}
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a <= r.opts.Replication; a++ {
 		out, err := r.mgetOnce(keys)
 		if err == nil {
 			return out, nil
 		}
 		lastErr = err
-		if !r.opts.ReadFailover || !kvs.IsUnavailable(err) {
+		if !kvs.IsUnavailable(err) {
 			break
 		}
 		r.failovers.Add(1)
@@ -951,11 +867,8 @@ func (r *Ring) mgetOnce(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return out, nil
 	}
-	groups, err := groupBy(len(keys), func(i int) (*node, error) { return r.readNode(keys[i]) })
-	if err != nil {
-		return nil, err
-	}
-	err = eachGroup(groups, func(g nodeGroup) error {
+	groups := groupBy(len(keys), func(i int) *node { return r.readNode(keys[i]) })
+	err := eachGroup(groups, func(g nodeGroup) error {
 		sub := make([]string, len(g.idx))
 		for j, i := range g.idx {
 			sub[j] = keys[i]
@@ -984,31 +897,6 @@ func (r *Ring) mgetOnce(keys []string) ([][]byte, error) {
 // them, concurrently); replica batches fan out only after every primary
 // batch landed, so a primary error cannot leave replicas ahead of their
 // primary. The multi-key write fence holds for the whole batch.
-func (r *Ring) MSet(pairs []kvs.Pair) error {
-	return r.msetBatched(pairs, kvs.Store.MSet)
-}
-
-// MSetEx implements kvs.Store: MSet's per-shard batching and
-// primaries-first ordering. Like SetEx, the ring computes one absolute
-// deadline up front and each sub-batch arms the TTL remaining when it
-// issues — in particular the replica wave, which starts only after every
-// primary committed, no longer outlives its primaries by the fan-out
-// latency.
-func (r *Ring) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	if ttl <= 0 {
-		// Fail before any shard is touched: a partial batch where some
-		// shards rejected the ttl and others never saw it is avoidable here.
-		return fmt.Errorf("shardkvs: msetex ttl must be positive, got %v", ttl)
-	}
-	deadline := time.Now().Add(ttl)
-	return r.msetBatched(pairs, func(s kvs.Store, sub []kvs.Pair) error {
-		return s.MSetEx(sub, setExRemaining(deadline))
-	})
-}
-
-// msetBatched is the shared MSet/MSetEx fan-out: pairs grouped by owner,
-// one batch per shard, primaries committed (concurrently) before any
-// replica batch starts.
 //
 // Quorum semantics are batch-grained, coarser than writeVal's per-key
 // accounting: every primary batch must land (a failed primary fails the
@@ -1016,7 +904,7 @@ func (r *Ring) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
 // and divergence-counted but not surfaced — when Options.WriteQuorum
 // relaxes below full replication. With the default strict quorum any
 // replica failure surfaces, aggregated across groups.
-func (r *Ring) msetBatched(pairs []kvs.Pair, apply func(s kvs.Store, sub []kvs.Pair) error) error {
+func (r *Ring) MSet(pairs []kvs.Pair) error {
 	if len(pairs) == 0 {
 		return nil
 	}
@@ -1025,31 +913,21 @@ func (r *Ring) msetBatched(pairs []kvs.Pair, apply func(s kvs.Store, sub []kvs.P
 	primaries := make([]*node, len(pairs))
 	replicas := make([][]*node, len(pairs))
 	for i, p := range pairs {
-		pri, reps, err := r.routeWrite(p.Key)
-		if err != nil {
-			return err
+		primaries[i], replicas[i] = r.route(p.Key)
+	}
+	priGroups := groupBy(len(pairs), func(i int) *node { return primaries[i] })
+	err := eachGroup(priGroups, func(g nodeGroup) error {
+		sub := make([]kvs.Pair, len(g.idx))
+		for j, i := range g.idx {
+			sub[j] = pairs[i]
 		}
-		primaries[i] = pri
-		replicas[i] = reps
-	}
-	send := func(groups []nodeGroup) error {
-		return eachGroup(groups, func(g nodeGroup) error {
-			sub := make([]kvs.Pair, len(g.idx))
-			for j, i := range g.idx {
-				sub[j] = pairs[i]
-			}
-			if err := apply(g.n.store, sub); err != nil {
-				r.noteFailure(g.n, err)
-				return fmt.Errorf("shardkvs: node %s: %w", g.n.id, err)
-			}
-			return nil
-		})
-	}
-	priGroups, err := groupBy(len(pairs), func(i int) (*node, error) { return primaries[i], nil })
+		if err := g.n.store.MSet(sub); err != nil {
+			r.noteFailure(g.n, err)
+			return fmt.Errorf("shardkvs: node %s: %w", g.n.id, err)
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	if err := send(priGroups); err != nil {
 		return err
 	}
 	// Flatten (pair, replica) placements and group them by node.
@@ -1063,12 +941,9 @@ func (r *Ring) msetBatched(pairs []kvs.Pair, apply func(s kvs.Store, sub []kvs.P
 	if len(places) == 0 {
 		return nil
 	}
-	repGroups, err := groupBy(len(places), func(i int) (*node, error) {
-		return replicas[places[i].pair][places[i].rep], nil
+	repGroups := groupBy(len(places), func(i int) *node {
+		return replicas[places[i].pair][places[i].rep]
 	})
-	if err != nil {
-		return err
-	}
 	relaxed := r.quorum(r.opts.Replication) < r.opts.Replication
 	var repMu sync.Mutex
 	var repErrs []error
@@ -1077,7 +952,7 @@ func (r *Ring) msetBatched(pairs []kvs.Pair, apply func(s kvs.Store, sub []kvs.P
 		for j, i := range g.idx {
 			sub[j] = pairs[places[i].pair]
 		}
-		if err := apply(g.n.store, sub); err != nil {
+		if err := g.n.store.MSet(sub); err != nil {
 			r.noteFailure(g.n, err)
 			r.divergence.Add(1)
 			repMu.Lock()
@@ -1110,29 +985,19 @@ func (r *Ring) GetRangesInto(key string, ranges []kvs.Range, dst []byte) (int, e
 // primary, so mutual exclusion is exactly one engine's semantics regardless
 // of replication.
 func (r *Ring) Lock(key string, write bool, ttl time.Duration) (uint64, error) {
-	primary, _, err := r.route(key)
-	if err != nil {
-		return 0, err
-	}
+	primary, _ := r.route(key)
 	return primary.store.Lock(key, write, ttl)
 }
 
-// Unlock implements kvs.Store, routing to the same primary as Lock. If the
-// primary changed in between (rebalance during a held lock), the stale
-// lease expires on the old node by TTL.
+// Unlock implements kvs.Store, routing to the same primary as Lock.
 func (r *Ring) Unlock(key string, token uint64) error {
-	primary, _, err := r.route(key)
-	if err != nil {
-		return err
-	}
+	primary, _ := r.route(key)
 	return primary.store.Unlock(key, token)
 }
 
 // AllKeys implements kvs.Store: the union of every shard's entries (each
 // replicated key reported once).
 func (r *Ring) AllKeys() ([]kvs.KeyInfo, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	seen := map[kvs.KeyInfo]bool{}
 	var out []kvs.KeyInfo
 	for _, n := range r.nodes {
@@ -1158,8 +1023,6 @@ func (r *Ring) AllKeys() ([]kvs.KeyInfo, error) {
 
 // ShardKeyCounts reports entries per node id (balance diagnostics).
 func (r *Ring) ShardKeyCounts() (map[string]int, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make(map[string]int, len(r.nodes))
 	for id, n := range r.nodes {
 		infos, err := n.store.AllKeys()

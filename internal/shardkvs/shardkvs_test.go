@@ -3,6 +3,7 @@ package shardkvs_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,23 +37,53 @@ func TestRingConformance(t *testing.T) {
 
 func TestRingConformanceOverTCP(t *testing.T) {
 	kvstest.Run(t, func(t *testing.T) kvs.Store {
-		r := shardkvs.New(shardkvs.Options{})
-		for i := 0; i < 3; i++ {
-			srv, err := kvs.NewServer(kvs.NewEngine(), "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := kvs.NewClient(srv.Addr())
-			t.Cleanup(func() {
-				c.Close()
-				srv.Close()
-			})
-			if _, err := r.Join(fmt.Sprintf("tcp-%d", i), c); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return r
+		return newRing(t, shardkvs.Options{}, tcpShards(t, 3)...)
 	})
+}
+
+// newRing builds a ring over shards, failing the test on a construction
+// error.
+func newRing(t *testing.T, opts shardkvs.Options, shards ...shardkvs.Shard) *shardkvs.Ring {
+	t.Helper()
+	r, err := shardkvs.New(opts, shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// engineRing builds a ring of n in-process engines named shard-0..shard-n-1
+// and returns the engines by id, so tests can inspect each copy.
+func engineRing(t *testing.T, n int, opts shardkvs.Options) (*shardkvs.Ring, map[string]*kvs.Engine) {
+	t.Helper()
+	engines := map[string]*kvs.Engine{}
+	shards := make([]shardkvs.Shard, n)
+	for i := range shards {
+		id := fmt.Sprintf("shard-%d", i)
+		engines[id] = kvs.NewEngine()
+		shards[i] = shardkvs.Shard{ID: id, Store: engines[id]}
+	}
+	return newRing(t, opts, shards...), engines
+}
+
+// tcpShards starts n engine servers and returns a TCP client shard for
+// each, named tcp-0..tcp-n-1.
+func tcpShards(t *testing.T, n int) []shardkvs.Shard {
+	t.Helper()
+	shards := make([]shardkvs.Shard, n)
+	for i := range shards {
+		srv, err := kvs.NewServer(kvs.NewEngine(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := kvs.NewClient(srv.Addr())
+		t.Cleanup(func() {
+			c.Close()
+			srv.Close()
+		})
+		shards[i] = shardkvs.Shard{ID: fmt.Sprintf("tcp-%d", i), Store: c}
+	}
+	return shards
 }
 
 func seedRing(t *testing.T, r *shardkvs.Ring, nKeys int) map[string][]byte {
@@ -66,7 +97,7 @@ func seedRing(t *testing.T, r *shardkvs.Ring, nKeys int) map[string][]byte {
 		}
 		want[k] = v
 	}
-	// A few non-value structures so migration covers every kind.
+	// A few non-value structures so repair covers every kind.
 	for i := 0; i < 8; i++ {
 		if _, err := r.SAdd("warm-hosts", fmt.Sprintf("host-%d", i)); err != nil {
 			t.Fatal(err)
@@ -91,82 +122,18 @@ func verifyRing(t *testing.T, r *shardkvs.Ring, want map[string][]byte) {
 	}
 	members, err := r.SMembers("warm-hosts")
 	if err != nil || len(members) != 8 {
-		t.Fatalf("warm-hosts after rebalance: %v %v", members, err)
+		t.Fatalf("warm-hosts: %v %v", members, err)
 	}
 	for i := 0; i < 8; i++ {
 		v, err := r.Incr(fmt.Sprintf("ctr-%d", i), 0)
 		if err != nil || v != int64(i)*10+1 {
-			t.Fatalf("ctr-%d after rebalance: %d %v", i, v, err)
+			t.Fatalf("ctr-%d: %d %v", i, v, err)
 		}
 	}
-}
-
-func TestJoinLeaveZeroLostKeys(t *testing.T) {
-	const nKeys = 300
-	r := shardkvs.NewLocal(3, shardkvs.Options{})
-	want := seedRing(t, r, nKeys)
-
-	stats, err := r.Join("shard-3", kvs.NewEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.KeysMoved == 0 {
-		t.Fatal("join moved nothing — new node owns no ranges?")
-	}
-	// Rebalance must stream only moved ranges, not the whole keyspace: with
-	// 3→4 evenly-loaded shards roughly a quarter of keys move.
-	if stats.KeysMoved >= stats.KeysExamined*3/4 {
-		t.Fatalf("join moved %d of %d keys — not range-scoped", stats.KeysMoved, stats.KeysExamined)
-	}
-	verifyRing(t, r, want)
-
-	// The joiner must actually own data now.
-	counts, err := r.ShardKeyCounts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["shard-3"] == 0 {
-		t.Fatalf("joined shard holds no keys: %v", counts)
-	}
-
-	// Graceful leave of an original member: its keys stream out first.
-	stats, err = r.Leave("shard-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.KeysMoved == 0 {
-		t.Fatal("leave moved nothing — departing node held no ranges?")
-	}
-	verifyRing(t, r, want)
-	if got := r.NodeIDs(); len(got) != 3 {
-		t.Fatalf("nodes after leave: %v", got)
-	}
-}
-
-func TestJoinLeaveZeroLostKeysReplicated(t *testing.T) {
-	r := shardkvs.NewLocal(3, shardkvs.Options{Replication: 2, ReadPref: shardkvs.ReadAny})
-	want := seedRing(t, r, 200)
-	if _, err := r.Join("shard-3", kvs.NewEngine()); err != nil {
-		t.Fatal(err)
-	}
-	verifyRing(t, r, want)
-	if _, err := r.Leave("shard-0"); err != nil {
-		t.Fatal(err)
-	}
-	verifyRing(t, r, want)
 }
 
 func TestReplicationPlacesRCopies(t *testing.T) {
-	r := shardkvs.New(shardkvs.Options{Replication: 2})
-	engines := map[string]*kvs.Engine{}
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		e := kvs.NewEngine()
-		engines[id] = e
-		if _, err := r.Join(id, e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r, engines := engineRing(t, 4, shardkvs.Options{Replication: 2})
 	for i := 0; i < 50; i++ {
 		k := fmt.Sprintf("rep-%d", i)
 		if err := r.Set(k, []byte(k)); err != nil {
@@ -215,16 +182,7 @@ func TestKeyDistributionIsBalanced(t *testing.T) {
 }
 
 func TestLockRoutesToPrimary(t *testing.T) {
-	r := shardkvs.New(shardkvs.Options{})
-	engines := map[string]*kvs.Engine{}
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		e := kvs.NewEngine()
-		engines[id] = e
-		if _, err := r.Join(id, e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r, engines := engineRing(t, 3, shardkvs.Options{})
 	tok, err := r.Lock("locked-key", true, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -253,93 +211,53 @@ func TestLockRoutesToPrimary(t *testing.T) {
 	}
 }
 
+// A ring has at least one shard: building an empty one fails, so routing
+// never meets an empty circle.
 func TestEmptyRingErrors(t *testing.T) {
-	r := shardkvs.New(shardkvs.Options{})
-	if err := r.Set("k", nil); err == nil {
-		t.Fatal("write on empty ring succeeded")
+	if _, err := shardkvs.New(shardkvs.Options{}); err == nil {
+		t.Fatal("empty ring built")
 	}
-	if _, err := r.Get("k"); err == nil {
-		t.Fatal("read on empty ring succeeded")
-	}
-	if _, err := r.Leave("ghost"); err == nil {
-		t.Fatal("leave of unknown node succeeded")
+	if _, err := shardkvs.AttachRemote(nil, shardkvs.Options{}); err == nil {
+		t.Fatal("ring over no endpoints built")
 	}
 }
 
-func TestLastNodeCannotLeave(t *testing.T) {
-	r := shardkvs.NewLocal(1, shardkvs.Options{})
-	if _, err := r.Leave("shard-0"); err == nil {
-		t.Fatal("last node left the ring")
+// Two shards with one id would make routing ambiguous; New refuses them.
+func TestNewRejectsDuplicateShards(t *testing.T) {
+	_, err := shardkvs.New(shardkvs.Options{},
+		shardkvs.Shard{ID: "a", Store: kvs.NewEngine()},
+		shardkvs.Shard{ID: "b", Store: kvs.NewEngine()},
+		shardkvs.Shard{ID: "a", Store: kvs.NewEngine()})
+	if err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("duplicate shard id: err = %v, want it named", err)
 	}
 }
 
 func TestRejoinPopulatedTierPreservesData(t *testing.T) {
-	// Regression: rebuilding a ring over already-populated shards (what a
-	// restarting daemon does) must never destroy data. The old rebalancer
-	// reconciled counters against a source that did not hold them, zeroing
-	// live counters during the intermediate single-node ring states.
+	// Rebuilding a ring over already-populated shards (what a restarting
+	// daemon does) must never destroy data: building a ring moves nothing.
 	engines := []*kvs.Engine{kvs.NewEngine(), kvs.NewEngine(), kvs.NewEngine()}
-	first := shardkvs.New(shardkvs.Options{})
+	shards := make([]shardkvs.Shard, len(engines))
 	for i, e := range engines {
-		if err := first.Attach(fmt.Sprintf("shard-%d", i), e); err != nil {
-			t.Fatal(err)
-		}
+		shards[i] = shardkvs.Shard{ID: fmt.Sprintf("shard-%d", i), Store: e}
 	}
+	first := newRing(t, shardkvs.Options{}, shards...)
 	want := seedRing(t, first, 100)
 
-	// Attach path (the client-bootstrap path): zero mutation.
-	second := shardkvs.New(shardkvs.Options{})
-	for i, e := range engines {
-		if err := second.Attach(fmt.Sprintf("shard-%d", i), e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// A second ring over the same stores, listed in another order, reads
+	// everything the first wrote.
+	second := newRing(t, shardkvs.Options{}, shards[2], shards[0], shards[1])
 	verifyRing(t, second, want)
-
-	// Join path over the same populated stores: sequential joins walk
-	// through intermediate ring layouts; data must survive and converge.
-	third := shardkvs.New(shardkvs.Options{})
-	for i, e := range engines {
-		if _, err := third.Join(fmt.Sprintf("shard-%d", i), e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	verifyRing(t, third, want)
 
 	// And the original ring still reads everything too.
 	verifyRing(t, first, want)
-}
-
-func TestRebalanceIsIdempotent(t *testing.T) {
-	r := shardkvs.NewLocal(3, shardkvs.Options{Replication: 2})
-	want := seedRing(t, r, 120)
-	if _, err := r.Join("shard-3", kvs.NewEngine()); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := r.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.KeysMoved != 0 || stats.CopiesDropped != 0 {
-		t.Fatalf("rebalance on converged tier moved data: %+v", stats)
-	}
-	verifyRing(t, r, want)
 }
 
 func TestConcurrentReplicatedWritesDoNotDiverge(t *testing.T) {
 	// Regression: without per-key write ordering, two concurrent Sets can
 	// commit in opposite orders on primary and replica and diverge the
 	// copies permanently.
-	r := shardkvs.New(shardkvs.Options{Replication: 2})
-	engines := map[string]*kvs.Engine{}
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		e := kvs.NewEngine()
-		engines[id] = e
-		if err := r.Attach(id, e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r, engines := engineRing(t, 4, shardkvs.Options{Replication: 2})
 	const key = "contended"
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -400,46 +318,8 @@ func TestAttachRemoteRoutingIsEndpointOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestMigrationOverTCPNodes(t *testing.T) {
-	// Rebalance must work when shards are only reachable through the wire
-	// protocol (KEYS enumeration + streamed copies).
-	r := shardkvs.New(shardkvs.Options{})
-	addNode := func(id string) {
-		srv, err := kvs.NewServer(kvs.NewEngine(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := kvs.NewClient(srv.Addr())
-		t.Cleanup(func() {
-			c.Close()
-			srv.Close()
-		})
-		if _, err := r.Join(id, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addNode("tcp-0")
-	addNode("tcp-1")
-	want := seedRing(t, r, 100)
-	addNode("tcp-2")
-	verifyRing(t, r, want)
-	if _, err := r.Leave("tcp-0"); err != nil {
-		t.Fatal(err)
-	}
-	verifyRing(t, r, want)
-}
-
 func TestBatchedMSetReplicatesAndRoutes(t *testing.T) {
-	r := shardkvs.New(shardkvs.Options{Replication: 2})
-	engines := map[string]*kvs.Engine{}
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		e := kvs.NewEngine()
-		engines[id] = e
-		if err := r.Attach(id, e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r, engines := engineRing(t, 4, shardkvs.Options{Replication: 2})
 	pairs := make([]kvs.Pair, 60)
 	keys := make([]string, 60)
 	for i := range pairs {
@@ -482,16 +362,7 @@ func TestConcurrentBatchedAndSingleWritesDoNotDiverge(t *testing.T) {
 	// The multi-key batch fence and the single-key write fence must order
 	// against each other: a batch racing single Sets on the same keys may
 	// interleave per key, but each key's R copies must end identical.
-	r := shardkvs.New(shardkvs.Options{Replication: 2})
-	engines := map[string]*kvs.Engine{}
-	for i := 0; i < 4; i++ {
-		id := fmt.Sprintf("shard-%d", i)
-		e := kvs.NewEngine()
-		engines[id] = e
-		if err := r.Attach(id, e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r, engines := engineRing(t, 4, shardkvs.Options{Replication: 2})
 	keys := []string{"bf-0", "bf-1", "bf-2", "bf-3", "bf-4", "bf-5"}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -527,145 +398,4 @@ func TestConcurrentBatchedAndSingleWritesDoNotDiverge(t *testing.T) {
 			t.Fatalf("%s diverged: primary=%q replica=%q", k, v0, v1)
 		}
 	}
-}
-
-// --- Tier-side expiry across the ring ---
-
-func TestMigrationCarriesTTLs(t *testing.T) {
-	r := shardkvs.NewLocal(2, shardkvs.Options{})
-	if err := r.SetEx("expired", []byte("stale"), 30*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetEx("leased", []byte("live"), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Set("forever", []byte("keep")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond) // "expired" is now past its deadline, possibly unswept
-
-	if _, err := r.Join("shard-new", kvs.NewEngine()); err != nil {
-		t.Fatal(err)
-	}
-	// A rebalance must not resurrect the expired key anywhere.
-	if v, _ := r.Get("expired"); v != nil {
-		t.Fatalf("rebalance resurrected an expired key: %q", v)
-	}
-	infos, err := r.AllKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ki := range infos {
-		if ki.Kind == kvs.KindValue && ki.Key == "expired" {
-			t.Fatal("expired key enumerated after rebalance")
-		}
-	}
-	// The live lease travelled with its remaining TTL, wherever it landed.
-	if v, _ := r.Get("leased"); string(v) != "live" {
-		t.Fatalf("leased key lost in migration: %q", v)
-	}
-	if d, _ := r.TTL("leased"); d <= 0 || d > 10*time.Second {
-		t.Fatalf("migrated ttl = %v, want in (0, 10s]", d)
-	}
-	// The persistent key stayed persistent.
-	if d, _ := r.TTL("forever"); d != kvs.TTLPersistent {
-		t.Fatalf("persistent key ttl after migration = %v", d)
-	}
-}
-
-func TestMigrationDoesNotExtendLeases(t *testing.T) {
-	// A key carried through several rebalances must still expire on time —
-	// copying must carry the remaining TTL, not re-arm a fresh one of the
-	// original length.
-	r := shardkvs.NewLocal(2, shardkvs.Options{})
-	if err := r.SetEx("lease", []byte("v"), 300*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := r.Join(fmt.Sprintf("extra-%d", i), kvs.NewEngine()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, err := r.Get("lease")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("migrated lease never expired — migration re-armed it")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestExpiryRacesMigration runs SetEx/Get/TTL/Persist traffic against
-// concurrent Join/Leave rebalances and explicit sweeps. Run under -race in
-// CI: the sweeper timer, the migration's enumerate-then-copy and the
-// routing snapshots must all stay race-clean.
-func TestExpiryRacesMigration(t *testing.T) {
-	r := shardkvs.NewLocal(2, shardkvs.Options{Replication: 2})
-	extra := kvs.NewEngine()
-	extra.SetSweepInterval(time.Millisecond)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	key := func(i int) string { return fmt.Sprintf("mig-%d", i%24) }
-
-	wg.Add(1)
-	go func() { // expiring writes, some overwritten persistent
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r.SetEx(key(i), []byte("v"), time.Duration(2+i%6)*time.Millisecond)
-			if i%9 == 0 {
-				r.Set(key(i), []byte("p"))
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // readers
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r.Get(key(i))
-			r.TTL(key(i))
-			if i%5 == 0 {
-				r.Persist(key(i))
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // the tier resizes underneath the traffic
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := r.Join("churn", extra); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := r.Leave("churn"); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-
-	time.Sleep(150 * time.Millisecond)
-	close(stop)
-	wg.Wait()
 }

@@ -149,11 +149,6 @@ func (f *FaultShard) TTL(key string) (time.Duration, error) {
 	return gated(f, func() (time.Duration, error) { return f.inner.TTL(key) })
 }
 
-// Persist implements kvs.Store.
-func (f *FaultShard) Persist(key string) (bool, error) {
-	return gated(f, func() (bool, error) { return f.inner.Persist(key) })
-}
-
 // GetRange implements kvs.Store.
 func (f *FaultShard) GetRange(key string, off, n int) ([]byte, error) {
 	return gated(f, func() ([]byte, error) { return f.inner.GetRange(key, off, n) })
@@ -210,7 +205,7 @@ func (f *FaultShard) Unlock(key string, token uint64) error {
 }
 
 // AllKeys implements kvs.Store; a crashed shard cannot enumerate its keys,
-// so migration and repair see the outage too.
+// so repair and the key listings see the outage too.
 func (f *FaultShard) AllKeys() ([]kvs.KeyInfo, error) {
 	return gated(f, func() ([]kvs.KeyInfo, error) { return f.inner.AllKeys() })
 }
@@ -239,13 +234,6 @@ func (f *FaultShard) MGet(keys []string) ([][]byte, error) { return perItem(keys
 // MSet implements kvs.Store as one gated Set per pair.
 func (f *FaultShard) MSet(pairs []kvs.Pair) error {
 	_, err := perItem(pairs, func(p kvs.Pair) (struct{}, error) { return struct{}{}, f.Set(p.Key, p.Val) })
-	return err
-}
-
-// MSetEx implements kvs.Store as one gated SetEx per pair (each computes
-// its own deadline, so the keys may expire microseconds apart).
-func (f *FaultShard) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	_, err := perItem(pairs, func(p kvs.Pair) (struct{}, error) { return struct{}{}, f.SetEx(p.Key, p.Val, ttl) })
 	return err
 }
 

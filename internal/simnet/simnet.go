@@ -152,13 +152,6 @@ func (s *Store) TTL(key string) (time.Duration, error) {
 	return d, err
 }
 
-// Persist implements kvs.Store.
-func (s *Store) Persist(key string) (bool, error) {
-	ok, err := s.inner.Persist(key)
-	s.net.Transfer(s.host, reqOverhead+int64(len(key)), reqOverhead)
-	return ok, err
-}
-
 // GetRange implements kvs.Store.
 func (s *Store) GetRange(key string, off, n int) ([]byte, error) {
 	v, err := s.inner.GetRange(key, off, n)
@@ -246,18 +239,6 @@ func (s *Store) MGet(keys []string) ([][]byte, error) {
 // MSet implements kvs.Store, charged as one exchange.
 func (s *Store) MSet(pairs []kvs.Pair) error {
 	err := s.inner.MSet(pairs)
-	sent := int64(reqOverhead)
-	for _, p := range pairs {
-		sent += int64(len(p.Key) + len(p.Val))
-	}
-	s.net.Transfer(s.host, sent, reqOverhead)
-	return err
-}
-
-// MSetEx implements kvs.Store, charged as one exchange exactly like MSet —
-// the pipelined MSETEX wire command realises the same single round trip.
-func (s *Store) MSetEx(pairs []kvs.Pair, ttl time.Duration) error {
-	err := s.inner.MSetEx(pairs, ttl)
 	sent := int64(reqOverhead)
 	for _, p := range pairs {
 		sent += int64(len(p.Key) + len(p.Val))

@@ -52,7 +52,7 @@ check internal/wamem 83
 check internal/mbus 81
 # The global tier: kvs is the wire command table (every command's parse,
 # reply and retry class) and the engine; shardkvs the ring's quorum,
-# failover, migration and heal paths.
+# failover and heal paths.
 check internal/kvs 85
 check internal/shardkvs 74
 
