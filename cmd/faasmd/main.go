@@ -17,7 +17,7 @@
 //
 // Endpoints:
 //
-//	PUT  /f/<name>?lang=fc|wat   upload source; codegen; deploy
+//	PUT  /f/<name>?lang=fc|wat   upload source (≤ 8 MiB, else 413); codegen; deploy
 //	POST /invoke/<name>          body = input, response = output
 //	POST /invoke/<name>?async=1  enqueue durably (-async-queue); 202 + call id
 //	GET  /call/<id>              a queued call's terminal result as JSON
@@ -49,7 +49,6 @@ import (
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
 	"faasm.dev/faasm/internal/upload"
-	"faasm.dev/faasm/internal/wavm"
 )
 
 func main() {
@@ -167,12 +166,8 @@ func readInput(r *http.Request) ([]byte, error) {
 func newMux(inst *frt.Instance, objects *objstore.Store, ring *shardkvs.Ring) *http.ServeMux {
 	mux := http.NewServeMux()
 	up := upload.New(objects)
-	up.Deploy = func(name string, obj []byte) error {
-		mod, err := wavm.DecodeObject(obj)
-		if err != nil {
-			return err
-		}
-		if err := inst.RegisterModule(name, mod); err != nil {
+	up.Deploy = func(name, key string, object func() ([]byte, error)) error {
+		if err := inst.DeployObject(name, key, object); err != nil {
 			return err
 		}
 		log.Printf("deployed %s", name)
@@ -239,8 +234,8 @@ func newMux(inst *frt.Instance, objects *objstore.Store, ring *shardkvs.Ring) *h
 		writeJSON(w, rec)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintf(w, "host: %s\nfunctions: %v\nfaaslets: %d\ncold: %d warm: %d\nmedian exec: %v\n",
-			inst.Host(), inst.Functions(), inst.FaasletCount(),
+		fmt.Fprintf(w, "host: %s\nfunctions: %v\nimages: %d\nfaaslets: %d\ncold: %d warm: %d\nmedian exec: %v\n",
+			inst.Host(), inst.Functions(), inst.Images(), inst.FaasletCount(),
 			inst.ColdStarts.Value(), inst.WarmStarts.Value(), inst.MedianExec())
 		fmt.Fprintf(w, "pool misses: %d prewarmed: %d idle reclaims: %d\n",
 			inst.PoolMisses.Value(), inst.Prewarmed.Value(), inst.IdleReclaims.Value())

@@ -3,10 +3,14 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -393,16 +397,24 @@ func versionSource(v string) string {
 
 func put(t *testing.T, url, body string) int {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, url, strings.NewReader(body))
+	code, err := tryPut(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return code
+}
+
+func tryPut(url, body string) (int, error) {
+	req, err := http.NewRequest(http.MethodPut, url, strings.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("PUT %s: %v", url, err)
+		return 0, fmt.Errorf("PUT %s: %w", url, err)
 	}
 	resp.Body.Close()
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 // Re-uploading a function replaces the body its next call runs, although the
@@ -471,4 +483,156 @@ func TestStalledHeaderDisconnected(t *testing.T) {
 	if waited := time.Since(start); waited < srv.ReadHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the header timeout", waited)
 	}
+}
+
+// Names uploaded with one content share one image and one stored object; a
+// redeploy moves one name and no other, and what no name uses any more is
+// gone from both.
+func TestUploadsShareContent(t *testing.T) {
+	inst := frt.New(frt.Config{Host: "test-0", TraceSample: -1})
+	t.Cleanup(inst.Shutdown)
+	objects := objstore.NewMemory()
+	srv := httptest.NewServer(newMux(inst, objects, nil))
+	t.Cleanup(srv.Close)
+	call := func(fn string) string {
+		t.Helper()
+		resp := invoke(t, srv, fn, "")
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke %s: %d %v", fn, resp.StatusCode, err)
+		}
+		return string(out)
+	}
+	held := func(images, objs int) {
+		t.Helper()
+		if n, keys := inst.Images(), objects.List(""); n != images || len(keys) != objs {
+			t.Fatalf("%d images and objects %v, want %d and %d", n, keys, images, objs)
+		}
+	}
+	for _, fn := range []string{"a", "b"} {
+		if code := put(t, srv.URL+"/f/"+fn+"?lang=wat", versionSource("v1")); code != http.StatusOK {
+			t.Fatalf("upload %s: %d", fn, code)
+		}
+	}
+	held(1, 1)
+	if call("a") != "v1" || call("b") != "v1" {
+		t.Fatal("a name of shared content answered wrong")
+	}
+	for inst.PoolSize("b") != 1 {
+		runtime.Gosched() // b's Faaslet is reset in the background
+	}
+	put(t, srv.URL+"/f/a?lang=wat", versionSource("v2"))
+	held(2, 2)
+	if got := call("a"); got != "v2" {
+		t.Fatalf("a after its re-upload: %q", got)
+	}
+	if n := inst.PoolSize("b"); n != 1 {
+		t.Fatalf("b's pool holds %d after a's re-upload, want 1", n)
+	}
+	if got := call("b"); got != "v1" {
+		t.Fatalf("b after a's re-upload: %q", got)
+	}
+	put(t, srv.URL+"/f/b?lang=wat", versionSource("v2"))
+	held(1, 1)
+	trapping := `(module (memory 1) (func $init unreachable) (start $init)
+	  (func $main (export "main") (result i32) i32.const 0))`
+	for _, fn := range []string{"a", "c"} {
+		if code := put(t, srv.URL+"/f/"+fn+"?lang=wat", trapping); code != http.StatusUnprocessableEntity {
+			t.Fatalf("upload of a trapping start as %s: %d, want 422", fn, code)
+		}
+	}
+	held(1, 1)
+	if got := call("a"); got != "v2" {
+		t.Fatalf("a after a refused upload: %q", got)
+	}
+}
+
+// Concurrent uploads of one new content end with one image and one object,
+// each referenced once per name: moving all names but one keeps both, and
+// moving the last drops them.
+func TestConcurrentUploadsOfOneContent(t *testing.T) {
+	inst := frt.New(frt.Config{Host: "test-0", TraceSample: -1})
+	t.Cleanup(inst.Shutdown)
+	objects := objstore.NewMemory()
+	srv := httptest.NewServer(newMux(inst, objects, nil))
+	t.Cleanup(srv.Close)
+	const names = 8
+	var wg sync.WaitGroup
+	for n := 0; n < names; n++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, err := tryPut(fmt.Sprintf("%s/f/fn%d?lang=wat", srv.URL, n), versionSource("v1")); code != http.StatusOK {
+				t.Errorf("upload fn%d: %d %v", n, code, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n, keys := inst.Images(), objects.List(""); n != 1 || len(keys) != 1 {
+		t.Fatalf("%d images and objects %v after concurrent uploads", n, keys)
+	}
+	for n := 0; n < names; n++ {
+		put(t, fmt.Sprintf("%s/f/fn%d?lang=wat", srv.URL, n), versionSource("v2"))
+		want := 2
+		if n == names-1 {
+			want = 1
+		}
+		if imgs, keys := inst.Images(), objects.List(""); imgs != want || len(keys) != want {
+			t.Fatalf("after moving %d names: %d images and objects %v, want %d", n+1, imgs, keys, want)
+		}
+	}
+}
+
+// One module uploaded under many names costs each name a record, not a
+// copy of the module: after every name is called once, live heap grows by
+// at most 16 KiB per function although the module carries a 64 KiB data
+// segment.
+func TestUploadHeapBudget(t *testing.T) {
+	const (
+		names  = 500
+		budget = 16 << 10
+	)
+	inst := frt.New(frt.Config{Host: "test-0", TraceSample: -1})
+	t.Cleanup(inst.Shutdown)
+	mux := newMux(inst, objstore.NewMemory(), nil)
+	src := fmt.Sprintf(`(module
+	  (import "faasm" "write_call_output" (func $out (param i32 i32)))
+	  (memory 2)
+	  (data (i32.const 65536) "%s")
+	  (func $main (export "main") (result i32)
+	    i32.const 131068 i32.const 4 call $out i32.const 0))`, strings.Repeat("abcd", 16<<10))
+	serve := func(method, target, body string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle empties sync.Pool victim caches too
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	log.SetOutput(io.Discard) // one "deployed" line per upload
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	before := live()
+	for n := 0; n < names; n++ {
+		serve(http.MethodPut, fmt.Sprintf("/f/fn%d?lang=wat", n), src)
+	}
+	for n := 0; n < names; n++ {
+		if out := serve(http.MethodPost, fmt.Sprintf("/invoke/fn%d", n), ""); out != "abcd" {
+			t.Fatalf("fn%d answered %q", n, out)
+		}
+	}
+	grew := int64(live()) - int64(before)
+	t.Logf("live heap grew %d B per function", grew/names)
+	if grew > names*budget {
+		t.Fatalf("live heap grew %d B per function, budget %d", grew/names, budget)
+	}
+	runtime.KeepAlive(mux)
 }

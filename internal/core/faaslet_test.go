@@ -695,6 +695,42 @@ func TestProtoFunctionMismatchRejected(t *testing.T) {
 	}
 }
 
+// A Proto's view for another name restores into that name's Faaslets (and
+// only those), from the same pages and globals.
+func TestProtoForSharesImage(t *testing.T) {
+	env, _ := testEnv()
+	mod := mustModule(t, `(module (global $g (mut i32) (i32.const 7)) (memory 1)
+	  (func $main (export "main") (result i32) i32.const 8 i32.load global.get $g i32.add))`)
+	f, err := New(FuncDef{Name: "a", Module: mod}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Memory().WriteU32(8, 35)
+	p, err := f.Snapshot()
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := p.For("b")
+	if view.Function != "b" || view.mem != p.mem || &view.globals[0] != &p.globals[0] {
+		t.Fatal("view does not share the proto's pages and globals")
+	}
+	g, err := NewFromProto(FuncDef{Name: "b", Module: mod}, env, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, ret, err := g.Execute(nil); err != nil || ret != 42 {
+		t.Fatalf("restored from the view: %d %v", ret, err)
+	}
+	if _, err := NewFromProto(FuncDef{Name: "a", Module: mod}, env, view); err == nil {
+		t.Fatal("view for b restored into a")
+	}
+	if err := g.SetProto(p); err == nil {
+		t.Fatal("b accepted the proto of a")
+	}
+}
+
 func TestCtxStateRoundTrip(t *testing.T) {
 	env, engine := testEnv()
 	engine.Set("model", bytes.Repeat([]byte{9}, 32))

@@ -21,6 +21,13 @@ type Proto struct {
 	globals  []uint64
 }
 
+// For returns p as the image of function name: a view that shares p's pages
+// and globals, so functions deployed from one module restore one snapshot
+// while NewFromProto and SetProto still refuse a view of another name.
+func (p *Proto) For(name string) *Proto {
+	return &Proto{Function: name, mem: p.mem, globals: p.globals}
+}
+
 // MemPages reports the snapshot size in pages.
 func (p *Proto) MemPages() int { return p.mem.Pages() }
 

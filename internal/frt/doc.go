@@ -13,9 +13,10 @@
 // The invocation hot path is engineered to scale with cores:
 //
 //   - Lock-free: each deployed function is one record — definition,
-//     Proto-Faaslet and warm pool — in a copy-on-write map behind an atomic
-//     pointer; an invoke reads it with no lock, and deploy clones the map
-//     under regMu and swaps. Live Faaslet accounting is a single atomic.
+//     Proto-Faaslet and warm pool — in a sync.Map; an invoke loads it with
+//     no lock, and deploy swaps in a new record under regMu, at a cost that
+//     does not grow with the number of functions deployed. Live Faaslet
+//     accounting is a single atomic.
 //   - Striped by function: the warm pool is a per-function structure
 //     (fnPool), so acquire and release for different functions never touch
 //     the same mutex; within one function the critical sections are a
@@ -33,12 +34,15 @@
 //
 // Deployment builds a function's Proto-Faaslet: RegisterDef runs core.New
 // once and keeps its image, GenerateProto replaces it with a snapshot taken
-// after init code, FetchProto with a peer's. Every cold start restores the
-// record's image (core.NewFromProto), sharing its clean pages, and a pooled
-// Faaslet is reset in place (core.Faaslet.Reset): its memory and VM
-// instance are restored from that image, not rebuilt. A redeploy keeps the
-// pool but not the old image's Faaslets: deploy evicts the idle ones, and
-// acquire and release discard the rest.
+// after init code, FetchProto with a peer's. DeployObject files the image
+// under the upload's content key, and every name deployed from that key
+// shares it (a per-name view, core.Proto.For) until the last one leaves.
+// Every cold start restores the record's image (core.NewFromProto), sharing
+// its clean pages, and a pooled Faaslet is reset in place
+// (core.Faaslet.Reset): its memory and VM instance are restored from that
+// image, not rebuilt. A redeploy keeps the pool but not the old image's
+// Faaslets: deploy evicts the idle ones, and acquire and release discard the
+// rest.
 //
 // An asynchronous call is executed by whoever claims its record first
 // (mbus.CallTable.Claim): the dispatch goroutine Invoke/Chain spawned, or

@@ -36,8 +36,8 @@ func (i *Instance) elasticTick() {
 		idleTimeout = DefaultPoolIdleTimeout
 	}
 	now := i.clock.Now()
-	for fn, d := range *i.fns.Load() {
-		p := d.pool
+	i.eachDeployment(func(d *deployment) {
+		fn, p := d.def.Name, d.pool
 		p.mu.Lock()
 		newAcquires := p.acquires - p.seenAcquires
 		newMisses := p.misses - p.seenMisses
@@ -71,7 +71,7 @@ func (i *Instance) elasticTick() {
 			// pool is not emptied in one shot).
 			i.reclaimIdle(fn, p, (idleCount+1)/2)
 		}
-	}
+	})
 }
 
 // prewarm pre-provisions up to n reset Faaslets of d, making the misses

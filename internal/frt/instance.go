@@ -3,7 +3,6 @@ package frt
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -119,11 +118,25 @@ const (
 // deployment is one function deployed on this host: its definition, the
 // Proto-Faaslet every cold start restores (§5.2), and its warm pool. A
 // record is never modified; a redeploy swaps in a new one that keeps the
-// pool. def's module carries no data segments: proto holds them.
+// pool. def's module carries no data segments: proto holds them. img is the
+// shared image the record was deployed from (nil for a private one), and
+// the record holds one of its references.
 type deployment struct {
 	def   core.FuncDef
 	proto *core.Proto
 	pool  *fnPool
+	img   *image
+}
+
+// image is what every function deployed from one uploaded content shares:
+// the decoded module, without its data segments, and the Proto-Faaslet
+// built from it. key is the content key it is filed under in
+// Instance.images; refs counts the deployment records that point at it.
+type image struct {
+	key   string
+	mod   *wavm.Module
+	proto *core.Proto
+	refs  int
 }
 
 // fnPool is one function's warm-Faaslet pool. Each function has its own
@@ -168,11 +181,14 @@ type Instance struct {
 	slots   chan struct{}
 	profile *accessProfile
 
-	// fns maps function name → its deployment record. It is copy-on-write:
-	// readers load the pointer with no lock; deploy clones it under regMu
-	// and swaps.
-	fns   atomic.Pointer[map[string]*deployment]
-	regMu sync.Mutex
+	// fns maps function name → its *deployment. Readers load a record with
+	// no lock; deploy swaps in a new one under regMu, so one deploy costs
+	// the same however many functions are deployed.
+	fns sync.Map
+	// regMu serialises deploys. images maps a content key to the image its
+	// deployed functions share, and lives under it.
+	regMu  sync.Mutex
+	images map[string]*image
 
 	// faasletCount tracks all live Faaslets (pooled + executing).
 	faasletCount atomic.Int64
@@ -272,7 +288,7 @@ func New(cfg Config) *Instance {
 		inst.reg = obsv.NewRegistry()
 	}
 	inst.instrument()
-	inst.fns.Store(&map[string]*deployment{})
+	inst.images = map[string]*image{}
 	inst.env = &core.Env{
 		State:  inst.local,
 		Files:  cfg.Files,
@@ -434,34 +450,89 @@ func (i *Instance) RegisterModule(name string, mod *wavm.Module) error {
 // RegisterDef deploys a function definition. The image every cold start of
 // def restores — data segments written, start function run — is built
 // here, once, so a def that cannot be built (no body, a trapping start
-// function) is rejected at deployment rather than on every call.
+// function) is rejected at deployment rather than on every call. The image
+// is def's own; only DeployObject shares one between names.
 func (i *Instance) RegisterDef(def core.FuncDef) error {
-	f, err := core.New(def, i.env)
+	def, proto, err := i.build(def)
 	if err != nil {
 		return err
+	}
+	i.regMu.Lock()
+	defer i.regMu.Unlock()
+	i.deploy(def, proto, nil)
+	return nil
+}
+
+// build runs def's initialisation once and returns the image it leaves.
+// The image holds the data segments now, and nothing restored from it
+// writes them again: the returned def's module goes without its copy.
+func (i *Instance) build(def core.FuncDef) (core.FuncDef, *core.Proto, error) {
+	f, err := core.New(def, i.env)
+	if err != nil {
+		return def, nil, err
 	}
 	proto := f.Proto()
 	f.Close()
 	if def.Module != nil && len(def.Module.Data) > 0 {
-		// The image holds the data segments now, and nothing restored from it
-		// writes them again: the record keeps a module without its copy.
 		mod := *def.Module
 		mod.Data = nil
 		def.Module = &mod
 	}
+	return def, proto, nil
+}
+
+// DeployObject deploys under name the object file whose content key is key.
+// Every name deployed from one key shares one image — the decoded module and
+// the Proto-Faaslet built from it — and keeps its own record, pool and queue
+// consumer. object supplies the file and is called only when no function
+// here holds key's image. An object that cannot be built adds no image, and
+// name's earlier version keeps serving. The image is dropped when the last
+// name deployed from it is redeployed.
+func (i *Instance) DeployObject(name, key string, object func() ([]byte, error)) error {
+	i.regMu.Lock()
+	if img, ok := i.images[key]; ok {
+		defer i.regMu.Unlock()
+		i.deploy(core.FuncDef{Name: name, Module: img.mod}, img.proto.For(name), img)
+		return nil
+	}
+	i.regMu.Unlock()
+	obj, err := object()
+	if err != nil {
+		return err
+	}
+	mod, err := wavm.DecodeObject(obj)
+	if err != nil {
+		return err
+	}
+	def, proto, err := i.build(core.FuncDef{Name: name, Module: mod})
+	if err != nil {
+		return err
+	}
 	i.regMu.Lock()
 	defer i.regMu.Unlock()
-	i.deploy(def, proto)
+	img, ok := i.images[key]
+	if !ok {
+		img = &image{key: key, mod: def.Module, proto: proto}
+		i.images[key] = img
+	}
+	// A concurrent deploy of the same content may have filed its image
+	// first; this build is then dropped.
+	i.deploy(core.FuncDef{Name: name, Module: img.mod}, img.proto.For(name), img)
 	return nil
+}
+
+// Images reports how many shared images are deployed: one per content key
+// that some function here was last deployed from.
+func (i *Instance) Images() int {
+	i.regMu.Lock()
+	defer i.regMu.Unlock()
+	return len(i.images)
 }
 
 // Functions lists deployed function names.
 func (i *Instance) Functions() []string {
-	m := *i.fns.Load()
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
+	var out []string
+	i.eachDeployment(func(d *deployment) { out = append(out, d.def.Name) })
 	return out
 }
 
@@ -470,7 +541,8 @@ func (i *Instance) Functions() []string {
 // non-nil, runs first inside a Faaslet restored from the deployed image,
 // through a host-side Ctx (user-defined init code is trusted deployment
 // code). The proto is also serialised to the global tier so peers can
-// restore it. It fails if the function is redeployed meanwhile.
+// restore it. It fails if the function is redeployed meanwhile. The new
+// proto is the function's own: names sharing its image keep restoring that.
 func (i *Instance) GenerateProto(function string, init func(ctx *core.Ctx) error) error {
 	d, ok := i.deployed(function)
 	if !ok {
@@ -495,7 +567,7 @@ func (i *Instance) GenerateProto(function string, init func(ctx *core.Ctx) error
 	if cur, _ := i.deployed(function); cur != d {
 		return fmt.Errorf("frt: %s was redeployed while its proto was generated", function)
 	}
-	i.deploy(d.def, proto)
+	i.deploy(d.def, proto, d.img)
 	blob, err := proto.Serialize()
 	if err != nil {
 		// Protos with shared mappings stay host-local; that is fine.
@@ -524,28 +596,34 @@ func (i *Instance) FetchProto(function string) error {
 	if !ok {
 		return fmt.Errorf("frt: unknown function %q", function)
 	}
-	i.deploy(d.def, proto)
+	i.deploy(d.def, proto, d.img)
 	return nil
 }
 
 // deploy installs def with proto, a new image, as the one its cold starts
-// restore (copy-on-write swap: calls in flight keep the record they loaded)
-// and keeps the function's pool. Every idle Faaslet is of an older image, so
-// it is dropped; acquire and release discard any that were executing or
+// restore, and keeps the function's pool. img is the shared image def's
+// module belongs to (nil for a private one); the new record takes a
+// reference to it and drops the previous record's, so an image no record
+// points at leaves the table. The record is swapped in whole: calls in
+// flight keep the one they loaded. Every idle Faaslet is of an older image,
+// so it is dropped; acquire and release discard any that were executing or
 // resetting meanwhile, so no call that starts after deploy returns runs the
 // old body. Callers hold regMu.
-func (i *Instance) deploy(def core.FuncDef, proto *core.Proto) {
-	old := *i.fns.Load()
-	d := &deployment{def: def, proto: proto}
-	if prev, ok := old[def.Name]; ok {
-		d.pool = prev.pool
-	} else {
-		d.pool = newFnPool()
+func (i *Instance) deploy(def core.FuncDef, proto *core.Proto, img *image) {
+	d := &deployment{def: def, proto: proto, pool: newFnPool(), img: img}
+	if img != nil {
+		img.refs++
 	}
-	m := make(map[string]*deployment, len(old)+1)
-	maps.Copy(m, old)
-	m[def.Name] = d
-	i.fns.Store(&m)
+	if v, loaded := i.fns.LoadOrStore(def.Name, d); loaded {
+		prev := v.(*deployment)
+		d.pool = prev.pool
+		i.fns.Store(def.Name, d)
+		if prev.img != nil {
+			if prev.img.refs--; prev.img.refs == 0 {
+				delete(i.images, prev.img.key)
+			}
+		}
+	}
 
 	i.dropIdle(def.Name, d.pool)
 	// Deploying a function also starts its queue consumers on this host, so
@@ -556,8 +634,19 @@ func (i *Instance) deploy(def core.FuncDef, proto *core.Proto) {
 }
 
 func (i *Instance) deployed(function string) (*deployment, bool) {
-	d, ok := (*i.fns.Load())[function]
-	return d, ok
+	v, ok := i.fns.Load(function)
+	if !ok {
+		return nil, false
+	}
+	return v.(*deployment), true
+}
+
+// eachDeployment calls fn with every deployed function's current record.
+func (i *Instance) eachDeployment(fn func(*deployment)) {
+	i.fns.Range(func(_, v any) bool {
+		fn(v.(*deployment))
+		return true
+	})
 }
 
 // Invoke starts an asynchronous call from outside any guest and returns its
@@ -941,14 +1030,14 @@ func (i *Instance) PoolSize(function string) int {
 // state tier (per-host memory accounting for Fig 6c).
 func (i *Instance) LocalFootprint() int64 {
 	var n int64
-	for _, d := range *i.fns.Load() {
+	i.eachDeployment(func(d *deployment) {
 		p := d.pool
 		p.mu.Lock()
 		for _, f := range p.idle {
 			n += f.Footprint()
 		}
 		p.mu.Unlock()
-	}
+	})
 	return n + i.local.LocalBytes()
 }
 
@@ -975,10 +1064,10 @@ func (i *Instance) Shutdown() {
 		<-i.elasticDone
 	}
 	i.resetWG.Wait()
-	for fn, d := range *i.fns.Load() {
-		i.dropIdle(fn, d.pool)
-		i.sched.Retreat(fn)
-	}
+	i.eachDeployment(func(d *deployment) {
+		i.dropIdle(d.def.Name, d.pool)
+		i.sched.Retreat(d.def.Name)
+	})
 }
 
 // dropIdle closes every idle Faaslet in fn's pool, retreating from fn's warm

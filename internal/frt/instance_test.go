@@ -383,7 +383,7 @@ func TestFailedColdStartRetreatsFromWarmSet(t *testing.T) {
 	inst.RegisterNative("broken", func(ctx *core.Ctx) (int32, error) { return 0, nil })
 	d, _ := inst.deployed("broken")
 	inst.regMu.Lock()
-	inst.deploy(d.def, &core.Proto{Function: "other"})
+	inst.deploy(d.def, &core.Proto{Function: "other"}, nil)
 	inst.regMu.Unlock()
 	if _, _, err := inst.Call("broken", nil); err == nil {
 		t.Fatal("broken function executed")
