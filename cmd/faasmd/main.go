@@ -18,7 +18,7 @@
 // Endpoints:
 //
 //	PUT  /f/<name>?lang=fc|wat   upload source (≤ 8 MiB, else 413); codegen; deploy
-//	POST /invoke/<name>          body = input, response = output
+//	POST /invoke/<name>          body = input (≤ 32 MiB, else 413), response = output
 //	POST /invoke/<name>?async=1  enqueue durably (-async-queue); 202 + call id
 //	GET  /call/<id>              a queued call's terminal result as JSON
 //	GET  /status                 runtime counters
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -44,7 +43,6 @@ import (
 
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/objstore"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
@@ -114,7 +112,7 @@ func main() {
 		ring.Instrument(inst.Registry())
 	}
 
-	srv := newServer(cfg.listen, newMux(inst, objstore.NewMemory(), ring))
+	srv := newServer(cfg.listen, newMux(inst, ring))
 	log.Printf("faasmd %s listening on %s", inst.Host(), cfg.listen)
 	log.Fatal(srv.ListenAndServe())
 }
@@ -138,47 +136,82 @@ func newServer(addr string, handler http.Handler) *http.Server {
 	}
 }
 
-// maxInput caps a call's input; longer bodies are cut off there.
-const maxInput = 32 << 20
+// Body caps. A call's input or an upload's source over its cap is refused
+// with 413, whether its length is declared or it streams past the cap.
+const (
+	maxInput  = 32 << 20
+	maxSource = 8 << 20
+)
 
-// inputPresize is the most a declared Content-Length reserves before any
+// bodyPresize is the most a declared Content-Length reserves before any
 // body byte has arrived; a longer body grows the buffer as it comes in.
-const inputPresize = 1 << 20
+const bodyPresize = 1 << 20
 
-// readInput reads a call's input from the request body to EOF (or the cap)
-// into a buffer sized from the declared Content-Length, so the common small
-// body is read without regrowing and a client cannot pin memory it has only
-// announced.
-func readInput(r *http.Request) ([]byte, error) {
+// readBody reads r's body to EOF into a buffer sized from the declared
+// Content-Length, so the common small body is read without regrowing and a
+// client cannot pin memory it has only announced. A body over limit is
+// refused before any of it is read when its length is declared, and once
+// it streams past limit otherwise. On failure readBody has answered w (413
+// for a body over limit, else 400) and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if r.ContentLength > limit {
+		http.Error(w, (&http.MaxBytesError{Limit: limit}).Error(), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
 	// ContentLength is -1 for a chunked body. The spare MinRead is what
 	// ReadFrom wants free before the read that finds EOF.
-	size := min(max(r.ContentLength, 0), inputPresize) + bytes.MinRead
+	size := min(max(r.ContentLength, 0), bodyPresize) + bytes.MinRead
 	buf := bytes.NewBuffer(make([]byte, 0, size))
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxInput))
-	return buf.Bytes(), err
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 // newMux wires the daemon's HTTP surface over a runtime instance. Factored
-// from main so tests drive the real handlers through httptest. Uploads are
-// stored in objects once inst has deployed them. ring is the sharded tier
-// when one is attached (nil otherwise); /status reports its per-shard
-// health.
-func newMux(inst *frt.Instance, objects *objstore.Store, ring *shardkvs.Ring) *http.ServeMux {
+// from main so tests drive the real handlers through httptest. ring is the
+// sharded tier when one is attached (nil otherwise); /status reports its
+// per-shard health.
+func newMux(inst *frt.Instance, ring *shardkvs.Ring) *http.ServeMux {
 	mux := http.NewServeMux()
-	up := upload.New(objects)
-	up.Deploy = func(name, key string, object func() ([]byte, error)) error {
-		if err := inst.DeployObject(name, key, object); err != nil {
-			return err
+	// An upload deploys before it answers. Code generation runs only when
+	// inst holds no image of the source's content key; an upload that
+	// cannot be generated or started adds no image and leaves name's
+	// earlier version serving.
+	mux.HandleFunc("/f/", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPut {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		name := strings.TrimPrefix(r.URL.Path, "/f/")
+		if name == "" || strings.Contains(name, "/") {
+			http.Error(w, "bad function name", http.StatusBadRequest)
+			return
+		}
+		src, ok := readBody(w, r, maxSource)
+		if !ok {
+			return
+		}
+		lang := r.URL.Query().Get("lang")
+		key := upload.Key(lang, src)
+		if err := inst.DeployObject(name, key, func() ([]byte, error) {
+			return upload.Codegen(string(src), lang)
+		}); err != nil {
+			http.Error(w, fmt.Sprintf("deploy %s: %v", name, err), http.StatusUnprocessableEntity)
+			return
 		}
 		log.Printf("deployed %s", name)
-		return nil
-	}
-	mux.Handle("/f/", up.Handler())
+		fmt.Fprintf(w, "deployed %s: sha256 %s\n", name, key)
+	})
 	mux.HandleFunc("/invoke/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/invoke/")
-		input, err := readInput(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		input, ok := readBody(w, r, maxInput)
+		if !ok {
 			return
 		}
 		if r.URL.RawQuery != "" && r.URL.Query().Get("async") == "1" {

@@ -19,7 +19,6 @@ import (
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/objstore"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
@@ -40,8 +39,7 @@ func newTestServer(t *testing.T, sample int) (*httptest.Server, *frt.Instance) {
 		api.WriteOutput(api.Input())
 		return 0, nil
 	}))
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, objects, nil))
+	srv := httptest.NewServer(newMux(inst, nil))
 	t.Cleanup(srv.Close)
 	t.Cleanup(inst.Shutdown)
 	return srv, inst
@@ -265,8 +263,7 @@ func TestStatusReportsShardHealth(t *testing.T) {
 	ring := shardkvs.NewLocal(2, shardkvs.Options{Replication: 2})
 	inst := frt.New(frt.Config{Host: "test-0", Store: ring})
 	t.Cleanup(inst.Shutdown)
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, objects, ring))
+	srv := httptest.NewServer(newMux(inst, ring))
 	t.Cleanup(srv.Close)
 
 	code, body, _ := get(t, srv.URL+"/status")
@@ -292,8 +289,7 @@ func TestAsyncInvokeEndpoints(t *testing.T) {
 		api.WriteOutput(api.Input())
 		return 0, nil
 	}))
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, objects, nil))
+	srv := httptest.NewServer(newMux(inst, nil))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Post(srv.URL+"/invoke/echo?async=1", "application/octet-stream", strings.NewReader("ping"))
@@ -358,9 +354,53 @@ func TestAsyncDisabledReturns501(t *testing.T) {
 	}
 }
 
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// overCap is a body one byte over limit, with its length declared
+// (sized) or hidden from net/http (chunked).
+func overCap(limit int64, sized bool) (io.Reader, int64) {
+	body := io.LimitReader(zeros{}, limit+1)
+	if sized {
+		return body, limit + 1
+	}
+	return struct{ io.Reader }{body}, -1
+}
+
+// send makes a method request of url with body, declaring length when it is
+// not -1, and returns the reply's status and body; a request that gets no
+// reply fails t.
+func send(t *testing.T, method, url string, body io.Reader, length int64) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if length >= 0 {
+		req.ContentLength = length
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: reading the reply: %v", method, url, err)
+	}
+	return resp.StatusCode, string(out)
+}
+
 // TestInvokeBodyFraming posts inputs with a declared length (read in one
 // sized read), with none (chunked: read to EOF) and empty; each must reach
-// the guest whole and come back with the return-code header.
+// the guest whole and come back with the return-code header. An input one
+// byte over the cap is refused with 413, declared or chunked, rather than
+// reaching the guest cut short.
 func TestInvokeBodyFraming(t *testing.T) {
 	srv, _ := newTestServer(t, -1)
 	big := strings.Repeat("0123456789abcdef", 8192) // 128 KiB
@@ -384,6 +424,12 @@ func TestInvokeBodyFraming(t *testing.T) {
 		}
 		if rc := resp.Header.Get("X-Faasm-Return-Code"); rc != "0" {
 			t.Fatalf("%s: return-code header %q", name, rc)
+		}
+	}
+	for name, sized := range map[string]bool{"sized over cap": true, "chunked over cap": false} {
+		body, length := overCap(maxInput, sized)
+		if code, msg := send(t, http.MethodPost, srv.URL+"/invoke/echo", body, length); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d %.80q, want 413", name, code, msg)
 		}
 	}
 }
@@ -454,7 +500,7 @@ func TestReuploadTakesEffect(t *testing.T) {
 // once the header timeout passes, instead of holding its connection forever.
 func TestStalledHeaderDisconnected(t *testing.T) {
 	_, inst := newTestServer(t, -1)
-	srv := newServer("127.0.0.1:0", newMux(inst, objstore.NewMemory(), nil))
+	srv := newServer("127.0.0.1:0", newMux(inst, nil))
 	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
 		t.Fatalf("server timeouts %v/%v, want %v/%v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
 	}
@@ -485,14 +531,12 @@ func TestStalledHeaderDisconnected(t *testing.T) {
 	}
 }
 
-// Names uploaded with one content share one image and one stored object; a
-// redeploy moves one name and no other, and what no name uses any more is
-// gone from both.
+// Names uploaded with one content share one image; a redeploy moves one name
+// and no other, and an image no name uses any more is gone.
 func TestUploadsShareContent(t *testing.T) {
 	inst := frt.New(frt.Config{Host: "test-0", TraceSample: -1})
 	t.Cleanup(inst.Shutdown)
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, objects, nil))
+	srv := httptest.NewServer(newMux(inst, nil))
 	t.Cleanup(srv.Close)
 	call := func(fn string) string {
 		t.Helper()
@@ -504,10 +548,10 @@ func TestUploadsShareContent(t *testing.T) {
 		}
 		return string(out)
 	}
-	held := func(images, objs int) {
+	held := func(images int) {
 		t.Helper()
-		if n, keys := inst.Images(), objects.List(""); n != images || len(keys) != objs {
-			t.Fatalf("%d images and objects %v, want %d and %d", n, keys, images, objs)
+		if n := inst.Images(); n != images {
+			t.Fatalf("%d images, want %d", n, images)
 		}
 	}
 	for _, fn := range []string{"a", "b"} {
@@ -515,7 +559,7 @@ func TestUploadsShareContent(t *testing.T) {
 			t.Fatalf("upload %s: %d", fn, code)
 		}
 	}
-	held(1, 1)
+	held(1)
 	if call("a") != "v1" || call("b") != "v1" {
 		t.Fatal("a name of shared content answered wrong")
 	}
@@ -523,7 +567,7 @@ func TestUploadsShareContent(t *testing.T) {
 		runtime.Gosched() // b's Faaslet is reset in the background
 	}
 	put(t, srv.URL+"/f/a?lang=wat", versionSource("v2"))
-	held(2, 2)
+	held(2)
 	if got := call("a"); got != "v2" {
 		t.Fatalf("a after its re-upload: %q", got)
 	}
@@ -534,7 +578,7 @@ func TestUploadsShareContent(t *testing.T) {
 		t.Fatalf("b after a's re-upload: %q", got)
 	}
 	put(t, srv.URL+"/f/b?lang=wat", versionSource("v2"))
-	held(1, 1)
+	held(1)
 	trapping := `(module (memory 1) (func $init unreachable) (start $init)
 	  (func $main (export "main") (result i32) i32.const 0))`
 	for _, fn := range []string{"a", "c"} {
@@ -542,20 +586,18 @@ func TestUploadsShareContent(t *testing.T) {
 			t.Fatalf("upload of a trapping start as %s: %d, want 422", fn, code)
 		}
 	}
-	held(1, 1)
+	held(1)
 	if got := call("a"); got != "v2" {
 		t.Fatalf("a after a refused upload: %q", got)
 	}
 }
 
-// Concurrent uploads of one new content end with one image and one object,
-// each referenced once per name: moving all names but one keeps both, and
-// moving the last drops them.
+// Concurrent uploads of one new content end with one image, referenced once
+// per name: moving all names but one keeps it, and moving the last drops it.
 func TestConcurrentUploadsOfOneContent(t *testing.T) {
 	inst := frt.New(frt.Config{Host: "test-0", TraceSample: -1})
 	t.Cleanup(inst.Shutdown)
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, objects, nil))
+	srv := httptest.NewServer(newMux(inst, nil))
 	t.Cleanup(srv.Close)
 	const names = 8
 	var wg sync.WaitGroup
@@ -569,8 +611,8 @@ func TestConcurrentUploadsOfOneContent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n, keys := inst.Images(), objects.List(""); n != 1 || len(keys) != 1 {
-		t.Fatalf("%d images and objects %v after concurrent uploads", n, keys)
+	if n := inst.Images(); n != 1 {
+		t.Fatalf("%d images after concurrent uploads", n)
 	}
 	for n := 0; n < names; n++ {
 		put(t, fmt.Sprintf("%s/f/fn%d?lang=wat", srv.URL, n), versionSource("v2"))
@@ -578,30 +620,67 @@ func TestConcurrentUploadsOfOneContent(t *testing.T) {
 		if n == names-1 {
 			want = 1
 		}
-		if imgs, keys := inst.Images(), objects.List(""); imgs != want || len(keys) != want {
-			t.Fatalf("after moving %d names: %d images and objects %v, want %d", n+1, imgs, keys, want)
+		if imgs := inst.Images(); imgs != want {
+			t.Fatalf("after moving %d names: %d images, want %d", n+1, imgs, want)
 		}
 	}
 }
 
-// One module uploaded under many names costs each name a record, not a
-// copy of the module: after every name is called once, live heap grows by
-// at most 16 KiB per function although the module carries a 64 KiB data
-// segment.
-func TestUploadHeapBudget(t *testing.T) {
-	const (
-		names  = 500
-		budget = 16 << 10
-	)
+// A bad name is refused with 400 and source that code generation rejects
+// with 422; neither adds an image. /f/ takes uploads only.
+func TestHTTPRejectsBadUploads(t *testing.T) {
+	srv, inst := newTestServer(t, -1)
+	for _, tc := range []struct {
+		method, target, body string
+		want                 int
+	}{
+		{http.MethodPut, "/f/?lang=wat", versionSource("v1"), http.StatusBadRequest},
+		{http.MethodPut, "/f/a/b?lang=wat", versionSource("v1"), http.StatusBadRequest},
+		{http.MethodPut, "/f/bad?lang=fc", "not a program", http.StatusUnprocessableEntity},
+		{http.MethodPut, "/f/bad?lang=wat", "not a module", http.StatusUnprocessableEntity},
+		{http.MethodGet, "/f/x", "", http.StatusMethodNotAllowed},
+	} {
+		code, msg := send(t, tc.method, srv.URL+tc.target, strings.NewReader(tc.body), -1)
+		if code != tc.want {
+			t.Fatalf("%s %s: %d %s, want %d", tc.method, tc.target, code, msg, tc.want)
+		}
+	}
+	if n := inst.Images(); n != 0 {
+		t.Fatalf("refused uploads left %d images", n)
+	}
+}
+
+// A source one byte over the cap is refused whole, declared or chunked, and
+// adds no image; one at the cap is read to its end and deployed.
+func TestOversizedUploadRefused(t *testing.T) {
+	srv, inst := newTestServer(t, -1)
+	for name, sized := range map[string]bool{"sized": true, "chunked": false} {
+		body, length := overCap(maxSource, sized)
+		if code, msg := send(t, http.MethodPut, srv.URL+"/f/"+name+"?lang=wat", body, length); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d %.80q, want 413", name, code, msg)
+		}
+	}
+	if n := inst.Images(); n != 0 {
+		t.Fatalf("refused uploads left %d images", n)
+	}
+	src := versionSource("v1")
+	atCap := strings.Repeat(" ", maxSource-len(src)) + src
+	if code, msg := send(t, http.MethodPut, srv.URL+"/f/at-cap?lang=wat", struct{ io.Reader }{strings.NewReader(atCap)}, -1); code != http.StatusOK {
+		t.Fatalf("source at the cap: %d %s", code, msg)
+	}
+	if n := inst.Images(); n != 1 {
+		t.Fatalf("%d images after the upload at the cap, want 1", n)
+	}
+}
+
+// uploadHeapGrowth uploads src(n) as function fn<n> for each n below names
+// through a fresh daemon mux, calls each once, checks that it answers
+// want(n), and returns how much live heap grew per function.
+func uploadHeapGrowth(t *testing.T, names int, src, want func(n int) string) int64 {
+	t.Helper()
 	inst := frt.New(frt.Config{Host: "test-0", TraceSample: -1})
 	t.Cleanup(inst.Shutdown)
-	mux := newMux(inst, objstore.NewMemory(), nil)
-	src := fmt.Sprintf(`(module
-	  (import "faasm" "write_call_output" (func $out (param i32 i32)))
-	  (memory 2)
-	  (data (i32.const 65536) "%s")
-	  (func $main (export "main") (result i32)
-	    i32.const 131068 i32.const 4 call $out i32.const 0))`, strings.Repeat("abcd", 16<<10))
+	mux := newMux(inst, nil)
 	serve := func(method, target, body string) string {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -622,17 +701,55 @@ func TestUploadHeapBudget(t *testing.T) {
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })
 	before := live()
 	for n := 0; n < names; n++ {
-		serve(http.MethodPut, fmt.Sprintf("/f/fn%d?lang=wat", n), src)
+		serve(http.MethodPut, fmt.Sprintf("/f/fn%d?lang=wat", n), src(n))
 	}
 	for n := 0; n < names; n++ {
-		if out := serve(http.MethodPost, fmt.Sprintf("/invoke/fn%d", n), ""); out != "abcd" {
-			t.Fatalf("fn%d answered %q", n, out)
+		if out := serve(http.MethodPost, fmt.Sprintf("/invoke/fn%d", n), ""); out != want(n) {
+			t.Fatalf("fn%d answered %q, want %q", n, out, want(n))
 		}
 	}
-	grew := int64(live()) - int64(before)
-	t.Logf("live heap grew %d B per function", grew/names)
-	if grew > names*budget {
-		t.Fatalf("live heap grew %d B per function, budget %d", grew/names, budget)
-	}
+	grew := (int64(live()) - int64(before)) / int64(names)
 	runtime.KeepAlive(mux)
+	t.Logf("live heap grew %d B per function", grew)
+	return grew
+}
+
+// dataModule is a module with a 64 KiB data segment whose last four bytes
+// are tail; main outputs them.
+func dataModule(tail string) string {
+	return fmt.Sprintf(`(module
+	  (import "faasm" "write_call_output" (func $out (param i32 i32)))
+	  (memory 2)
+	  (data (i32.const 65536) "%s%s")
+	  (func $main (export "main") (result i32)
+	    i32.const 131068 i32.const 4 call $out i32.const 0))`, strings.Repeat("abcd", 16<<10-1), tail)
+}
+
+// One module uploaded under many names costs each name a record, not a
+// copy of the module: after every name is called once, live heap grows by
+// at most 16 KiB per function although the module carries a 64 KiB data
+// segment.
+func TestUploadHeapBudget(t *testing.T) {
+	const budget = 16 << 10
+	src := dataModule("abcd")
+	grew := uploadHeapGrowth(t, 500,
+		func(int) string { return src },
+		func(int) string { return "abcd" })
+	if grew > budget {
+		t.Fatalf("live heap grew %d B per function, budget %d", grew, budget)
+	}
+}
+
+// Distinct modules each cost one image, and nothing beside it: after every
+// name is called once, live heap grows by at most 80 KiB per function, of
+// which the image's 64 KiB data page is most.
+func TestDistinctUploadHeapBudget(t *testing.T) {
+	const budget = 80 << 10
+	tail := func(n int) string { return fmt.Sprintf("%04d", n) }
+	grew := uploadHeapGrowth(t, 500,
+		func(n int) string { return dataModule(tail(n)) },
+		tail)
+	if grew > budget {
+		t.Fatalf("live heap grew %d B per function, budget %d", grew, budget)
+	}
 }
