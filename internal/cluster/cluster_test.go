@@ -336,9 +336,13 @@ func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Warm host-1 only: it becomes the cluster's one forwarding target.
+	// Warm host-1 only: it becomes the cluster's one forwarding target once
+	// its next beat publishes the advert.
 	if _, ret, err := c.CallOn(1, "echo", []byte("warm")); err != nil || ret != 0 {
 		t.Fatalf("warming call: %d %v", ret, err)
+	}
+	if err := c.Instance(1).Scheduler().Heartbeat(); err != nil {
+		t.Fatal(err)
 	}
 	// The advertised host's lease is a tier-judged record: present, armed
 	// with a tier-side TTL, and carrying no clock stamp an observer could
@@ -463,9 +467,12 @@ func TestForwardedTraceSpansBothHosts(t *testing.T) {
 	}
 	c.SetState("k-warm", make([]byte, valSize))
 	c.SetState("k-fwd", make([]byte, valSize))
-	// Warm host-1 only, making it the sole forwarding target.
+	// Warm host-1 only and publish it, making it the sole forwarding target.
 	if _, ret, err := c.CallOn(1, "pull", []byte("k-warm")); err != nil || ret != 0 {
 		t.Fatalf("warming call: %d %v", ret, err)
+	}
+	if err := c.Instance(1).Scheduler().Heartbeat(); err != nil {
+		t.Fatal(err)
 	}
 	out, ret, id, err := c.Instance(0).CallTraced("pull", []byte("k-fwd"))
 	if err != nil || ret != 0 || len(out) != 1 {

@@ -79,6 +79,10 @@ func AsyncQueue(opts Options) *Report {
 		r.Check(false, "setup", "warm host-0", err.Error())
 		return r
 	}
+	if err := c.Instance(0).Scheduler().Heartbeat(); err != nil {
+		r.Check(false, "setup", "publish host-0", err.Error())
+		return r
+	}
 
 	ids := make([]uint64, 0, total)
 	offered, shed := 0, 0

@@ -159,9 +159,13 @@ func measureFailoverDrain(leaseTTL time.Duration) (drain time.Duration, failed i
 	}); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	// Warm host-1 only, then route traffic through host-0 so every call
-	// forwards to the one warm peer.
+	// Warm host-1 only and publish its advert (the beat would, within
+	// LeaseTTL/3), then route traffic through host-0 so every call forwards
+	// to the one warm peer.
 	if _, _, err := c.CallOn(1, "echo", []byte("w")); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	if err := c.Instance(1).Scheduler().Heartbeat(); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	for k := 0; k < 10; k++ {

@@ -1,12 +1,14 @@
 package frt
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"faasm.dev/faasm/internal/core"
 	"faasm.dev/faasm/internal/wavm"
@@ -383,6 +385,95 @@ func TestConcurrentDeploysOfOneKey(t *testing.T) {
 		if got := callOut(t, inst, name); got != "v1" {
 			t.Fatalf("%s: %q", name, got)
 		}
+	}
+}
+
+// gatedDeploys starts n concurrent DeployObject calls of one new key under
+// names a, b, ..., each with object as its supplier, and opens gate once
+// every call has started and had a moment to reach the build. It returns
+// each call's error.
+func gatedDeploys(inst *Instance, n int, gate chan struct{}, object func() ([]byte, error)) []error {
+	errs := make([]error, n)
+	var started sync.WaitGroup
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			errs[k] = inst.DeployObject(string(rune('a'+k)), "k1", object)
+		}()
+	}
+	started.Wait()
+	time.Sleep(time.Millisecond)
+	close(gate)
+	wg.Wait()
+	return errs
+}
+
+// Concurrent deploys of one new key build it once: the deploys that find it
+// building wait for that build and take its image.
+func TestConcurrentDeploysBuildOnce(t *testing.T) {
+	inst := New(Config{Host: "h1"})
+	defer inst.Shutdown()
+	const names = 8
+	var calls atomic.Int64
+	obj := object(t, "v1", &calls)
+	gate := make(chan struct{})
+	errs := gatedDeploys(inst, names, gate, func() ([]byte, error) {
+		<-gate
+		return obj()
+	})
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("deploy %d: %v", k, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("object fetched %d times for %d concurrent deploys of one key, want 1", n, names)
+	}
+	if n, refs := inst.Images(), inst.images["k1"].refs; n != 1 || refs != names {
+		t.Fatalf("images = %d, k1 refs = %d; want 1, %d", n, refs, names)
+	}
+	if got := callOut(t, inst, "h"); got != "v1" {
+		t.Fatalf("h: %q", got)
+	}
+}
+
+// A build that fails hands its error to every deploy that waited on it,
+// files nothing, and a later deploy of the key builds it afresh.
+func TestFailedBuildErrorReachesEveryWaiter(t *testing.T) {
+	inst := New(Config{Host: "h1"})
+	defer inst.Shutdown()
+	const names = 8
+	broken := errors.New("codegen failed")
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	errs := gatedDeploys(inst, names, gate, func() ([]byte, error) {
+		calls.Add(1)
+		<-gate
+		return nil, broken
+	})
+	for k, err := range errs {
+		if !errors.Is(err, broken) {
+			t.Fatalf("deploy %d: %v, want the build's error", k, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("object fetched %d times for %d concurrent deploys of one key, want 1", n, names)
+	}
+	if n := inst.Images(); n != 0 || len(inst.Functions()) != 0 {
+		t.Fatalf("a failed build left %d images and functions %v", n, inst.Functions())
+	}
+	if err := inst.DeployObject("a", "k1", object(t, "v1", &calls)); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("object fetched %d times in all, want 2 (the retry builds)", n)
+	}
+	if got := callOut(t, inst, "a"); got != "v1" {
+		t.Fatalf("a after the retry: %q", got)
 	}
 }
 

@@ -83,6 +83,8 @@ func TestDrainForwardsNewLocalCallsToWarmPeer(t *testing.T) {
 	if _, _, err := h2.ExecuteLocal("work", nil); err != nil {
 		t.Fatal(err)
 	}
+	h1.Scheduler().Heartbeat()
+	h2.Scheduler().Heartbeat()
 
 	if err := h1.Drain(); err != nil {
 		t.Fatal(err)
@@ -140,6 +142,7 @@ func TestDrainLeaseExpiresAndPeersRouteAround(t *testing.T) {
 	if _, _, err := h1.Call("work", nil); err != nil {
 		t.Fatal(err)
 	}
+	h1.Scheduler().Heartbeat()
 	if rec, _ := store.Get("sched/alive/h1"); len(rec) == 0 {
 		t.Fatal("no lease before drain")
 	}

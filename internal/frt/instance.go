@@ -132,11 +132,15 @@ type deployment struct {
 // the decoded module, without its data segments, and the Proto-Faaslet
 // built from it. key is the content key it is filed under in
 // Instance.images; refs counts the deployment records that point at it.
+// An image is filed while it builds: built is closed when the build ends,
+// and err then says why it failed (a failed image leaves the table).
 type image struct {
 	key   string
 	mod   *wavm.Module
 	proto *core.Proto
 	refs  int
+	built chan struct{}
+	err   error
 }
 
 // fnPool is one function's warm-Faaslet pool. Each function has its own
@@ -485,48 +489,81 @@ func (i *Instance) build(def core.FuncDef) (core.FuncDef, *core.Proto, error) {
 // Every name deployed from one key shares one image — the decoded module and
 // the Proto-Faaslet built from it — and keeps its own record, pool and queue
 // consumer. object supplies the file and is called only when no function
-// here holds key's image. An object that cannot be built adds no image, and
-// name's earlier version keeps serving. The image is dropped when the last
-// name deployed from it is redeployed.
+// here holds key's image. A key builds once: a deploy that finds the key
+// building waits for that build, without regMu, and takes its image or its
+// error. An object that cannot be built files no image, so a later deploy
+// of key retries, and name's earlier version keeps serving. The image is
+// dropped when the last name deployed from it is redeployed.
 func (i *Instance) DeployObject(name, key string, object func() ([]byte, error)) error {
 	i.regMu.Lock()
-	if img, ok := i.images[key]; ok {
-		defer i.regMu.Unlock()
-		i.deploy(core.FuncDef{Name: name, Module: img.mod}, img.proto.For(name), img)
-		return nil
+	for {
+		img, ok := i.images[key]
+		if !ok {
+			break
+		}
+		select {
+		case <-img.built:
+			defer i.regMu.Unlock()
+			i.deploy(core.FuncDef{Name: name, Module: img.mod}, img.proto.For(name), img)
+			return nil
+		default:
+		}
+		i.regMu.Unlock()
+		<-img.built
+		if img.err != nil {
+			return img.err
+		}
+		// Look again: the image may have left the table meanwhile.
+		i.regMu.Lock()
 	}
+	img := &image{key: key, built: make(chan struct{}), err: errBuildAbandoned}
+	i.images[key] = img
 	i.regMu.Unlock()
+	defer func() {
+		if img.err != nil {
+			i.regMu.Lock()
+			delete(i.images, key)
+			i.regMu.Unlock()
+		}
+		close(img.built)
+	}()
 	obj, err := object()
 	if err != nil {
+		img.err = err
 		return err
 	}
 	mod, err := wavm.DecodeObject(obj)
 	if err != nil {
+		img.err = err
 		return err
 	}
 	def, proto, err := i.build(core.FuncDef{Name: name, Module: mod})
 	if err != nil {
+		img.err = err
 		return err
 	}
 	i.regMu.Lock()
 	defer i.regMu.Unlock()
-	img, ok := i.images[key]
-	if !ok {
-		img = &image{key: key, mod: def.Module, proto: proto}
-		i.images[key] = img
-	}
-	// A concurrent deploy of the same content may have filed its image
-	// first; this build is then dropped.
+	img.mod, img.proto, img.err = def.Module, proto, nil
 	i.deploy(core.FuncDef{Name: name, Module: img.mod}, img.proto.For(name), img)
 	return nil
 }
+
+// errBuildAbandoned is what waiters on a build get when the build panicked.
+var errBuildAbandoned = errors.New("frt: image build abandoned")
 
 // Images reports how many shared images are deployed: one per content key
 // that some function here was last deployed from.
 func (i *Instance) Images() int {
 	i.regMu.Lock()
 	defer i.regMu.Unlock()
-	return len(i.images)
+	n := 0
+	for _, img := range i.images {
+		if img.refs > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Functions lists deployed function names.

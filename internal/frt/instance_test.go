@@ -223,10 +223,11 @@ func TestWorkSharingAcrossInstances(t *testing.T) {
 	h1.RegisterNative("work", fn)
 	h2.RegisterNative("work", fn)
 
-	// Warm up host 2.
+	// Warm up host 2, and let its next beat publish the advert.
 	if _, _, err := h2.Call("work", nil); err != nil {
 		t.Fatal(err)
 	}
+	h2.Scheduler().Heartbeat()
 	// A call arriving at host 1 must be shared with warm host 2, not
 	// cold-started locally.
 	out, ret, err := h1.Call("work", nil)
@@ -412,6 +413,7 @@ func TestShutdownRetreatsFromWarmSet(t *testing.T) {
 	if _, _, err := inst.Call("fn", nil); err != nil {
 		t.Fatal(err)
 	}
+	inst.Scheduler().Heartbeat()
 	if hosts, _ := store.SMembers("sched/warm/fn"); len(hosts) != 1 {
 		t.Fatalf("warm set before shutdown = %v", hosts)
 	}
@@ -427,7 +429,7 @@ func TestWarmSteadyStatePerformsZeroGlobalOps(t *testing.T) {
 	store := kvstest.NewCountingStore(kvs.NewEngine())
 	inst := New(Config{Host: "h1", Store: store})
 	inst.RegisterNative("noop", func(ctx *core.Ctx) (int32, error) { return 0, nil })
-	// Cold start + advertise pay their global write-throughs.
+	// The cold start reads the warm set; its advert waits for the beat.
 	if _, _, err := inst.Call("noop", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -658,6 +660,7 @@ func TestElasticPoolShrinksOnIdleAndRetreats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	inst.Scheduler().Heartbeat()
 	if hosts, _ := store.SMembers("sched/warm/fn"); len(hosts) != 1 {
 		t.Fatalf("warm set before idle = %v", hosts)
 	}
@@ -692,6 +695,7 @@ func TestKilledInstanceRefusesWorkWithoutRetreating(t *testing.T) {
 	if _, _, err := inst.Call("fn", nil); err != nil {
 		t.Fatal(err)
 	}
+	inst.Scheduler().Heartbeat()
 	inst.Kill()
 	if _, _, err := inst.ExecuteLocal("fn", nil); err == nil {
 		t.Fatal("killed instance executed forwarded work")

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -606,120 +605,149 @@ func testLockRMW(t *testing.T, s kvs.Store) {
 }
 
 // CountingStore wraps a Store and counts every operation that reaches the
-// global tier. Hot-path tests use it to assert that steady-state warm
-// invocations perform zero global-tier operations in the scheduler.
+// global tier, in total and per operation name. Hot-path tests use it to
+// assert that steady-state warm invocations perform zero global-tier
+// operations in the scheduler.
 type CountingStore struct {
 	kvs.Store
-	ops atomic.Int64
+
+	mu  sync.Mutex
+	ops map[string]int64
 }
 
 // NewCountingStore wraps inner with an operation counter.
 func NewCountingStore(inner kvs.Store) *CountingStore {
-	return &CountingStore{Store: inner}
+	return &CountingStore{Store: inner, ops: map[string]int64{}}
 }
 
 // Ops reports operations counted so far.
-func (c *CountingStore) Ops() int64 { return c.ops.Load() }
+func (c *CountingStore) Ops() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for _, k := range c.ops {
+		n += k
+	}
+	return n
+}
 
-// ResetOps zeroes the counter.
-func (c *CountingStore) ResetOps() { c.ops.Store(0) }
+// OpCount reports the operations named op (a kvs.Store method name, such as
+// "SAdd") counted so far.
+func (c *CountingStore) OpCount(op string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ops[op]
+}
+
+// ResetOps zeroes the counters.
+func (c *CountingStore) ResetOps() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.ops)
+}
+
+func (c *CountingStore) count(op string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ops[op]++
+}
 
 // Get implements kvs.Store.
-func (c *CountingStore) Get(key string) ([]byte, error) { c.ops.Add(1); return c.Store.Get(key) }
+func (c *CountingStore) Get(key string) ([]byte, error) { c.count("Get"); return c.Store.Get(key) }
 
 // Set implements kvs.Store.
 func (c *CountingStore) Set(key string, val []byte) error {
-	c.ops.Add(1)
+	c.count("Set")
 	return c.Store.Set(key, val)
 }
 
 // SetEx implements kvs.Store.
 func (c *CountingStore) SetEx(key string, val []byte, ttl time.Duration) error {
-	c.ops.Add(1)
+	c.count("SetEx")
 	return c.Store.SetEx(key, val, ttl)
 }
 
 // TTL implements kvs.Store.
 func (c *CountingStore) TTL(key string) (time.Duration, error) {
-	c.ops.Add(1)
+	c.count("TTL")
 	return c.Store.TTL(key)
 }
 
 // GetRange implements kvs.Store.
 func (c *CountingStore) GetRange(key string, off, n int) ([]byte, error) {
-	c.ops.Add(1)
+	c.count("GetRange")
 	return c.Store.GetRange(key, off, n)
 }
 
 // SetRange implements kvs.Store.
 func (c *CountingStore) SetRange(key string, off int, val []byte) error {
-	c.ops.Add(1)
+	c.count("SetRange")
 	return c.Store.SetRange(key, off, val)
 }
 
 // Append implements kvs.Store.
 func (c *CountingStore) Append(key string, val []byte) (int, error) {
-	c.ops.Add(1)
+	c.count("Append")
 	return c.Store.Append(key, val)
 }
 
 // Len implements kvs.Store.
-func (c *CountingStore) Len(key string) (int, error) { c.ops.Add(1); return c.Store.Len(key) }
+func (c *CountingStore) Len(key string) (int, error) { c.count("Len"); return c.Store.Len(key) }
 
 // Delete implements kvs.Store.
-func (c *CountingStore) Delete(key string) error { c.ops.Add(1); return c.Store.Delete(key) }
+func (c *CountingStore) Delete(key string) error { c.count("Delete"); return c.Store.Delete(key) }
 
 // SAdd implements kvs.Store.
 func (c *CountingStore) SAdd(key, member string) (bool, error) {
-	c.ops.Add(1)
+	c.count("SAdd")
 	return c.Store.SAdd(key, member)
 }
 
 // SRem implements kvs.Store.
 func (c *CountingStore) SRem(key, member string) (bool, error) {
-	c.ops.Add(1)
+	c.count("SRem")
 	return c.Store.SRem(key, member)
 }
 
 // SMembers implements kvs.Store.
 func (c *CountingStore) SMembers(key string) ([]string, error) {
-	c.ops.Add(1)
+	c.count("SMembers")
 	return c.Store.SMembers(key)
 }
 
 // Incr implements kvs.Store.
 func (c *CountingStore) Incr(key string, delta int64) (int64, error) {
-	c.ops.Add(1)
+	c.count("Incr")
 	return c.Store.Incr(key, delta)
 }
 
 // Lock implements kvs.Store.
 func (c *CountingStore) Lock(key string, write bool, ttl time.Duration) (uint64, error) {
-	c.ops.Add(1)
+	c.count("Lock")
 	return c.Store.Lock(key, write, ttl)
 }
 
 // Unlock implements kvs.Store.
 func (c *CountingStore) Unlock(key string, token uint64) error {
-	c.ops.Add(1)
+	c.count("Unlock")
 	return c.Store.Unlock(key, token)
 }
 
 // MGet implements kvs.Store. A batch counts as one operation — the round
 // trip is what the counter models.
 func (c *CountingStore) MGet(keys []string) ([][]byte, error) {
-	c.ops.Add(1)
+	c.count("MGet")
 	return c.Store.MGet(keys)
 }
 
 // MSet implements kvs.Store.
 func (c *CountingStore) MSet(pairs []kvs.Pair) error {
-	c.ops.Add(1)
+	c.count("MSet")
 	return c.Store.MSet(pairs)
 }
 
 // GetRangesInto implements kvs.Store.
 func (c *CountingStore) GetRangesInto(key string, ranges []kvs.Range, dst []byte) (int, error) {
-	c.ops.Add(1)
+	c.count("GetRangesInto")
 	return c.Store.GetRangesInto(key, ranges, dst)
 }

@@ -7,8 +7,8 @@
 // The decision rule, verbatim from the paper: execute locally if this host
 // has a warm Faaslet and capacity; otherwise share the call with another
 // warm host if one exists; otherwise cold-start locally (and advertise this
-// host as warm). The goal is co-locating functions with the state they
-// need, minimising data shipping.
+// host as warm, which the next heartbeat publishes). The goal is
+// co-locating functions with the state they need, minimising data shipping.
 //
 // # Concurrency model
 //
@@ -17,26 +17,38 @@
 //
 //   - Lock-free: the local warm check is a per-function atomic counter
 //     (fnState.idle), capacity accounting is a single atomic
-//     (Scheduler.inflight), advertise/retreat transitions are a CAS on
+//     (Scheduler.inflight), the advertise transition is a store to
 //     fnState.advertised, and the per-peer forwarding statistics (EWMA
 //     latency, in-flight count) are atomics updated by CAS loops.
 //   - Locked, but off the warm path: the cached peer warm set is guarded
 //     by a tiny per-function mutex (fnState.cacheMu) that is only touched
 //     when the local warm check misses.
-//   - Off the critical path entirely: the global tier. The warm set
-//     sched/warm/<fn> is written only on the advertise transition (first
-//     warm Faaslet appears) and on retreat (last one gone); reads are
-//     served from a TTL cache (Cloudburst-style lazy refresh) and refresh
-//     at most once per PeerCacheTTL per function. Host liveness runs on a
-//     background heartbeat goroutine at lease cadence (LeaseTTL/3), never
-//     inside a scheduling decision.
+//   - Off the critical path entirely: global-tier writes. The advertise
+//     transition (first warm Faaslet appears) only sets a local flag; the
+//     warm set sched/warm/<fn> is written by the background heartbeat at
+//     lease cadence (LeaseTTL/3), which publishes every advertised
+//     function, and by retreat (last Faaslet gone). A per-function lock
+//     (fnState.pubMu), taken only by the beat's SAdd and by retreat, orders
+//     the two so a retreat never leaves an entry behind. Reads are served
+//     from a TTL cache (Cloudburst-style lazy refresh) and refresh at most
+//     once per PeerCacheTTL per function; a cold miss pays that one read
+//     and no write.
+//
+// # Advert staleness
+//
+// A host's new warm function is visible to peers within one beat
+// (LeaseTTL/3, 3.3 s by default) of the advertise transition. A peer that
+// holds a cached non-empty peer set for the function may take up to
+// PeerCacheTTL more. Until then a peer's miss cold-starts the function on
+// its own host: staleness costs a peer one cold start, never a failed
+// call.
 //
 // # Peer liveness
 //
 // Warm-set entries are leases, and the lease clock is the tier's. Every
 // host maintains a presence record sched/alive/<host> in the global tier,
-// written with SetEx — a tier-side TTL primitive — when the host first
-// advertises and re-armed by the heartbeat loop at LeaseTTL/3. The tier
+// written with SetEx — a tier-side TTL primitive — by the heartbeat loop at
+// LeaseTTL/3, before the beat's warm-set writes. The tier
 // judges expiry on its own clock and hides an expired record from reads, so
 // a peer-cache refresh is a batched existence check (one MGet over the
 // listed hosts' lease keys): a record that comes back means alive, nil

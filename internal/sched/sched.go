@@ -73,9 +73,10 @@ func aliveKey(host string) string { return "sched/alive/" + host }
 var leaseMark = []byte("up")
 
 // DefaultPeerCacheTTL bounds the staleness of the cached peer warm set. A
-// new warm host becomes visible to peers within this window; a vanished one
-// stops receiving forwards within it (forwarding also falls back locally on
-// transport failure, so staleness is a latency cost, not a correctness one).
+// new warm host becomes visible to peers within this window after the beat
+// that publishes it; a vanished one stops receiving forwards within it
+// (forwarding also falls back locally on transport failure, so staleness is
+// a latency cost, not a correctness one).
 const DefaultPeerCacheTTL = time.Second
 
 // DefaultLeaseTTL is how long a host's warm advertisements outlive its last
@@ -101,15 +102,19 @@ type Stats struct {
 }
 
 // fnState is the per-function scheduler state: the local idle-warm counter,
-// whether this host currently advertises itself in the function's global
-// warm set, and the cached peer warm set.
+// whether this host advertises itself as warm for the function, and the
+// cached peer warm set.
 type fnState struct {
 	// idle counts this host's idle warm Faaslets (including Faaslets whose
 	// post-call reset is still in flight — they are committed to the pool).
 	idle atomic.Int64
-	// advertised tracks membership in the global warm set, so steady-state
-	// warm traffic never re-issues SAdd.
+	// advertised says this host is warm for the function; the heartbeat
+	// publishes it to the global warm set, so warm traffic never issues SAdd.
 	advertised atomic.Bool
+	// pubMu orders the heartbeat's SAdd against Retreat's SRem, so a
+	// retreat never lands between the beat reading advertised and its
+	// write. The warm path never takes it.
+	pubMu sync.Mutex
 
 	// cacheMu guards the cached peer set below. resident maps peer host →
 	// resident state bytes it advertised for this function on its lease
@@ -346,38 +351,23 @@ func (s *Scheduler) Schedule(fn string) (Decision, error) {
 		return Decision{Placement: PlaceLocalCold}, nil
 	}
 
-	// Cold start here and advertise this host as warm for fn. SAdd is the
-	// atomic update of the shared scheduler state; it is skipped when the
-	// host is already advertised (write-through only on the transition).
-	if err := s.advertise(e, fn); err != nil {
-		return Decision{}, fmt.Errorf("sched: advertise warm %s: %w", fn, err)
-	}
+	// Cold start here and advertise this host as warm for fn. The advert is
+	// local; the next heartbeat publishes it to the shared warm set.
+	s.advertise(e)
 	s.Stats.ColdStart.Add(1)
 	return Decision{Placement: PlaceLocalCold}, nil
 }
 
-// advertise performs the not-advertised → advertised transition: make sure
-// this host's liveness lease exists (peers treat a warm entry without a live
-// lease as a dead host), then add it to the function's warm set.
-func (s *Scheduler) advertise(e *fnState, fn string) error {
-	if s.draining.Load() {
-		// A draining host must never (re-)enter the warm set: its lease is
-		// expiring and peers are routing around it. Silently skipping keeps
-		// NoteWarm callers working while the pool winds down.
-		return nil
+// advertise performs the not-advertised → advertised transition. It writes
+// nothing to the tier: the next Heartbeat publishes the entry, after the
+// lease write that makes it live, so the warm set never names a host whose
+// lease was never written. A draining host must never (re-)enter the warm
+// set — its lease is expiring and peers are routing around it — so the
+// transition is skipped while the pool winds down.
+func (s *Scheduler) advertise(e *fnState) {
+	if !e.advertised.Load() && !s.draining.Load() {
+		e.advertised.Store(true)
 	}
-	if !e.advertised.CompareAndSwap(false, true) {
-		return nil
-	}
-	if err := s.ensureLease(); err != nil {
-		e.advertised.Store(false)
-		return err
-	}
-	if _, err := s.store.SAdd(warmSetKey(fn), s.host); err != nil {
-		e.advertised.Store(false)
-		return err
-	}
-	return nil
 }
 
 // localityPick describes the data-gravity side of one forwarding choice.
@@ -642,9 +632,9 @@ func (s *Scheduler) peers(e *fnState, fn string) ([]string, map[string]int64, er
 // check on their lease records: the records are SetEx'd, so the tier hides
 // an expired lease from the MGet and liveness is decided entirely on the
 // tier's clock — no timestamp is parsed and no local clock is consulted
-// anywhere on this path. A missing record counts as dead: every advertiser
-// writes its lease before its first SAdd, so only crashed (or fabricated)
-// hosts lack one.
+// anywhere on this path. A missing record counts as dead: the heartbeat
+// writes the lease before its SAdds, so only crashed (or fabricated) hosts
+// lack one.
 // It also returns each live host's lease record (aligned with alive), so
 // callers can decode the residency adverts piggybacked on it without a
 // second tier read.
@@ -754,10 +744,10 @@ func residencyFor(rec []byte, fn string) int64 {
 
 // Heartbeat re-arms this host's liveness lease for another LeaseTTL on the
 // tier's clock (SetEx — the tier expires the record itself; nothing here
-// writes or compares a timestamp). It also re-asserts the host's warm-set
-// entries for every advertised function (idempotent SAdds), so an entry
-// wrongly evicted while the host was unresponsive reappears within one
-// beat.
+// writes or compares a timestamp). It then writes the host's warm-set entry
+// for every advertised function (idempotent SAdds): this is where a new
+// warm function is first published, and where an entry wrongly evicted
+// while the host was unresponsive reappears, both within one beat.
 func (s *Scheduler) Heartbeat() error {
 	if s.draining.Load() {
 		// Draining hosts let the lease run out — re-arming it would keep
@@ -770,7 +760,10 @@ func (s *Scheduler) Heartbeat() error {
 	s.lastBeat.Store(s.clock.Now().UnixNano())
 	var firstErr error
 	s.fns.Range(func(k, v any) bool {
-		if v.(*fnState).advertised.Load() {
+		e := v.(*fnState)
+		e.pubMu.Lock()
+		defer e.pubMu.Unlock()
+		if e.advertised.Load() {
 			if _, err := s.store.SAdd(warmSetKey(k.(string)), s.host); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -778,26 +771,6 @@ func (s *Scheduler) Heartbeat() error {
 		return true
 	})
 	return firstErr
-}
-
-// ensureLease writes the lease if it has never been written or is due for
-// refresh — called on the advertise transition so the warm set never names
-// a host without a live lease, whether or not the heartbeat loop runs.
-func (s *Scheduler) ensureLease() error {
-	// The local clock here only rate-limits redundant writes (beat cadence);
-	// it never judges the lease itself — that is the tier's job.
-	now := s.clock.Now().UnixNano()
-	if last := s.lastBeat.Load(); last != 0 && now-last < int64(s.leaseTTL()/3) {
-		return nil
-	}
-	// Write only the lease record here: advertise is on a caller's critical
-	// path and the fns walk belongs to the background beat. (leasePayload
-	// still piggybacks residency for already-advertised functions.)
-	if err := s.store.SetEx(aliveKey(s.host), s.leasePayload(), s.leaseTTL()); err != nil {
-		return err
-	}
-	s.lastBeat.Store(s.clock.Now().UnixNano())
-	return nil
 }
 
 // StartHeartbeat launches the background lease refresher: one beat every
@@ -846,10 +819,8 @@ func (s *Scheduler) Drain() error {
 	s.fns.Range(func(k, v any) bool {
 		e := v.(*fnState)
 		e.idle.Store(0)
-		if e.advertised.Swap(false) {
-			if _, err := s.store.SRem(warmSetKey(k.(string)), s.host); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := s.retreat(e, k.(string)); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		return true
 	})
@@ -899,13 +870,14 @@ func (s *Scheduler) InvalidatePeers(fn string) {
 }
 
 // NoteWarm records that this host now holds n more idle warm Faaslets for
-// fn (e.g. after a cold start completes or a call finishes). The global
-// warm set is only written on the not-advertised → advertised transition;
-// steady-state warm churn performs zero global operations.
+// fn (e.g. after a cold start completes or a call finishes), and advertises
+// the host as warm for fn. It performs no global operation: the next
+// heartbeat publishes a new advert.
 func (s *Scheduler) NoteWarm(fn string, n int) error {
 	e := s.fn(fn)
 	e.idle.Add(int64(n))
-	return s.advertise(e, fn)
+	s.advertise(e)
+	return nil
 }
 
 // NoteEvicted records that this host lost n idle warm Faaslets for fn (they
@@ -932,12 +904,19 @@ func (s *Scheduler) NoteEvicted(fn string, n int) error {
 func (s *Scheduler) Retreat(fn string) error {
 	e := s.fn(fn)
 	e.idle.Store(0)
-	if e.advertised.Swap(false) {
-		if _, err := s.store.SRem(warmSetKey(fn), s.host); err != nil {
-			return err
-		}
+	return s.retreat(e, fn)
+}
+
+// retreat ends fn's advert and removes its warm-set entry, under the lock
+// the heartbeat publishes under, so no beat re-adds the entry afterwards.
+func (s *Scheduler) retreat(e *fnState, fn string) error {
+	e.pubMu.Lock()
+	defer e.pubMu.Unlock()
+	if !e.advertised.Swap(false) {
+		return nil
 	}
-	return nil
+	_, err := s.store.SRem(warmSetKey(fn), s.host)
+	return err
 }
 
 // WarmCount reports this host's idle warm Faaslets for fn.
@@ -945,8 +924,8 @@ func (s *Scheduler) WarmCount(fn string) int {
 	return int(s.fn(fn).idle.Load())
 }
 
-// Advertised reports whether this host is in fn's global warm set (per its
-// own bookkeeping).
+// Advertised reports whether this host advertises itself as warm for fn;
+// the global warm set names it from the next heartbeat on.
 func (s *Scheduler) Advertised(fn string) bool {
 	return s.fn(fn).advertised.Load()
 }

@@ -19,6 +19,16 @@ func TestColdStartAdvertisesWarm(t *testing.T) {
 	if d.Placement != PlaceLocalCold {
 		t.Fatalf("first call placement = %v", d.Placement)
 	}
+	if !s.Advertised("fn") {
+		t.Fatal("cold start did not advertise")
+	}
+	// The advert is published by the next beat, not by the call.
+	if hosts, _ := s.WarmHosts("fn"); len(hosts) != 0 {
+		t.Fatalf("warm set before the beat = %v", hosts)
+	}
+	if err := s.Heartbeat(); err != nil {
+		t.Fatal(err)
+	}
 	hosts, _ := s.WarmHosts("fn")
 	if len(hosts) != 1 || hosts[0] != "host-1" {
 		t.Fatalf("warm set = %v", hosts)
@@ -46,6 +56,7 @@ func TestForwardToWarmPeer(t *testing.T) {
 	// Host B is warm for fn.
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 	// Host A has nothing: it must share with B rather than cold-start.
 	d, err := a.Schedule("fn")
 	if err != nil {
@@ -65,6 +76,7 @@ func TestForwardRoundRobinAcrossPeers(t *testing.T) {
 		p := New(h, store, 10)
 		p.Schedule("fn")
 		p.NoteWarm("fn", 1)
+		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
 	seen := map[string]int{}
@@ -88,6 +100,8 @@ func TestAtCapacitySharesInsteadOfQueueing(t *testing.T) {
 	a.NoteWarm("fn", 1)
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	a.Heartbeat()
+	b.Heartbeat()
 	// Saturate host A.
 	a.Begin()
 	d, _ := a.Schedule("fn")
@@ -119,6 +133,7 @@ func TestRetreatClearsWarmSet(t *testing.T) {
 	a := New("host-a", store, 10)
 	a.Schedule("fn")
 	a.NoteWarm("fn", 2)
+	a.Heartbeat()
 	// Acquiring warm Faaslets for execution is not a retreat: the host
 	// still owns them, so it must stay advertised.
 	a.NoteEvicted("fn", 2)
@@ -161,7 +176,8 @@ func TestInflightAccounting(t *testing.T) {
 func TestWarmSteadyStateDoesZeroGlobalOps(t *testing.T) {
 	store := kvstest.NewCountingStore(kvs.NewEngine())
 	s := New("host-1", store, 10)
-	// Cold start + first warm transition pay their write-throughs.
+	// Cold start + first warm transition: the advert is local; the next
+	// heartbeat publishes it.
 	s.Schedule("fn")
 	s.NoteWarm("fn", 1)
 	before := store.Ops()
@@ -185,6 +201,7 @@ func TestPeerCacheServesMissesWithinTTL(t *testing.T) {
 	b := New("host-b", store, 10)
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 
 	a := New("host-a", store, 10)
 	a.PeerCacheTTL = time.Hour
@@ -207,6 +224,7 @@ func TestPeerCacheExpiresAndRefreshes(t *testing.T) {
 	b := New("host-b", store, 10)
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 
 	a := New("host-a", store, 10)
 	a.PeerCacheTTL = time.Nanosecond // effectively always stale
@@ -228,6 +246,7 @@ func TestInvalidatePeersForcesRefresh(t *testing.T) {
 	b := New("host-b", store, 10)
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 
 	a := New("host-a", store, 10)
 	a.PeerCacheTTL = time.Hour
@@ -269,8 +288,9 @@ func TestDeadPeerDisappearsWithinLeaseTTL(t *testing.T) {
 	store := kvs.NewEngine()
 	b := New("host-b", store, 10)
 	b.LeaseTTL = 40 * time.Millisecond
-	b.Schedule("fn") // advertises with a 40ms lease; no heartbeat loop runs
+	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat() // one beat publishes with a 40ms lease; no heartbeat loop runs
 
 	a := New("host-a", store, 10)
 	a.PeerCacheTTL = 5 * time.Millisecond
@@ -287,6 +307,7 @@ func TestDeadPeerDisappearsWithinLeaseTTL(t *testing.T) {
 	if d.Placement != PlaceLocalCold {
 		t.Fatalf("dead peer still receives forwards: %+v", d)
 	}
+	a.Heartbeat() // publishes a's cold start
 	if hosts, _ := a.WarmHosts("fn"); len(hosts) != 1 || hosts[0] != "host-a" {
 		t.Fatalf("WarmHosts after peer death = %v, want only the cold-started host-a", hosts)
 	}
@@ -305,6 +326,7 @@ func TestHeartbeatKeepsPeerAlive(t *testing.T) {
 	b.LeaseTTL = 30 * time.Millisecond
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 	b.StartHeartbeat()
 	defer b.StopHeartbeat()
 
@@ -331,6 +353,7 @@ func TestHeartbeatReassertsEvictedWarmEntry(t *testing.T) {
 	b.LeaseTTL = 30 * time.Millisecond
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 	b.StartHeartbeat()
 	defer b.StopHeartbeat()
 	// Simulate a peer wrongly evicting host-b (e.g. a pause expired the
@@ -355,6 +378,7 @@ func TestStopHeartbeatLetsLeaseExpire(t *testing.T) {
 	b.LeaseTTL = 30 * time.Millisecond
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 	b.StartHeartbeat()
 	b.StopHeartbeat()
 
@@ -392,6 +416,7 @@ func TestClockSkewDoesNotAffectLiveness(t *testing.T) {
 	b.SetClock(offsetClock{-skew}) // writer runs 10 TTLs behind
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 	b.StartHeartbeat()
 	defer b.StopHeartbeat()
 
@@ -435,6 +460,7 @@ func TestLeaseRecordIsTierJudged(t *testing.T) {
 	b := New("host-b", store, 10)
 	b.LeaseTTL = time.Second
 	b.Schedule("fn")
+	b.Heartbeat()
 	rec, err := store.Get("sched/alive/host-b")
 	if err != nil || len(rec) == 0 {
 		t.Fatalf("no lease written: %q %v", rec, err)
@@ -471,6 +497,7 @@ func TestWeightedForwardPrefersFastPeer(t *testing.T) {
 		p := New(h, store, 10)
 		p.Schedule("fn")
 		p.NoteWarm("fn", 1)
+		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
 	// Probe both peers: b is 10x faster than c.
@@ -495,6 +522,7 @@ func TestWeightedForwardAvoidsLoadedPeer(t *testing.T) {
 		p := New(h, store, 10)
 		p.Schedule("fn")
 		p.NoteWarm("fn", 1)
+		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
 	a.ForwardBegin("host-b")
@@ -525,6 +553,7 @@ func TestUnprobedPeerExploredBeforeProbed(t *testing.T) {
 		p := New(h, store, 10)
 		p.Schedule("fn")
 		p.NoteWarm("fn", 1)
+		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
 	// Only host-b probed (and fast): the never-probed host-c must still be
@@ -543,6 +572,7 @@ func TestForwardFailurePenalisesPeer(t *testing.T) {
 		p := New(h, store, 10)
 		p.Schedule("fn")
 		p.NoteWarm("fn", 1)
+		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
 	a.ForwardBegin("host-b")
@@ -564,6 +594,7 @@ func TestFastFailureDoesNotScoreDeadPeerBest(t *testing.T) {
 		p := New(h, store, 10)
 		p.Schedule("fn")
 		p.NoteWarm("fn", 1)
+		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
 	a.ForwardBegin("host-b")
@@ -595,6 +626,12 @@ func TestDrainRetreatsFromWarmSetsAndStopsAdvertising(t *testing.T) {
 	b.NoteWarm("fn", 1)
 	b.Schedule("gn")
 	b.NoteWarm("gn", 1)
+	b.Heartbeat()
+	for _, fn := range []string{"fn", "gn"} {
+		if raw, _ := store.SMembers("sched/warm/" + fn); len(raw) != 1 {
+			t.Fatalf("%s warm set before drain = %v", fn, raw)
+		}
+	}
 	if err := b.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -630,10 +667,12 @@ func TestDrainingHostForwardsNewCallsAway(t *testing.T) {
 	b := New("host-b", store, 10)
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 
 	a := New("host-a", store, 10)
 	a.Schedule("fn")
 	a.NoteWarm("fn", 1)
+	a.Heartbeat()
 	a.Drain()
 	// Even with warm Faaslets of its own, the draining host hands new calls
 	// to the live peer.
@@ -651,6 +690,7 @@ func TestDrainingHostWithNoPeersStillExecutes(t *testing.T) {
 	a := New("host-a", store, 10)
 	a.Schedule("fn")
 	a.NoteWarm("fn", 1)
+	a.Heartbeat()
 	a.Drain()
 	// Last host standing: executing beats failing the call — but it must
 	// not advertise while doing so.
@@ -673,6 +713,7 @@ func TestDrainedLeaseExpiresWithinOneTTL(t *testing.T) {
 	b.LeaseTTL = ttl
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
+	b.Heartbeat()
 	b.StartHeartbeat()
 	if rec, _ := store.Get("sched/alive/host-b"); len(rec) == 0 {
 		t.Fatal("no lease before drain")
