@@ -50,7 +50,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 
 	fs.IntVar(&c.runtime.PoolCap, "pool-cap", frt.DefaultPoolCap, "idle warm Faaslets kept per function")
 	fs.DurationVar(&c.runtime.LeaseTTL, "lease-ttl", sched.DefaultLeaseTTL, "liveness lease on this host's warm advertisements; heartbeats run at a third of it")
-	fs.DurationVar(&c.runtime.PeerCacheTTL, "peer-cache-ttl", sched.DefaultPeerCacheTTL, "staleness bound on the cached peer warm set")
 	fs.Float64Var(&c.runtime.LocalityWeight, "locality-weight", 0, "blend data locality into cross-host forwarding: peer scores scale by (1 + weight×footprint-miss); 0 = off")
 	fs.StringVar(&c.runtime.LocalShard, "shard-id", "", "tier shard this process co-hosts (e.g. the -kvs shard's ring id); residency adverts then credit shard-primary co-location")
 	fs.BoolVar(&c.runtime.ElasticPool, "elastic-pool", false, "autoscale warm pools: grow ahead of misses, shrink on idle")

@@ -37,7 +37,6 @@ func TestFlagDefaultsArePackageConstants(t *testing.T) {
 			Host:            "faasmd-0",
 			PoolCap:         frt.DefaultPoolCap,
 			LeaseTTL:        sched.DefaultLeaseTTL,
-			PeerCacheTTL:    sched.DefaultPeerCacheTTL,
 			PoolIdleTimeout: frt.DefaultPoolIdleTimeout,
 			TraceSample:     obsv.DefaultSampleRate,
 			TraceBuffer:     obsv.DefaultTraceBuffer,
@@ -76,7 +75,6 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{"kvs-retry-max", "-1", func(c *config) any { return c.retry.Max }, -1},
 		{"pool-cap", "7", func(c *config) any { return c.runtime.PoolCap }, 7},
 		{"lease-ttl", "900ms", func(c *config) any { return c.runtime.LeaseTTL }, 900 * time.Millisecond},
-		{"peer-cache-ttl", "100ms", func(c *config) any { return c.runtime.PeerCacheTTL }, 100 * time.Millisecond},
 		{"locality-weight", "8", func(c *config) any { return c.runtime.LocalityWeight }, 8.0},
 		{"shard-id", "s1", func(c *config) any { return c.runtime.LocalShard }, "s1"},
 		{"elastic-pool", "true", func(c *config) any { return c.runtime.ElasticPool }, true},
@@ -104,11 +102,12 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 	})
 }
 
-// faasmd runs no fleet controller, and tier reads always fail over, so the
-// fleet flags and the failover switch are unknown flags, not silently
-// ignored ones.
+// faasmd runs no fleet controller, tier reads always fail over, and a cold
+// miss reads a view the heartbeat refreshes rather than a TTL'd cache, so the
+// fleet flags, the failover switch and the peer-cache TTL are unknown flags,
+// not silently ignored ones.
 func TestRemovedFlagsAreUnknown(t *testing.T) {
-	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s", "-state-read-failover"} {
+	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s", "-state-read-failover", "-peer-cache-ttl=1s"} {
 		fs := flag.NewFlagSet("faasmd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		if _, err := parseFlags(fs, []string{arg}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -127,7 +126,6 @@ func TestBenchArgVectorsKeepTheirEffectiveConfig(t *testing.T) {
 			Host:            "faasmd-0",
 			PoolCap:         64,
 			LeaseTTL:        10 * time.Second,
-			PeerCacheTTL:    time.Second,
 			PoolIdleTimeout: 30 * time.Second,
 			TraceSample:     traceSample,
 			TraceBuffer:     1024,

@@ -93,7 +93,7 @@ func TestKillHostMidDrainConvergesUnderTraffic(t *testing.T) {
 	// the corpse refuses (frt.ErrDown) re-enters through the rotation.
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1000,
-		Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond},
+		Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond},
 	})
 	defer c.Shutdown()
 	registerEcho(t, c)
@@ -127,7 +127,7 @@ func TestKillHostMidDrainConvergesUnderTraffic(t *testing.T) {
 
 func TestKillShardDuringDrainUnderTraffic(t *testing.T) {
 	// A tier shard dies at the same moment a host drains. The drain's
-	// warm-set retreat rides the degraded tier on quorum and failover, and
+	// lease deletion rides the degraded tier on quorum and failover, and
 	// neither event may fail a call or a tier operation.
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1000,
@@ -212,7 +212,7 @@ func TestDrainDuringRingHeal(t *testing.T) {
 		Mode: ModeFaasm, Hosts: 4, TimeScale: 1000,
 		StateShards: 3, StateReplicas: 2, StateWriteQuorum: 1,
 		FaultyShards: true,
-		Runtime:      frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond},
+		Runtime:      frt.Config{LeaseTTL: 50 * time.Millisecond},
 	})
 	defer c.Shutdown()
 	registerEcho(t, c)

@@ -334,11 +334,11 @@ func (c *Cluster) KillHost(h int) {
 	c.refreshActive()
 }
 
-// DrainHost gracefully stops host h: it leaves the ingress rotation and
-// every warm set, its liveness lease expires tier-side within one TTL so
-// peers route around it, in-flight calls finish, and new forwarded-in work
-// is refused (callers fall back locally). Reclaim the host with ReclaimHost
-// once its in-flight count reaches zero.
+// DrainHost gracefully stops host h: it leaves the ingress rotation, its
+// lease is deleted so each peer's next beat drops it from the view, in-flight
+// calls finish, and new forwarded-in work is refused (callers fall back
+// locally). Reclaim the host with ReclaimHost once its in-flight count
+// reaches zero.
 func (c *Cluster) DrainHost(h int) error {
 	s := c.faasm[h]
 	if s.removed.Load() {

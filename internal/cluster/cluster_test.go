@@ -327,7 +327,7 @@ func TestBillableMemory(t *testing.T) {
 func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 3, TimeScale: 1,
-		Runtime: frt.Config{LeaseTTL: 60 * time.Millisecond, PeerCacheTTL: 5 * time.Millisecond},
+		Runtime: frt.Config{LeaseTTL: 60 * time.Millisecond},
 	})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
@@ -337,12 +337,14 @@ func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm host-1 only: it becomes the cluster's one forwarding target once
-	// its next beat publishes the advert.
+	// its next beat publishes the advert and host-0's next beat reads it.
 	if _, ret, err := c.CallOn(1, "echo", []byte("warm")); err != nil || ret != 0 {
 		t.Fatalf("warming call: %d %v", ret, err)
 	}
-	if err := c.Instance(1).Scheduler().Heartbeat(); err != nil {
-		t.Fatal(err)
+	for _, h := range []int{1, 0} {
+		if err := c.Instance(h).Scheduler().Heartbeat(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The advertised host's lease is a tier-judged record: present, armed
 	// with a tier-side TTL, and carrying no clock stamp an observer could
@@ -367,10 +369,13 @@ func TestKilledHostDrainsFromForwardingWithinLease(t *testing.T) {
 		t.Fatalf("post-kill call: %q %d %v", out, ret, err)
 	}
 
-	// Within one lease TTL the dead host is gone from the live warm set
-	// and receives no forwards from anyone — including host-2, which has
-	// never scheduled this function before.
+	// Within one lease TTL the dead host is gone from the live warm set,
+	// and after host-2's next beat it receives no forwards from host-2,
+	// which has never scheduled this function before.
 	time.Sleep(80 * time.Millisecond)
+	if err := c.Instance(2).Scheduler().Heartbeat(); err != nil {
+		t.Fatal(err)
+	}
 	hosts, err := c.Instance(0).Scheduler().WarmHosts("echo")
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +407,6 @@ func TestElasticClusterPoolsShrinkAndRetreat(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 2, TimeScale: 1,
 		Runtime: frt.Config{
-			PeerCacheTTL:    5 * time.Millisecond,
 			ElasticPool:     true,
 			ElasticInterval: 2 * time.Millisecond,
 			PoolIdleTimeout: 10 * time.Millisecond,
@@ -418,10 +422,13 @@ func TestElasticClusterPoolsShrinkAndRetreat(t *testing.T) {
 	if _, ret, err := c.CallOn(0, "echo", []byte("x")); err != nil || ret != 0 {
 		t.Fatalf("call: %d %v", ret, err)
 	}
-	// The idle pool must drain to zero and the host must leave the global
-	// warm set, so no peer ever forwards to a host with nothing warm.
+	// The idle pool must drain to zero and the host's next lease must drop
+	// the function, so no peer ever forwards to a host with nothing warm.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
+		if err := c.Instance(0).Scheduler().Heartbeat(); err != nil {
+			t.Fatal(err)
+		}
 		hosts, err := c.Instance(1).Scheduler().WarmHosts("echo")
 		if err != nil {
 			t.Fatal(err)
@@ -446,9 +453,8 @@ func TestForwardedTraceSpansBothHosts(t *testing.T) {
 	c := New(Config{
 		Mode: ModeFaasm, Hosts: 2, TimeScale: 1,
 		Runtime: frt.Config{
-			LeaseTTL:     60 * time.Millisecond,
-			PeerCacheTTL: 5 * time.Millisecond,
-			TraceSample:  1, // trace every call
+			LeaseTTL:    60 * time.Millisecond,
+			TraceSample: 1, // trace every call
 		},
 	})
 	defer c.Shutdown()
@@ -467,12 +473,15 @@ func TestForwardedTraceSpansBothHosts(t *testing.T) {
 	}
 	c.SetState("k-warm", make([]byte, valSize))
 	c.SetState("k-fwd", make([]byte, valSize))
-	// Warm host-1 only and publish it, making it the sole forwarding target.
+	// Warm host-1 only, publish it and let host-0 read it, making it the
+	// sole forwarding target.
 	if _, ret, err := c.CallOn(1, "pull", []byte("k-warm")); err != nil || ret != 0 {
 		t.Fatalf("warming call: %d %v", ret, err)
 	}
-	if err := c.Instance(1).Scheduler().Heartbeat(); err != nil {
-		t.Fatal(err)
+	for _, h := range []int{1, 0} {
+		if err := c.Instance(h).Scheduler().Heartbeat(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, ret, id, err := c.Instance(0).CallTraced("pull", []byte("k-fwd"))
 	if err != nil || ret != 0 || len(out) != 1 {
@@ -589,7 +598,7 @@ func TestClusterSurvivesShardCrash(t *testing.T) {
 // --- Host lifecycle: drain, kill, reclaim ---
 
 func TestDrainHostLeavesRotationThenReclaims(t *testing.T) {
-	c := New(Config{Mode: ModeFaasm, Hosts: 3, TimeScale: 1000, Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond, PeerCacheTTL: time.Millisecond}})
+	c := New(Config{Mode: ModeFaasm, Hosts: 3, TimeScale: 1000, Runtime: frt.Config{LeaseTTL: 50 * time.Millisecond}})
 	defer c.Shutdown()
 	if err := c.Register("echo", func(api hostapi.API) (int32, error) {
 		api.WriteOutput(api.Input())

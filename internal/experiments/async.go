@@ -39,9 +39,8 @@ func AsyncQueue(opts Options) *Report {
 	c := cluster.New(cluster.Config{
 		Mode: cluster.ModeFaasm, Hosts: 3, TimeScale: 1,
 		Runtime: frt.Config{
-			LeaseTTL:     60 * time.Millisecond,
-			PeerCacheTTL: 5 * time.Millisecond,
-			Queue:        &queue.Config{LeaseTTL: leaseTTL, Poll: 2 * time.Millisecond, Concurrency: 2},
+			LeaseTTL: 60 * time.Millisecond,
+			Queue:    &queue.Config{LeaseTTL: leaseTTL, Poll: 2 * time.Millisecond, Concurrency: 2},
 		},
 	})
 	defer c.Shutdown()
@@ -79,9 +78,12 @@ func AsyncQueue(opts Options) *Report {
 		r.Check(false, "setup", "warm host-0", err.Error())
 		return r
 	}
-	if err := c.Instance(0).Scheduler().Heartbeat(); err != nil {
-		r.Check(false, "setup", "publish host-0", err.Error())
-		return r
+	// Publish host-0's lease, then let its peers read it into their views.
+	for _, h := range []int{0, 1, 2} {
+		if err := c.Instance(h).Scheduler().Heartbeat(); err != nil {
+			r.Check(false, "setup", fmt.Sprintf("publish host-0 (beat host-%d)", h), err.Error())
+			return r
+		}
 	}
 
 	ids := make([]uint64, 0, total)

@@ -22,8 +22,8 @@ import (
 // the paper's organic growth) against the elastic controller (grow-ahead
 // from observed misses, shrink on idle). Section "failover" kills a warm
 // host in a simnet cluster and verifies forwarding drains to survivors
-// within one liveness-lease TTL — the warm-set entries are leases, so a
-// crashed host evicts from the global set itself, Cloudburst-style.
+// within one liveness-lease TTL — a host's warm functions ride its lease,
+// so a crashed host leaves the live view by itself, Cloudburst-style.
 func Elasticity(opts Options) *Report {
 	r := &Report{
 		ID:     "elastic-sched",
@@ -72,7 +72,7 @@ func Elasticity(opts Options) *Report {
 	}
 
 	r.Note("pool: identical concurrency ramp %v per config; the elastic controller pre-provisions misses x grow-factor per tick, so later ramp steps find the pool already sized — the ramp's misses collapse toward the first step's", ramp)
-	r.Note("failover: a killed host stops heartbeating but retreats from nothing; its SetEx'd sched/alive/<host> lease expires on the tier's clock (no observer ever judges a timestamp, so host clock skew cannot delay or hasten the drain) and every peer's refresh filters it — forwards fall back locally in the meantime, so zero calls fail")
+	r.Note("failover: a killed host stops heartbeating but retreats from nothing; its SetEx'd sched/alive/<host> lease expires on the tier's clock (no observer ever judges a timestamp, so host clock skew cannot delay or hasten the drain) and every peer's next beat drops it from the view — forwards fall back locally in the meantime, so zero calls fail")
 	return r
 }
 
@@ -133,8 +133,8 @@ func measureRampMisses(ramp []int, elastic bool) (misses, prewarmed, reclaims in
 }
 
 // measureFailoverDrain warms one cluster host, kills it, and measures how
-// long its stale warm-set entry keeps appearing in the live view. Returns
-// the drain duration, the count of calls that FAILED during it (want 0),
+// long its lease keeps it in the live view. Returns the drain duration,
+// the count of calls that FAILED during it (want 0),
 // the forwards recorded before the kill, and the simulated-network bytes
 // the cluster spent while healing (call payloads + lease reads).
 //
@@ -147,7 +147,7 @@ func measureFailoverDrain(leaseTTL time.Duration) (drain time.Duration, failed i
 	clk := &drivenClock{Virtual: vtime.NewVirtual(), driver: goid()}
 	c := cluster.New(cluster.Config{
 		Mode: cluster.ModeFaasm, Hosts: 3,
-		Runtime: frt.Config{Clock: clk, LeaseTTL: leaseTTL, PeerCacheTTL: 5 * time.Millisecond},
+		Runtime: frt.Config{Clock: clk, LeaseTTL: leaseTTL},
 	})
 	// Shutdown waits, without sleeping, on resets that retreat through the
 	// tier and so sleep on the clock: release it first.
@@ -159,14 +159,16 @@ func measureFailoverDrain(leaseTTL time.Duration) (drain time.Duration, failed i
 	}); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	// Warm host-1 only and publish its advert (the beat would, within
-	// LeaseTTL/3), then route traffic through host-0 so every call forwards
-	// to the one warm peer.
+	// Warm host-1 only, publish its advert and let host-0 read it (the two
+	// beats would, within 2·LeaseTTL/3), then route traffic through host-0
+	// so every call forwards to the one warm peer.
 	if _, _, err := c.CallOn(1, "echo", []byte("w")); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	if err := c.Instance(1).Scheduler().Heartbeat(); err != nil {
-		return 0, 0, 0, 0, err
+	for _, h := range []int{1, 0} {
+		if err := c.Instance(h).Scheduler().Heartbeat(); err != nil {
+			return 0, 0, 0, 0, err
+		}
 	}
 	for k := 0; k < 10; k++ {
 		if _, _, err := c.CallOn(0, "echo", []byte("x")); err != nil {

@@ -104,7 +104,6 @@ func runLocality(workload string, weight float64, quick bool) (localityRun, erro
 		Runtime: frt.Config{
 			LocalityWeight: weight,
 			LeaseTTL:       250 * time.Millisecond,
-			PeerCacheTTL:   2 * time.Millisecond,
 		},
 	}
 	if workload == "sgd" {
@@ -185,10 +184,14 @@ func runLocality(workload string, weight float64, quick bool) (localityRun, erro
 			}
 		}
 	}
-	// Publish every host's warm adverts and residency before measuring.
-	for h := 0; h < cfg.Hosts; h++ {
-		if err := c.Instance(h).Scheduler().Heartbeat(); err != nil {
-			return localityRun{}, fmt.Errorf("heartbeat host %d: %v", h, err)
+	// Publish every host's warm adverts and residency before measuring: the
+	// first pass writes every lease, the second lets every host read them
+	// all into its view.
+	for pass := 0; pass < 2; pass++ {
+		for h := 0; h < cfg.Hosts; h++ {
+			if err := c.Instance(h).Scheduler().Heartbeat(); err != nil {
+				return localityRun{}, fmt.Errorf("heartbeat host %d: %v", h, err)
+			}
 		}
 	}
 

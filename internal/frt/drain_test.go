@@ -64,9 +64,7 @@ func TestDrainRefusesForwardedWorkButFinishesInflight(t *testing.T) {
 func TestDrainForwardsNewLocalCallsToWarmPeer(t *testing.T) {
 	store := kvs.NewEngine()
 	tr := &mapTransport{peers: map[string]*Instance{}}
-	// A tiny peer-cache TTL: the draining host must observe the current
-	// warm set, not the pre-drain cache.
-	h1 := New(Config{Host: "h1", Store: store, Transport: tr, PeerCacheTTL: time.Nanosecond})
+	h1 := New(Config{Host: "h1", Store: store, Transport: tr})
 	h2 := New(Config{Host: "h2", Store: store, Transport: tr})
 	defer h1.Shutdown()
 	defer h2.Shutdown()
@@ -83,8 +81,9 @@ func TestDrainForwardsNewLocalCallsToWarmPeer(t *testing.T) {
 	if _, _, err := h2.ExecuteLocal("work", nil); err != nil {
 		t.Fatal(err)
 	}
-	h1.Scheduler().Heartbeat()
+	// h2's beat lists work; h1's beat after it reads that into h1's view.
 	h2.Scheduler().Heartbeat()
+	h1.Scheduler().Heartbeat()
 
 	if err := h1.Drain(); err != nil {
 		t.Fatal(err)
@@ -98,11 +97,11 @@ func TestDrainForwardsNewLocalCallsToWarmPeer(t *testing.T) {
 	if got := h2.WarmStarts.Value() + h2.ColdStarts.Value() - before; got != 5 {
 		t.Fatalf("peer executed %d of 5 calls entered on the draining host", got)
 	}
-	// The draining host is out of the global warm set.
-	raw, _ := store.SMembers("sched/warm/work")
-	for _, h := range raw {
+	// The draining host is out of the warm set.
+	hosts, _ := h2.Scheduler().WarmHosts("work")
+	for _, h := range hosts {
 		if h == "h1" {
-			t.Fatalf("draining host still advertised: %v", raw)
+			t.Fatalf("draining host still advertised: %v", hosts)
 		}
 	}
 }

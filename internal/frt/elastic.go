@@ -115,9 +115,9 @@ func (i *Instance) prewarm(d *deployment, n int) {
 }
 
 // reclaimIdle evicts up to n idle Faaslets from fn's pool, feeding the
-// evictions through the scheduler so the global warm set stays truthful: the
-// idle count drops, and when the last live Faaslet goes the host retreats
-// from sched/warm/<fn> entirely.
+// evictions through the scheduler so the warm set stays truthful: the idle
+// count drops, and when the last live Faaslet goes the host retreats from
+// fn entirely (its next lease no longer lists fn).
 func (i *Instance) reclaimIdle(fn string, p *fnPool, n int) {
 	p.mu.Lock()
 	if n > len(p.idle) {
@@ -159,10 +159,9 @@ func (i *Instance) stopElastic() {
 
 // Kill simulates a host crash for tests and experiments: the instance stops
 // heartbeating and refuses all work — including forwarded work from peers —
-// but deliberately retreats from nothing. Its entries in the global warm set
-// linger exactly as a crashed host's would, and peers must discover the
-// death through lease expiry (plus the transport-failure fallback in the
-// meantime).
+// but deliberately retreats from nothing. Its lease lingers exactly as a
+// crashed host's would, and peers must discover the death through lease
+// expiry (plus the transport-failure fallback in the meantime).
 func (i *Instance) Kill() {
 	i.killed.Store(true)
 	i.sched.StopHeartbeat()
@@ -177,19 +176,18 @@ func (i *Instance) Killed() bool { return i.killed.Load() }
 var ErrDown = errors.New("down")
 
 // ErrDraining marks work refused because the instance is gracefully
-// stopping. Forwarding peers treat it like any transport failure — fall back
-// locally and drop the stale peer-set cache — so a drain never fails a call.
+// stopping. Forwarding peers treat it like any transport failure and fall
+// back locally, so a drain never fails a call.
 var ErrDraining = errors.New("draining")
 
-// Drain begins a graceful stop. The instance retreats from every warm set
-// and stops heartbeating (the liveness lease expires tier-side within one
-// TTL, after which no peer forwards here), the elastic controller stops
-// growing pools, and forwarded-in work is refused so callers fall back.
-// Calls already in flight — local or forwarded — run to completion, and
-// calls entered locally during the drain still execute (forwarded away when
-// a warm peer exists). Reclaim the instance with Shutdown once Inflight
-// reaches zero. Idempotent; returns the warm-set retreat error, if any
-// (the expiring lease drains traffic regardless).
+// Drain begins a graceful stop. The instance stops heartbeating and deletes
+// its lease (each peer's next beat drops it from the view), the elastic
+// controller stops growing pools, and forwarded-in work is refused so
+// callers fall back. Calls already in flight — local or forwarded — run to
+// completion, and calls entered locally during the drain still execute
+// (forwarded away when a warm peer exists). Reclaim the instance with
+// Shutdown once Inflight reaches zero. Idempotent; returns the lease
+// deletion's error, if any (the lease then expires within one TTL).
 func (i *Instance) Drain() error {
 	if i.draining.Swap(true) {
 		return nil

@@ -67,9 +67,6 @@ type Config struct {
 	StateOwners func(key string) []string
 	// LocalShard names the shard-ring node this host co-hosts ("" = none).
 	LocalShard string
-	// PeerCacheTTL bounds the staleness of the scheduler's cached peer
-	// warm set (0 = sched.DefaultPeerCacheTTL).
-	PeerCacheTTL time.Duration
 
 	// ElasticPool enables the warm-pool autoscaler: grow ahead of demand
 	// on pool-empty misses, shrink after idleness. Off by default — the
@@ -215,7 +212,7 @@ type Instance struct {
 
 	// draining marks a graceful stop (Drain): in-flight calls finish, new
 	// forwarded-in work is refused (peers fall back and route around the
-	// expiring lease), and locally entered calls prefer forwarding away.
+	// deleted lease), and locally entered calls prefer forwarding away.
 	draining atomic.Bool
 
 	// elastic controller lifecycle (nil when ElasticPool is off).
@@ -275,7 +272,6 @@ func New(cfg Config) *Instance {
 	}
 	inst.sched.SetClock(cfg.Clock)
 	inst.sched.LeaseTTL = cfg.LeaseTTL
-	inst.sched.PeerCacheTTL = cfg.PeerCacheTTL
 	inst.sched.LocalityWeight = cfg.LocalityWeight
 	inst.sched.SetResidencyProvider(inst.residentBytes)
 	inst.sched.SetFootprintProvider(inst.profile.footprint)
@@ -303,9 +299,9 @@ func New(cfg Config) *Instance {
 	if cfg.Capacity > 0 {
 		inst.slots = make(chan struct{}, cfg.Capacity)
 	}
-	// The liveness heartbeat keeps this host's warm advertisements leased;
-	// it beats at lease cadence and only while something is advertised, so
-	// steady-state warm calls still see zero global-tier operations.
+	// The heartbeat writes this host's lease and refreshes its view of warm
+	// peers at lease cadence, off every call's path: warm calls and cold
+	// misses alike perform zero global-tier operations.
 	inst.sched.StartHeartbeat()
 	if cfg.ElasticPool {
 		inst.elasticStop = make(chan struct{})
@@ -786,10 +782,9 @@ func (i *Instance) CallTraced(function string, input []byte) ([]byte, int32, obs
 }
 
 // route executes one call per the scheduler's decision: forward to a warm
-// peer when told to (falling back locally — and dropping the stale peer
-// cache — if the peer fails), execute here otherwise. Every forward's
-// round-trip is reported back to the scheduler, feeding the per-peer
-// latency/load scores that weighted forwarding picks by.
+// peer when told to (falling back locally if the peer fails), execute here
+// otherwise. Every forward's round-trip is reported back to the scheduler,
+// feeding the per-peer latency/load scores that weighted forwarding picks by.
 func (i *Instance) route(tr *obsv.Trace, function string, input []byte) ([]byte, int32, error) {
 	// A killed host can no more originate calls than serve them: the crash
 	// semantics Kill simulates cover both directions.
@@ -821,8 +816,8 @@ func (i *Instance) route(tr *obsv.Trace, function string, input []byte) ([]byte,
 		if err == nil {
 			return out, ret, nil
 		}
-		// Peer failed: the cached warm set named a dead host.
-		i.sched.InvalidatePeers(function)
+		// Peer failed: run here. ForwardEnd has sunk the peer's score, and
+		// the next beat drops it from the view once its lease is gone.
 	}
 	return i.executeLocal(tr, function, input)
 }
@@ -1079,8 +1074,9 @@ func (i *Instance) LocalFootprint() int64 {
 }
 
 // Shutdown closes all pooled Faaslets after draining in-flight resets, and
-// stops the background heartbeat and elastic-pool goroutines. The host's
-// liveness lease is left to expire on its own (see sched.StopHeartbeat).
+// stops the background heartbeat and elastic-pool goroutines. The scheduler
+// drains (sched.Scheduler.Drain): the host's lease is deleted, so peers
+// drop it from their views at their next beat.
 func (i *Instance) Shutdown() {
 	i.shutMu.Lock()
 	if !i.closed.CompareAndSwap(false, true) {
@@ -1088,7 +1084,7 @@ func (i *Instance) Shutdown() {
 		return
 	}
 	i.shutMu.Unlock()
-	i.sched.StopHeartbeat()
+	i.sched.Drain()
 	i.stopElastic()
 	if i.queue != nil {
 		// Stop queue consumers before tearing pools down; items this host
@@ -1103,7 +1099,6 @@ func (i *Instance) Shutdown() {
 	i.resetWG.Wait()
 	i.eachDeployment(func(d *deployment) {
 		i.dropIdle(d.def.Name, d.pool)
-		i.sched.Retreat(d.def.Name)
 	})
 }
 

@@ -223,11 +223,13 @@ func TestWorkSharingAcrossInstances(t *testing.T) {
 	h1.RegisterNative("work", fn)
 	h2.RegisterNative("work", fn)
 
-	// Warm up host 2, and let its next beat publish the advert.
+	// Warm up host 2, let its next beat publish the advert and host 1's
+	// next beat read it.
 	if _, _, err := h2.Call("work", nil); err != nil {
 		t.Fatal(err)
 	}
 	h2.Scheduler().Heartbeat()
+	h1.Scheduler().Heartbeat()
 	// A call arriving at host 1 must be shared with warm host 2, not
 	// cold-started locally.
 	out, ret, err := h1.Call("work", nil)
@@ -247,11 +249,17 @@ func TestTransportFailureFallsBackLocally(t *testing.T) {
 	tr := &mapTransport{peers: map[string]*Instance{}} // empty: all peers fail
 	h1 := New(Config{Host: "h1", Store: store, Transport: tr})
 	h1.RegisterNative("work", func(ctx *core.Ctx) (int32, error) { return 0, nil })
-	// Fake a stale warm entry for a dead host.
-	store.SAdd("sched/warm/work", "ghost-host")
+	// Fake a live lease for a dead host that lists the function, and let
+	// h1's beat read it into the view.
+	store.SAdd("sched/hosts", "ghost-host")
+	store.SetEx("sched/alive/ghost-host", []byte("up\nwork 0"), time.Minute)
+	h1.Scheduler().Heartbeat()
 	_, ret, err := h1.Call("work", nil)
 	if err != nil || ret != 0 {
 		t.Fatalf("fallback call: %d %v", ret, err)
+	}
+	if fwd := h1.Scheduler().Stats.Forwarded.Load(); fwd != 1 {
+		t.Fatalf("forwards = %d, want 1 (the call never tried the ghost)", fwd)
 	}
 }
 
@@ -391,7 +399,8 @@ func TestFailedColdStartRetreatsFromWarmSet(t *testing.T) {
 	}
 	// The scheduler advertised h1 before the cold start; the failure must
 	// have removed it so peers stop forwarding here.
-	hosts, _ := store.SMembers("sched/warm/broken")
+	inst.Scheduler().Heartbeat()
+	hosts, _ := inst.Scheduler().WarmHosts("broken")
 	if len(hosts) != 0 {
 		t.Fatalf("failed cold start left warm set %v", hosts)
 	}
@@ -414,13 +423,13 @@ func TestShutdownRetreatsFromWarmSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst.Scheduler().Heartbeat()
-	if hosts, _ := store.SMembers("sched/warm/fn"); len(hosts) != 1 {
+	if hosts, _ := inst.Scheduler().WarmHosts("fn"); len(hosts) != 1 {
 		t.Fatalf("warm set before shutdown = %v", hosts)
 	}
 	// Shutdown evicts the function's last pooled Faaslets: the host must
-	// leave the global warm set.
+	// leave the warm set.
 	inst.Shutdown()
-	if hosts, _ := store.SMembers("sched/warm/fn"); len(hosts) != 0 {
+	if hosts, _ := inst.Scheduler().WarmHosts("fn"); len(hosts) != 0 {
 		t.Fatalf("warm set after shutdown = %v", hosts)
 	}
 }
@@ -429,7 +438,7 @@ func TestWarmSteadyStatePerformsZeroGlobalOps(t *testing.T) {
 	store := kvstest.NewCountingStore(kvs.NewEngine())
 	inst := New(Config{Host: "h1", Store: store})
 	inst.RegisterNative("noop", func(ctx *core.Ctx) (int32, error) { return 0, nil })
-	// The cold start reads the warm set; its advert waits for the beat.
+	// The cold start reads the view in memory; its advert waits for the beat.
 	if _, _, err := inst.Call("noop", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -442,9 +451,9 @@ func TestWarmSteadyStatePerformsZeroGlobalOps(t *testing.T) {
 		}
 	}
 	inst.Shutdown() // drain background resets before counting
-	// Shutdown itself retreats (SRem); everything before it must be zero.
-	if ops := store.Ops(); ops != 1 {
-		t.Fatalf("steady-state warm invocations performed %d global ops, want 1 (the shutdown retreat)", ops)
+	// Shutdown itself deletes the lease; everything before it must be zero.
+	if ops, del := store.Ops(), store.OpCount("Delete"); ops != 1 || del != 1 {
+		t.Fatalf("steady-state warm invocations performed %d global ops (%d Delete), want 1 (the shutdown's lease deletion)", ops, del)
 	}
 	if inst.WarmStarts.Value() != 200 {
 		t.Fatalf("warm starts = %d, want 200", inst.WarmStarts.Value())
@@ -596,12 +605,13 @@ func burst(t *testing.T, inst *Instance, fn string, n int, gate chan struct{}, s
 	wg.Wait()
 }
 
+// The test drives the controller's passes itself (ElasticPool stays off, so
+// no loop ticks behind its back): the first burst's misses are all counted
+// before any pass can pre-provision.
 func TestElasticPoolGrowsAheadOfDemand(t *testing.T) {
 	inst := New(Config{
 		Host:            "h1",
 		PoolCap:         64,
-		ElasticPool:     true,
-		ElasticInterval: 2 * time.Millisecond,
 		PoolIdleTimeout: time.Hour, // shrink must not interfere here
 	})
 	defer inst.Shutdown()
@@ -620,16 +630,13 @@ func TestElasticPoolGrowsAheadOfDemand(t *testing.T) {
 	if got := inst.PoolMisses.Value(); got != 4 {
 		t.Fatalf("first-burst pool misses = %d, want 4", got)
 	}
-	// The controller must grow the pool ahead: beyond the 4 organically
-	// pooled Faaslets, pre-provisioned ones appear without any call paying
-	// for them.
-	deadline := time.Now().Add(2 * time.Second)
-	for inst.PoolSize("fn") < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool did not grow ahead: size=%d prewarmed=%d",
-				inst.PoolSize("fn"), inst.Prewarmed.Value())
-		}
-		time.Sleep(time.Millisecond)
+	// One controller pass must grow the pool ahead: beyond the 4
+	// organically pooled Faaslets, pre-provisioned ones appear without any
+	// call paying for them.
+	inst.elasticTick()
+	if inst.PoolSize("fn") < 8 {
+		t.Fatalf("pool did not grow ahead: size=%d prewarmed=%d",
+			inst.PoolSize("fn"), inst.Prewarmed.Value())
 	}
 	if inst.Prewarmed.Value() == 0 {
 		t.Fatal("no Faaslets were pre-provisioned")
@@ -661,14 +668,15 @@ func TestElasticPoolShrinksOnIdleAndRetreats(t *testing.T) {
 		}
 	}
 	inst.Scheduler().Heartbeat()
-	if hosts, _ := store.SMembers("sched/warm/fn"); len(hosts) != 1 {
+	if hosts, _ := inst.Scheduler().WarmHosts("fn"); len(hosts) != 1 {
 		t.Fatalf("warm set before idle = %v", hosts)
 	}
 	// The pool sits idle: the controller must reclaim every Faaslet and,
-	// with the last one, retreat the host from the global warm set.
+	// with the last one, retreat the host, so the next lease drops fn.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		hosts, _ := store.SMembers("sched/warm/fn")
+		inst.Scheduler().Heartbeat()
+		hosts, _ := inst.Scheduler().WarmHosts("fn")
 		if inst.PoolSize("fn") == 0 && inst.FaasletCount() == 0 && len(hosts) == 0 {
 			break
 		}
@@ -705,9 +713,9 @@ func TestKilledInstanceRefusesWorkWithoutRetreating(t *testing.T) {
 	if _, _, err := inst.Call("fn", nil); err == nil {
 		t.Fatal("killed instance originated a call")
 	}
-	// A crash retreats nothing: the stale warm entry must linger for the
-	// lease machinery (not a clean shutdown) to clean up.
-	if hosts, _ := store.SMembers("sched/warm/fn"); len(hosts) != 1 {
-		t.Fatalf("kill mutated the global warm set: %v", hosts)
+	// A crash retreats nothing: the lease listing fn must linger for
+	// expiry (not a clean shutdown) to clean up.
+	if hosts, _ := inst.Scheduler().WarmHosts("fn"); len(hosts) != 1 {
+		t.Fatalf("kill mutated the warm set: %v", hosts)
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,11 +12,14 @@ import (
 	"faasm.dev/faasm/internal/vtime"
 )
 
-// A cold call does one tier read (the warm-set lookup) and no tier write:
-// the advert it makes is published by the next heartbeat.
-func TestColdCallWritesNothing(t *testing.T) {
+// A cold call reads nothing from the tier and writes nothing to it: the miss
+// consults the view the last beat built, and the advert it makes is listed
+// by the next beat.
+func TestColdCallTouchesNoTier(t *testing.T) {
 	store := kvstest.NewCountingStore(kvs.NewEngine())
 	s := New("host-1", store, 10)
+	s.Heartbeat()
+	store.ResetOps()
 	if d, err := s.Schedule("fn"); err != nil || d.Placement != PlaceLocalCold {
 		t.Fatalf("cold decision: %+v %v", d, err)
 	}
@@ -23,14 +27,13 @@ func TestColdCallWritesNothing(t *testing.T) {
 	if !s.Advertised("fn") {
 		t.Fatal("cold start did not advertise")
 	}
-	if ops, reads := store.Ops(), store.OpCount("SMembers"); ops != 1 || reads != 1 {
-		t.Fatalf("cold Schedule + NoteWarm: %d tier ops (%d SMembers), want exactly 1 SMembers", ops, reads)
+	if ops := store.Ops(); ops != 0 {
+		t.Fatalf("cold Schedule + NoteWarm: %d tier ops, want 0", ops)
 	}
 }
 
-// One beat after N new functions writes the lease once and each function's
-// warm-set entry once: the tier write a cold call used to pay, moved onto
-// the beat.
+// One beat after N new functions writes the lease once, listing all of them,
+// and joins the membership set once: no per-function write.
 func TestHeartbeatPublishesEachNewFunction(t *testing.T) {
 	const n = 5
 	store := kvstest.NewCountingStore(kvs.NewEngine())
@@ -44,77 +47,118 @@ func TestHeartbeatPublishesEachNewFunction(t *testing.T) {
 	if err := s.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}
-	if setex, sadd, ops := store.OpCount("SetEx"), store.OpCount("SAdd"), store.Ops(); setex != 1 || sadd != n || ops != n+1 {
-		t.Fatalf("beat after %d transitions: %d SetEx, %d SAdd, %d ops; want 1, %d, %d", n, setex, sadd, ops, n, n+1)
+	if setex, sadd, ops := store.OpCount("SetEx"), store.OpCount("SAdd"), store.Ops(); setex != 1 || sadd != 1 || ops != 3 {
+		t.Fatalf("beat after %d transitions: %d SetEx, %d SAdd, %d ops; want 1 SetEx, 1 SAdd (joining), 3 ops", n, setex, sadd, ops)
 	}
 	for k := 0; k < n; k++ {
 		fn := fmt.Sprintf("fn-%d", k)
 		if hosts, _ := s.WarmHosts(fn); len(hosts) != 1 || hosts[0] != "host-1" {
-			t.Fatalf("%s warm set after the beat = %v", fn, hosts)
+			t.Fatalf("%s warm hosts after the beat = %v", fn, hosts)
 		}
 	}
 }
 
-// retreatRaceStore parks the heartbeat's SAdd until Retreat has been called
-// and has either removed the entry (SRem seen) or had a grace period to. A
-// retreat that is not ordered against the beat removes the entry first and
-// the parked SAdd then re-adds it for a host with nothing warm.
-type retreatRaceStore struct {
-	kvs.Store
-	inSAdd   chan struct{} // closed when the beat's SAdd is parked
-	retreat  chan struct{} // closed just before the test calls Retreat
-	sremSeen chan struct{} // closed when SRem reaches the store
-}
-
-func (r *retreatRaceStore) SAdd(key, member string) (bool, error) {
-	close(r.inSAdd)
-	<-r.retreat
-	select {
-	case <-r.sremSeen:
-	case <-time.After(10 * time.Millisecond):
-	}
-	return r.Store.SAdd(key, member)
-}
-
-func (r *retreatRaceStore) SRem(key, member string) (bool, error) {
-	close(r.sremSeen)
-	return r.Store.SRem(key, member)
-}
-
-// A Retreat that lands while a beat is publishing the same function leaves
-// no warm-set entry behind.
-func TestRetreatDuringBeatLeavesNoEntry(t *testing.T) {
-	store := &retreatRaceStore{
-		Store:    kvs.NewEngine(),
-		inSAdd:   make(chan struct{}),
-		retreat:  make(chan struct{}),
-		sremSeen: make(chan struct{}),
-	}
+// A beat costs the same however many functions are warm: on an unchanged
+// host with 2,000 advertised functions and one peer, the second beat is one
+// SetEx, one SMembers and one MGet.
+func TestBeatCostIndependentOfWarmFunctions(t *testing.T) {
+	const n = 2000
+	store := kvstest.NewCountingStore(kvs.NewEngine())
+	peer := New("host-2", store, 10)
+	peer.NoteWarm("other", 1)
+	peer.Heartbeat()
 	s := New("host-1", store, 10)
-	s.Schedule("fn")
-	s.NoteWarm("fn", 1)
-	beat := make(chan error)
-	go func() { beat <- s.Heartbeat() }()
-	<-store.inSAdd
-	close(store.retreat)
-	if err := s.Retreat("fn"); err != nil {
+	for k := 0; k < n; k++ {
+		s.NoteWarm(fmt.Sprintf("fn-%d", k), 1)
+	}
+	if err := s.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-beat; err != nil {
+	store.ResetOps()
+	if err := s.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}
-	if raw, _ := store.Store.SMembers("sched/warm/fn"); len(raw) != 0 {
-		t.Fatalf("warm set after a retreat during the beat = %v, want empty", raw)
+	setex, members, mget, ops := store.OpCount("SetEx"), store.OpCount("SMembers"), store.OpCount("MGet"), store.Ops()
+	if setex != 1 || members != 1 || mget > 1 || ops != setex+members+mget {
+		t.Fatalf("second beat with %d warm functions: %d ops (%d SetEx, %d SMembers, %d MGet); want SetEx + SMembers + at most one MGet", n, ops, setex, members, mget)
 	}
-	if s.Advertised("fn") {
-		t.Fatal("still advertised after Retreat")
+	if hosts, _ := s.WarmHosts(fmt.Sprintf("fn-%d", n-1)); len(hosts) != 1 || hosts[0] != "host-1" {
+		t.Fatalf("lease does not list every advertised function: warm hosts %v", hosts)
 	}
 }
 
-// The staleness bound: a host's new warm function reaches a peer within one
-// beat (LeaseTTL/3) of the transition. Before the beat a peer's cold miss
-// cold-starts on its own host; once the clock passes the beat, it forwards.
-func TestNewWarmHostVisibleWithinOneBeat(t *testing.T) {
+// Retreat is local: NoteWarm then Retreat with no beat between them costs no
+// tier operation, and the next lease does not list the function.
+func TestRetreatWritesNothing(t *testing.T) {
+	store := kvstest.NewCountingStore(kvs.NewEngine())
+	s := New("host-1", store, 10)
+	s.NoteWarm("keep", 1)
+	store.ResetOps()
+	s.NoteWarm("fn", 1)
+	s.Retreat("fn")
+	if ops := store.Ops(); ops != 0 {
+		t.Fatalf("NoteWarm + Retreat: %d tier ops, want 0", ops)
+	}
+	if err := s.Heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := store.Store.Get(aliveKey("host-1"))
+	got := adverts(rec)
+	if _, ok := got["fn"]; ok {
+		t.Fatalf("lease after the retreat lists fn: %q", rec)
+	}
+	if _, ok := got["keep"]; !ok {
+		t.Fatalf("lease does not list the still-advertised function: %q", rec)
+	}
+}
+
+// A Retreat that returns before a beat starts is never listed by that beat,
+// however the two interleave: one goroutine advertises and retreats a fresh
+// function at a time while the test beats, and every lease written must
+// omit each function whose Retreat had returned when its beat began.
+func TestRetreatBeforeBeatNeverListed(t *testing.T) {
+	const n = 500
+	store := kvs.NewEngine()
+	s := New("host-1", store, 10)
+	s.NoteWarm("keep", 1) // every beat writes a lease
+	var retired atomic.Int64
+	retired.Store(-1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 0; k < n; k++ {
+			fn := fmt.Sprintf("fn-%d", k)
+			s.NoteWarm(fn, 1)
+			s.Retreat(fn)
+			retired.Store(int64(k))
+		}
+	}()
+	for beat := 0; ; beat++ {
+		r := retired.Load()
+		if err := s.Heartbeat(); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := store.Get(aliveKey("host-1"))
+		for fn := range adverts(rec) {
+			var k int64
+			if _, err := fmt.Sscanf(fn, "fn-%d", &k); err == nil && k <= r {
+				t.Fatalf("beat %d listed %s, whose Retreat returned before the beat began (retired up to fn-%d)", beat, fn, r)
+			}
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
+// The staleness bound: a host's new warm function reaches a peer within two
+// beats. Here the peer b advertises nothing, and beats just before a does;
+// a's transition lands just after its own beat. b keeps cold-starting until
+// a's next beat has listed the function AND b's own beat after that has read
+// it, then forwards.
+func TestNewWarmHostVisibleWithinTwoBeats(t *testing.T) {
 	clock := vtime.NewVirtual()
 	store := kvs.NewEngine()
 	store.SetNowFunc(clock.Now)
@@ -122,37 +166,115 @@ func TestNewWarmHostVisibleWithinOneBeat(t *testing.T) {
 	b := New("host-b", store, 10)
 	a.SetClock(clock)
 	b.SetClock(clock)
-	a.StartHeartbeat()
-	defer a.StopHeartbeat()
-	// Start the scenario once a's heartbeat loop sleeps on the clock.
-	waitFor(t, func() bool { return clock.Pending() == 1 })
 	beat := DefaultLeaseTTL / 3
+	const skew = time.Millisecond
+
+	b.StartHeartbeat() // beats at 0, beat, 2·beat, ...
+	defer b.StopHeartbeat()
+	waitFor(t, func() bool { return clock.Pending() == 1 })
+	clock.Advance(skew)
+	a.StartHeartbeat() // beats at skew, beat+skew, ...
+	defer a.StopHeartbeat()
+	waitFor(t, func() bool { return clock.Pending() == 2 })
 
 	if d, err := a.Schedule("fn"); err != nil || d.Placement != PlaceLocalCold {
 		t.Fatalf("a's first call: %+v %v", d, err)
 	}
 	a.NoteWarm("fn", 1)
 
-	// Just short of a's beat, b has not heard of a: its miss cold-starts.
-	clock.Advance(beat - time.Nanosecond)
-	if d, err := b.Schedule("fn"); err != nil || d.Placement != PlaceLocalCold {
-		t.Fatalf("b before a's beat: %+v %v, want local-cold", d, err)
-	}
-
-	// The beat fires: b's next miss forwards to a. (b cached no peers, so
-	// no PeerCacheTTL applies.)
-	clock.Advance(time.Nanosecond)
-	waitFor(t, func() bool { return a.lastBeat.Load() != 0 })
-	waitFor(t, func() bool {
+	// place asks b where fn runs, then withdraws the advert a cold decision
+	// makes, so b keeps advertising nothing.
+	place := func(when string) Decision {
+		t.Helper()
 		d, err := b.Schedule("fn")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Placement == PlaceForward && d.TargetHost == "host-a"
-	})
-	if now := clock.Now(); a.lastBeat.Load() != now.UnixNano() {
-		t.Fatalf("a beat at %d, want one beat after start (%d)", a.lastBeat.Load(), now.UnixNano())
+		b.Retreat("fn")
+		if b.Advertised("fn") {
+			t.Fatalf("%s: b advertises fn", when)
+		}
+		return d
 	}
+	step := func(d time.Duration) {
+		clock.Advance(d)
+		waitFor(t, func() bool { return clock.Pending() == 2 })
+	}
+
+	step(beat - skew) // b's beat: a has not listed fn yet
+	if d := place("after b's first beat"); d.Placement != PlaceLocalCold {
+		t.Fatalf("b before a's beat: %+v, want local-cold", d)
+	}
+	step(skew) // a's beat lists fn
+	if got := a.lastBeat.Load(); got != clock.Now().UnixNano() {
+		t.Fatalf("a's lease written at %d, want %d", got, clock.Now().UnixNano())
+	}
+	if d := place("after a's beat"); d.Placement != PlaceLocalCold {
+		t.Fatalf("b after a's beat but before its own: %+v, want local-cold", d)
+	}
+	step(beat - skew - time.Nanosecond)
+	if d := place("just before b's second beat"); d.Placement != PlaceLocalCold {
+		t.Fatalf("b just before its own beat: %+v, want local-cold", d)
+	}
+	step(time.Nanosecond) // b's beat reads a's lease: two beats after the transition
+	if d := place("after b's second beat"); d.Placement != PlaceForward || d.TargetHost != "host-a" {
+		t.Fatalf("b after a's beat and its own: %+v, want forward to host-a", d)
+	}
+}
+
+// After Drain returns, no view refreshed later names the drained host, even
+// when beats race the drain.
+func TestDrainedHostLeavesLaterViews(t *testing.T) {
+	store := kvs.NewEngine()
+	a := New("host-a", store, 10)
+	b := New("host-b", store, 10)
+	b.NoteWarm("fn", 1)
+	b.Heartbeat()
+	a.Heartbeat()
+	if d, _ := a.Schedule("fn"); d.Placement != PlaceForward || d.TargetHost != "host-b" {
+		t.Fatalf("before the drain: %+v, want forward to host-b", d)
+	}
+
+	stop := make(chan struct{})
+	beating := make(chan struct{})
+	go func() {
+		defer close(beating)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.Heartbeat()
+			}
+		}
+	}()
+	runtime.Gosched()
+	if err := b.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 20; k++ {
+		if err := a.Heartbeat(); err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := a.Schedule("fn"); d.TargetHost == "host-b" {
+			t.Fatalf("view refreshed %d beats after the drain forwards to host-b: %+v", k+1, d)
+		}
+		hosts, _ := a.WarmHosts("fn")
+		for _, h := range hosts {
+			if h == "host-b" {
+				t.Fatalf("drained host still warm: %v", hosts)
+			}
+		}
+	}
+	close(stop)
+	<-beating
+}
+
+// adverts decodes a lease record into function → listed resident bytes.
+func adverts(rec []byte) map[string]int64 {
+	m := map[string]int64{}
+	eachAdvert(rec, func(fn string, b int64) { m[fn] = b })
+	return m
 }
 
 // waitFor polls cond until it holds or a real-time deadline passes; it waits

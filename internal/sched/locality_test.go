@@ -39,32 +39,40 @@ func TestLeasePayloadRoundTrip(t *testing.T) {
 		}
 		return 0
 	})
-	// Only advertised functions ride the lease.
+	// Every advertised function rides the lease, and only those.
 	s.fn("hot").advertised.Store(true)
 	s.fn("cold").advertised.Store(true)
+	s.fn("two words").advertised.Store(true)
 	s.fn("unadvertised").advertised.Store(false)
 
-	rec := s.leasePayload()
+	rec, n := s.leaseRecord()
 	if !leaseLive(rec) {
 		t.Fatalf("payload %q not live", rec)
 	}
-	if got := residencyFor(rec, "hot"); got != 4096 {
-		t.Fatalf("residencyFor(hot) = %d, want 4096", got)
+	got := adverts(rec)
+	if n != 3 || len(got) != 3 {
+		t.Fatalf("lease %q lists %d (%d decoded), want 3", rec, n, len(got))
 	}
-	if got := residencyFor(rec, "cold"); got != 0 {
-		t.Fatalf("residencyFor(cold) = %d, want 0 (zero residency must not be advertised)", got)
+	if got["hot"] != 4096 {
+		t.Fatalf("hot resident = %d, want 4096", got["hot"])
 	}
-	if got := residencyFor(rec, "ho"); got != 0 {
-		t.Fatalf("residencyFor(prefix of name) = %d, want 0", got)
+	if b, ok := got["cold"]; !ok || b != 0 {
+		t.Fatalf("cold = %d %v, want listed with 0 resident bytes", b, ok)
 	}
-	if got := residencyFor([]byte("up"), "hot"); got != 0 {
-		t.Fatalf("residencyFor(bare lease) = %d, want 0", got)
+	if _, ok := got["two words"]; !ok {
+		t.Fatalf("a name with a space is not listed: %q", rec)
+	}
+	if _, ok := got["ho"]; ok {
+		t.Fatal("a prefix of a listed name decoded as listed")
+	}
+	if len(adverts([]byte("up"))) != 0 {
+		t.Fatal("a bare lease lists functions")
 	}
 }
 
 // residencyOnLease drives the full advert → lease → decode path over a real
-// store: the peer's heartbeat piggybacks residency, and the scheduling host
-// learns it from the same batched lease read that judges liveness.
+// store: the peer's heartbeat lists residency on its lease, and the
+// scheduling host learns it from the same beat that builds its view.
 func TestResidencyRidesLease(t *testing.T) {
 	store := kvs.NewEngine()
 	b := New("host-b", store, 10)
@@ -76,6 +84,7 @@ func TestResidencyRidesLease(t *testing.T) {
 	}
 
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	a.LocalityWeight = 8
 	d, err := a.Schedule("fn")
 	if err != nil {
@@ -103,10 +112,9 @@ func TestPickPeerBlendsLocality(t *testing.T) {
 	// data-free is probed and fast; data-home is probed but slower.
 	s.ForwardEnd("data-free", 1*time.Millisecond, true)
 	s.ForwardEnd("data-home", 2*time.Millisecond, true)
-	peers := []string{"data-free", "unprobed", "data-home"}
-	resident := map[string]int64{"data-home": 1000}
+	peers := []peer{{host: "data-free"}, {host: "unprobed"}, {host: "data-home", resident: 1000}}
 
-	target, lp := s.pickPeer("fn", peers, resident)
+	target, lp := s.pickPeer("fn", peers)
 	if target != "data-home" {
 		t.Fatalf("picked %s, want data-home", target)
 	}
@@ -116,7 +124,7 @@ func TestPickPeerBlendsLocality(t *testing.T) {
 
 	// With the weight off the historical ranking runs: unprobed first.
 	s.LocalityWeight = 0
-	target, lp = s.pickPeer("fn", peers, resident)
+	target, lp = s.pickPeer("fn", peers)
 	if target != "unprobed" {
 		t.Fatalf("weight-off picked %s, want unprobed (exploration)", target)
 	}
@@ -134,7 +142,7 @@ func TestStatelessUnaffectedByLocality(t *testing.T) {
 	s.ForwardEnd("slow", 10*time.Millisecond, true)
 	s.ForwardEnd("fast", 1*time.Millisecond, true)
 
-	target, lp := s.pickPeer("noop", []string{"slow", "fast"}, nil)
+	target, lp := s.pickPeer("noop", []peer{{host: "slow"}, {host: "fast"}})
 	if target != "fast" {
 		t.Fatalf("picked %s, want fast", target)
 	}
@@ -155,7 +163,7 @@ func TestLatencyCanOverruleLocality(t *testing.T) {
 	s.ForwardEnd("data-home", 100*time.Millisecond, true)
 	s.ForwardEnd("data-free", 1*time.Millisecond, true)
 
-	target, lp := s.pickPeer("fn", []string{"data-home", "data-free"}, map[string]int64{"data-home": 1000})
+	target, lp := s.pickPeer("fn", []peer{{host: "data-home", resident: 1000}, {host: "data-free"}})
 	if target != "data-free" {
 		t.Fatalf("picked %s, want data-free (100× faster beats weight 2)", target)
 	}

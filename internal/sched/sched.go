@@ -2,7 +2,6 @@ package sched
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,13 +57,17 @@ type Decision struct {
 	SavedBytes int64
 }
 
-// warmSetKey is the global-tier key holding a function's warm hosts.
-func warmSetKey(fn string) string { return "sched/warm/" + fn }
+// hostsKey is the global-tier set naming the hosts that write leases. A
+// beat reads it to find its peers' lease records; a beat whose lease lists
+// a function adds its host when the set lacks it, and any peer that finds a
+// member's lease gone removes the member.
+const hostsKey = "sched/hosts"
 
-// aliveKey is the global-tier key holding a host's liveness lease: a
-// presence marker written with SetEx, so the tier itself expires it on its
-// own clock. A host whose record has vanished is dead to peers; no writer
-// or observer clock ever enters the judgement.
+// aliveKey is the global-tier key holding a host's lease: the liveness
+// marker, then one "<fn> <resident bytes>" line per function the host
+// advertises as warm. It is written with SetEx, so the tier itself expires
+// it on its own clock. A host whose record has vanished is dead to peers;
+// no writer or observer clock ever enters the judgement.
 func aliveKey(host string) string { return "sched/alive/" + host }
 
 // leaseMark is the lease record's payload. Deliberately non-numeric: the
@@ -72,18 +75,10 @@ func aliveKey(host string) string { return "sched/alive/" + host }
 // here, and nothing must ever mistake the new marker for one.
 var leaseMark = []byte("up")
 
-// DefaultPeerCacheTTL bounds the staleness of the cached peer warm set. A
-// new warm host becomes visible to peers within this window after the beat
-// that publishes it; a vanished one stops receiving forwards within it
-// (forwarding also falls back locally on transport failure, so staleness is
-// a latency cost, not a correctness one).
-const DefaultPeerCacheTTL = time.Second
-
 // DefaultLeaseTTL is how long a host's warm advertisements outlive its last
-// heartbeat. The heartbeat loop refreshes the lease every LeaseTTL/3, so a
-// healthy host misses two beats before anyone doubts it; a crashed host is
-// filtered from every peer's forwarding within one lease TTL (plus at most
-// one peer-cache TTL of staleness).
+// heartbeat. The heartbeat loop beats every LeaseTTL/3, so a healthy host
+// misses two beats before anyone doubts it; a crashed host leaves every
+// peer's view within one lease TTL plus one beat.
 const DefaultLeaseTTL = 10 * time.Second
 
 // Stats counts scheduling decisions per placement, for the evaluation.
@@ -101,31 +96,27 @@ type Stats struct {
 	LocalitySavedBytes atomic.Int64
 }
 
-// fnState is the per-function scheduler state: the local idle-warm counter,
-// whether this host advertises itself as warm for the function, and the
-// cached peer warm set.
+// fnState is the per-function scheduler state: the local idle-warm counter
+// and whether this host advertises itself as warm for the function.
 type fnState struct {
 	// idle counts this host's idle warm Faaslets (including Faaslets whose
 	// post-call reset is still in flight — they are committed to the pool).
 	idle atomic.Int64
-	// advertised says this host is warm for the function; the heartbeat
-	// publishes it to the global warm set, so warm traffic never issues SAdd.
+	// advertised says this host is warm for the function; the next beat
+	// lists it on the lease.
 	advertised atomic.Bool
-	// pubMu orders the heartbeat's SAdd against Retreat's SRem, so a
-	// retreat never lands between the beat reading advertised and its
-	// write. The warm path never takes it.
-	pubMu sync.Mutex
-
-	// cacheMu guards the cached peer set below. resident maps peer host →
-	// resident state bytes it advertised for this function on its lease
-	// (decoded from the same batched lease read that judged liveness); nil
-	// when no peer advertised any.
-	cacheMu  sync.Mutex
-	peers    []string
-	resident map[string]int64
-	fetched  time.Time
-	cached   bool
 }
+
+// peer is one warm host in the view: its name and the state bytes it
+// advertised as resident for the function.
+type peer struct {
+	host     string
+	resident int64
+}
+
+// view maps a function to the peers whose live leases list it (never this
+// host). Each beat builds a new one; a published view is never modified.
+type view map[string][]peer
 
 // peerStat is this scheduler's view of one forwarding target: an EWMA of
 // observed round-trip latency and the number of forwards in flight to it.
@@ -161,10 +152,6 @@ type Scheduler struct {
 	store    kvs.Store
 	capacity int64
 	clock    vtime.Clock
-
-	// PeerCacheTTL is how long a fetched peer warm set is trusted. Set it
-	// before first use; zero means DefaultPeerCacheTTL.
-	PeerCacheTTL time.Duration
 
 	// LeaseTTL is this host's liveness lease duration: each heartbeat
 	// re-arms the tier-side expiry for this long. Peers never judge the
@@ -202,6 +189,14 @@ type Scheduler struct {
 	// execution, and refuses to re-enter the warm set.
 	draining atomic.Bool
 
+	// peers is the view the last beat built; a cold miss reads it and
+	// nothing else.
+	peers atomic.Pointer[view]
+	// beatMu orders beats against each other and against Drain's lease
+	// removal. listed, guarded by it, says the last lease written listed a
+	// function, so the beat after the last retreat still writes one.
+	beatMu sync.Mutex
+	listed bool
 	// lastBeat is the unix-nano instant of the last lease write, 0 if never.
 	lastBeat atomic.Int64
 	// hbStop ends the heartbeat loop; hbMu orders Start/Stop.
@@ -222,9 +217,8 @@ func New(host string, store kvs.Store, capacity int) *Scheduler {
 	return &Scheduler{host: host, store: store, capacity: int64(capacity), clock: vtime.Real{}}
 }
 
-// SetClock replaces the clock driving peer-cache expiry and the heartbeat
-// cadence (the runtime passes its own, so simulated clusters beat in
-// simulated time). Liveness itself is judged on the global tier's clock,
+// SetClock replaces the clock driving the heartbeat cadence (the runtime
+// passes its own, so simulated clusters beat in simulated time). Liveness itself is judged on the global tier's clock,
 // never this one. Call before use.
 func (s *Scheduler) SetClock(c vtime.Clock) {
 	if c != nil {
@@ -236,10 +230,10 @@ func (s *Scheduler) SetClock(c vtime.Clock) {
 func (s *Scheduler) Host() string { return s.host }
 
 // SetResidencyProvider installs the callback that reports this host's
-// locally resident state bytes for an advertised function. Each lease write
-// piggybacks the advertised functions' residency on the lease record, so
-// peers learn it from the batched lease read they already perform — steady
-// state adds zero extra tier operations. Call before StartHeartbeat.
+// locally resident state bytes for an advertised function. Each lease lists
+// every advertised function with these bytes, so peers learn residency from
+// the same lease read that tells them who is warm. Call before
+// StartHeartbeat.
 func (s *Scheduler) SetResidencyProvider(f func(fn string) int64) { s.residency = f }
 
 // SetFootprintProvider installs the callback that reports a function's
@@ -261,13 +255,6 @@ func (s *Scheduler) peerStat(host string) *peerStat {
 	}
 	e, _ := s.peerStats.LoadOrStore(host, &peerStat{})
 	return e.(*peerStat)
-}
-
-func (s *Scheduler) peerCacheTTL() time.Duration {
-	if s.PeerCacheTTL > 0 {
-		return s.PeerCacheTTL
-	}
-	return DefaultPeerCacheTTL
 }
 
 func (s *Scheduler) leaseTTL() time.Duration {
@@ -297,8 +284,9 @@ func (s *Scheduler) Instrument(reg *obsv.Registry, host string) {
 	})
 }
 
-// Schedule decides where a call to fn should run. The warm local path is
-// lock-free and touches no global state.
+// Schedule decides where a call to fn should run. It takes no lock and
+// touches no global state: the warm local path reads atomics, and a miss
+// reads the view the last beat built. The error is always nil.
 func (s *Scheduler) Schedule(fn string) (Decision, error) {
 	e := s.fn(fn)
 	warmHere := e.idle.Load() > 0
@@ -308,15 +296,15 @@ func (s *Scheduler) Schedule(fn string) (Decision, error) {
 		return Decision{Placement: PlaceLocalWarm}, nil
 	}
 
-	// Consult the (cached) shared warm set for another host.
-	peers, resident, err := s.peers(e, fn)
-	if err != nil {
-		return Decision{}, fmt.Errorf("sched: warm set for %s: %w", fn, err)
+	// Consult the view for another warm host.
+	var peers []peer
+	if v := s.peers.Load(); v != nil {
+		peers = (*v)[fn]
 	}
 	if len(peers) > 0 {
 		// Share with a warm peer: lowest load-adjusted latency first,
 		// blended with data locality when the function has state gravity.
-		target, lp := s.pickPeer(fn, peers, resident)
+		target, lp := s.pickPeer(fn, peers)
 		s.Stats.Forwarded.Add(1)
 		if lp.scored {
 			if lp.saved > 0 {
@@ -352,18 +340,17 @@ func (s *Scheduler) Schedule(fn string) (Decision, error) {
 	}
 
 	// Cold start here and advertise this host as warm for fn. The advert is
-	// local; the next heartbeat publishes it to the shared warm set.
+	// local; the next beat's lease lists it.
 	s.advertise(e)
 	s.Stats.ColdStart.Add(1)
 	return Decision{Placement: PlaceLocalCold}, nil
 }
 
 // advertise performs the not-advertised → advertised transition. It writes
-// nothing to the tier: the next Heartbeat publishes the entry, after the
-// lease write that makes it live, so the warm set never names a host whose
-// lease was never written. A draining host must never (re-)enter the warm
-// set — its lease is expiring and peers are routing around it — so the
-// transition is skipped while the pool winds down.
+// nothing to the tier: the next Heartbeat lists the function on the lease.
+// A draining host must never (re-)enter the warm set — its lease is gone and
+// peers are routing around it — so the transition is skipped while the pool
+// winds down.
 func (s *Scheduler) advertise(e *fnState) {
 	if !e.advertised.Load() && !s.draining.Load() {
 		e.advertised.Store(true)
@@ -403,16 +390,14 @@ type localityPick struct {
 // probed latency as a neutral base rather than ranking first: exploration
 // must not drag a stateful function onto a data-free peer just because that
 // peer has never been measured.
-func (s *Scheduler) pickPeer(fn string, peers []string, resident map[string]int64) (string, localityPick) {
+func (s *Scheduler) pickPeer(fn string, peers []peer) (string, localityPick) {
 	var fp int64
 	if s.LocalityWeight > 0 {
 		if s.footprint != nil {
 			fp = s.footprint(fn)
 		}
-		for _, h := range peers {
-			if r := resident[h]; r > fp {
-				fp = r
-			}
+		for _, p := range peers {
+			fp = max(fp, p.resident)
 		}
 	}
 	if s.LocalityWeight <= 0 || fp <= 0 {
@@ -420,8 +405,8 @@ func (s *Scheduler) pickPeer(fn string, peers []string, resident map[string]int6
 	}
 
 	var probedSum, probedN int64
-	for _, h := range peers {
-		if e := s.peerStat(h).ewmaNanos.Load(); e > 0 {
+	for _, p := range peers {
+		if e := s.peerStat(p.host).ewmaNanos.Load(); e > 0 {
 			probedSum += e
 			probedN++
 		}
@@ -434,65 +419,59 @@ func (s *Scheduler) pickPeer(fn string, peers []string, resident map[string]int6
 	best := peers[0]
 	bestScore := -1.0
 	var bestResident int64
-	for _, h := range peers {
-		st := s.peerStat(h)
+	for _, p := range peers {
+		st := s.peerStat(p.host)
 		e := st.ewmaNanos.Load()
 		if e == 0 {
 			e = neutral
 		}
 		base := float64(e) * float64(1+st.inflight.Load())
-		r := resident[h]
-		if r > fp {
-			r = fp
-		}
+		r := min(p.resident, fp)
 		miss := 1 - float64(r)/float64(fp)
 		score := base * (1 + s.LocalityWeight*miss)
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = h, score
+			best, bestScore = p, score
 		}
 		if r > bestResident {
-			bestResident, pick.best = r, h
+			bestResident, pick.best = r, p.host
 		}
 	}
-	if r := resident[best]; r > 0 {
-		if r > fp {
-			r = fp
-		}
+	if r := min(best.resident, fp); r > 0 {
 		pick.saved = r
 		pick.frac = float64(r) / float64(fp)
 	}
-	return best, pick
+	return best.host, pick
 }
 
 // pickPeerByLatency is the locality-blind ranking: unprobed peers first
 // (round-robin, so the scheduler explores and degrades to plain round-robin
 // when it has no data), then the probed peer with the lowest EWMA latency
 // scaled by its in-flight forward count.
-func (s *Scheduler) pickPeerByLatency(peers []string) string {
+func (s *Scheduler) pickPeerByLatency(peers []peer) string {
 	unprobed := 0
-	for _, h := range peers {
-		if s.peerStat(h).ewmaNanos.Load() == 0 {
+	for _, p := range peers {
+		if s.peerStat(p.host).ewmaNanos.Load() == 0 {
 			unprobed++
 		}
 	}
 	if unprobed > 0 {
 		n := int(s.rr.Add(1)-1) % unprobed
-		for _, h := range peers {
-			if s.peerStat(h).ewmaNanos.Load() == 0 {
+		for _, p := range peers {
+			if s.peerStat(p.host).ewmaNanos.Load() == 0 {
 				if n == 0 {
-					return h
+					return p.host
 				}
 				n--
 			}
 		}
 	}
-	best := peers[0]
+	best := peers[0].host
 	var bestScore int64 = -1
-	for _, h := range peers {
-		st := s.peerStat(h)
+	for _, p := range peers {
+		st := s.peerStat(p.host)
 		score := st.ewmaNanos.Load() * (1 + st.inflight.Load())
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = h, score
+			best, bestScore = p.host, score
 		}
 	}
 	return best
@@ -569,101 +548,9 @@ func (s *Scheduler) PeerInflight(host string) int {
 	return int(s.peerStat(host).inflight.Load())
 }
 
-// peers returns the live warm hosts for fn other than this one, serving
-// from the TTL cache when fresh and refreshing from the global tier when
-// stale. A refresh reads the function's warm set plus the listed hosts'
-// liveness leases (one batched read), filters the dead, and best-effort
-// evicts their stale entries from the global set.
-// Alongside the peer list it returns the residency those peers advertised
-// for fn on their leases (nil when none did), decoded from the same batched
-// lease read and cached with the peer set.
-func (s *Scheduler) peers(e *fnState, fn string) ([]string, map[string]int64, error) {
-	ttl := s.peerCacheTTL()
-	now := s.clock.Now()
-	e.cacheMu.Lock()
-	if e.cached && now.Sub(e.fetched) < ttl {
-		peers, resident := e.peers, e.resident
-		e.cacheMu.Unlock()
-		return peers, resident, nil
-	}
-	e.cacheMu.Unlock()
-
-	hosts, err := s.store.SMembers(warmSetKey(fn))
-	if err != nil {
-		return nil, nil, err
-	}
-	candidates := hosts[:0]
-	for _, h := range hosts {
-		if h != s.host {
-			candidates = append(candidates, h)
-		}
-	}
-	peers, dead, leases, err := s.filterAlive(candidates)
-	if err != nil {
-		return nil, nil, err
-	}
-	var resident map[string]int64
-	for i, h := range peers {
-		if b := residencyFor(leases[i], fn); b > 0 {
-			if resident == nil {
-				resident = make(map[string]int64, len(peers))
-			}
-			resident[h] = b
-		}
-	}
-	// A dead host's warm entries are evicted by whoever notices: the global
-	// set heals itself instead of waiting for the crashed owner's retreat.
-	for _, h := range dead {
-		s.store.SRem(warmSetKey(fn), h)
-	}
-	// Only non-empty peer sets are cached: a host with no warm peers is
-	// about to cold-start (or queue under saturation), and must notice a
-	// newly warm peer immediately rather than after a TTL.
-	e.cacheMu.Lock()
-	e.peers = peers
-	e.resident = resident
-	e.fetched = now
-	e.cached = len(peers) > 0
-	e.cacheMu.Unlock()
-	return peers, resident, nil
-}
-
-// filterAlive splits hosts into live and dead by a single batched existence
-// check on their lease records: the records are SetEx'd, so the tier hides
-// an expired lease from the MGet and liveness is decided entirely on the
-// tier's clock — no timestamp is parsed and no local clock is consulted
-// anywhere on this path. A missing record counts as dead: the heartbeat
-// writes the lease before its SAdds, so only crashed (or fabricated) hosts
-// lack one.
-// It also returns each live host's lease record (aligned with alive), so
-// callers can decode the residency adverts piggybacked on it without a
-// second tier read.
-func (s *Scheduler) filterAlive(hosts []string) (alive, dead []string, aliveLeases [][]byte, err error) {
-	if len(hosts) == 0 {
-		return nil, nil, nil, nil
-	}
-	keys := make([]string, len(hosts))
-	for i, h := range hosts {
-		keys[i] = aliveKey(h)
-	}
-	leases, err := s.store.MGet(keys)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i, h := range hosts {
-		if leaseLive(leases[i]) {
-			alive = append(alive, h)
-			aliveLeases = append(aliveLeases, leases[i])
-		} else {
-			dead = append(dead, h)
-		}
-	}
-	return alive, dead, aliveLeases, nil
-}
-
 // leaseLive reports whether a lease record marks a live host: the leaseMark
-// payload — alone, or followed by newline-separated residency adverts —
-// still returned by the tier (so its tier-side TTL has not run out).
+// payload — alone, or followed by newline-separated advert lines — still
+// returned by the tier (so its tier-side TTL has not run out).
 // Anything else — including the previous release's writer-clock expiry
 // stamps, whose one-release read-side tolerance has been removed — is dead:
 // stale stamp records never expire tier-side, so counting them live would
@@ -676,38 +563,24 @@ func leaseLive(rec []byte) bool {
 	return len(rec) == len(leaseMark) || rec[len(leaseMark)] == '\n'
 }
 
-// maxResidencyAdverts bounds the residency entries piggybacked on one lease
-// record, so a host warm for hundreds of functions cannot bloat the batched
-// lease read every peer refresh performs.
-const maxResidencyAdverts = 64
-
-// leasePayload builds this host's lease record: the liveness marker, plus
-// one "\n<fn> <bytes>" line per advertised function with locally resident
-// state (per the residency provider). Residency rides the lease precisely
-// because peers already MGet lease records on every warm-set refresh —
-// advertising adds zero extra tier operations in steady state.
-func (s *Scheduler) leasePayload() []byte {
+// leaseRecord builds this host's lease: the liveness marker, then one
+// "\n<fn> <bytes>" line per advertised function, where bytes is the state
+// the residency provider reports resident for it (0 without a provider). It
+// also returns how many functions the record lists.
+func (s *Scheduler) leaseRecord() ([]byte, int) {
 	buf := append([]byte(nil), leaseMark...)
-	if s.residency == nil {
-		return buf
-	}
 	n := 0
 	s.fns.Range(func(k, v any) bool {
-		if n >= maxResidencyAdverts {
-			return false
-		}
-		if !v.(*fnState).advertised.Load() {
-			return true
-		}
 		fn := k.(string)
-		if strings.ContainsAny(fn, " \n") {
-			// Unencodable in the line format; skip rather than corrupt the
-			// record (such a name cannot come from a registered function).
+		if !v.(*fnState).advertised.Load() || strings.IndexByte(fn, '\n') >= 0 {
+			// A name with a newline cannot be encoded in the line format
+			// (no registered function has one); skip it rather than
+			// corrupt the record.
 			return true
 		}
-		b := s.residency(fn)
-		if b <= 0 {
-			return true
+		var b int64
+		if s.residency != nil {
+			b = max(s.residency(fn), 0)
 		}
 		buf = append(buf, '\n')
 		buf = append(buf, fn...)
@@ -716,80 +589,132 @@ func (s *Scheduler) leasePayload() []byte {
 		n++
 		return true
 	})
-	return buf
+	return buf, n
 }
 
-// residencyFor extracts fn's advertised resident bytes from a lease record,
-// 0 when the record carries no (parseable) advert for fn.
-func residencyFor(rec []byte, fn string) int64 {
+// eachAdvert calls visit with every function a lease record lists and the
+// resident bytes listed with it. A malformed line is skipped. The bytes are
+// split off at the line's last space, so a name may contain spaces.
+func eachAdvert(rec []byte, visit func(fn string, resident int64)) {
 	for {
 		i := bytes.IndexByte(rec, '\n')
 		if i < 0 {
-			return 0
+			return
 		}
 		rec = rec[i+1:]
 		line := rec
 		if j := bytes.IndexByte(line, '\n'); j >= 0 {
 			line = line[:j]
 		}
-		if len(line) > len(fn)+1 && string(line[:len(fn)]) == fn && line[len(fn)] == ' ' {
-			v, err := strconv.ParseInt(string(line[len(fn)+1:]), 10, 64)
-			if err != nil || v < 0 {
-				return 0
-			}
-			return v
+		sp := bytes.LastIndexByte(line, ' ')
+		if sp <= 0 {
+			continue
 		}
+		b, err := strconv.ParseInt(string(line[sp+1:]), 10, 64)
+		if err != nil || b < 0 {
+			continue
+		}
+		visit(string(line[:sp]), b)
 	}
 }
 
-// Heartbeat re-arms this host's liveness lease for another LeaseTTL on the
-// tier's clock (SetEx — the tier expires the record itself; nothing here
-// writes or compares a timestamp). It then writes the host's warm-set entry
-// for every advertised function (idempotent SAdds): this is where a new
-// warm function is first published, and where an entry wrongly evicted
-// while the host was unresponsive reappears, both within one beat.
+// leases reads the lease records of hosts in one batched read, aligned with
+// hosts. The records are SetEx'd, so the tier hides an expired one and
+// liveness is decided on the tier's clock alone.
+func (s *Scheduler) leases(hosts []string) ([][]byte, error) {
+	if len(hosts) == 0 {
+		return nil, nil
+	}
+	keys := make([]string, len(hosts))
+	for i, h := range hosts {
+		keys[i] = aliveKey(h)
+	}
+	return s.store.MGet(keys)
+}
+
+// Heartbeat is one beat. It writes this host's lease with SetEx (the tier
+// expires it on its own clock; nothing here writes or compares a timestamp)
+// and joins the membership set when the set, read in the same beat, does
+// not name this host yet. It then reads every peer's lease in one MGet,
+// removes members whose lease is gone, and publishes the view that cold
+// misses read until the next beat. The cost is the same however many
+// functions are warm: one SetEx, one SMembers, at most one MGet.
+//
+// A host that lists nothing and listed nothing last time writes nothing; it
+// only refreshes its view. A draining host does nothing.
 func (s *Scheduler) Heartbeat() error {
+	s.beatMu.Lock()
+	defer s.beatMu.Unlock()
 	if s.draining.Load() {
-		// Draining hosts let the lease run out — re-arming it would keep
+		// Draining hosts have deleted their lease; re-arming it would keep
 		// peers forwarding here for another TTL.
 		return nil
 	}
-	if err := s.store.SetEx(aliveKey(s.host), s.leasePayload(), s.leaseTTL()); err != nil {
+	rec, n := s.leaseRecord()
+	if n > 0 || s.listed {
+		if err := s.store.SetEx(aliveKey(s.host), rec, s.leaseTTL()); err != nil {
+			return err
+		}
+		s.listed = n > 0
+		s.lastBeat.Store(s.clock.Now().UnixNano())
+	}
+	members, err := s.store.SMembers(hostsKey)
+	if err != nil {
 		return err
 	}
-	s.lastBeat.Store(s.clock.Now().UnixNano())
-	var firstErr error
-	s.fns.Range(func(k, v any) bool {
-		e := v.(*fnState)
-		e.pubMu.Lock()
-		defer e.pubMu.Unlock()
-		if e.advertised.Load() {
-			if _, err := s.store.SAdd(warmSetKey(k.(string)), s.host); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	others := make([]string, 0, len(members))
+	joined := false
+	for _, h := range members {
+		if h == s.host {
+			joined = true
+		} else {
+			others = append(others, h)
 		}
-		return true
-	})
-	return firstErr
+	}
+	if n > 0 && !joined {
+		if _, err := s.store.SAdd(hostsKey, s.host); err != nil {
+			return err
+		}
+	}
+	recs, err := s.leases(others)
+	if err != nil {
+		return err
+	}
+	v := view{}
+	for i, h := range others {
+		if !leaseLive(recs[i]) {
+			// Whoever notices a lapsed lease drops the member, so the set
+			// does not grow with every host that ever ran.
+			s.store.SRem(hostsKey, h)
+			continue
+		}
+		eachAdvert(recs[i], func(fn string, resident int64) {
+			v[fn] = append(v[fn], peer{host: h, resident: resident})
+		})
+	}
+	s.peers.Store(&v)
+	return nil
 }
 
-// StartHeartbeat launches the background lease refresher: one beat every
-// LeaseTTL/3 while at least one function is advertised. Idempotent.
+// StartHeartbeat beats once, then launches the background loop that beats
+// every LeaseTTL/3 until StopHeartbeat. The loop beats whether or not
+// anything is advertised, so a host that only forwards keeps its view
+// fresh. Idempotent.
 func (s *Scheduler) StartHeartbeat() {
 	s.hbMu.Lock()
 	defer s.hbMu.Unlock()
 	if s.hbStop != nil || s.hbStopped.Load() {
 		return
 	}
+	s.Heartbeat()
 	stop := make(chan struct{})
 	s.hbStop = stop
 	go s.heartbeatLoop(stop)
 }
 
-// StopHeartbeat ends the heartbeat loop. The lease record is deliberately
-// left to expire on its own: a clean shutdown retreats its warm entries
-// anyway, and expiry-as-departure keeps one code path for clean and
-// crashed exits.
+// StopHeartbeat ends the heartbeat loop. The lease record is left to expire
+// on its own, as a crashed host's does; a clean exit goes through Drain,
+// which deletes it.
 func (s *Scheduler) StopHeartbeat() {
 	s.hbMu.Lock()
 	defer s.hbMu.Unlock()
@@ -800,31 +725,32 @@ func (s *Scheduler) StopHeartbeat() {
 	}
 }
 
-// Drain puts the scheduler into drain mode: every advertised function is
-// retreated from the global warm set, the heartbeat stops so the liveness
-// lease expires on the tier's clock within one TTL, and no future advertise
-// or heartbeat can re-attract traffic. In-flight calls are unaffected;
-// Schedule keeps working but prefers warm peers and never advertises. The
-// transition is one-way — a drained host is reclaimed, not revived.
-//
-// The best-effort retreat is belt and braces: even if the SRem writes fail
-// (tier unreachable), the expiring lease alone routes every peer around this
-// host within one lease TTL plus one peer-cache TTL.
+// Drain puts the scheduler into drain mode: the heartbeat stops, every
+// advert ends, and the lease is deleted before Drain returns, so no view a
+// peer builds afterwards names this host. No later advertise or heartbeat
+// can re-attract traffic. In-flight calls are unaffected; Schedule keeps
+// working (on the view of the last beat) but prefers warm peers and never
+// advertises. The transition is one-way — a drained host is reclaimed, not
+// revived. If the deletion fails (tier unreachable), the lease still
+// expires within one TTL.
 func (s *Scheduler) Drain() error {
 	if s.draining.Swap(true) {
 		return nil
 	}
 	s.StopHeartbeat()
-	var firstErr error
-	s.fns.Range(func(k, v any) bool {
+	s.fns.Range(func(_, v any) bool {
 		e := v.(*fnState)
 		e.idle.Store(0)
-		if err := s.retreat(e, k.(string)); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		e.advertised.Store(false)
 		return true
 	})
-	return firstErr
+	// A beat that began before the drain has written its lease by the time
+	// beatMu is ours, and every later beat sees draining and writes nothing,
+	// so this deletion is final.
+	s.beatMu.Lock()
+	defer s.beatMu.Unlock()
+	s.listed = false
+	return s.store.Delete(aliveKey(s.host))
 }
 
 // Draining reports whether Drain was called.
@@ -838,41 +764,14 @@ func (s *Scheduler) heartbeatLoop(stop chan struct{}) {
 			return
 		default:
 		}
-		if s.hbStopped.Load() {
-			return
-		}
-		if s.anyAdvertised() {
-			s.Heartbeat()
-		}
+		s.Heartbeat()
 	}
-}
-
-func (s *Scheduler) anyAdvertised() bool {
-	found := false
-	s.fns.Range(func(_, v any) bool {
-		if v.(*fnState).advertised.Load() {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// InvalidatePeers drops the cached peer warm set for fn, forcing the next
-// miss to refresh from the global tier (used when a forward fails).
-func (s *Scheduler) InvalidatePeers(fn string) {
-	e := s.fn(fn)
-	e.cacheMu.Lock()
-	e.cached = false
-	e.peers = nil
-	e.cacheMu.Unlock()
 }
 
 // NoteWarm records that this host now holds n more idle warm Faaslets for
 // fn (e.g. after a cold start completes or a call finishes), and advertises
-// the host as warm for fn. It performs no global operation: the next
-// heartbeat publishes a new advert.
+// the host as warm for fn. It performs no global operation: the next beat's
+// lease lists a new advert.
 func (s *Scheduler) NoteWarm(fn string, n int) error {
 	e := s.fn(fn)
 	e.idle.Add(int64(n))
@@ -898,25 +797,15 @@ func (s *Scheduler) NoteEvicted(fn string, n int) error {
 	}
 }
 
-// Retreat removes this host from fn's global warm set: its last live
-// Faaslet for fn is gone (failed cold start, eviction of the final pooled
-// Faaslet, shutdown), so peers must stop forwarding here.
-func (s *Scheduler) Retreat(fn string) error {
+// Retreat ends this host's advert for fn: its last live Faaslet for fn is
+// gone (failed cold start, eviction of the final pooled Faaslet, shutdown),
+// so peers must stop forwarding here. It writes nothing: the next beat's
+// lease no longer lists fn, and each peer's view drops it at that peer's
+// beat after.
+func (s *Scheduler) Retreat(fn string) {
 	e := s.fn(fn)
 	e.idle.Store(0)
-	return s.retreat(e, fn)
-}
-
-// retreat ends fn's advert and removes its warm-set entry, under the lock
-// the heartbeat publishes under, so no beat re-adds the entry afterwards.
-func (s *Scheduler) retreat(e *fnState, fn string) error {
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	if !e.advertised.Swap(false) {
-		return nil
-	}
-	_, err := s.store.SRem(warmSetKey(fn), s.host)
-	return err
+	e.advertised.Store(false)
 }
 
 // WarmCount reports this host's idle warm Faaslets for fn.
@@ -925,21 +814,35 @@ func (s *Scheduler) WarmCount(fn string) int {
 }
 
 // Advertised reports whether this host advertises itself as warm for fn;
-// the global warm set names it from the next heartbeat on.
+// its lease lists fn from the next beat on.
 func (s *Scheduler) Advertised(fn string) bool {
 	return s.fn(fn).advertised.Load()
 }
 
-// WarmHosts lists the cluster's live warm hosts for fn from the shared
-// state: the raw set filtered by liveness leases, uncached and without the
-// eviction side effect (tests and diagnostics).
+// WarmHosts lists the hosts whose live leases list fn, this host included,
+// read from the tier without any view or side effect (tests and
+// diagnostics).
 func (s *Scheduler) WarmHosts(fn string) ([]string, error) {
-	hosts, err := s.store.SMembers(warmSetKey(fn))
+	members, err := s.store.SMembers(hostsKey)
 	if err != nil {
 		return nil, err
 	}
-	alive, _, _, err := s.filterAlive(hosts)
-	return alive, err
+	recs, err := s.leases(members)
+	if err != nil {
+		return nil, err
+	}
+	var warm []string
+	for i, h := range members {
+		if !leaseLive(recs[i]) {
+			continue
+		}
+		eachAdvert(recs[i], func(f string, _ int64) {
+			if f == fn {
+				warm = append(warm, h)
+			}
+		})
+	}
+	return warm, nil
 }
 
 // Begin marks a call executing on this host (capacity accounting).

@@ -57,6 +57,7 @@ func TestForwardToWarmPeer(t *testing.T) {
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
 	b.Heartbeat()
+	a.Heartbeat() // a's view now holds b's lease
 	// Host A has nothing: it must share with B rather than cold-start.
 	d, err := a.Schedule("fn")
 	if err != nil {
@@ -79,6 +80,7 @@ func TestForwardRoundRobinAcrossPeers(t *testing.T) {
 		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	seen := map[string]int{}
 	for i := 0; i < 10; i++ {
 		d, _ := a.Schedule("fn")
@@ -100,8 +102,8 @@ func TestAtCapacitySharesInsteadOfQueueing(t *testing.T) {
 	a.NoteWarm("fn", 1)
 	b.Schedule("fn")
 	b.NoteWarm("fn", 1)
-	a.Heartbeat()
 	b.Heartbeat()
+	a.Heartbeat() // after b's, so a's view holds b
 	// Saturate host A.
 	a.Begin()
 	d, _ := a.Schedule("fn")
@@ -141,8 +143,10 @@ func TestRetreatClearsWarmSet(t *testing.T) {
 	if len(hosts) != 1 {
 		t.Fatalf("busy Faaslets removed warm entry: %v", hosts)
 	}
-	// Retreat — the function's last Faaslet is gone — clears the entry.
+	// Retreat — the function's last Faaslet is gone — clears the entry from
+	// the next lease.
 	a.Retreat("fn")
+	a.Heartbeat()
 	hosts, _ = a.WarmHosts("fn")
 	if len(hosts) != 0 {
 		t.Fatalf("retreat left warm entry: %v", hosts)
@@ -152,6 +156,7 @@ func TestRetreatClearsWarmSet(t *testing.T) {
 	}
 	// A peer now cold-starts rather than forwarding to a dead host.
 	b := New("host-b", store, 10)
+	b.Heartbeat()
 	d, _ := b.Schedule("fn")
 	if d.Placement != PlaceLocalCold {
 		t.Fatalf("post-retreat placement = %v", d.Placement)
@@ -204,7 +209,7 @@ func TestPeerCacheServesMissesWithinTTL(t *testing.T) {
 	b.Heartbeat()
 
 	a := New("host-a", store, 10)
-	a.PeerCacheTTL = time.Hour
+	a.Heartbeat()
 	before := store.Ops()
 	for k := 0; k < 100; k++ {
 		d, err := a.Schedule("fn")
@@ -212,10 +217,9 @@ func TestPeerCacheServesMissesWithinTTL(t *testing.T) {
 			t.Fatalf("forward %d: %+v %v", k, d, err)
 		}
 	}
-	// One SMembers plus one batched lease read to populate the cache; the
-	// other 99 misses are served from it.
-	if ops := store.Ops() - before; ops != 2 {
-		t.Fatalf("100 forwards performed %d global ops, want 2 (SMembers + lease MGet)", ops)
+	// The view a's beat built serves every miss until its next beat.
+	if ops := store.Ops() - before; ops != 0 {
+		t.Fatalf("100 forwards performed %d global ops, want 0", ops)
 	}
 }
 
@@ -227,42 +231,23 @@ func TestPeerCacheExpiresAndRefreshes(t *testing.T) {
 	b.Heartbeat()
 
 	a := New("host-a", store, 10)
-	a.PeerCacheTTL = time.Nanosecond // effectively always stale
+	a.Heartbeat()
 	if d, _ := a.Schedule("fn"); d.Placement != PlaceForward {
 		t.Fatalf("initial forward: %+v", d)
 	}
-	// Host B retreats; with an expired cache, A must observe it and
-	// cold-start instead of forwarding to a host with nothing warm.
+	// Host B retreats and its next lease drops fn. A's view still names B
+	// until A's own beat ...
 	b.Retreat("fn")
-	time.Sleep(time.Millisecond)
+	b.Heartbeat()
+	if d, _ := a.Schedule("fn"); d.Placement != PlaceForward {
+		t.Fatalf("forward before a's beat: %+v", d)
+	}
+	// ... after which A cold-starts instead of forwarding to a host with
+	// nothing warm.
+	a.Heartbeat()
 	d, _ := a.Schedule("fn")
 	if d.Placement != PlaceLocalCold {
 		t.Fatalf("post-retreat placement = %v (stale cache?)", d.Placement)
-	}
-}
-
-func TestInvalidatePeersForcesRefresh(t *testing.T) {
-	store := kvs.NewEngine()
-	b := New("host-b", store, 10)
-	b.Schedule("fn")
-	b.NoteWarm("fn", 1)
-	b.Heartbeat()
-
-	a := New("host-a", store, 10)
-	a.PeerCacheTTL = time.Hour
-	if d, _ := a.Schedule("fn"); d.Placement != PlaceForward {
-		t.Fatal("expected forward")
-	}
-	b.Retreat("fn")
-	// The hour-long cache still names host-b ...
-	if d, _ := a.Schedule("fn"); d.Placement != PlaceForward {
-		t.Fatal("expected stale forward")
-	}
-	// ... until the transport failure path invalidates it.
-	a.InvalidatePeers("fn")
-	d, _ := a.Schedule("fn")
-	if d.Placement != PlaceLocalCold {
-		t.Fatalf("post-invalidate placement = %v", d.Placement)
 	}
 }
 
@@ -293,13 +278,15 @@ func TestDeadPeerDisappearsWithinLeaseTTL(t *testing.T) {
 	b.Heartbeat() // one beat publishes with a 40ms lease; no heartbeat loop runs
 
 	a := New("host-a", store, 10)
-	a.PeerCacheTTL = 5 * time.Millisecond
+	a.Heartbeat()
 	if d, _ := a.Schedule("fn"); d.Placement != PlaceForward || d.TargetHost != "host-b" {
 		t.Fatalf("live peer not used: %+v", d)
 	}
-	// host-b "crashes": it never heartbeats again. After one lease TTL it
-	// must vanish from forwarding, from WarmHosts, and from the global set.
+	// host-b "crashes": it never heartbeats again. After one lease TTL and
+	// a's next beat it must vanish from forwarding, from WarmHosts, and from
+	// the membership set.
 	time.Sleep(60 * time.Millisecond)
+	a.Heartbeat()
 	d, err := a.Schedule("fn")
 	if err != nil {
 		t.Fatal(err)
@@ -311,11 +298,11 @@ func TestDeadPeerDisappearsWithinLeaseTTL(t *testing.T) {
 	if hosts, _ := a.WarmHosts("fn"); len(hosts) != 1 || hosts[0] != "host-a" {
 		t.Fatalf("WarmHosts after peer death = %v, want only the cold-started host-a", hosts)
 	}
-	// The observer evicted the stale entry from the global set itself.
-	raw, _ := store.SMembers("sched/warm/fn")
+	// The observer evicted the dead member from the set itself.
+	raw, _ := store.SMembers("sched/hosts")
 	for _, h := range raw {
 		if h == "host-b" {
-			t.Fatalf("dead host still in global warm set: %v", raw)
+			t.Fatalf("dead host still in the membership set: %v", raw)
 		}
 	}
 }
@@ -331,11 +318,11 @@ func TestHeartbeatKeepsPeerAlive(t *testing.T) {
 	defer b.StopHeartbeat()
 
 	a := New("host-a", store, 10)
-	a.PeerCacheTTL = 5 * time.Millisecond
 	// Several lease TTLs pass; the beating host must keep receiving
-	// forwards the whole time.
+	// forwards the whole time, whenever a refreshes its view.
 	deadline := time.Now().Add(150 * time.Millisecond)
 	for time.Now().Before(deadline) {
+		a.Heartbeat()
 		d, err := a.Schedule("fn")
 		if err != nil {
 			t.Fatal(err)
@@ -357,16 +344,16 @@ func TestHeartbeatReassertsEvictedWarmEntry(t *testing.T) {
 	b.StartHeartbeat()
 	defer b.StopHeartbeat()
 	// Simulate a peer wrongly evicting host-b (e.g. a pause expired the
-	// lease): the next beat must put the entry back.
-	store.SRem("sched/warm/fn", "host-b")
+	// lease): the next beat must put the member back.
+	store.SRem("sched/hosts", "host-b")
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for {
-		hosts, _ := store.SMembers("sched/warm/fn")
+		hosts, _ := store.SMembers("sched/hosts")
 		if len(hosts) == 1 && hosts[0] == "host-b" {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("warm entry not re-asserted by heartbeat: %v", hosts)
+			t.Fatalf("membership not re-asserted by heartbeat: %v", hosts)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -383,8 +370,8 @@ func TestStopHeartbeatLetsLeaseExpire(t *testing.T) {
 	b.StopHeartbeat()
 
 	a := New("host-a", store, 10)
-	a.PeerCacheTTL = 5 * time.Millisecond
 	time.Sleep(50 * time.Millisecond)
+	a.Heartbeat()
 	if d, _ := a.Schedule("fn"); d.Placement != PlaceLocalCold {
 		t.Fatalf("stopped host still receives forwards: %+v", d)
 	}
@@ -422,13 +409,13 @@ func TestClockSkewDoesNotAffectLiveness(t *testing.T) {
 
 	a := New("host-a", store, 10)
 	a.LeaseTTL = ttl
-	a.PeerCacheTTL = 5 * time.Millisecond
 	a.SetClock(offsetClock{+skew}) // observer runs 10 TTLs ahead
 
 	// No false eviction: across several lease TTLs the far-ahead observer
 	// keeps forwarding to the far-behind (but beating) writer.
 	deadline := time.Now().Add(4 * ttl)
 	for time.Now().Before(deadline) {
+		a.Heartbeat()
 		d, err := a.Schedule("fn")
 		if err != nil {
 			t.Fatal(err)
@@ -443,6 +430,7 @@ func TestClockSkewDoesNotAffectLiveness(t *testing.T) {
 	// so it drains in ~1 TTL regardless of anyone's skew.
 	b.StopHeartbeat()
 	time.Sleep(2 * ttl)
+	a.Heartbeat()
 	d, err := a.Schedule("fn")
 	if err != nil {
 		t.Fatal(err)
@@ -480,14 +468,19 @@ func TestLeaseRecordIsTierJudged(t *testing.T) {
 // as presence — only the current leaseMark payload does.
 func TestLegacyStampRecordReadsDead(t *testing.T) {
 	store := kvs.NewEngine()
-	// A legacy host advertised and stamped its lease the old way.
-	store.SAdd("sched/warm/fn", "host-legacy")
+	// A legacy host joined and stamped its lease the old way.
+	store.SAdd("sched/hosts", "host-legacy")
 	store.Set("sched/alive/host-legacy", []byte("1700000000000000000"))
 
 	a := New("host-a", store, 10)
 	hosts, err := a.WarmHosts("fn")
 	if err != nil || len(hosts) != 0 {
 		t.Fatalf("legacy-stamped host counted live: %v %v", hosts, err)
+	}
+	// A beat reads the stamp as a lapsed lease and drops the member.
+	a.Heartbeat()
+	if raw, _ := store.SMembers("sched/hosts"); len(raw) != 0 {
+		t.Fatalf("legacy-stamped host kept in the membership set: %v", raw)
 	}
 }
 
@@ -500,6 +493,7 @@ func TestWeightedForwardPrefersFastPeer(t *testing.T) {
 		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	// Probe both peers: b is 10x faster than c.
 	a.ForwardBegin("host-b")
 	a.ForwardEnd("host-b", time.Millisecond, true)
@@ -525,6 +519,7 @@ func TestWeightedForwardAvoidsLoadedPeer(t *testing.T) {
 		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	a.ForwardBegin("host-b")
 	a.ForwardEnd("host-b", time.Millisecond, true)
 	a.ForwardBegin("host-c")
@@ -556,6 +551,7 @@ func TestUnprobedPeerExploredBeforeProbed(t *testing.T) {
 		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	// Only host-b probed (and fast): the never-probed host-c must still be
 	// explored rather than starved.
 	a.ForwardBegin("host-b")
@@ -575,6 +571,7 @@ func TestForwardFailurePenalisesPeer(t *testing.T) {
 		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	a.ForwardBegin("host-b")
 	a.ForwardEnd("host-b", time.Millisecond, true)
 	a.ForwardBegin("host-c")
@@ -597,6 +594,7 @@ func TestFastFailureDoesNotScoreDeadPeerBest(t *testing.T) {
 		p.Heartbeat()
 	}
 	a := New("host-a", store, 10)
+	a.Heartbeat()
 	a.ForwardBegin("host-b")
 	a.ForwardEnd("host-b", time.Millisecond, true)
 	// host-c dies and refuses connections instantly: the near-zero failed
@@ -628,8 +626,8 @@ func TestDrainRetreatsFromWarmSetsAndStopsAdvertising(t *testing.T) {
 	b.NoteWarm("gn", 1)
 	b.Heartbeat()
 	for _, fn := range []string{"fn", "gn"} {
-		if raw, _ := store.SMembers("sched/warm/" + fn); len(raw) != 1 {
-			t.Fatalf("%s warm set before drain = %v", fn, raw)
+		if hosts, _ := b.WarmHosts(fn); len(hosts) != 1 {
+			t.Fatalf("%s warm hosts before drain = %v", fn, hosts)
 		}
 	}
 	if err := b.Drain(); err != nil {
@@ -639,10 +637,10 @@ func TestDrainRetreatsFromWarmSetsAndStopsAdvertising(t *testing.T) {
 		t.Fatal("Draining() false after Drain")
 	}
 	for _, fn := range []string{"fn", "gn"} {
-		raw, _ := store.SMembers("sched/warm/" + fn)
-		for _, h := range raw {
+		hosts, _ := b.WarmHosts(fn)
+		for _, h := range hosts {
 			if h == "host-b" {
-				t.Fatalf("draining host still in %s warm set: %v", fn, raw)
+				t.Fatalf("draining host still warm for %s: %v", fn, hosts)
 			}
 		}
 	}
@@ -652,9 +650,9 @@ func TestDrainRetreatsFromWarmSetsAndStopsAdvertising(t *testing.T) {
 	if b.Advertised("fn") {
 		t.Fatal("NoteWarm re-advertised a draining host")
 	}
-	raw, _ := store.SMembers("sched/warm/fn")
-	if len(raw) != 0 {
-		t.Fatalf("draining host re-entered warm set: %v", raw)
+	b.Heartbeat()
+	if hosts, _ := b.WarmHosts("fn"); len(hosts) != 0 {
+		t.Fatalf("draining host re-entered warm set: %v", hosts)
 	}
 	// Drain is idempotent.
 	if err := b.Drain(); err != nil {
@@ -701,8 +699,9 @@ func TestDrainingHostWithNoPeersStillExecutes(t *testing.T) {
 	if d.Placement == PlaceForward {
 		t.Fatalf("peerless draining host forwarded: %+v", d)
 	}
-	if raw, _ := store.SMembers("sched/warm/fn"); len(raw) != 0 {
-		t.Fatalf("peerless draining execution advertised: %v", raw)
+	a.Heartbeat()
+	if hosts, _ := a.WarmHosts("fn"); len(hosts) != 0 {
+		t.Fatalf("peerless draining execution advertised: %v", hosts)
 	}
 }
 
