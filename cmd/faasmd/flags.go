@@ -50,8 +50,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 
 	fs.IntVar(&c.runtime.PoolCap, "pool-cap", frt.DefaultPoolCap, "idle warm Faaslets kept per function")
 	fs.DurationVar(&c.runtime.LeaseTTL, "lease-ttl", sched.DefaultLeaseTTL, "liveness lease on this host's warm advertisements; heartbeats run at a third of it")
-	fs.Float64Var(&c.runtime.LocalityWeight, "locality-weight", 0, "blend data locality into cross-host forwarding: peer scores scale by (1 + weight×footprint-miss); 0 = off")
-	fs.StringVar(&c.runtime.LocalShard, "shard-id", "", "tier shard this process co-hosts (e.g. the -kvs shard's ring id); residency adverts then credit shard-primary co-location")
 	fs.BoolVar(&c.runtime.ElasticPool, "elastic-pool", false, "autoscale warm pools: grow ahead of misses, shrink on idle")
 	fs.DurationVar(&c.runtime.PoolIdleTimeout, "pool-idle-timeout", frt.DefaultPoolIdleTimeout, "idle time before an elastic pool starts shrinking")
 	fs.IntVar(&c.runtime.TraceSample, "trace-sample", obsv.DefaultSampleRate, "trace 1-in-N invocations (1 = all, <0 = off)")

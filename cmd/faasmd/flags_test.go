@@ -75,8 +75,6 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 		{"kvs-retry-max", "-1", func(c *config) any { return c.retry.Max }, -1},
 		{"pool-cap", "7", func(c *config) any { return c.runtime.PoolCap }, 7},
 		{"lease-ttl", "900ms", func(c *config) any { return c.runtime.LeaseTTL }, 900 * time.Millisecond},
-		{"locality-weight", "8", func(c *config) any { return c.runtime.LocalityWeight }, 8.0},
-		{"shard-id", "s1", func(c *config) any { return c.runtime.LocalShard }, "s1"},
 		{"elastic-pool", "true", func(c *config) any { return c.runtime.ElasticPool }, true},
 		{"pool-idle-timeout", "2s", func(c *config) any { return c.runtime.PoolIdleTimeout }, 2 * time.Second},
 		{"trace-sample", "-1", func(c *config) any { return c.runtime.TraceSample }, -1},
@@ -102,12 +100,14 @@ func TestEveryFlagLandsInItsField(t *testing.T) {
 	})
 }
 
-// faasmd runs no fleet controller, tier reads always fail over, and a cold
-// miss reads a view the heartbeat refreshes rather than a TTL'd cache, so the
-// fleet flags, the failover switch and the peer-cache TTL are unknown flags,
+// faasmd runs no fleet controller, tier reads always fail over, a cold miss
+// reads a view the heartbeat refreshes rather than a TTL'd cache, and faasmd
+// has no transport to forward a call through (so neither the locality weight
+// nor shard co-location could steer one), so the fleet flags, the failover
+// switch, the peer-cache TTL and the two locality flags are unknown flags,
 // not silently ignored ones.
 func TestRemovedFlagsAreUnknown(t *testing.T) {
-	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s", "-state-read-failover", "-peer-cache-ttl=1s"} {
+	for _, arg := range []string{"-autoscale", "-min-hosts=2", "-max-hosts=6", "-scale-cooldown=1s", "-state-read-failover", "-peer-cache-ttl=1s", "-locality-weight=8", "-shard-id=s1"} {
 		fs := flag.NewFlagSet("faasmd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		if _, err := parseFlags(fs, []string{arg}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -101,9 +101,6 @@ func main() {
 	}
 
 	cfg.runtime.Store = store
-	if ring != nil && cfg.runtime.LocalShard != "" {
-		cfg.runtime.StateOwners = ring.HealthyOwners
-	}
 	inst := frt.New(cfg.runtime)
 	if localEngine != nil {
 		localEngine.Instrument(inst.Registry(), "global")

@@ -12,12 +12,6 @@ import (
 // (the VectorAsync of the paper's Listing 1).
 type Vector = iddo.Vector
 
-// Matrix is a dense column-major float64 matrix with chunked column access.
-type Matrix = iddo.Matrix
-
-// ColumnView is a pulled window of matrix columns.
-type ColumnView = iddo.ColumnView
-
 // SparseMatrix is a read-only CSC matrix with chunked column-range access.
 type SparseMatrix = iddo.SparseMatrix
 
@@ -27,28 +21,14 @@ type SparseColumns = iddo.SparseColumns
 // SparseEntry is one stored cell of a sparse matrix.
 type SparseEntry = iddo.SparseEntry
 
-// Counter is a strongly consistent cluster-wide counter.
-type Counter = iddo.Counter
-
 // List is an append-only distributed list.
 type List = iddo.List
-
-// Dict is a small distributed dictionary.
-type Dict = iddo.Dict
-
-// Barrier coordinates n participants.
-type Barrier = iddo.Barrier
 
 // Constructors and helpers, re-exported.
 var (
 	OpenVector       = iddo.OpenVector
-	OpenMatrix       = iddo.OpenMatrix
-	MatrixBytes      = iddo.MatrixBytes
 	OpenSparseMatrix = iddo.OpenSparseMatrix
 	SparseKeys       = iddo.SparseKeys
 	BuildSparseCSC   = iddo.BuildSparseCSC
-	OpenCounter      = iddo.OpenCounter
 	OpenList         = iddo.OpenList
-	OpenDict         = iddo.OpenDict
-	OpenBarrier      = iddo.OpenBarrier
 )

@@ -80,11 +80,15 @@ func TestPublicAPIStateAndDDO(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RegisterGuest("bump", func(api faasm.API) (int32, error) {
-		v, err := ddo.OpenCounter(api, "bump-counter").Add(1)
+		l := ddo.OpenList(api, "bump-list")
+		if err := l.Append([]byte{1}); err != nil {
+			return 1, err
+		}
+		all, err := l.All()
 		if err != nil {
 			return 1, err
 		}
-		api.WriteOutput([]byte{byte(v)})
+		api.WriteOutput([]byte{byte(len(all))})
 		return 0, nil
 	})
 	for i := 1; i <= 3; i++ {

@@ -18,7 +18,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -123,9 +122,6 @@ func New(cfg Config) *Platform {
 	return p
 }
 
-// Host returns this platform's host name.
-func (p *Platform) Host() string { return p.cfg.Host }
-
 // Register deploys a portable guest.
 func (p *Platform) Register(fn string, g hostapi.Guest) {
 	p.mu.Lock()
@@ -142,15 +138,12 @@ func (p *Platform) MemUsed() int64 {
 
 // container is one warm pod.
 type container struct {
-	id    int64
-	fn    string
-	birth time.Time
-	rng   *rand.Rand
+	id int64
+	fn string
 	// state holds the container's private copies — the duplication the
 	// paper attributes to the data-shipping architecture.
 	state      map[string][]byte
 	stateBytes int64
-	lockTokens map[string]uint64
 	// fetched tracks which chunks of each cached value were actually
 	// retrieved from the global tier, so sparse caches never serve holes.
 	fetched map[string]map[int]bool
@@ -173,8 +166,6 @@ func (p *Platform) coldStart(fn string) (*container, error) {
 	return &container{
 		id:      id,
 		fn:      fn,
-		birth:   p.clock.Now(),
-		rng:     rand.New(rand.NewSource(id * 7919)),
 		state:   map[string][]byte{},
 		fetched: map[string]map[int]bool{},
 	}, nil
@@ -431,18 +422,6 @@ func (a *containerAPI) StateViewChunk(key string, off, n int) ([]byte, error) {
 	return a.fetch(key, off, n)
 }
 
-// StatePrefetch fetches each window into the container-private copy. There
-// is no shared replica to coalesce into, so the baseline pays one fetch per
-// window — exactly the per-access data shipping the paper charges containers.
-func (a *containerAPI) StatePrefetch(key string, ranges [][2]int) error {
-	for _, rg := range ranges {
-		if _, err := a.fetch(key, rg[0], rg[1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (a *containerAPI) StatePush(key string) error {
 	v, ok := a.c.state[key]
 	if !ok {
@@ -482,54 +461,5 @@ func (a *containerAPI) StateAppend(key string, data []byte) error {
 func (a *containerAPI) StateReadAll(key string) ([]byte, error) {
 	return a.p.cfg.Store.Get(key)
 }
-
-func (a *containerAPI) StateWriteAll(key string, data []byte) error {
-	if err := a.p.cfg.Store.Set(key, data); err != nil {
-		return err
-	}
-	a.cache(key, append([]byte(nil), data...))
-	a.c.markChunks(key, 0, len(data), true)
-	return nil
-}
-
-func (a *containerAPI) StateSize(key string) (int, error) {
-	return a.p.cfg.Store.Len(key)
-}
-
-// LockLocal is a no-op: container state is private, there is nothing
-// host-shared to guard — the baseline simply has no local tier.
-func (a *containerAPI) LockLocal(string, bool) error { return nil }
-
-// UnlockLocal is a no-op, as LockLocal.
-func (a *containerAPI) UnlockLocal(string, bool) error { return nil }
-
-func (a *containerAPI) LockGlobal(key string, write bool) error {
-	tok, err := a.p.cfg.Store.Lock("lock/"+key, write, 30*time.Second)
-	if err != nil {
-		return err
-	}
-	if a.c.lockTokens == nil {
-		a.c.lockTokens = map[string]uint64{}
-	}
-	a.c.lockTokens[key] = tok
-	return nil
-}
-
-func (a *containerAPI) UnlockGlobal(key string) error {
-	tok, ok := a.c.lockTokens[key]
-	if !ok {
-		return fmt.Errorf("baseline: no global lock held on %s", key)
-	}
-	delete(a.c.lockTokens, key)
-	return a.p.cfg.Store.Unlock("lock/"+key, tok)
-}
-
-func (a *containerAPI) Now() time.Duration {
-	return a.p.clock.Now().Sub(a.c.birth)
-}
-
-func (a *containerAPI) Random(b []byte) { a.c.rng.Read(b) }
-
-func (a *containerAPI) Function() string { return a.c.fn }
 
 var _ hostapi.API = (*containerAPI)(nil)

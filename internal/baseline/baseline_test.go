@@ -193,21 +193,14 @@ func TestChainingThroughPlatform(t *testing.T) {
 	}
 }
 
-func TestAppendAndGlobalLocks(t *testing.T) {
+func TestAppendGoesToGlobalTier(t *testing.T) {
 	store := kvs.NewEngine()
 	p := New(fastCfg(store))
 	p.Register("f", func(api hostapi.API) (int32, error) {
-		if err := api.LockGlobal("k", true); err != nil {
-			return 1, err
-		}
-		api.StateAppend("k", []byte("z"))
-		if err := api.UnlockGlobal("k"); err != nil {
-			return 2, err
-		}
-		return 0, nil
+		return 0, api.StateAppend("k", []byte("z"))
 	})
 	if _, ret, err := p.Call("f", nil); err != nil || ret != 0 {
-		t.Fatalf("locks: %d %v", ret, err)
+		t.Fatalf("append: %d %v", ret, err)
 	}
 	g, _ := store.Get("k")
 	if string(g) != "z" {

@@ -181,7 +181,7 @@ func New(cfg Config) *Cluster {
 		for i := range shards {
 			var store kvs.Store = newEngine()
 			if cfg.FaultyShards {
-				fs := simnet.NewFaultShard(store, c.Clock)
+				fs := simnet.NewFaultShard(store)
 				c.shardFaults = append(c.shardFaults, fs)
 				store = fs
 			}
@@ -293,9 +293,6 @@ func (c *Cluster) leftIngress(inst *frt.Instance) bool {
 	act := *c.active.Load()
 	return len(act) > 0 && !slices.Contains(act, inst)
 }
-
-// Mode reports the platform under test.
-func (c *Cluster) Mode() Mode { return c.cfg.Mode }
 
 // Hosts reports live FAASM hosts — slots not yet reclaimed (draining and
 // killed hosts count until ReclaimHost) — or the configured host count in
@@ -517,38 +514,6 @@ func (c *Cluster) CallOn(h int, fn string, input []byte) ([]byte, int32, error) 
 	return c.faasm[h].inst.Call(fn, input)
 }
 
-// Invoke starts an asynchronous call, returning an awaitable handle.
-func (c *Cluster) Invoke(fn string, input []byte) (*Call, error) {
-	switch c.cfg.Mode {
-	case ModeFaasm:
-		hosts := c.ingress()
-		if len(hosts) == 0 {
-			return nil, fmt.Errorf("cluster: no hosts")
-		}
-		idx := int(c.rr.Add(1)) % len(hosts)
-		inst := hosts[idx]
-		id, err := inst.Invoke(fn, input)
-		if err != nil {
-			return nil, err
-		}
-		return &Call{
-			await:  func() (int32, error) { return inst.Await(id) },
-			output: func() ([]byte, error) { return inst.Output(id) },
-		}, nil
-	default:
-		idx := int(c.rr.Add(1)) % len(c.base)
-		p := c.base[idx]
-		id, err := p.Invoke(fn, input)
-		if err != nil {
-			return nil, err
-		}
-		return &Call{
-			await:  func() (int32, error) { return p.Await(id) },
-			output: func() ([]byte, error) { return p.Output(id) },
-		}, nil
-	}
-}
-
 // SubmitAsync enqueues one call into the durable async queue through a
 // round-robin ingress host and acks with its call id. Once it returns, the
 // call is tier-resident: it completes even if the accepting host dies the
@@ -610,18 +575,6 @@ func (c *Cluster) QueueDeadLetters(fn string) ([]uint64, error) {
 	}
 	return c.clientQueue.DeadLetters(fn)
 }
-
-// Call is an awaitable invocation handle.
-type Call struct {
-	await  func() (int32, error)
-	output func() ([]byte, error)
-}
-
-// Await blocks until completion, returning the guest return code.
-func (h *Call) Await() (int32, error) { return h.await() }
-
-// Output returns a completed call's output.
-func (h *Call) Output() ([]byte, error) { return h.output() }
 
 // Stats aggregates cluster metrics for one experiment window.
 type Stats struct {

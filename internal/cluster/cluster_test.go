@@ -13,21 +13,6 @@ import (
 	"faasm.dev/faasm/internal/obsv"
 )
 
-// incrGuest bumps a shared counter under the local lock and pushes it.
-func incrGuest(api hostapi.API) (int32, error) {
-	if err := api.LockLocal("n", true); err != nil {
-		return 1, err
-	}
-	buf, err := api.StateView("n", 8)
-	if err != nil {
-		api.UnlockLocal("n", true)
-		return 2, err
-	}
-	binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
-	api.UnlockLocal("n", true)
-	return 0, nil
-}
-
 func TestFaasmClusterBasics(t *testing.T) {
 	c := New(Config{Mode: ModeFaasm, Hosts: 2, TimeScale: 1000})
 	defer c.Shutdown()
@@ -68,22 +53,15 @@ func TestSameGuestSameResultBothPlatforms(t *testing.T) {
 		c := New(cfg)
 		defer c.Shutdown()
 		c.SetState("n", make([]byte, 8))
-		if err := c.Register("incr", incrGuest); err != nil {
-			t.Fatal(err)
-		}
 		// Drive sequentially so the baseline's copy-back semantics are
 		// well-defined: each call pushes after increment.
 		c.Register("incr-push", func(api hostapi.API) (int32, error) {
-			if err := api.LockGlobal("n", true); err != nil {
-				return 1, err
-			}
-			defer api.UnlockGlobal("n")
 			if err := api.StatePull("n"); err != nil {
-				return 2, err
+				return 1, err
 			}
 			buf, err := api.StateView("n", 8)
 			if err != nil {
-				return 3, err
+				return 2, err
 			}
 			binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
 			return 0, api.StatePush("n")
@@ -137,14 +115,10 @@ func TestFaasmTransfersLessThanBaseline(t *testing.T) {
 		})
 		var wg sync.WaitGroup
 		for i := 0; i < calls; i++ {
-			call, err := c.Invoke("read", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if ret, err := call.Await(); err != nil || ret != 0 {
+				if _, ret, err := c.Call("read", nil); err != nil || ret != 0 {
 					t.Errorf("%v read: %d %v", mode, ret, err)
 				}
 			}()
@@ -263,16 +237,12 @@ func TestShardedStateTierSameResults(t *testing.T) {
 		c := New(cfg)
 		c.SetState("n", make([]byte, 8))
 		c.Register("incr-push", func(api hostapi.API) (int32, error) {
-			if err := api.LockGlobal("n", true); err != nil {
-				return 1, err
-			}
-			defer api.UnlockGlobal("n")
 			if err := api.StatePull("n"); err != nil {
-				return 2, err
+				return 1, err
 			}
 			buf, err := api.StateView("n", 8)
 			if err != nil {
-				return 3, err
+				return 2, err
 			}
 			binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
 			return 0, api.StatePush("n")

@@ -286,12 +286,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// ID returns the Faaslet's unique id (also its cgroup name).
-func (f *Faaslet) ID() string { return f.id }
-
-// Function returns the bound function's name.
-func (f *Faaslet) Function() string { return f.def.Name }
-
 // Memory exposes the linear memory (tests, snapshots).
 func (f *Faaslet) Memory() *wamem.Memory { return f.mem }
 
@@ -594,22 +588,6 @@ func (c *Ctx) ReadAllState(key string) ([]byte, error) {
 	return b, err
 }
 
-// WriteAllState replaces the authoritative global value and evicts any
-// local replica, for values whose size changes between writes.
-func (c *Ctx) WriteAllState(key string, data []byte) error {
-	if c.f.env.State == nil {
-		return errNoState
-	}
-	start := c.TraceStart()
-	err := c.f.env.State.Global().Set(key, data)
-	c.TraceSpan("state.write_all", key, start, int64(len(data)), err)
-	if err != nil {
-		return err
-	}
-	c.f.env.State.Evict(key)
-	return nil
-}
-
 // LockGlobal acquires a global lock (lock_state_global_read/write); the
 // lease is tracked and auto-released at reset if leaked.
 func (c *Ctx) LockGlobal(key string, write bool) error { return c.f.lockGlobal(key, write) }
@@ -619,9 +597,6 @@ func (c *Ctx) UnlockGlobal(key string) error { return c.f.unlockGlobal(key) }
 
 // FS exposes the read-global write-local filesystem.
 func (c *Ctx) FS() *vfs.FS { return c.f.fs }
-
-// Net exposes the virtual network interface.
-func (c *Ctx) Net() *netns.Interface { return c.f.net }
 
 // Memory exposes the Faaslet's linear memory.
 func (c *Ctx) Memory() *wamem.Memory { return c.f.mem }
@@ -634,9 +609,6 @@ func (c *Ctx) Now() time.Duration {
 
 // Random fills b from the Faaslet's seeded PRNG (getrandom).
 func (c *Ctx) Random(b []byte) { c.f.fillRandom(b) }
-
-// Function returns the executing function's name.
-func (c *Ctx) Function() string { return c.f.def.Name }
 
 // NoteStateAccess feeds one guest state read (key, bytes addressed) into
 // the environment's access observer; a no-op when none is attached or the

@@ -28,12 +28,6 @@ func (p *Proto) For(name string) *Proto {
 	return &Proto{Function: name, mem: p.mem, globals: p.globals}
 }
 
-// MemPages reports the snapshot size in pages.
-func (p *Proto) MemPages() int { return p.mem.Pages() }
-
-// StoredBytes reports the materialised snapshot bytes (Table 3 footprint).
-func (p *Proto) StoredBytes() int64 { return p.mem.StoredBytes() }
-
 // Snapshot captures the Faaslet's current execution state as a Proto and
 // installs it as the Faaslet's reset image. Call it after running
 // initialisation code (e.g. interpreter warm-up), before serving requests.

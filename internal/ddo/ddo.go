@@ -1,9 +1,9 @@
 // Package ddo implements distributed data objects (§4.1): language-level
 // classes that hide the two-tier state architecture behind convenient
 // types. Each DDO wraps one state key and chooses its own consistency
-// strategy — eager chunked pulls for read-only matrices, delayed pushes for
-// the asynchronous vector of Listing 1, global locks for strongly
-// consistent counters.
+// strategy — chunked pulls for read-only sparse matrices, delayed pushes
+// for the asynchronous vector of Listing 1, atomic global appends for
+// lists.
 //
 // DDOs are written against hostapi.API, so the same application code runs
 // on FAASM (zero-copy shared views) and on the container baseline (private
@@ -38,9 +38,6 @@ func OpenVector(api hostapi.API, key string, n int) (*Vector, error) {
 	return &Vector{api: api, key: key, n: n, buf: buf}, nil
 }
 
-// Len returns the element count.
-func (v *Vector) Len() int { return v.n }
-
 // At reads element i.
 func (v *Vector) At(i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(v.buf[i*8:]))
@@ -59,97 +56,6 @@ func (v *Vector) Add(i int, dx float64) {
 
 // Push publishes the local replica to the global tier (VectorAsync.push).
 func (v *Vector) Push() error { return v.api.StatePush(v.key) }
-
-// Pull refreshes the local replica.
-func (v *Vector) Pull() error {
-	if err := v.api.StatePull(v.key); err != nil {
-		return err
-	}
-	buf, err := v.api.StateView(v.key, v.n*8)
-	if err != nil {
-		return err
-	}
-	v.buf = buf
-	return nil
-}
-
-// Matrix is a dense column-major float64 matrix; column ranges are
-// contiguous in state, so column access pulls only the needed chunks
-// (MatrixReadOnly in Listing 1).
-type Matrix struct {
-	api        hostapi.API
-	key        string
-	rows, cols int
-}
-
-// MatrixBytes is the state size for a rows×cols matrix.
-func MatrixBytes(rows, cols int) int { return rows * cols * 8 }
-
-// OpenMatrix binds a matrix already present in state.
-func OpenMatrix(api hostapi.API, key string, rows, cols int) *Matrix {
-	return &Matrix{api: api, key: key, rows: rows, cols: cols}
-}
-
-// Rows returns the row count.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
-
-// Columns returns a view of columns [a, b): only those bytes are pulled.
-// The DDO performs the implicit pull of §4.1.
-func (m *Matrix) Columns(a, b int) (*ColumnView, error) {
-	if a < 0 || b > m.cols || a >= b {
-		return nil, fmt.Errorf("ddo: matrix %s columns [%d,%d) out of range", m.key, a, b)
-	}
-	off := a * m.rows * 8
-	n := (b - a) * m.rows * 8
-	buf, err := m.api.StateViewChunk(m.key, off, n)
-	if err != nil {
-		return nil, err
-	}
-	return &ColumnView{buf: buf, rows: m.rows, first: a, count: b - a}, nil
-}
-
-// WriteColumn stores a column locally and pushes just its chunk.
-func (m *Matrix) WriteColumn(j int, col []float64) error {
-	if len(col) != m.rows {
-		return fmt.Errorf("ddo: column length %d != rows %d", len(col), m.rows)
-	}
-	off := j * m.rows * 8
-	buf, err := m.api.StateViewChunk(m.key, off, m.rows*8)
-	if err != nil {
-		return err
-	}
-	for i, x := range col {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return m.api.StatePushChunk(m.key, off, m.rows*8)
-}
-
-// ColumnView is a window over consecutive matrix columns.
-type ColumnView struct {
-	buf   []byte
-	rows  int
-	first int
-	count int
-}
-
-// At reads element (row, col) with col absolute.
-func (cv *ColumnView) At(row, col int) float64 {
-	idx := (col-cv.first)*cv.rows + row
-	return math.Float64frombits(binary.LittleEndian.Uint64(cv.buf[idx*8:]))
-}
-
-// Col returns one column as a freshly decoded slice.
-func (cv *ColumnView) Col(col int) []float64 {
-	out := make([]float64, cv.rows)
-	base := (col - cv.first) * cv.rows * 8
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(cv.buf[base+i*8:]))
-	}
-	return out
-}
 
 // SparseMatrix is a read-only CSC (compressed sparse column) matrix over
 // three state keys: key/vals (f64), key/rows (i32), key/colptr (i64,
@@ -178,50 +84,11 @@ func OpenSparseMatrix(api hostapi.API, key string, cols int) (*SparseMatrix, err
 	return &SparseMatrix{api: api, key: key, cols: cols, colptr: colptr}, nil
 }
 
-// Cols returns the column count.
-func (sm *SparseMatrix) Cols() int { return sm.cols }
-
 // colRangePtr returns the value-array index range for columns [a, b).
 func (sm *SparseMatrix) colRangePtr(a, b int) (int, int) {
 	lo := int(binary.LittleEndian.Uint64(sm.colptr[a*8:]))
 	hi := int(binary.LittleEndian.Uint64(sm.colptr[b*8:]))
 	return lo, hi
-}
-
-// NNZ returns the matrix's total stored entries.
-func (sm *SparseMatrix) NNZ() int {
-	_, hi := sm.colRangePtr(0, sm.cols)
-	return hi
-}
-
-// PrefetchColumns pulls the data for several column windows ahead of
-// access, coalescing all the missing chunks of each underlying array into
-// one batched global-tier round trip — two exchanges total (vals, rows)
-// instead of two per window. windows lists [a, b) column pairs; subsequent
-// Columns calls over the prefetched windows find their chunks resident.
-func (sm *SparseMatrix) PrefetchColumns(windows [][2]int) error {
-	valRanges := make([][2]int, 0, len(windows))
-	rowRanges := make([][2]int, 0, len(windows))
-	for _, w := range windows {
-		a, b := w[0], w[1]
-		if a < 0 || b > sm.cols || a >= b {
-			return fmt.Errorf("ddo: sparse %s prefetch [%d,%d) out of range", sm.key, a, b)
-		}
-		lo, hi := sm.colRangePtr(a, b)
-		if hi == lo {
-			continue
-		}
-		valRanges = append(valRanges, [2]int{lo * 8, (hi - lo) * 8})
-		rowRanges = append(rowRanges, [2]int{lo * 4, (hi - lo) * 4})
-	}
-	if len(valRanges) == 0 {
-		return nil
-	}
-	valsKey, rowsKey, _ := SparseKeys(sm.key)
-	if err := sm.api.StatePrefetch(valsKey, valRanges); err != nil {
-		return err
-	}
-	return sm.api.StatePrefetch(rowsKey, rowRanges)
 }
 
 // Columns pulls columns [a, b) and returns an iterator view. Only the
@@ -292,58 +159,6 @@ type SparseEntry struct {
 	Val float64
 }
 
-// Counter is a strongly consistent distributed counter: increments use the
-// §4.2 recipe (global write lock → pull → mutate → push → unlock).
-type Counter struct {
-	api hostapi.API
-	key string
-}
-
-// OpenCounter binds a counter (creating an 8-byte value lazily).
-func OpenCounter(api hostapi.API, key string) *Counter {
-	return &Counter{api: api, key: key}
-}
-
-// Add atomically adds delta cluster-wide, returning the new value.
-func (c *Counter) Add(delta int64) (int64, error) {
-	if err := c.api.LockGlobal(c.key, true); err != nil {
-		return 0, err
-	}
-	defer c.api.UnlockGlobal(c.key)
-	cur, err := c.api.StateReadAll(c.key)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	if len(cur) >= 8 {
-		n = int64(binary.LittleEndian.Uint64(cur))
-	}
-	n += delta
-	var out [8]byte
-	binary.LittleEndian.PutUint64(out[:], uint64(n))
-	buf, err := c.api.StateView(c.key, 8)
-	if err != nil {
-		return 0, err
-	}
-	copy(buf, out[:])
-	if err := c.api.StatePush(c.key); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// Value reads the counter without locking (eventually consistent).
-func (c *Counter) Value() (int64, error) {
-	cur, err := c.api.StateReadAll(c.key)
-	if err != nil {
-		return 0, err
-	}
-	if len(cur) < 8 {
-		return 0, nil
-	}
-	return int64(binary.LittleEndian.Uint64(cur)), nil
-}
-
 // List is an append-only distributed list of byte records (eventually
 // consistent appends, the delayed-update list of §4.1). Records are
 // length-prefixed in one global value.
@@ -382,99 +197,4 @@ func (l *List) All() ([][]byte, error) {
 		off += n
 	}
 	return out, nil
-}
-
-// Dict is a lazily pulled distributed dictionary: a snapshot read of a
-// map[string][]byte encoded in one state value, with whole-map writes under
-// a global lock. Suitable for small configuration maps.
-type Dict struct {
-	api hostapi.API
-	key string
-}
-
-// OpenDict binds a dictionary.
-func OpenDict(api hostapi.API, key string) *Dict { return &Dict{api: api, key: key} }
-
-// Get reads one entry (lazy pull of the whole map — dictionaries are small).
-func (d *Dict) Get(field string) ([]byte, bool, error) {
-	m, err := d.snapshot()
-	if err != nil {
-		return nil, false, err
-	}
-	v, ok := m[field]
-	return v, ok, nil
-}
-
-// Set updates one entry under a global lock.
-func (d *Dict) Set(field string, val []byte) error {
-	if err := d.api.LockGlobal(d.key, true); err != nil {
-		return err
-	}
-	defer d.api.UnlockGlobal(d.key)
-	m, err := d.snapshot()
-	if err != nil {
-		return err
-	}
-	m[field] = append([]byte(nil), val...)
-	return d.api.StateWriteAll(d.key, encodeDict(m))
-}
-
-func (d *Dict) snapshot() (map[string][]byte, error) {
-	raw, err := d.api.StateReadAll(d.key)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDict(raw)
-}
-
-func encodeDict(m map[string][]byte) []byte {
-	var out []byte
-	var hdr [8]byte
-	for k, v := range m {
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(k)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(v)))
-		out = append(out, hdr[:]...)
-		out = append(out, k...)
-		out = append(out, v...)
-	}
-	return out
-}
-
-func decodeDict(raw []byte) (map[string][]byte, error) {
-	m := map[string][]byte{}
-	for off := 0; off+8 <= len(raw); {
-		kl := int(binary.LittleEndian.Uint32(raw[off:]))
-		vl := int(binary.LittleEndian.Uint32(raw[off+4:]))
-		off += 8
-		if off+kl+vl > len(raw) {
-			return nil, fmt.Errorf("ddo: dict corrupt at %d", off)
-		}
-		k := string(raw[off : off+kl])
-		off += kl
-		m[k] = append([]byte(nil), raw[off:off+vl]...)
-		off += vl
-	}
-	return m, nil
-}
-
-// Barrier blocks until n participants arrive (built on the strongly
-// consistent counter plus polling; used by multi-phase workloads).
-type Barrier struct {
-	counter *Counter
-	n       int64
-}
-
-// OpenBarrier binds a barrier for n participants.
-func OpenBarrier(api hostapi.API, key string, n int) *Barrier {
-	return &Barrier{counter: OpenCounter(api, key), n: int64(n)}
-}
-
-// Arrive registers arrival and reports whether all participants have
-// arrived (non-blocking; callers poll or chain).
-func (b *Barrier) Arrive() (bool, error) {
-	v, err := b.counter.Add(1)
-	if err != nil {
-		return false, err
-	}
-	return v >= b.n, nil
 }

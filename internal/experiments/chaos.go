@@ -56,7 +56,7 @@ func ringSection(r *Report, iters int) {
 	for i := range members {
 		id := fmt.Sprintf("shard-%d", i)
 		engines[id] = kvs.NewEngine()
-		faults[id] = simnet.NewFaultShard(engines[id], nil)
+		faults[id] = simnet.NewFaultShard(engines[id])
 		members[i] = shardkvs.Shard{ID: id, Store: faults[id]}
 	}
 	ring, err := shardkvs.New(shardkvs.Options{

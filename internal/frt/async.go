@@ -3,9 +3,7 @@ package frt
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"faasm.dev/faasm/internal/mbus"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 )
@@ -41,32 +39,6 @@ func (i *Instance) InvokeAsync(function string, input []byte) (uint64, error) {
 		i.tracer.Finish(tr)
 	}
 	return id, err
-}
-
-// AwaitAsync blocks until an async call reaches a terminal result.
-// timeout <= 0 waits forever.
-func (i *Instance) AwaitAsync(id uint64, timeout time.Duration) (mbus.CallRecord, error) {
-	if i.queue == nil {
-		return mbus.CallRecord{}, ErrAsyncDisabled
-	}
-	return i.queue.Await(id, timeout)
-}
-
-// ChainThen records a static chain in the tier: every successful completion
-// of fn enqueues next with fn's output as input.
-func (i *Instance) ChainThen(fn, next string) error {
-	if i.queue == nil {
-		return ErrAsyncDisabled
-	}
-	return i.queue.Then(fn, next)
-}
-
-// QueueDepth reports fn's tier-side queued-plus-in-flight depth.
-func (i *Instance) QueueDepth(fn string) (int64, error) {
-	if i.queue == nil {
-		return 0, ErrAsyncDisabled
-	}
-	return i.queue.Depth(fn)
 }
 
 // ExecuteQueued implements queue.Executor: run one claimed item through the

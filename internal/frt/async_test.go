@@ -35,14 +35,14 @@ func TestInvokeAsyncRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := inst.AwaitAsync(id, 10*time.Second)
+	rec, err := inst.Queue().Await(id, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Status != mbus.CallSucceeded || string(rec.Output) != "HELLO" {
 		t.Fatalf("result = %+v", rec)
 	}
-	if d, err := inst.QueueDepth("upper"); err != nil || d != 0 {
+	if d, err := inst.Queue().Depth("upper"); err != nil || d != 0 {
 		t.Fatalf("depth after completion = %d %v", d, err)
 	}
 	if _, err := inst.InvokeAsync("ghost", nil); err == nil {
@@ -60,18 +60,18 @@ func TestInvokeAsyncChain(t *testing.T) {
 	}
 	inst.RegisterNative("a", stamp("a"))
 	inst.RegisterNative("b", stamp("b"))
-	if err := inst.ChainThen("a", "b"); err != nil {
+	if err := inst.Queue().Then("a", "b"); err != nil {
 		t.Fatal(err)
 	}
 	root, err := inst.InvokeAsync("a", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recA, err := inst.AwaitAsync(root, 10*time.Second)
+	recA, err := inst.Queue().Await(root, 10*time.Second)
 	if err != nil || recA.ChildID == 0 {
 		t.Fatalf("stage a: %+v %v", recA, err)
 	}
-	recB, err := inst.AwaitAsync(recA.ChildID, 10*time.Second)
+	recB, err := inst.Queue().Await(recA.ChildID, 10*time.Second)
 	if err != nil || recB.ParentID != root || string(recB.Output) != "x|a|b" {
 		t.Fatalf("stage b: %+v %v", recB, err)
 	}
@@ -82,15 +82,6 @@ func TestAsyncDisabledErrors(t *testing.T) {
 	t.Cleanup(inst.Shutdown)
 	if _, err := inst.InvokeAsync("f", nil); !errors.Is(err, ErrAsyncDisabled) {
 		t.Fatalf("InvokeAsync: %v", err)
-	}
-	if _, err := inst.AwaitAsync(1, time.Second); !errors.Is(err, ErrAsyncDisabled) {
-		t.Fatalf("AwaitAsync: %v", err)
-	}
-	if err := inst.ChainThen("a", "b"); !errors.Is(err, ErrAsyncDisabled) {
-		t.Fatalf("ChainThen: %v", err)
-	}
-	if _, err := inst.QueueDepth("a"); !errors.Is(err, ErrAsyncDisabled) {
-		t.Fatalf("QueueDepth: %v", err)
 	}
 	if inst.Queue() != nil {
 		t.Fatal("queue present without Config.Queue")
@@ -131,7 +122,7 @@ func TestKilledHostQueuedWorkRedeliveredToPeer(t *testing.T) {
 	close(release) // h1 finishes, but being killed it must abandon the result
 	h2.RegisterNative("work", mkFn(h2))
 
-	rec, err := h2.AwaitAsync(id, 10*time.Second)
+	rec, err := h2.Queue().Await(id, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

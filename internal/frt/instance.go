@@ -1058,21 +1058,6 @@ func (i *Instance) PoolSize(function string) int {
 	return len(d.pool.idle) + d.pool.resetting
 }
 
-// LocalFootprint sums the footprints of pooled Faaslets plus the local
-// state tier (per-host memory accounting for Fig 6c).
-func (i *Instance) LocalFootprint() int64 {
-	var n int64
-	i.eachDeployment(func(d *deployment) {
-		p := d.pool
-		p.mu.Lock()
-		for _, f := range p.idle {
-			n += f.Footprint()
-		}
-		p.mu.Unlock()
-	})
-	return n + i.local.LocalBytes()
-}
-
 // Shutdown closes all pooled Faaslets after draining in-flight resets, and
 // stops the background heartbeat and elastic-pool goroutines. The scheduler
 // drains (sched.Scheduler.Drain): the host's lease is deleted, so peers

@@ -7,12 +7,7 @@
 // containers (private copies + global KVS on every access).
 package hostapi
 
-import (
-	"time"
-
-	"faasm.dev/faasm/internal/core"
-	"faasm.dev/faasm/internal/kvs"
-)
+import "faasm.dev/faasm/internal/core"
 
 // API is the host interface as seen by portable guests.
 type API interface {
@@ -36,12 +31,6 @@ type API interface {
 	// StateViewChunk is StateView for a byte range; only the range is
 	// guaranteed fetched.
 	StateViewChunk(key string, off, n int) ([]byte, error)
-	// StatePrefetch pulls the chunks covering every {off, len} window of
-	// key ahead of access. On FAASM the missing chunks of all windows
-	// coalesce into one batched global-tier round trip; on the baseline
-	// each window fetches like a chunk view (containers have no shared
-	// replica to batch into).
-	StatePrefetch(key string, ranges [][2]int) error
 	// StatePush writes the view back to the global tier.
 	StatePush(key string) error
 	// StatePushChunk pushes only [off, off+n).
@@ -52,26 +41,6 @@ type API interface {
 	StateAppend(key string, data []byte) error
 	// StateReadAll fetches the authoritative global value.
 	StateReadAll(key string) ([]byte, error)
-	// StateWriteAll replaces the authoritative global value (and drops any
-	// stale local replica); for values whose size changes, e.g. dictionaries.
-	StateWriteAll(key string, data []byte) error
-	// StateSize reports the global value's size.
-	StateSize(key string) (int, error)
-
-	// LockLocal/UnlockLocal are the local-tier value locks. On the baseline
-	// they are container-private no-ops (there is nothing shared to guard).
-	LockLocal(key string, write bool) error
-	UnlockLocal(key string, write bool) error
-	// LockGlobal/UnlockGlobal are the global lease locks.
-	LockGlobal(key string, write bool) error
-	UnlockGlobal(key string) error
-
-	// Now is the per-user monotonic clock.
-	Now() time.Duration
-	// Random fills b with deterministic per-instance randomness.
-	Random(b []byte)
-	// Function names the executing function.
-	Function() string
 }
 
 // Guest is a portable function body.
@@ -128,25 +97,6 @@ func (a *FaasmAPI) StateViewChunk(key string, off, n int) ([]byte, error) {
 	return v.Bytes()[off : off+n], nil
 }
 
-// StatePrefetch implements API: one coalesced PullChunks for all windows.
-func (a *FaasmAPI) StatePrefetch(key string, ranges [][2]int) error {
-	v, err := a.Ctx.State(key, -1)
-	if err != nil {
-		return err
-	}
-	rs := make([]kvs.Range, len(ranges))
-	var addressed int64
-	for i, rg := range ranges {
-		rs[i] = kvs.Range{Off: rg[0], N: rg[1]}
-		addressed += int64(rg[1])
-	}
-	start := a.Ctx.TraceStart()
-	pulled, err := v.PullChunksN(rs)
-	a.Ctx.TraceSpan("state.pull", key, start, pulled, err)
-	a.Ctx.NoteStateAccess(key, addressed)
-	return err
-}
-
 // StatePush implements API.
 func (a *FaasmAPI) StatePush(key string) error {
 	v, err := a.Ctx.State(key, -1)
@@ -193,62 +143,5 @@ func (a *FaasmAPI) StateAppend(key string, data []byte) error {
 func (a *FaasmAPI) StateReadAll(key string) ([]byte, error) {
 	return a.Ctx.ReadAllState(key)
 }
-
-// StateWriteAll implements API.
-func (a *FaasmAPI) StateWriteAll(key string, data []byte) error {
-	return a.Ctx.WriteAllState(key, data)
-}
-
-// StateSize implements API.
-func (a *FaasmAPI) StateSize(key string) (int, error) {
-	v, err := a.Ctx.State(key, -1)
-	if err != nil {
-		return 0, err
-	}
-	return v.Size(), nil
-}
-
-// LockLocal implements API.
-func (a *FaasmAPI) LockLocal(key string, write bool) error {
-	v, err := a.Ctx.State(key, -1)
-	if err != nil {
-		return err
-	}
-	if write {
-		v.LockWrite()
-	} else {
-		v.LockRead()
-	}
-	return nil
-}
-
-// UnlockLocal implements API.
-func (a *FaasmAPI) UnlockLocal(key string, write bool) error {
-	v, err := a.Ctx.State(key, -1)
-	if err != nil {
-		return err
-	}
-	if write {
-		v.UnlockWrite()
-	} else {
-		v.UnlockRead()
-	}
-	return nil
-}
-
-// LockGlobal implements API.
-func (a *FaasmAPI) LockGlobal(key string, write bool) error { return a.Ctx.LockGlobal(key, write) }
-
-// UnlockGlobal implements API.
-func (a *FaasmAPI) UnlockGlobal(key string) error { return a.Ctx.UnlockGlobal(key) }
-
-// Now implements API.
-func (a *FaasmAPI) Now() time.Duration { return a.Ctx.Now() }
-
-// Random implements API.
-func (a *FaasmAPI) Random(b []byte) { a.Ctx.Random(b) }
-
-// Function implements API.
-func (a *FaasmAPI) Function() string { return a.Ctx.Function() }
 
 var _ API = (*FaasmAPI)(nil)

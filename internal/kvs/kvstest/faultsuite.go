@@ -19,7 +19,7 @@ import (
 // or they do not ship.
 func RunFaults(t *testing.T, mk Factory) {
 	t.Run("InjectedErrorSurfacesEverywhere", func(t *testing.T) {
-		f := simnet.NewFaultShard(mk(t), nil)
+		f := simnet.NewFaultShard(mk(t))
 		if err := f.Set("k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("SemanticErrorIsNotUnavailable", func(t *testing.T) {
-		f := simnet.NewFaultShard(mk(t), nil)
+		f := simnet.NewFaultShard(mk(t))
 		f.FailNext(1, fmt.Errorf("kvstest: injected semantic rejection"))
 		err := f.Set("k", []byte("v"))
 		if err == nil {
@@ -71,7 +71,7 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("CrashRestorePreservesData", func(t *testing.T) {
-		f := simnet.NewFaultShard(mk(t), nil)
+		f := simnet.NewFaultShard(mk(t))
 		if err := f.Set("k", []byte("survives")); err != nil {
 			t.Fatal(err)
 		}
@@ -89,20 +89,20 @@ func RunFaults(t *testing.T, mk Factory) {
 	})
 
 	t.Run("PartialBatchFailureSurfaces", func(t *testing.T) {
-		f := simnet.NewFaultShard(mk(t), nil)
+		inner := &failFrom{Store: mk(t), n: 2}
+		f := simnet.NewFaultShard(inner)
 		pairs := []kvs.Pair{
 			{Key: "b0", Val: []byte("v0")}, {Key: "b1", Val: []byte("v1")},
 			{Key: "b2", Val: []byte("v2")}, {Key: "b3", Val: []byte("v3")},
 		}
 		// The wrapper's batch decomposes into per-key ops applied in order;
-		// failing from the third op onward leaves the batch half-applied —
-		// which MUST surface as an error, never silently.
-		f.FailAfter(2, -1, nil)
+		// a store failing from the third write onward leaves the batch
+		// half-applied — which MUST surface as an error, never silently.
 		err := f.MSet(pairs)
 		if !kvs.IsUnavailable(err) {
 			t.Fatalf("partial batch failure: want unavailable error, got %v", err)
 		}
-		f.FailNext(0, nil)
+		inner.n = -1
 		if v, err := f.Get("b1"); err != nil || string(v) != "v1" {
 			t.Fatalf("pair before the failure point must have applied: %q, %v", v, err)
 		}
@@ -119,19 +119,6 @@ func RunFaults(t *testing.T, mk Factory) {
 				t.Fatalf("after batch retry %s: %q, %v", p.Key, v, err)
 			}
 		}
-	})
-
-	t.Run("LatencyDelaysOps", func(t *testing.T) {
-		f := simnet.NewFaultShard(mk(t), nil)
-		f.SetLatency(20 * time.Millisecond)
-		start := time.Now()
-		if err := f.Set("k", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < 20*time.Millisecond {
-			t.Fatalf("op took %v, injected latency not applied", d)
-		}
-		f.SetLatency(0)
 	})
 
 	t.Run("OpsAfterCloseNeverPanic", func(t *testing.T) {
@@ -155,4 +142,21 @@ func RunFaults(t *testing.T, mk Factory) {
 			t.Fatalf("op after close: want success or unavailable, got %v", err)
 		}
 	})
+}
+
+// failFrom passes its first n writes through and fails every later one as
+// unavailable (n < 0: never fails), as a shard that dies mid-batch does.
+type failFrom struct {
+	kvs.Store
+	n int
+}
+
+func (s *failFrom) Set(key string, val []byte) error {
+	if s.n == 0 {
+		return fmt.Errorf("kvstest: injected fault: %w", kvs.ErrUnavailable)
+	}
+	if s.n > 0 {
+		s.n--
+	}
+	return s.Store.Set(key, val)
 }

@@ -39,9 +39,9 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("BatchGetRanges", func(t *testing.T) { testBatchGetRanges(t, mk(t)) })
 	t.Run("BatchLarge", func(t *testing.T) { testBatchLarge(t, mk(t)) })
 	t.Run("BatchConcurrentPerKeyAtomicity", func(t *testing.T) { testBatchAtomicity(t, mk(t)) })
-	t.Run("FallbackMGet", func(t *testing.T) { testBatchMGet(t, simnet.NewFaultShard(mk(t), nil)) })
-	t.Run("FallbackMSet", func(t *testing.T) { testBatchMSet(t, simnet.NewFaultShard(mk(t), nil)) })
-	t.Run("FallbackGetRanges", func(t *testing.T) { testBatchGetRanges(t, simnet.NewFaultShard(mk(t), nil)) })
+	t.Run("FallbackMGet", func(t *testing.T) { testBatchMGet(t, simnet.NewFaultShard(mk(t))) })
+	t.Run("FallbackMSet", func(t *testing.T) { testBatchMSet(t, simnet.NewFaultShard(mk(t))) })
+	t.Run("FallbackGetRanges", func(t *testing.T) { testBatchGetRanges(t, simnet.NewFaultShard(mk(t))) })
 	t.Run("TTLExpireInvisible", func(t *testing.T) { testTTLExpireInvisible(t, mk(t)) })
 	t.Run("TTLReSetExtends", func(t *testing.T) { testTTLReSetExtends(t, mk(t)) })
 	t.Run("TTLPersistCancels", func(t *testing.T) { testTTLPersistCancels(t, mk(t)) })

@@ -1,12 +1,8 @@
-// Package mbus implements the message bus of Fig 1: the channel through
-// which Faaslets communicate with their parent runtime and each other —
-// receiving function calls, sharing work, invoking and awaiting chained
-// calls, and being told to spawn or terminate.
-//
-// It has two parts: named Endpoints carrying Messages (the transport), and
-// the CallTable tracking the lifecycle of every function call so that
-// chain_call / await_call / get_call_output (Table 2) can be implemented on
-// top of it.
+// Package mbus is the call table of Fig 1's message bus: it tracks the
+// lifecycle of every asynchronous function call, so that chain_call /
+// await_call / get_call_output (Table 2) can be implemented on top of it.
+// The bus's transport half is not here: chained calls run through the
+// CallTable, and work sharing between hosts through frt.Transport.
 //
 // # Concurrency model
 //

@@ -9,178 +9,6 @@ import (
 	"faasm.dev/faasm/internal/obsv"
 )
 
-// MsgType enumerates bus message kinds.
-type MsgType int
-
-// Message kinds.
-const (
-	MsgCall MsgType = iota
-	MsgResult
-	MsgSpawn
-	MsgTerminate
-	MsgShare // work sharing between runtime instances (§5.1)
-)
-
-// Message is one bus datagram.
-type Message struct {
-	Type     MsgType
-	CallID   uint64
-	Function string
-	Payload  []byte
-	From     string
-}
-
-// endpoint is one inbox plus the bookkeeping that makes closing it safe
-// against concurrent senders: dying is closed first (unblocking any sender
-// parked on a full inbox), and the inbox channel itself is closed only after
-// every in-flight send has drained through wg — a sender can never hit a
-// closed channel.
-type endpoint struct {
-	ch    chan Message
-	dying chan struct{}
-	wg    sync.WaitGroup
-}
-
-// Bus routes messages between named endpoints.
-type Bus struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpoint
-	closed    bool
-}
-
-// ErrClosed is returned after Close.
-var ErrClosed = errors.New("mbus: bus closed")
-
-// New creates an empty bus.
-func New() *Bus {
-	return &Bus{endpoints: map[string]*endpoint{}}
-}
-
-// endpointBuffer bounds each inbox; senders block when a receiver lags,
-// providing natural backpressure.
-const endpointBuffer = 1024
-
-// Register creates (or returns) the inbox for name.
-func (b *Bus) Register(name string) (<-chan Message, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	ep, ok := b.endpoints[name]
-	if !ok {
-		ep = &endpoint{ch: make(chan Message, endpointBuffer), dying: make(chan struct{})}
-		b.endpoints[name] = ep
-	}
-	return ep.ch, nil
-}
-
-// Unregister removes an endpoint, closing its inbox. Safe against concurrent
-// Send/TrySend: blocked senders are released (observing ErrClosed) before
-// the inbox channel closes.
-func (b *Bus) Unregister(name string) {
-	b.mu.Lock()
-	ep, ok := b.endpoints[name]
-	delete(b.endpoints, name)
-	b.mu.Unlock()
-	if ok {
-		ep.shutdown()
-	}
-}
-
-// shutdown releases blocked senders, waits out in-flight ones, then closes
-// the inbox so receivers see end-of-stream.
-func (ep *endpoint) shutdown() {
-	close(ep.dying)
-	ep.wg.Wait()
-	close(ep.ch)
-}
-
-// sender looks up the endpoint and registers the caller as an in-flight
-// sender; the caller must ep.wg.Done() when its send attempt finishes.
-func (b *Bus) sender(to string) (*endpoint, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	ep, ok := b.endpoints[to]
-	if !ok {
-		return nil, fmt.Errorf("mbus: no endpoint %q", to)
-	}
-	// Registered under the bus lock, so Unregister cannot observe wg == 0
-	// between our lookup and the send attempt below.
-	ep.wg.Add(1)
-	return ep, nil
-}
-
-// Send delivers msg to the named endpoint, blocking if its inbox is full. A
-// concurrent Unregister/Close unblocks the send with ErrClosed rather than
-// panicking it on a closed channel.
-func (b *Bus) Send(to string, msg Message) error {
-	ep, err := b.sender(to)
-	if err != nil {
-		return err
-	}
-	defer ep.wg.Done()
-	select {
-	case ep.ch <- msg:
-		return nil
-	case <-ep.dying:
-		return ErrClosed
-	}
-}
-
-// TrySend delivers without blocking, reporting whether it was enqueued.
-func (b *Bus) TrySend(to string, msg Message) (bool, error) {
-	ep, err := b.sender(to)
-	if err != nil {
-		return false, err
-	}
-	defer ep.wg.Done()
-	select {
-	case <-ep.dying:
-		return false, ErrClosed
-	default:
-	}
-	select {
-	case ep.ch <- msg:
-		return true, nil
-	case <-ep.dying:
-		return false, ErrClosed
-	default:
-		return false, nil
-	}
-}
-
-// Endpoints lists registered endpoint names.
-func (b *Bus) Endpoints() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.endpoints))
-	for n := range b.endpoints {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Close shuts the bus; all inboxes are closed after their in-flight senders
-// drain (the senders observe ErrClosed).
-func (b *Bus) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	eps := b.endpoints
-	b.endpoints = map[string]*endpoint{}
-	b.mu.Unlock()
-	for _, ep := range eps {
-		ep.shutdown()
-	}
-}
-
 // CallStatus is the lifecycle state of a chained call.
 type CallStatus int
 

@@ -45,9 +45,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -176,9 +176,6 @@ func NewTracer(now func() time.Time, sampleRate, buffer int) *Tracer {
 // n <= 0 disables).
 func (tr *Tracer) SetSampleRate(n int) { tr.rate.Store(int64(n)) }
 
-// SampleRate reports the current 1-in-N sampling rate.
-func (tr *Tracer) SampleRate() int { return int(tr.rate.Load()) }
-
 // Start begins a trace for one invocation entering at host, or returns nil
 // when the invocation is sampled out (the common case).
 func (tr *Tracer) Start(host, fn string) *Trace {

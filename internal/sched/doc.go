@@ -27,8 +27,8 @@
 //     sched/alive/<host> (the liveness marker plus one "<fn> <resident
 //     bytes>" line per advertised function), joins the membership set
 //     sched/hosts when the set does not name the host yet, reads every
-//     peer's lease in one MGet, removes members whose lease is gone, and
-//     publishes a new view. That is one SetEx, one SMembers and at most one
+//     peer's lease in one MGet, removes members whose lease is gone (only
+//     if it lists functions itself), and publishes a new view. That is one SetEx, one SMembers and at most one
 //     MGet per beat, however many functions are warm. Beats, and Drain's
 //     lease deletion, are ordered by one lock (Scheduler.beatMu) that no
 //     decision takes.
@@ -58,8 +58,10 @@
 // greater than the TTL).
 //
 // A crashed host leaves every peer's view within one lease TTL plus one
-// beat. The peer that finds the lease gone also removes the host from
-// sched/hosts, and a beat re-joins a live host the set does not name, so
+// beat. A listing peer that finds the lease gone also removes the host from
+// sched/hosts; a host that lists nothing never removes a member, because it
+// may see only part of the tier (a shard daemon's runtime beats on the one
+// engine it serves). A beat re-joins a live host the set does not name, so
 // the set heals in both directions: dead hosts are evicted by their peers,
 // and a live host that was wrongly evicted (e.g. a long GC pause outlasted
 // its lease) is back one beat later. A draining host deletes its lease

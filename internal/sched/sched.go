@@ -226,9 +226,6 @@ func (s *Scheduler) SetClock(c vtime.Clock) {
 	}
 }
 
-// Host returns this scheduler's host name.
-func (s *Scheduler) Host() string { return s.host }
-
 // SetResidencyProvider installs the callback that reports this host's
 // locally resident state bytes for an advertised function. Each lease lists
 // every advertised function with these bytes, so peers learn residency from
@@ -543,11 +540,6 @@ func (s *Scheduler) PeerLatency(host string) time.Duration {
 	return time.Duration(s.peerStat(host).ewmaNanos.Load())
 }
 
-// PeerInflight reports forwards currently in flight to host.
-func (s *Scheduler) PeerInflight(host string) int {
-	return int(s.peerStat(host).inflight.Load())
-}
-
 // leaseLive reports whether a lease record marks a live host: the leaseMark
 // payload — alone, or followed by newline-separated advert lines — still
 // returned by the tier (so its tier-side TTL has not run out).
@@ -683,9 +675,14 @@ func (s *Scheduler) Heartbeat() error {
 	v := view{}
 	for i, h := range others {
 		if !leaseLive(recs[i]) {
-			// Whoever notices a lapsed lease drops the member, so the set
-			// does not grow with every host that ever ran.
-			s.store.SRem(hostsKey, h)
+			// A listed host that notices a lapsed lease drops the member,
+			// so the set does not grow with every host that ever ran. A
+			// host that lists nothing may see only part of the tier (a
+			// shard daemon beating on the engine it serves), so it never
+			// prunes.
+			if n > 0 {
+				s.store.SRem(hostsKey, h)
+			}
 			continue
 		}
 		eachAdvert(recs[i], func(fn string, resident int64) {

@@ -477,9 +477,12 @@ func TestLegacyStampRecordReadsDead(t *testing.T) {
 	if err != nil || len(hosts) != 0 {
 		t.Fatalf("legacy-stamped host counted live: %v %v", hosts, err)
 	}
-	// A beat reads the stamp as a lapsed lease and drops the member.
+	// A listing host's beat reads the stamp as a lapsed lease and drops the
+	// member (a host that lists nothing never prunes).
+	a.Schedule("fn")
+	a.NoteWarm("fn", 1)
 	a.Heartbeat()
-	if raw, _ := store.SMembers("sched/hosts"); len(raw) != 0 {
+	if raw, _ := store.SMembers("sched/hosts"); len(raw) != 1 || raw[0] != "host-a" {
 		t.Fatalf("legacy-stamped host kept in the membership set: %v", raw)
 	}
 }

@@ -36,7 +36,7 @@ func newFaultRing(t *testing.T, n int, opts shardkvs.Options) *faultRing {
 	for i := range shards {
 		id := fmt.Sprintf("shard-%d", i)
 		fr.engines[id] = kvs.NewEngine()
-		fr.faults[id] = simnet.NewFaultShard(fr.engines[id], nil)
+		fr.faults[id] = simnet.NewFaultShard(fr.engines[id])
 		shards[i] = shardkvs.Shard{ID: id, Store: fr.faults[id]}
 	}
 	fr.ring = newRing(t, opts, shards...)
@@ -152,7 +152,7 @@ func TestProbeReadsOncePerShard(t *testing.T) {
 	var shards []shardkvs.Shard
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("shard-%d", i)
-		faults[id] = simnet.NewFaultShard(kvs.NewEngine(), nil)
+		faults[id] = simnet.NewFaultShard(kvs.NewEngine())
 		counters[id] = &probeCounter{CountingStore: kvstest.NewCountingStore(faults[id])}
 		shards = append(shards, shardkvs.Shard{ID: id, Store: counters[id]})
 	}
@@ -611,7 +611,7 @@ func TestHealOverTCPNodes(t *testing.T) {
 	var shards []shardkvs.Shard
 	faults := map[string]*simnet.FaultShard{}
 	for _, s := range tcpShards(t, 3) {
-		faults[s.ID] = simnet.NewFaultShard(s.Store, nil)
+		faults[s.ID] = simnet.NewFaultShard(s.Store)
 		shards = append(shards, shardkvs.Shard{ID: s.ID, Store: faults[s.ID]})
 	}
 	r := newRing(t, shardkvs.Options{Replication: 2, WriteQuorum: 1}, shards...)

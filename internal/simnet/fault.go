@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/vtime"
 )
 
 // FaultShard is a fault-capable shard for the simulated tier: one shard's
@@ -24,30 +23,20 @@ import (
 //     another path keeps a healthy shard over the same inner store.
 //   - FailNext(n, err): the next n operations fail with err (n < 0 means
 //     until cleared), for injecting one-shot or semantic errors.
-//   - SetLatency(d): every operation sleeps d first, for timeout paths. The
-//     sleep runs on the shard's clock, so a vtime-scaled chaos run degrades
-//     in experiment time, not wall time.
 //
 // The zero faults pass everything straight through.
 type FaultShard struct {
 	inner kvs.Store
-	clock vtime.Clock
 
 	mu      sync.Mutex
 	down    bool
-	skipN   int
 	failN   int
 	failErr error
-	latency time.Duration
 }
 
-// NewFaultShard wraps inner as a crashable shard (initially healthy); a nil
-// clock uses the wall clock.
-func NewFaultShard(inner kvs.Store, clock vtime.Clock) *FaultShard {
-	if clock == nil {
-		clock = vtime.Real{}
-	}
-	return &FaultShard{inner: inner, clock: clock}
+// NewFaultShard wraps inner as a crashable shard (initially healthy).
+func NewFaultShard(inner kvs.Store) *FaultShard {
+	return &FaultShard{inner: inner}
 }
 
 // Crash makes every subsequent operation fail as unavailable.
@@ -67,37 +56,21 @@ func (f *FaultShard) Restore() {
 
 // FailNext arms err for the next n operations (n < 0: until cleared with
 // FailNext(0, nil)). A nil err injects an unavailability error.
-func (f *FaultShard) FailNext(n int, err error) { f.FailAfter(0, n, err) }
-
-// FailAfter lets skip operations through, then fails the following n (n < 0:
-// until cleared) with err — the tool for failing a batch part-way through.
-// A nil err injects an unavailability error.
-func (f *FaultShard) FailAfter(skip, n int, err error) {
+func (f *FaultShard) FailNext(n int, err error) {
 	f.mu.Lock()
-	f.skipN = skip
 	f.failN = n
 	f.failErr = err
-	f.mu.Unlock()
-}
-
-// SetLatency makes every operation sleep d on the shard's clock before
-// executing (0 clears).
-func (f *FaultShard) SetLatency(d time.Duration) {
-	f.mu.Lock()
-	f.latency = d
 	f.mu.Unlock()
 }
 
 // gate applies the armed faults to one operation.
 func (f *FaultShard) gate() error {
 	f.mu.Lock()
-	d := f.latency
+	defer f.mu.Unlock()
 	var err error
 	switch {
 	case f.down:
 		err = fmt.Errorf("simnet: injected crash: %w", kvs.ErrUnavailable)
-	case f.skipN > 0:
-		f.skipN--
 	case f.failN != 0:
 		if err = f.failErr; err == nil {
 			err = fmt.Errorf("simnet: injected fault: %w", kvs.ErrUnavailable)
@@ -105,10 +78,6 @@ func (f *FaultShard) gate() error {
 		if f.failN > 0 {
 			f.failN--
 		}
-	}
-	f.mu.Unlock()
-	if d > 0 {
-		f.clock.Sleep(d)
 	}
 	return err
 }
@@ -211,9 +180,9 @@ func (f *FaultShard) AllKeys() ([]kvs.KeyInfo, error) {
 }
 
 // The batch methods decompose into the shard's own gated single ops, in
-// order, so faults apply per key: FailAfter can fail a batch part-way and
-// leave it half-applied, which is what a batch spread over several shards
-// or wire windows can do.
+// order, so faults apply per key: a fault armed or a crash landing
+// mid-batch leaves it half-applied, which is what a batch spread over
+// several shards or wire windows can do.
 
 // perItem applies op to each item in order, stopping at the first error.
 func perItem[E, T any](items []E, op func(E) (T, error)) ([]T, error) {

@@ -530,58 +530,9 @@ func (v *Value) SetAt(off int, data []byte) error {
 	return nil
 }
 
-// Get returns a copy of the replica (get_state semantics with copy), lazily
-// pulling if the replica has never been populated.
-func (v *Value) Get() ([]byte, error) {
-	if err := v.EnsurePulled(0, v.size); err != nil {
-		return nil, err
-	}
-	v.lock.RLock()
-	out := make([]byte, v.size)
-	copy(out, v.seg.Bytes())
-	v.lock.RUnlock()
-	return out, nil
-}
-
-// GetAt returns a copy of [off, off+n) (get_state_offset), lazily pulling
-// the covering chunks.
-func (v *Value) GetAt(off, n int) ([]byte, error) {
-	if err := v.checkRange(off, n); err != nil {
-		return nil, err
-	}
-	if err := v.EnsurePulled(off, n); err != nil {
-		return nil, err
-	}
-	v.lock.RLock()
-	out := make([]byte, n)
-	copy(out, v.seg.Bytes()[off:off+n])
-	v.lock.RUnlock()
-	return out, nil
-}
-
 func (v *Value) checkRange(off, n int) error {
 	if off < 0 || n < 0 || off+n > v.size {
 		return fmt.Errorf("state: range [%d,%d) outside %d-byte value %s", off, off+n, v.size, v.key)
 	}
 	return nil
-}
-
-// ConsistentUpdate performs the §4.2 strongly consistent read-modify-write:
-// global write lock → pull → mutate → push → unlock.
-func (v *Value) ConsistentUpdate(mutate func(data []byte) error) error {
-	tok, err := v.tier.LockGlobal(v.key, true)
-	if err != nil {
-		return err
-	}
-	defer v.tier.UnlockGlobal(v.key, tok)
-	if err := v.Pull(); err != nil {
-		return err
-	}
-	v.lock.Lock()
-	err = mutate(v.seg.Bytes()[:v.size])
-	v.lock.Unlock()
-	if err != nil {
-		return err
-	}
-	return v.Push()
 }

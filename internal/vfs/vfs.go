@@ -71,13 +71,6 @@ func NewMapGlobal(files map[string][]byte) *MapGlobal {
 	return g
 }
 
-// Add inserts or replaces a global file (upload-service path).
-func (g *MapGlobal) Add(path string, contents []byte) {
-	g.mu.Lock()
-	g.files[normPath(path)] = append([]byte(nil), contents...)
-	g.mu.Unlock()
-}
-
 // ReadFile implements GlobalStore.
 func (g *MapGlobal) ReadFile(path string) ([]byte, bool) {
 	g.mu.RLock()

@@ -30,9 +30,6 @@ func NewScaled(scale float64) *Scaled {
 	}
 }
 
-// Scale returns the speed-up factor.
-func (s *Scaled) Scale() float64 { return s.scale }
-
 // Now returns the scaled time.
 func (s *Scaled) Now() time.Time {
 	elapsed := time.Since(s.realEpoch)

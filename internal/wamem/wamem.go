@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // PageSize is the WebAssembly page size (64 KiB).
@@ -49,13 +48,10 @@ var ErrLimit = errors.New("wamem: memory limit exceeded")
 // ErrShared is returned for operations not permitted on shared-region pages.
 var ErrShared = errors.New("wamem: operation not supported on shared region")
 
-var segmentIDs atomic.Uint64
-
 // Segment is a region of common process memory that can be mapped into many
 // Faaslets' linear address spaces (the central region of Fig 2). Its length
 // is always a multiple of PageSize.
 type Segment struct {
-	id   uint64
 	data []byte
 }
 
@@ -66,14 +62,8 @@ func NewSegment(size int) *Segment {
 		size = 1
 	}
 	pages := (size + PageSize - 1) / PageSize
-	return &Segment{
-		id:   segmentIDs.Add(1),
-		data: make([]byte, pages*PageSize),
-	}
+	return &Segment{data: make([]byte, pages*PageSize)}
 }
-
-// ID returns the segment's process-unique identifier.
-func (s *Segment) ID() uint64 { return s.id }
 
 // Len returns the segment length in bytes (a multiple of PageSize).
 func (s *Segment) Len() int { return len(s.data) }
@@ -529,41 +519,6 @@ func (m *Memory) Copy(dst, src uint32, n int) error {
 	return nil
 }
 
-// View returns a slice aliasing guest memory [off, off+n) when the range has
-// contiguous backing: within one page, or spanning pages mapped onto
-// consecutive offsets of the same shared segment. This is how the state tier
-// hands out direct pointers to state values (get_state in Table 2). The
-// range is materialised for writing. Returns ErrOutOfBounds if the range is
-// not contiguous in the backing store.
-func (m *Memory) View(off uint32, n int) ([]byte, error) {
-	if err := m.check(off, n); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	first := int(off >> pageShift)
-	last := int((uint64(off) + uint64(n) - 1) >> pageShift)
-	po := int(off & pageMask)
-	if first == last {
-		return m.pageForWrite(first)[po : po+n], nil
-	}
-	// Multi-page: contiguous only if all pages window consecutive offsets of
-	// one segment.
-	seg := m.pages[first].seg
-	if seg == nil {
-		return nil, fmt.Errorf("%w: non-contiguous view of %d bytes at %#x", ErrShared, n, off)
-	}
-	base := m.pages[first].segOff
-	for i := first; i <= last; i++ {
-		p := m.pages[i]
-		if p.seg != seg || p.segOff != base+(i-first)*PageSize {
-			return nil, fmt.Errorf("%w: fragmented shared view at %#x", ErrShared, off)
-		}
-	}
-	return seg.data[base+po : base+po+n], nil
-}
-
 // Snapshot captures the current memory contents. Private pages are captured
 // by aliasing (both the snapshot and the live memory become copy-on-write);
 // shared-region pages are recorded as segment references. The snapshot is
@@ -606,24 +561,6 @@ type snapPage struct {
 	buf    []byte
 	seg    *Segment
 	segOff int
-}
-
-// Pages returns the snapshot size in pages.
-func (s *Snapshot) Pages() int { return len(s.pages) }
-
-// Bytes returns the total snapshot size in bytes.
-func (s *Snapshot) Bytes() int64 { return int64(len(s.pages)) * PageSize }
-
-// StoredBytes returns the bytes of materialised (non-zero, non-shared) pages
-// the snapshot actually holds.
-func (s *Snapshot) StoredBytes() int64 {
-	var n int64
-	for _, p := range s.pages {
-		if p.buf != nil {
-			n += PageSize
-		}
-	}
-	return n
 }
 
 // Restore builds a new Memory aliasing the snapshot copy-on-write. This is

@@ -207,42 +207,6 @@ func TestSharedRegionKeepsAddressSpaceDense(t *testing.T) {
 	}
 }
 
-func TestViewContiguity(t *testing.T) {
-	seg := NewSegment(2 * PageSize)
-	m := MustNew(1, 0)
-	base, _ := m.MapShared(seg)
-
-	// Within one private page: fine.
-	v, err := m.View(10, 100)
-	if err != nil || len(v) != 100 {
-		t.Fatalf("private view: %v", err)
-	}
-	v[0] = 7
-	if got, _ := m.ReadU8(10); got != 7 {
-		t.Fatal("view does not alias memory")
-	}
-
-	// Spanning a private/shared boundary: rejected.
-	if _, err := m.View(PageSize-10, 20); err == nil {
-		t.Fatal("expected non-contiguous view to fail")
-	}
-
-	// Spanning two pages of the same segment: contiguous, allowed.
-	sv, err := m.View(base+PageSize-10, 20)
-	if err != nil {
-		t.Fatalf("shared multi-page view: %v", err)
-	}
-	sv[0] = 9
-	if seg.Bytes()[PageSize-10] != 9 {
-		t.Fatal("shared view does not alias segment")
-	}
-
-	// Zero-length view.
-	if zv, err := m.View(5, 0); err != nil || zv != nil {
-		t.Fatalf("zero view: %v %v", zv, err)
-	}
-}
-
 func TestSnapshotRestoreAndCOW(t *testing.T) {
 	m := MustNew(2, 8)
 	if err := m.WriteBytes(0, []byte("proto state")); err != nil {

@@ -168,19 +168,8 @@ func rawGlobal(g Global) uint64 {
 // Memory returns the instance's linear memory (nil if the module has none).
 func (i *Instance) Memory() *wamem.Memory { return i.mem }
 
-// Module returns the underlying module.
-func (i *Instance) Module() *Module { return i.mod }
-
 // Owner returns the value WithOwner attached (nil if none).
 func (i *Instance) Owner() any { return i.owner }
-
-// GlobalValue reads global g's raw value (for snapshots and tests).
-func (i *Instance) GlobalValue(g int) (uint64, error) {
-	if g < 0 || g >= len(i.globals) {
-		return 0, fmt.Errorf("wavm: global %d out of range", g)
-	}
-	return i.globals[g], nil
-}
 
 // Globals returns a copy of all global raw values.
 func (i *Instance) Globals() []uint64 { return append([]uint64(nil), i.globals...) }
@@ -262,9 +251,6 @@ func DecodeF64(v uint64) float64 { return math.Float64frombits(v) }
 
 // EncodeF32 encodes a float32 as a raw VM value.
 func EncodeF32(v float32) uint64 { return uint64(math.Float32bits(v)) }
-
-// DecodeF32 decodes a raw VM value as float32.
-func DecodeF32(v uint64) float32 { return math.Float32frombits(uint32(v)) }
 
 // wasmMin implements the wasm min semantics: NaN-propagating, -0 < +0.
 func wasmMin(a, b float64) float64 {

@@ -86,10 +86,6 @@ type Module struct {
 	low *lowered
 }
 
-// NumImports returns the number of imported functions, which occupy the
-// start of the function index space.
-func (m *Module) NumImports() int { return len(m.Imports) }
-
 // FuncTypeAt returns the signature of function index i (imports first).
 func (m *Module) FuncTypeAt(i int) (FuncType, error) {
 	if i < 0 {

@@ -652,35 +652,35 @@ func (i *Instance) refNumeric(in *Instr, stackp *[]uint64, fidx int) error {
 
 	// --- f32 ---
 	case OpF32Eq:
-		pushBool(DecodeF32(stack[top-1]) == DecodeF32(stack[top]))
+		pushBool(decodeF32(stack[top-1]) == decodeF32(stack[top]))
 	case OpF32Ne:
-		pushBool(DecodeF32(stack[top-1]) != DecodeF32(stack[top]))
+		pushBool(decodeF32(stack[top-1]) != decodeF32(stack[top]))
 	case OpF32Lt:
-		pushBool(DecodeF32(stack[top-1]) < DecodeF32(stack[top]))
+		pushBool(decodeF32(stack[top-1]) < decodeF32(stack[top]))
 	case OpF32Gt:
-		pushBool(DecodeF32(stack[top-1]) > DecodeF32(stack[top]))
+		pushBool(decodeF32(stack[top-1]) > decodeF32(stack[top]))
 	case OpF32Le:
-		pushBool(DecodeF32(stack[top-1]) <= DecodeF32(stack[top]))
+		pushBool(decodeF32(stack[top-1]) <= decodeF32(stack[top]))
 	case OpF32Ge:
-		pushBool(DecodeF32(stack[top-1]) >= DecodeF32(stack[top]))
+		pushBool(decodeF32(stack[top-1]) >= decodeF32(stack[top]))
 	case OpF32Abs:
-		stack[top] = EncodeF32(float32(math.Abs(float64(DecodeF32(stack[top])))))
+		stack[top] = EncodeF32(float32(math.Abs(float64(decodeF32(stack[top])))))
 	case OpF32Neg:
 		stack[top] = uint64(uint32(stack[top]) ^ (1 << 31))
 	case OpF32Sqrt:
-		stack[top] = EncodeF32(float32(math.Sqrt(float64(DecodeF32(stack[top])))))
+		stack[top] = EncodeF32(float32(math.Sqrt(float64(decodeF32(stack[top])))))
 	case OpF32Add:
-		bin(EncodeF32(DecodeF32(stack[top-1]) + DecodeF32(stack[top])))
+		bin(EncodeF32(decodeF32(stack[top-1]) + decodeF32(stack[top])))
 	case OpF32Sub:
-		bin(EncodeF32(DecodeF32(stack[top-1]) - DecodeF32(stack[top])))
+		bin(EncodeF32(decodeF32(stack[top-1]) - decodeF32(stack[top])))
 	case OpF32Mul:
-		bin(EncodeF32(DecodeF32(stack[top-1]) * DecodeF32(stack[top])))
+		bin(EncodeF32(decodeF32(stack[top-1]) * decodeF32(stack[top])))
 	case OpF32Div:
-		bin(EncodeF32(DecodeF32(stack[top-1]) / DecodeF32(stack[top])))
+		bin(EncodeF32(decodeF32(stack[top-1]) / decodeF32(stack[top])))
 	case OpF32Min:
-		bin(EncodeF32(float32(wasmMin(float64(DecodeF32(stack[top-1])), float64(DecodeF32(stack[top]))))))
+		bin(EncodeF32(float32(wasmMin(float64(decodeF32(stack[top-1])), float64(decodeF32(stack[top]))))))
 	case OpF32Max:
-		bin(EncodeF32(float32(wasmMax(float64(DecodeF32(stack[top-1])), float64(DecodeF32(stack[top]))))))
+		bin(EncodeF32(float32(wasmMax(float64(decodeF32(stack[top-1])), float64(decodeF32(stack[top]))))))
 
 	// --- conversions ---
 	case OpI32WrapI64:
@@ -714,13 +714,13 @@ func (i *Instance) refNumeric(in *Instr, stackp *[]uint64, fidx int) error {
 		}
 		stack[top] = uint64(f)
 	case OpI32TruncF32S:
-		f := float64(DecodeF32(stack[top]))
+		f := float64(decodeF32(stack[top]))
 		if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
 			return trap(TrapInvalidConversion, fidx)
 		}
 		stack[top] = uint64(uint32(int32(f)))
 	case OpI32TruncF32U:
-		f := float64(DecodeF32(stack[top]))
+		f := float64(decodeF32(stack[top]))
 		if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
 			return trap(TrapInvalidConversion, fidx)
 		}
@@ -738,7 +738,7 @@ func (i *Instance) refNumeric(in *Instr, stackp *[]uint64, fidx int) error {
 	case OpF32ConvertI64S:
 		stack[top] = EncodeF32(float32(int64(stack[top])))
 	case OpF64PromoteF32:
-		stack[top] = EncodeF64(float64(DecodeF32(stack[top])))
+		stack[top] = EncodeF64(float64(decodeF32(stack[top])))
 	case OpF32DemoteF64:
 		stack[top] = EncodeF32(float32(DecodeF64(stack[top])))
 	case OpI32ReinterpretF32, OpF32ReinterpretI32:
@@ -751,3 +751,6 @@ func (i *Instance) refNumeric(in *Instr, stackp *[]uint64, fidx int) error {
 	}
 	return nil
 }
+
+// decodeF32 decodes a raw VM value as float32.
+func decodeF32(v uint64) float32 { return math.Float32frombits(uint32(v)) }

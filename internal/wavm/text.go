@@ -46,15 +46,6 @@ func Assemble(src string) (*Module, error) {
 	return a.assemble(root)
 }
 
-// MustAssemble panics on assembly errors; for tests and static modules.
-func MustAssemble(src string) *Module {
-	m, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // AssembleAndValidate runs both pipeline phases.
 func AssembleAndValidate(src string) (*Module, error) {
 	m, err := Assemble(src)

@@ -34,12 +34,6 @@ type Params struct {
 	Seed  int64
 }
 
-// DefaultParams matches the paper's structure at a laptop-friendly size.
-func DefaultParams() Params { return Params{N: 128, Depth: 2, Seed: 7} }
-
-// Grid returns the blocks per side.
-func (p Params) Grid() int { return 1 << p.Depth }
-
 // Generate builds two random N×N matrices (row-major float64 blobs).
 func Generate(p Params) (a, b []byte) {
 	rng := rand.New(rand.NewSource(p.Seed))
