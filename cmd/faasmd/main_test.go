@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -215,6 +216,52 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 	if code, _, _ := get(t, srv.URL+"/traces?slowest=-1"); code != http.StatusBadRequest {
 		t.Fatalf("bad slowest = %d, want 400", code)
+	}
+}
+
+// An uploaded wasm guest's state calls show in its trace: pull_state of an
+// 8 KiB value is a state.pull span carrying the value's size, and the
+// get_state that follows, a local hit, another that moved no bytes.
+func TestUploadedGuestTraceShowsStatePull(t *testing.T) {
+	srv, inst := newTestServer(t, 1)
+	if err := inst.State().Global().Set("kv8k", make([]byte, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	key := int32(binary.LittleEndian.Uint32([]byte("kv8k")))
+	src := fmt.Sprintf(`#memory 1
+extern faasm pull_state(i32, i32);
+extern faasm get_state(i32, i32, i32) *i32;
+func main() i32 {
+	var k *i32 = 512;
+	k[0] = %d;
+	pull_state(512, 4);
+	var v *i32 = get_state(512, 4, 8192);
+	return v[0];
+}`, key)
+	if code := put(t, srv.URL+"/f/puller?lang=fc", src); code != http.StatusOK {
+		t.Fatalf("upload: %d", code)
+	}
+	resp := invoke(t, srv, "puller", "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("invoke = %d", resp.StatusCode)
+	}
+	code, body, _ := get(t, srv.URL+"/trace/"+resp.Header.Get("X-Faasm-Trace"))
+	if code != http.StatusOK {
+		t.Fatalf("trace = %d: %s", code, body)
+	}
+	var snap obsv.TraceSnapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("trace json: %v\n%s", err, body)
+	}
+	var pulls []int64
+	for _, sp := range snap.Spans {
+		if sp.Name == "state.pull" && sp.Key == "kv8k" {
+			pulls = append(pulls, sp.Bytes)
+		}
+	}
+	if len(pulls) != 2 || pulls[0] != 8192 || pulls[1] != 0 {
+		t.Fatalf("state.pull bytes = %v, want [8192 0]; spans %+v", pulls, snap.Spans)
 	}
 }
 

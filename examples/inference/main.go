@@ -36,7 +36,7 @@ func main() {
 	}
 
 	infer := func(ctx *faasm.Ctx) (int32, error) {
-		w, err := ctx.MapState("model", len(weights)) // zero-copy shared view
+		w, err := ctx.StateView("model", len(weights)) // zero-copy shared view
 		if err != nil {
 			return 1, err
 		}

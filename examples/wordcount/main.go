@@ -39,8 +39,7 @@ func main() {
 		if err != nil {
 			return 2, err
 		}
-		api := hostAPIOf(ctx)
-		return 0, ddo.OpenList(api, "partials").Append(blob)
+		return 0, ddo.OpenList(ctx, "partials").Append(blob) // a Ctx is an API
 	})
 
 	// Reducer: fold every partial count.
@@ -121,9 +120,4 @@ func main() {
 	for i := 0; i < 5 && i < len(sorted); i++ {
 		fmt.Printf("  %-10s %d\n", sorted[i].w, sorted[i].c)
 	}
-}
-
-// hostAPIOf adapts a native-guest ctx to the portable API for DDO use.
-func hostAPIOf(ctx *faasm.Ctx) faasm.API {
-	return faasm.WrapCtx(ctx)
 }

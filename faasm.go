@@ -45,8 +45,9 @@ type Module = wavm.Module
 // Proto is a Proto-Faaslet snapshot.
 type Proto = core.Proto
 
-// API is the platform-portable guest surface (also implemented by the
-// container baseline used in the evaluation).
+// API is the platform-portable guest surface. A *Ctx is one, so native
+// guests pass their Ctx straight to distributed data objects; the container
+// baseline used in the evaluation implements it too.
 type API = hostapi.API
 
 // Guest is a portable function body.
@@ -99,10 +100,6 @@ func (r *Runtime) RegisterNative(name string, fn NativeGuest) error {
 func (r *Runtime) RegisterGuest(name string, g Guest) error {
 	return r.inst.RegisterNative(name, hostapi.WrapGuest(g))
 }
-
-// WrapCtx adapts a native-guest Ctx to the portable API surface, e.g. to
-// use distributed data objects from a native guest.
-func WrapCtx(ctx *Ctx) API { return &hostapi.FaasmAPI{Ctx: ctx} }
 
 // RegisterModule deploys a validated module under name.
 func (r *Runtime) RegisterModule(name string, mod *Module) error {

@@ -7,9 +7,12 @@
 // this package reproduces the *accounting and fairness* layer: a Controller
 // tracks per-group charged CPU (wavm instruction steps or wall time), and
 // its fair-share admission primitive lets the runtime throttle groups that
-// exceed their proportional slice within an accounting window. The
-// evaluation uses the accounting (Table 3's CPU cycles column and the churn
-// experiment); the ablation benches exercise the throttling.
+// exceed their proportional slice within an accounting window.
+//
+// Nothing outside core refers to the package, and no runtime builds a
+// Controller, so neither the accounting nor the throttling is wired into
+// any runtime, experiment or benchmark: the package stays unwired until
+// ROADMAP item 2(b) decides its fate.
 package cgroup
 
 import (

@@ -486,6 +486,125 @@ func (f *Faaslet) unlockGlobal(key string) error {
 	return f.env.State.UnlockGlobal(key, tok)
 }
 
+// The state calls of Table 2, one method each for both guest kinds. Each
+// resolves the value, moves the bytes, records a state.* span with its byte
+// count on a sampled call, and notes the bytes a read addressed in the
+// access profile; the wasm thunks add only argument decoding and mapState.
+
+// value resolves key's local replica; size < 0 discovers the size.
+func (f *Faaslet) value(key string, size int) (*state.Value, error) {
+	if f.env.State == nil {
+		return nil, errNoState
+	}
+	return f.env.State.Value(key, size)
+}
+
+// getState is get_state: it pulls whatever of the value is not yet local.
+func (f *Faaslet) getState(key string, size int) (*state.Value, error) {
+	v, err := f.value(key, size)
+	if err != nil {
+		return nil, err
+	}
+	return v, f.ensurePulled(v, 0, v.Size())
+}
+
+// getStateChunk is get_state_offset and pull_state_offset: it pulls only the
+// missing chunks covering [off, off+n).
+func (f *Faaslet) getStateChunk(key string, off, n int) (*state.Value, error) {
+	v, err := f.value(key, -1)
+	if err != nil {
+		return nil, err
+	}
+	return v, f.ensurePulled(v, off, n)
+}
+
+// ensurePulled pulls the missing chunks of [off, off+n) of v.
+func (f *Faaslet) ensurePulled(v *state.Value, off, n int) error {
+	start := f.traceStart()
+	pulled, err := v.EnsurePulledN(off, n)
+	f.traceSpan("state.pull", v.Key(), start, pulled, err)
+	f.noteStateAccess(v.Key(), int64(n))
+	return err
+}
+
+// pullState is pull_state: it refreshes the whole replica.
+func (f *Faaslet) pullState(key string) error {
+	v, err := f.value(key, -1)
+	if err != nil {
+		return err
+	}
+	start := f.traceStart()
+	pulled, err := v.PullN()
+	f.traceSpan("state.pull", key, start, pulled, err)
+	f.noteStateAccess(key, int64(v.Size()))
+	return err
+}
+
+// pushState is push_state.
+func (f *Faaslet) pushState(key string) error {
+	v, err := f.value(key, -1)
+	if err != nil {
+		return err
+	}
+	start := f.traceStart()
+	err = v.Push()
+	f.traceSpan("state.push", key, start, int64(v.Size()), err)
+	return err
+}
+
+// pushStateChunk is push_state_offset.
+func (f *Faaslet) pushStateChunk(key string, off, n int) error {
+	v, err := f.value(key, -1)
+	if err != nil {
+		return err
+	}
+	start := f.traceStart()
+	err = v.PushChunk(off, n)
+	f.traceSpan("state.push", key, start, int64(n), err)
+	return err
+}
+
+// appendState is append_state.
+func (f *Faaslet) appendState(key string, data []byte) error {
+	if f.env.State == nil {
+		return errNoState
+	}
+	start := f.traceStart()
+	err := f.env.State.Append(key, data)
+	f.traceSpan("state.append", key, start, int64(len(data)), err)
+	return err
+}
+
+// noteStateAccess feeds one guest state read (key, bytes addressed) into
+// the environment's access observer; a no-op when none is attached or the
+// read touched nothing.
+func (f *Faaslet) noteStateAccess(key string, n int64) {
+	if f.env.Access == nil || n <= 0 {
+		return
+	}
+	f.env.Access.NoteStateAccess(f.def.Name, key, n)
+}
+
+// traceStart returns the clock reading to pass to traceSpan, or the zero
+// Time when this call carries no trace — untraced calls skip the clock read.
+func (f *Faaslet) traceStart() time.Time {
+	if f.trace == nil {
+		return time.Time{}
+	}
+	return f.env.clock().Now()
+}
+
+// traceSpan records one host-interface span on the call's trace sink. A zero
+// start (untraced call) makes it a no-op, so call sites instrument
+// unconditionally.
+func (f *Faaslet) traceSpan(name, key string, start time.Time, bytes int64, err error) {
+	if f.trace == nil || start.IsZero() {
+		return
+	}
+	now := f.env.clock().Now()
+	f.trace.RecordSpan(f.traceHost, name, key, start, now.Sub(start), bytes, err != nil)
+}
+
 // fillRandom fills b from the Faaslet's PRNG (getrandom for both guest
 // kinds), eight bytes per draw, little-endian.
 func (f *Faaslet) fillRandom(b []byte) {
@@ -506,8 +625,10 @@ func (f *Faaslet) Close() {
 }
 
 // Ctx is the native-guest host interface: the same surface as Table 2,
-// expressed as Go methods. Native guests must treat it as their only door
-// to the outside world.
+// expressed as Go methods over the Faaslet methods the wasm thunks call, so
+// both guest kinds record the same spans and access profile. It is also the
+// portable hostapi.API. Native guests must treat it as their only door to
+// the outside world.
 type Ctx struct {
 	f *Faaslet
 }
@@ -535,56 +656,56 @@ func (c *Ctx) Await(id uint64) (int32, error) { return c.f.await(id) }
 // OutputOf fetches a finished chained call's output (get_call_output).
 func (c *Ctx) OutputOf(id uint64) ([]byte, error) { return c.f.callOutput(id) }
 
-// State returns the local-tier replica handle for key (get_state). size < 0
-// discovers the size from the global tier.
-func (c *Ctx) State(key string, size int) (*state.Value, error) {
-	if c.f.env.State == nil {
-		return nil, errNoState
+// StateView maps the value's shared segment into the Faaslet's linear memory
+// and returns a zero-copy byte view of the value (get_state). size < 0
+// discovers the size.
+func (c *Ctx) StateView(key string, size int) ([]byte, error) {
+	v, err := c.f.getState(key, size)
+	if err == nil {
+		_, err = c.f.mapState(v)
 	}
-	return c.f.env.State.Value(key, size)
-}
-
-// MapState maps the value's shared segment into the Faaslet's linear memory
-// and returns a zero-copy byte view of the value — the pointer that
-// get_state hands to SFI guests.
-func (c *Ctx) MapState(key string, size int) ([]byte, error) {
-	v, err := c.State(key, size)
 	if err != nil {
-		return nil, err
-	}
-	start := c.TraceStart()
-	pulled, err := v.EnsurePulledN(0, v.Size())
-	c.TraceSpan("state.pull", key, start, pulled, err)
-	c.NoteStateAccess(key, int64(v.Size()))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.f.mapState(v); err != nil {
 		return nil, err
 	}
 	return v.Bytes(), nil
 }
 
-// AppendState appends to the global value (append_state).
-func (c *Ctx) AppendState(key string, data []byte) error {
-	if c.f.env.State == nil {
-		return errNoState
+// StateViewChunk pulls only the chunks covering [off, off+n) and returns that
+// window of the replica in place (get_state_offset).
+func (c *Ctx) StateViewChunk(key string, off, n int) ([]byte, error) {
+	v, err := c.f.getStateChunk(key, off, n)
+	if err != nil {
+		return nil, err
 	}
-	start := c.TraceStart()
-	err := c.f.env.State.Append(key, data)
-	c.TraceSpan("state.append", key, start, int64(len(data)), err)
-	return err
+	return v.Bytes()[off : off+n], nil
 }
 
-// ReadAllState fetches the authoritative global value.
-func (c *Ctx) ReadAllState(key string) ([]byte, error) {
-	if c.f.env.State == nil {
+// StatePull refreshes the replica from the global tier (pull_state).
+func (c *Ctx) StatePull(key string) error { return c.f.pullState(key) }
+
+// StatePush writes the replica to the global tier (push_state).
+func (c *Ctx) StatePush(key string) error { return c.f.pushState(key) }
+
+// StatePushChunk writes [off, off+n) of the replica to the global tier
+// (push_state_offset).
+func (c *Ctx) StatePushChunk(key string, off, n int) error {
+	return c.f.pushStateChunk(key, off, n)
+}
+
+// StateAppend appends to the global value (append_state).
+func (c *Ctx) StateAppend(key string, data []byte) error { return c.f.appendState(key, data) }
+
+// StateReadAll fetches the authoritative global value. Wasm guests have no
+// such call, so its one implementation is here.
+func (c *Ctx) StateReadAll(key string) ([]byte, error) {
+	f := c.f
+	if f.env.State == nil {
 		return nil, errNoState
 	}
-	start := c.TraceStart()
-	b, err := c.f.env.State.ReadAll(key)
-	c.TraceSpan("state.read_all", key, start, int64(len(b)), err)
-	c.NoteStateAccess(key, int64(len(b)))
+	start := f.traceStart()
+	b, err := f.env.State.ReadAll(key)
+	f.traceSpan("state.read_all", key, start, int64(len(b)), err)
+	f.noteStateAccess(key, int64(len(b)))
 	return b, err
 }
 
@@ -609,33 +730,3 @@ func (c *Ctx) Now() time.Duration {
 
 // Random fills b from the Faaslet's seeded PRNG (getrandom).
 func (c *Ctx) Random(b []byte) { c.f.fillRandom(b) }
-
-// NoteStateAccess feeds one guest state read (key, bytes addressed) into
-// the environment's access observer; a no-op when none is attached or the
-// read touched nothing.
-func (c *Ctx) NoteStateAccess(key string, n int64) {
-	if c.f.env.Access == nil || n <= 0 {
-		return
-	}
-	c.f.env.Access.NoteStateAccess(c.f.def.Name, key, n)
-}
-
-// TraceStart returns the clock reading to pass to TraceSpan, or the zero Time
-// when this call carries no trace — untraced calls skip the clock read.
-func (c *Ctx) TraceStart() time.Time {
-	if c.f.trace == nil {
-		return time.Time{}
-	}
-	return c.f.env.clock().Now()
-}
-
-// TraceSpan records one host-interface span on the call's trace sink. A zero
-// start (untraced call) makes it a no-op, so call sites instrument
-// unconditionally.
-func (c *Ctx) TraceSpan(name, key string, start time.Time, bytes int64, err error) {
-	if c.f.trace == nil || start.IsZero() {
-		return
-	}
-	now := c.f.env.clock().Now()
-	c.f.trace.RecordSpan(c.f.traceHost, name, key, start, now.Sub(start), bytes, err != nil)
-}

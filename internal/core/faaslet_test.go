@@ -737,7 +737,7 @@ func TestCtxStateRoundTrip(t *testing.T) {
 	f, _ := New(FuncDef{
 		Name: "native-state",
 		Native: func(ctx *Ctx) (int32, error) {
-			buf, err := ctx.MapState("model", 32)
+			buf, err := ctx.StateView("model", 32)
 			if err != nil {
 				return 1, err
 			}
@@ -745,8 +745,7 @@ func TestCtxStateRoundTrip(t *testing.T) {
 				return 2, nil
 			}
 			buf[0] = 77
-			v, _ := ctx.State("model", 32)
-			if err := v.Push(); err != nil {
+			if err := ctx.StatePush("model"); err != nil {
 				return 3, err
 			}
 			return 0, nil
@@ -770,7 +769,7 @@ func TestCtxAppendAndLocks(t *testing.T) {
 			if err := ctx.LockGlobal("results", true); err != nil {
 				return 1, err
 			}
-			ctx.AppendState("results", []byte("x"))
+			ctx.StateAppend("results", []byte("x"))
 			if err := ctx.UnlockGlobal("results"); err != nil {
 				return 2, err
 			}

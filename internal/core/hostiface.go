@@ -47,24 +47,24 @@ func init() {
 		"await_call":        bind((*Faaslet).hiAwaitCall),
 		"get_call_output":   bind((*Faaslet).hiGetCallOutput),
 		// --- state ---
-		"get_state":                 bind((*Faaslet).hiGetState),
-		"get_state_offset":          bind((*Faaslet).hiGetStateOffset),
-		"set_state":                 bind((*Faaslet).hiSetState),
-		"set_state_offset":          bind((*Faaslet).hiSetStateOffset),
-		"push_state":                bind(onValue((*state.Value).Push)),
-		"pull_state":                bind(onValue((*state.Value).Pull)),
-		"push_state_offset":         bind((*Faaslet).hiPushStateOffset),
-		"pull_state_offset":         bind((*Faaslet).hiPullStateOffset),
-		"append_state":              bind((*Faaslet).hiAppendState),
-		"state_size":                bind((*Faaslet).hiStateSize),
-		"lock_state_read":           bind(localLock((*state.Value).LockRead)),
-		"lock_state_write":          bind(localLock((*state.Value).LockWrite)),
-		"unlock_state_read":         bind(localLock((*state.Value).UnlockRead)),
-		"unlock_state_write":        bind(localLock((*state.Value).UnlockWrite)),
-		"lock_state_global_read":    bind(lockStateGlobal(false)),
-		"lock_state_global_write":   bind(lockStateGlobal(true)),
-		"unlock_state_global_read":  bind((*Faaslet).hiUnlockStateGlobal),
-		"unlock_state_global_write": bind((*Faaslet).hiUnlockStateGlobal),
+		"get_state":                 bind(keyed((*Faaslet).hiGetState)),
+		"get_state_offset":          bind(keyed((*Faaslet).hiGetStateOffset)),
+		"set_state":                 bind(keyed((*Faaslet).hiSetState)),
+		"set_state_offset":          bind(keyed((*Faaslet).hiSetStateOffset)),
+		"push_state":                bind(keyed((*Faaslet).hiPushState)),
+		"pull_state":                bind(keyed((*Faaslet).hiPullState)),
+		"push_state_offset":         bind(keyed((*Faaslet).hiPushStateOffset)),
+		"pull_state_offset":         bind(keyed((*Faaslet).hiPullStateOffset)),
+		"append_state":              bind(keyed((*Faaslet).hiAppendState)),
+		"state_size":                bind(keyed((*Faaslet).hiStateSize)),
+		"lock_state_read":           bind(keyed(localLock((*state.Value).LockRead))),
+		"lock_state_write":          bind(keyed(localLock((*state.Value).LockWrite))),
+		"unlock_state_read":         bind(keyed(localLock((*state.Value).UnlockRead))),
+		"unlock_state_write":        bind(keyed(localLock((*state.Value).UnlockWrite))),
+		"lock_state_global_read":    bind(keyed(lockStateGlobal(false))),
+		"lock_state_global_write":   bind(keyed(lockStateGlobal(true))),
+		"unlock_state_global_read":  bind(keyed((*Faaslet).hiUnlockStateGlobal)),
+		"unlock_state_global_write": bind(keyed((*Faaslet).hiUnlockStateGlobal)),
 		// --- dynamic linking ---
 		"dlopen":  bind((*Faaslet).hiDlopen),
 		"dlsym":   bind((*Faaslet).hiDlsym),
@@ -199,48 +199,34 @@ func (f *Faaslet) hiGetCallOutput(args []uint64) ([]uint64, error) {
 
 // --- State ---
 
-// stateValue resolves a key with the given size hint (0 = discover).
-func (f *Faaslet) stateValue(keyPtr, keyLen uint64, size int) (*state.Value, error) {
-	if f.env.State == nil {
-		return nil, errNoState
+// keyedMethod is a state call once its leading (keyPtr, keyLen) pair is
+// decoded: the key, then the call's remaining arguments.
+type keyedMethod func(f *Faaslet, key string, args []uint64) ([]uint64, error)
+
+// keyed decodes a state call's key and runs m on it.
+func keyed(m keyedMethod) hostMethod {
+	return func(f *Faaslet, args []uint64) ([]uint64, error) {
+		key, err := f.guestString(args[0], args[1])
+		if err != nil {
+			return nil, err
+		}
+		return m(f, key, args[2:])
 	}
-	key, err := f.guestString(keyPtr, keyLen)
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		size = -1
-	}
-	return f.env.State.Value(key, size)
 }
 
-// get_state(keyPtr, keyLen, size) -> i32 guest pointer to the mapped value.
-// The value's shared segment is spliced into this Faaslet's linear address
-// space: the returned pointer aliases host-shared memory with zero copies.
-func (f *Faaslet) hiGetState(args []uint64) ([]uint64, error) {
-	v, err := f.stateValue(args[0], args[1], int(i32(args[2])))
-	if err != nil {
-		return nil, err
+// sizeHint reads a guest's value size, where 0 means discover it.
+func sizeHint(n int) int {
+	if n == 0 {
+		return -1
 	}
-	if err := v.EnsurePulled(0, v.Size()); err != nil {
-		return nil, err
-	}
-	base, err := f.mapState(v)
-	if err != nil {
-		return nil, err
-	}
-	return reti32(int32(base)), nil
+	return n
 }
 
-// get_state_offset(keyPtr, keyLen, off, len) -> i32 guest pointer to the
-// chunk; only the covering chunks are replicated locally.
-func (f *Faaslet) hiGetStateOffset(args []uint64) ([]uint64, error) {
-	v, err := f.stateValue(args[0], args[1], 0)
+// statePointer maps v's shared segment into this Faaslet's linear address
+// space and returns the guest pointer to byte off of the value: a pointer
+// that aliases host-shared memory with zero copies.
+func (f *Faaslet) statePointer(v *state.Value, off int, err error) ([]uint64, error) {
 	if err != nil {
-		return nil, err
-	}
-	off, n := int(i32(args[2])), int(i32(args[3]))
-	if err := v.EnsurePulled(off, n); err != nil {
 		return nil, err
 	}
 	base, err := f.mapState(v)
@@ -250,13 +236,27 @@ func (f *Faaslet) hiGetStateOffset(args []uint64) ([]uint64, error) {
 	return reti32(int32(base) + int32(off)), nil
 }
 
+// get_state(keyPtr, keyLen, size) -> i32 guest pointer to the mapped value.
+func (f *Faaslet) hiGetState(key string, args []uint64) ([]uint64, error) {
+	v, err := f.getState(key, sizeHint(int(i32(args[0]))))
+	return f.statePointer(v, 0, err)
+}
+
+// get_state_offset(keyPtr, keyLen, off, len) -> i32 guest pointer to the
+// chunk; only the covering chunks are replicated locally.
+func (f *Faaslet) hiGetStateOffset(key string, args []uint64) ([]uint64, error) {
+	off := int(i32(args[0]))
+	v, err := f.getStateChunk(key, off, int(i32(args[1])))
+	return f.statePointer(v, off, err)
+}
+
 // set_state(keyPtr, keyLen, valPtr, valLen)
-func (f *Faaslet) hiSetState(args []uint64) ([]uint64, error) {
-	val, err := f.mem.ReadBytes(uint32(args[2]), int(i32(args[3])))
+func (f *Faaslet) hiSetState(key string, args []uint64) ([]uint64, error) {
+	val, err := f.mem.ReadBytes(uint32(args[0]), int(i32(args[1])))
 	if err != nil {
 		return nil, err
 	}
-	v, err := f.stateValue(args[0], args[1], len(val))
+	v, err := f.value(key, sizeHint(len(val)))
 	if err != nil {
 		return nil, err
 	}
@@ -264,60 +264,52 @@ func (f *Faaslet) hiSetState(args []uint64) ([]uint64, error) {
 }
 
 // set_state_offset(keyPtr, keyLen, off, valPtr, valLen)
-func (f *Faaslet) hiSetStateOffset(args []uint64) ([]uint64, error) {
-	val, err := f.mem.ReadBytes(uint32(args[3]), int(i32(args[4])))
+func (f *Faaslet) hiSetStateOffset(key string, args []uint64) ([]uint64, error) {
+	val, err := f.mem.ReadBytes(uint32(args[1]), int(i32(args[2])))
 	if err != nil {
 		return nil, err
 	}
-	v, err := f.stateValue(args[0], args[1], 0)
+	v, err := f.value(key, -1)
 	if err != nil {
 		return nil, err
 	}
-	return nil, v.SetAt(int(i32(args[2])), val)
+	return nil, v.SetAt(int(i32(args[0])), val)
+}
+
+// push_state(keyPtr, keyLen)
+func (f *Faaslet) hiPushState(key string, _ []uint64) ([]uint64, error) {
+	return nil, f.pushState(key)
+}
+
+// pull_state(keyPtr, keyLen)
+func (f *Faaslet) hiPullState(key string, _ []uint64) ([]uint64, error) {
+	return nil, f.pullState(key)
 }
 
 // push_state_offset(keyPtr, keyLen, off, len)
-func (f *Faaslet) hiPushStateOffset(args []uint64) ([]uint64, error) {
-	v, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	return nil, v.PushChunk(int(i32(args[2])), int(i32(args[3])))
+func (f *Faaslet) hiPushStateOffset(key string, args []uint64) ([]uint64, error) {
+	return nil, f.pushStateChunk(key, int(i32(args[0])), int(i32(args[1])))
 }
 
 // pull_state_offset(keyPtr, keyLen, off, len)
-func (f *Faaslet) hiPullStateOffset(args []uint64) ([]uint64, error) {
-	v, err := f.stateValue(args[0], args[1], 0)
-	if err != nil {
-		return nil, err
-	}
-	return nil, v.PullChunk(int(i32(args[2])), int(i32(args[3])))
+func (f *Faaslet) hiPullStateOffset(key string, args []uint64) ([]uint64, error) {
+	_, err := f.getStateChunk(key, int(i32(args[0])), int(i32(args[1])))
+	return nil, err
 }
 
 // append_state(keyPtr, keyLen, valPtr, valLen)
-func (f *Faaslet) hiAppendState(args []uint64) ([]uint64, error) {
-	if f.env.State == nil {
-		return nil, errNoState
-	}
-	key, err := f.guestString(args[0], args[1])
+func (f *Faaslet) hiAppendState(key string, args []uint64) ([]uint64, error) {
+	val, err := f.mem.ReadBytes(uint32(args[0]), int(i32(args[1])))
 	if err != nil {
 		return nil, err
 	}
-	val, err := f.mem.ReadBytes(uint32(args[2]), int(i32(args[3])))
-	if err != nil {
-		return nil, err
-	}
-	return nil, f.env.State.Append(key, val)
+	return nil, f.appendState(key, val)
 }
 
 // state_size(keyPtr, keyLen) -> i32 global size of the value.
-func (f *Faaslet) hiStateSize(args []uint64) ([]uint64, error) {
+func (f *Faaslet) hiStateSize(key string, _ []uint64) ([]uint64, error) {
 	if f.env.State == nil {
 		return nil, errNoState
-	}
-	key, err := f.guestString(args[0], args[1])
-	if err != nil {
-		return nil, err
 	}
 	n, err := f.env.State.Global().Len(key)
 	if err != nil {
@@ -326,40 +318,28 @@ func (f *Faaslet) hiStateSize(args []uint64) ([]uint64, error) {
 	return reti32(int32(n)), nil
 }
 
-// onValue makes a (keyPtr, keyLen) call that applies op to the key's local
-// replica: push_state, pull_state and the local locks.
-func onValue(op func(*state.Value) error) hostMethod {
-	return func(f *Faaslet, args []uint64) ([]uint64, error) {
-		v, err := f.stateValue(args[0], args[1], 0)
+// localLock makes lock_state_read/write and unlock_state_read/write:
+// (keyPtr, keyLen).
+func localLock(op func(*state.Value)) keyedMethod {
+	return func(f *Faaslet, key string, _ []uint64) ([]uint64, error) {
+		v, err := f.value(key, -1)
 		if err != nil {
 			return nil, err
 		}
-		return nil, op(v)
+		op(v)
+		return nil, nil
 	}
-}
-
-// localLock makes lock_state_read/write and unlock_state_read/write.
-func localLock(op func(*state.Value)) hostMethod {
-	return onValue(func(v *state.Value) error { op(v); return nil })
 }
 
 // lockStateGlobal makes lock_state_global_read (write false) and
 // lock_state_global_write: (keyPtr, keyLen).
-func lockStateGlobal(write bool) hostMethod {
-	return func(f *Faaslet, args []uint64) ([]uint64, error) {
-		key, err := f.guestString(args[0], args[1])
-		if err != nil {
-			return nil, err
-		}
+func lockStateGlobal(write bool) keyedMethod {
+	return func(f *Faaslet, key string, _ []uint64) ([]uint64, error) {
 		return nil, f.lockGlobal(key, write)
 	}
 }
 
-func (f *Faaslet) hiUnlockStateGlobal(args []uint64) ([]uint64, error) {
-	key, err := f.guestString(args[0], args[1])
-	if err != nil {
-		return nil, err
-	}
+func (f *Faaslet) hiUnlockStateGlobal(key string, _ []uint64) ([]uint64, error) {
 	return nil, f.unlockGlobal(key)
 }
 

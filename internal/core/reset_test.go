@@ -395,7 +395,7 @@ func TestResetKeepsStateSegmentsIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := FuncDef{Name: "mapper", Native: func(ctx *Ctx) (int32, error) {
-		view, err := ctx.MapState("shared", len(value))
+		view, err := ctx.StateView("shared", len(value))
 		if err != nil {
 			return 1, err
 		}

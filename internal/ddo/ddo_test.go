@@ -12,7 +12,8 @@ import (
 	"faasm.dev/faasm/internal/state"
 )
 
-// testAPI builds a FaasmAPI over a fresh Faaslet and shared engine.
+// testAPI builds the Ctx of a fresh Faaslet over a shared engine: on FAASM
+// the Ctx is the API.
 func testAPI(t *testing.T, engine *kvs.Engine, tier *state.LocalTier) hostapi.API {
 	t.Helper()
 	env := &core.Env{State: tier}
@@ -23,7 +24,7 @@ func testAPI(t *testing.T, engine *kvs.Engine, tier *state.LocalTier) hostapi.AP
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &hostapi.FaasmAPI{Ctx: core.NewCtx(f)}
+	return core.NewCtx(f)
 }
 
 func setup(t *testing.T) (hostapi.API, *kvs.Engine) {

@@ -760,12 +760,7 @@ func (i *Instance) Output(id uint64) ([]byte, error) { return i.calls.Output(id)
 // no record, no wakeup. Unsampled calls (the common case) pay one atomic
 // add for the sampling decision and nothing else.
 func (i *Instance) Call(function string, input []byte) ([]byte, int32, error) {
-	if _, ok := i.deployed(function); !ok {
-		return nil, -1, fmt.Errorf("frt: unknown function %q", function)
-	}
-	tr := i.tracer.Start(i.cfg.Host, function)
-	out, ret, err := i.route(tr, function, input)
-	i.tracer.Finish(tr)
+	out, ret, _, err := i.CallTraced(function, input)
 	return out, ret, err
 }
 

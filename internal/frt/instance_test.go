@@ -350,13 +350,14 @@ func TestSharedStateAcrossCallsOnHost(t *testing.T) {
 	inst := New(Config{Host: "h1"})
 	inst.State().Global().Set("n", make([]byte, 8))
 	inst.RegisterNative("incr", func(ctx *core.Ctx) (int32, error) {
-		v, err := ctx.State("n", -1)
+		buf, err := ctx.StateView("n", -1)
 		if err != nil {
 			return 1, err
 		}
+		v, _ := inst.State().Lookup("n") // the host's replica, for its local lock
 		v.LockWrite()
-		x := binary.LittleEndian.Uint64(v.Bytes())
-		binary.LittleEndian.PutUint64(v.Bytes(), x+1)
+		x := binary.LittleEndian.Uint64(buf)
+		binary.LittleEndian.PutUint64(buf, x+1)
 		v.UnlockWrite()
 		return 0, nil
 	})

@@ -13,7 +13,7 @@ func TestAccessProfileRecordsGuestReads(t *testing.T) {
 	store.Set("k", make([]byte, 8192))
 	inst := New(Config{Host: "h1", Store: store})
 	inst.RegisterNative("reader", func(ctx *core.Ctx) (int32, error) {
-		_, err := ctx.MapState("k", -1)
+		_, err := ctx.StateView("k", -1)
 		return 0, err
 	})
 	if _, _, err := inst.Call("reader", nil); err != nil {

@@ -2,11 +2,11 @@ package hostapi_test
 
 // The hostapi package is the seam the paper's methodology depends on: the
 // same guest source must behave identically on FAASM and on the container
-// baseline. These tests drive the FaasmAPI adapter through a real runtime
+// baseline. These tests drive core.Ctx, FAASM's API, through a real runtime
 // instance, covering every group of the interface — I/O, chaining, state
 // views and whole-value ops. The two lock tiers are not in the portable
-// interface: native guests take them through the adapter's core.Ctx, which
-// the lock tests do, including against a sharded global tier.
+// interface: the lock tests take the global lock through core.Ctx, also
+// against a sharded global tier, and the local lock on the host's replica.
 
 import (
 	"bytes"
@@ -36,7 +36,7 @@ func run(t *testing.T, store kvs.Store, g hostapi.Guest, input []byte) ([]byte, 
 
 func TestInputOutputAndIdentity(t *testing.T) {
 	out, ret := run(t, kvs.NewEngine(), func(api hostapi.API) (int32, error) {
-		ctx := api.(*hostapi.FaasmAPI).Ctx
+		ctx := api.(*core.Ctx)
 		if ctx.Now() < 0 {
 			return 1, nil
 		}
@@ -169,14 +169,15 @@ func TestLocalLocksSerialiseFaaslets(t *testing.T) {
 	// Map the view BEFORE taking the local write lock (the first StateView
 	// pulls the value, which takes the value's own write lock), mutate under
 	// the lock, and push after unlock (Push takes the value's read lock).
+	// The lock is the host's replica's own, which every Faaslet shares.
 	inst.RegisterNative("incr", func(ctx *core.Ctx) (int32, error) {
-		buf, err := ctx.MapState("n", 8)
+		buf, err := ctx.StateView("n", 8)
 		if err != nil {
 			return 1, err
 		}
-		v, err := ctx.State("n", 8)
-		if err != nil {
-			return 2, err
+		v, ok := inst.State().Lookup("n")
+		if !ok {
+			return 2, nil
 		}
 		v.LockWrite()
 		binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
@@ -221,17 +222,16 @@ func TestGlobalLocksOverShardedTier(t *testing.T) {
 			return 1, err
 		}
 		defer ctx.UnlockGlobal("n")
-		v, err := ctx.State("n", 8)
-		if err != nil {
+		// Refresh the replica under the lock: another host may have pushed.
+		if err := ctx.StatePull("n"); err != nil {
 			return 2, err
 		}
-		if err := v.Pull(); err != nil {
+		buf, err := ctx.StateView("n", 8)
+		if err != nil {
 			return 3, err
 		}
-		v.LockWrite()
-		binary.LittleEndian.PutUint64(v.Bytes(), binary.LittleEndian.Uint64(v.Bytes())+1)
-		v.UnlockWrite()
-		return 0, v.Push()
+		binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
+		return 0, ctx.StatePush("n")
 	}
 	instA.RegisterNative("incr", guest)
 	instB.RegisterNative("incr", guest)

@@ -326,17 +326,12 @@ func (v *Value) markAll() {
 	v.mu.Unlock()
 }
 
-// Pull replicates the full authoritative value into the local tier
-// (pull_state). It takes the local write lock, per §4.2.
-func (v *Value) Pull() error {
-	_, err := v.PullN()
-	return err
-}
-
-// PullN is Pull returning the number of bytes fetched from the global tier,
-// for per-span transfer attribution. The bytes land in the segment as they
-// arrive, so a pull that fails part-way may leave the replica half
-// refreshed: it then forgets every chunk, and the next access pulls again.
+// PullN replicates the full authoritative value into the local tier
+// (pull_state), returning the number of bytes fetched from the global tier
+// for per-span transfer attribution. It takes the local write lock, per
+// §4.2. The bytes land in the segment as they arrive, so a pull that fails
+// part-way may leave the replica half refreshed: it then forgets every
+// chunk, and the next access pulls again.
 func (v *Value) PullN() (int64, error) {
 	v.lock.Lock()
 	defer v.lock.Unlock()
@@ -348,12 +343,6 @@ func (v *Value) PullN() (int64, error) {
 	v.tier.Pulled.Add(int64(n))
 	v.markAll()
 	return int64(n), nil
-}
-
-// PullChunk replicates only the chunks covering [off, off+n)
-// (pull_state_offset). Already-present chunks are not re-fetched.
-func (v *Value) PullChunk(off, n int) error {
-	return v.PullChunks([]kvs.Range{{Off: off, N: n}})
 }
 
 // missingSpans converts the requested ranges into the byte spans that still
@@ -411,20 +400,12 @@ func (v *Value) missingSpans(ranges []kvs.Range) []kvs.Range {
 	return spans
 }
 
-// PullChunks replicates the chunks covering every [Off, Off+N) range in one
-// coalesced global-tier exchange — the batched pull_state_offset. Only the
-// chunks still missing are fetched: contiguous missing chunks merge into one
-// range, and the global store's GetRangesInto serves all ranges in a single
-// round trip. This is how sparse DDO access (Fig 4's chunked value C)
-// prefetches scattered windows without paying one round trip per window.
-func (v *Value) PullChunks(ranges []kvs.Range) error {
-	_, err := v.PullChunksN(ranges)
-	return err
-}
-
-// PullChunksN is PullChunks returning the number of bytes actually fetched
-// (0 when every requested chunk was already local). Only missing chunks are
-// fetched, so a pull that fails part-way leaves them missing.
+// PullChunksN replicates the chunks covering every [Off, Off+N) range in one
+// coalesced global-tier exchange and returns the number of bytes fetched (0
+// when every requested chunk was already local). Only the chunks still
+// missing are fetched: contiguous missing chunks merge into one range, and
+// the global store's GetRangesInto serves all ranges in a single round
+// trip. A pull that fails part-way leaves them missing.
 func (v *Value) PullChunksN(ranges []kvs.Range) (int64, error) {
 	for _, rg := range ranges {
 		if err := v.checkRange(rg.Off, rg.N); err != nil {
@@ -461,15 +442,13 @@ func (v *Value) PullChunksN(ranges []kvs.Range) (int64, error) {
 	return pulled, nil
 }
 
-// EnsurePulled lazily pulls the range if any part is missing — the implicit
-// pull DDOs perform when data is first accessed (§4.1).
-func (v *Value) EnsurePulled(off, n int) error {
-	_, err := v.EnsurePulledN(off, n)
-	return err
-}
-
-// EnsurePulledN is EnsurePulled returning the bytes fetched (0 on a local hit).
+// EnsurePulledN lazily pulls [off, off+n) if any part is missing — the
+// implicit pull DDOs perform when data is first accessed (§4.1) — returning
+// the bytes fetched (0 on a local hit).
 func (v *Value) EnsurePulledN(off, n int) (int64, error) {
+	if err := v.checkRange(off, n); err != nil {
+		return 0, err
+	}
 	if v.missing(off, n) {
 		return v.PullChunksN([]kvs.Range{{Off: off, N: n}})
 	}
@@ -477,16 +456,7 @@ func (v *Value) EnsurePulledN(off, n int) (int64, error) {
 }
 
 // Push writes the full local replica to the global tier (push_state).
-func (v *Value) Push() error {
-	v.lock.RLock()
-	defer v.lock.RUnlock()
-	if err := v.tier.global.SetRange(v.key, 0, v.seg.Bytes()[:v.size]); err != nil {
-		return fmt.Errorf("state: push %s: %w", v.key, err)
-	}
-	v.tier.Pushed.Add(int64(v.size))
-	v.markAll() // our copy now matches the authority
-	return nil
-}
+func (v *Value) Push() error { return v.PushChunk(0, v.size) }
 
 // PushChunk writes [off, off+n) of the replica to the global tier
 // (push_state_offset).

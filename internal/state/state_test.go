@@ -50,7 +50,7 @@ func TestPullPushRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Pull(); err != nil {
+	if _, err := v.PullN(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(v.Bytes(), authoritative) {
@@ -71,7 +71,7 @@ func TestLocalWritesInvisibleUntilPush(t *testing.T) {
 	lt, e := newTier()
 	e.Set("k", []byte("aaaa"))
 	v, _ := lt.Value("k", -1)
-	v.Pull()
+	v.PullN()
 	v.Set([]byte("bbbb"))
 	g, _ := e.Get("k")
 	if string(g) != "aaaa" {
@@ -91,7 +91,7 @@ func TestSharedSegmentBetweenFaaslets(t *testing.T) {
 	lt, e := newTier()
 	e.Set("shared", make([]byte, 64))
 	v, _ := lt.Value("shared", -1)
-	v.Pull()
+	v.PullN()
 
 	memA := wamem.MustNew(1, 0)
 	memB := wamem.MustNew(2, 0)
@@ -148,7 +148,7 @@ func TestPushChunk(t *testing.T) {
 	lt, e := newTier()
 	e.Set("v", make([]byte, 3*ChunkSize))
 	v, _ := lt.Value("v", -1)
-	v.Pull()
+	v.PullN()
 	copy(v.Bytes()[ChunkSize:], []byte("chunk1"))
 	if err := v.PushChunk(ChunkSize, 6); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestLocalLockMutualExclusion(t *testing.T) {
 	lt, e := newTier()
 	e.Set("v", make([]byte, 8))
 	v, _ := lt.Value("v", -1)
-	v.Pull()
+	v.PullN()
 	// Many goroutines increment a counter in the value under the local
 	// write lock: no lost updates.
 	var wg sync.WaitGroup
@@ -281,7 +281,7 @@ func increment(lt *LocalTier, v *Value) error {
 		return err
 	}
 	defer lt.UnlockGlobal(v.Key(), tok)
-	if err := v.Pull(); err != nil {
+	if _, err := v.PullN(); err != nil {
 		return err
 	}
 	v.LockWrite()
@@ -293,7 +293,7 @@ func increment(lt *LocalTier, v *Value) error {
 // readAt copies [off, off+n) out of v the way the host interface reads
 // state: pull the missing covering chunks, then read under the local lock.
 func readAt(v *Value, off, n int) ([]byte, error) {
-	if err := v.EnsurePulled(off, n); err != nil {
+	if _, err := v.EnsurePulledN(off, n); err != nil {
 		return nil, err
 	}
 	v.LockRead()
@@ -355,7 +355,7 @@ func BenchmarkLocalGet(b *testing.B) {
 	lt, e := newTier()
 	e.Set("v", make([]byte, 64*1024))
 	v, _ := lt.Value("v", -1)
-	v.Pull()
+	v.PullN()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := readAt(v, 1024, 4096); err != nil {
@@ -369,7 +369,7 @@ func BenchmarkSharedBytesAccess(b *testing.B) {
 	lt, e := newTier()
 	e.Set("v", make([]byte, 64*1024))
 	v, _ := lt.Value("v", -1)
-	v.Pull()
+	v.PullN()
 	buf := v.Bytes()
 	b.ResetTimer()
 	var sink byte
@@ -411,10 +411,10 @@ func TestPullChunksCoalescesMissingSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre-pull chunks 2 and 5, leaving holes around them.
-	if err := v.PullChunk(2*ChunkSize, ChunkSize); err != nil {
+	if _, err := v.PullChunksN([]kvs.Range{{Off: 2 * ChunkSize, N: ChunkSize}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.PullChunk(5*ChunkSize, ChunkSize); err != nil {
+	if _, err := v.PullChunksN([]kvs.Range{{Off: 5 * ChunkSize, N: ChunkSize}}); err != nil {
 		t.Fatal(err)
 	}
 	ts.mu.Lock()
@@ -424,7 +424,7 @@ func TestPullChunksCoalescesMissingSpans(t *testing.T) {
 	// Pull chunks [0,7): chunks 2 and 5 are resident, so exactly three
 	// missing runs ([0,2), [3,5), [6,7)) must travel in ONE batched
 	// exchange.
-	if err := v.PullChunks([]kvs.Range{{Off: 0, N: 7 * ChunkSize}}); err != nil {
+	if _, err := v.PullChunksN([]kvs.Range{{Off: 0, N: 7 * ChunkSize}}); err != nil {
 		t.Fatal(err)
 	}
 	ts.mu.Lock()
@@ -449,7 +449,7 @@ func TestPullChunksCoalescesMissingSpans(t *testing.T) {
 		t.Fatal("pulled bytes corrupt")
 	}
 	// Everything requested is now resident: no further transfer.
-	if err := v.PullChunks([]kvs.Range{{Off: 0, N: 7 * ChunkSize}}); err != nil {
+	if _, err := v.PullChunksN([]kvs.Range{{Off: 0, N: 7 * ChunkSize}}); err != nil {
 		t.Fatal(err)
 	}
 	if ts.batchCalls != 1 {
@@ -469,7 +469,7 @@ func TestPullChunksOverlappingRangesAndBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overlapping and duplicate ranges must not double-pull or corrupt.
-	err = v.PullChunks([]kvs.Range{
+	_, err = v.PullChunksN([]kvs.Range{
 		{Off: 0, N: ChunkSize + 10},
 		{Off: ChunkSize, N: ChunkSize},
 		{Off: 0, N: ChunkSize},
@@ -488,8 +488,18 @@ func TestPullChunksOverlappingRangesAndBounds(t *testing.T) {
 		t.Fatalf("pulled %d bytes, want %d", lt.Pulled.Value(), 2*ChunkSize+100)
 	}
 	// Out-of-bounds range errors before any transfer.
-	if err := v.PullChunks([]kvs.Range{{Off: 0, N: v.Size() + 1}}); err == nil {
+	if _, err := v.PullChunksN([]kvs.Range{{Off: 0, N: v.Size() + 1}}); err == nil {
 		t.Fatal("out-of-bounds prefetch must error")
+	}
+	// So does a lazy pull, even once the whole value is resident (a guest's
+	// get_state_offset past the end is refused, not handed a pointer).
+	if _, err := v.PullN(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []kvs.Range{{Off: v.Size(), N: 1}, {Off: -1, N: 1}, {Off: 0, N: -1}} {
+		if _, err := v.EnsurePulledN(r.Off, r.N); err == nil {
+			t.Fatalf("EnsurePulledN(%d, %d) on a resident %d-byte value did not error", r.Off, r.N, v.Size())
+		}
 	}
 }
 
@@ -504,7 +514,7 @@ func TestMarkPulledCounterTracksCompleteness(t *testing.T) {
 		if v.all {
 			t.Fatalf("all set after %d of 10 chunks", c)
 		}
-		if err := v.PullChunk(c*ChunkSize, ChunkSize); err != nil {
+		if _, err := v.PullChunksN([]kvs.Range{{Off: c * ChunkSize, N: ChunkSize}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -596,7 +606,7 @@ func TestPullLandsInSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { v.Pull() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { v.PullN() }); allocs != 0 {
 		t.Errorf("in-process pull: %.1f allocations, want 0", allocs)
 	}
 	if !bytes.Equal(v.Bytes(), data) {
@@ -614,7 +624,7 @@ func TestPullLandsInSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv.Pull() // dial and grow the server's reply buffer
+	rv.PullN() // dial and grow the server's reply buffer
 	const pulls = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -644,11 +654,11 @@ func TestFailedPullForgetsReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Pull(); err != nil {
+	if _, err := v.PullN(); err != nil {
 		t.Fatal(err)
 	}
 	ts.torn = true
-	if err := v.Pull(); !errors.Is(err, kvs.ErrUnavailable) {
+	if _, err := v.PullN(); !errors.Is(err, kvs.ErrUnavailable) {
 		t.Fatalf("torn pull: %v", err)
 	}
 	if got := v.ResidentBytes(); got != 0 {

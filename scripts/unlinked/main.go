@@ -13,8 +13,10 @@
 // linked again or no longer exists, and on an entry whose reason is not
 // one of these, or does not hold:
 //
-//	test seam <TestName>     the named test calls it, directly or through
-//	                         a test kit it calls
+//	test seam <TestName>     the named test refers to it, directly or
+//	                         through a test kit it calls (a type-checked
+//	                         reference, so another type's namesake does
+//	                         not count)
 //	interface <Iface.Method> a binary converts the receiver to Iface, and
 //	                         the method is an empty marker or another
 //	                         implementation of it is linked (so binaries
@@ -26,14 +28,17 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -59,6 +64,7 @@ var reason = regexp.MustCompile(`^(test seam (Test|Benchmark|Fuzz)\w+|interface 
 
 type fn struct {
 	name   string   // display name: module-relative package, receiver, name
+	key    string   // types.Func full name: pkg.F, (pkg.T).M or (*pkg.T).M
 	syms   []string // linker symbols any one of which links it
 	recv   string   // full receiver type name, "" for a function
 	mname  string   // method or function name
@@ -71,16 +77,17 @@ type census struct {
 	itabs     map[string]bool               // "pkg.T,pkg.Iface" conversions
 	fns       []*fn                         // every walked function
 	ifaces    map[string]*ast.InterfaceType // module interfaces by "pkg.Name"
-	tests     map[string]map[string]bool    // test name → identifiers it uses
-	kit       map[string]map[string]bool    // test-kit function → identifiers
+	tests     map[string]map[string]bool    // test name → keys of the functions it uses
+	kit       map[string]map[string]bool    // test-kit function key → keys it uses
 	hostCalls map[string]bool               // core's host table keys
 }
 
 func main() {
 	allowPath := flag.String("allow", "", "allow file (name, then reason, one per line)")
 	flag.Parse()
-	modPath, err := modulePath()
+	out, err := exec.Command("go", "list", "-m").Output()
 	check(err)
+	modPath := strings.TrimSpace(string(out))
 	c := &census{linked: map[string]bool{}, itabs: map[string]bool{}, ifaces: map[string]*ast.InterfaceType{},
 		tests: map[string]map[string]bool{}, kit: map[string]map[string]bool{}, hostCalls: map[string]bool{}}
 	for _, arg := range flag.Args() {
@@ -141,19 +148,6 @@ func check(err error) {
 		fmt.Fprintln(os.Stderr, "unlinked:", err)
 		os.Exit(2)
 	}
-}
-
-func modulePath() (string, error) {
-	b, err := os.ReadFile("go.mod")
-	if err != nil {
-		return "", err
-	}
-	for _, l := range strings.Split(string(b), "\n") {
-		if p, ok := strings.CutPrefix(strings.TrimSpace(l), "module "); ok {
-			return strings.TrimSpace(p), nil
-		}
-	}
-	return "", fmt.Errorf("go.mod names no module")
 }
 
 var initN = regexp.MustCompile(`\.init\.\d+$`)
@@ -218,62 +212,81 @@ func (c *census) isLinked(f *fn) bool {
 	return false
 }
 
-// walk parses every Go file of the module outside this command and nested
-// modules: functions and interfaces from the non-test files, and the
-// identifiers each test or test-kit function uses from the test code.
+// listed is one package of `go list -test -deps -export -json`.
+type listed struct {
+	ImportPath, Dir, Export, ForTest string
+	GoFiles                          []string
+	ImportMap                        map[string]string
+}
+
+// walk reads the module's packages as `go list` finds them, building the
+// export data of each package and test variant on the way: the functions,
+// interfaces and host calls of every non-test package, and what each test
+// and test-kit function refers to, type-checked, so that a `test seam`
+// reason names the very function a test calls, not a namesake.
 func (c *census) walk(modPath string) error {
+	out, err := exec.Command("go", "list", "-test", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,ForTest,GoFiles,ImportMap", "./...").Output()
+	if err != nil {
+		return fmt.Errorf("go list: %w", err)
+	}
+	var pkgs []listed
+	export := map[string]string{}
+	for dec := json.NewDecoder(strings.NewReader(string(out))); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			return err
+		}
+		pkgs = append(pkgs, p)
+		export[p.ImportPath] = p.Export
+	}
 	fset := token.NewFileSet()
-	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, p := range pkgs {
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		rel, inModule := strings.CutPrefix(path+"/", modPath+"/")
+		if rel = strings.TrimSuffix(rel, "/"); rel == "" {
+			rel = "faasm" // the root package's display name
 		}
-		if d.IsDir() {
-			base := d.Name()
-			if path != "." && (filepath.ToSlash(path) == self || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
-				return filepath.SkipDir
+		if !inModule || rel == self || strings.HasSuffix(path, ".test") {
+			continue // outside the module, this command, or a generated test main
+		}
+		plain := path == p.ImportPath && p.ForTest == ""
+		var files []*ast.File
+		tests := false
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && err == nil {
-				return filepath.SkipDir // its own module (bench/)
+			files = append(files, f)
+			tests = tests || strings.HasSuffix(name, "_test.go")
+		}
+		switch {
+		case plain && testKits[rel]:
+			if err := c.addUses(c.kit, path+".", p, fset, files, export); err != nil {
+				return err
 			}
-			return nil
-		}
-		dir, name := filepath.Split(path)
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); err != nil || !ok {
-			return err
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel := filepath.ToSlash(filepath.Clean(dir))
-		pkg, short := modPath, "faasm"
-		if rel != "." {
-			pkg, short = modPath+"/"+rel, rel
-		}
-		if strings.HasSuffix(name, "_test.go") {
-			c.addTests(c.tests, file)
-			return nil
-		}
-		if testKits[rel] {
-			c.addTests(c.kit, file)
-			return nil
-		}
-		c.addHostCalls(file)
-		for _, decl := range file.Decls {
-			switch decl := decl.(type) {
-			case *ast.GenDecl:
-				c.addDecl(pkg, decl)
-			case *ast.FuncDecl:
-				if decl.Name.Name != "_" {
-					c.fns = append(c.fns, newFn(fset, pkg, short, decl))
+		case plain:
+			for _, file := range files {
+				c.addHostCalls(file)
+				for _, decl := range file.Decls {
+					switch decl := decl.(type) {
+					case *ast.GenDecl:
+						c.addDecl(path, decl)
+					case *ast.FuncDecl:
+						if decl.Name.Name != "_" {
+							c.fns = append(c.fns, newFn(fset, path, rel, decl))
+						}
+					}
 				}
 			}
+		case tests:
+			if err := c.addUses(c.tests, "", p, fset, files, export); err != nil {
+				return err
+			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 func newFn(fset *token.FileSet, pkg, short string, decl *ast.FuncDecl) *fn {
@@ -281,6 +294,7 @@ func newFn(fset *token.FileSet, pkg, short string, decl *ast.FuncDecl) *fn {
 	if decl.Recv == nil {
 		f.name = short + "." + f.mname
 		f.syms = []string{pkg + "." + f.mname}
+		f.key = f.syms[0]
 		return f
 	}
 	typ, ptr := recvType(decl.Recv.List[0].Type)
@@ -289,9 +303,11 @@ func newFn(fset *token.FileSet, pkg, short string, decl *ast.FuncDecl) *fn {
 	f.syms = []string{pkg + ".(*" + typ + ")." + f.mname}
 	if ptr {
 		f.name = short + ".(*" + typ + ")." + f.mname
+		f.key = "(*" + f.recv + ")." + f.mname
 	} else {
 		f.name = short + "." + typ + "." + f.mname
 		f.syms = append(f.syms, pkg+"."+typ+"."+f.mname)
+		f.key = "(" + f.recv + ")." + f.mname
 	}
 	return f
 }
@@ -348,26 +364,46 @@ func (c *census) addHostCalls(file *ast.File) {
 	})
 }
 
-// addTests records each function of a test file with the identifiers its
-// body uses.
-func (c *census) addTests(into map[string]map[string]bool, file *ast.File) {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Recv != nil || fd.Body == nil {
+// addUses type-checks p against the export data of its imports and records
+// each function of its test files (every file, for a test kit) under
+// prefix+name with the keys of the functions and methods its body refers to.
+func (c *census) addUses(into map[string]map[string]bool, prefix string, p listed, fset *token.FileSet, files []*ast.File, export map[string]string) error {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(imp string) (io.ReadCloser, error) {
+		if id, ok := p.ImportMap[imp]; ok {
+			imp = id
+		}
+		return os.Open(export[imp])
+	})}
+	path, _, _ := strings.Cut(p.ImportPath, " ")
+	if _, err := conf.Check(path, fset, files, info); err != nil {
+		return fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
+	}
+	for _, file := range files {
+		if prefix == "" && !strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go") {
 			continue
 		}
-		used := into[fd.Name.Name]
-		if used == nil {
-			used = map[string]bool{}
-			into[fd.Name.Name] = used
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				used[id.Name] = true
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Body == nil {
+				continue
 			}
-			return true
-		})
+			used := into[prefix+fd.Name.Name]
+			if used == nil {
+				used = map[string]bool{}
+				into[prefix+fd.Name.Name] = used
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if fn, ok := info.Uses[id].(*types.Func); ok {
+						used[stripBrackets(fn.Origin().FullName())] = true
+					}
+				}
+				return true
+			})
+		}
 	}
+	return nil
 }
 
 // hasMethod reports whether the module interface named by key declares m,
@@ -431,15 +467,15 @@ func (c *census) checkReason(f *fn, why string) string {
 		if !ok {
 			return "no test named " + t
 		}
-		if used[f.mname] {
+		if used[f.key] {
 			return ""
 		}
 		for k, kused := range c.kit {
-			if used[k] && kused[f.mname] {
+			if used[k] && kused[f.key] {
 				return ""
 			}
 		}
-		return t + " does not call " + f.mname + ", nor through a test kit"
+		return t + " does not refer to " + f.key + ", nor through a test kit"
 	case strings.HasPrefix(why, "interface "):
 		iface, m, _ := strings.Cut(strings.TrimPrefix(why, "interface "), ".")
 		if m != f.mname || f.recv == "" {
